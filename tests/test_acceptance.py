@@ -5,6 +5,7 @@ The expensive pipeline -- benchmark cohort, supervised model, trained
 inquiry policy, evaluations -- is built once and shared by the tests that
 grade it.
 """
+import hashlib
 import time
 
 import numpy as np
@@ -272,41 +273,66 @@ def test_recall_curves_are_monotone_and_complete(desk):
 # Byte-level reproducibility of the command-line pipeline
 # ---------------------------------------------------------------------------
 
-def test_cli_pipeline_is_byte_identical_across_runs(tmp_path):
-    def pipeline(root):
-        root.mkdir()
-        onto = root / "onto"
-        data = root / "cohort.jsonl"
-        diag = root / "diag.json"
-        policy = root / "policy.json"
-        value = root / "value.json"
-        log = root / "train.csv"
-        report = root / "report.json"
-        traces = root / "traces.jsonl"
-        assert run(["gen-ontology", "--m1", "6", "--m2", "12", "--n-open", "3",
-                    "--out", str(onto)]) == 0
-        assert run(["gen-data", "--ontology", str(onto), "--out", str(data),
-                    "--n", "300", "--n-diseases", "4", "--n-flags", "2",
-                    "--seed", "11", "--threads", "1"]) == 0
-        assert run(["train-diag", "--ontology", str(onto), "--data", str(data),
-                    "--out", str(diag), "--epochs", "3", "--batch-size", "32",
-                    "--hidden", "16,16", "--history-width", "8", "--seed", "3",
-                    "--threads", "1", "--quiet"]) == 0
-        assert run(["train-inquiry", "--ontology", str(onto), "--data", str(data),
-                    "--diag", str(diag), "--out", str(policy),
-                    "--value-out", str(value), "--log", str(log),
-                    "--iterations", "2", "--episodes", "6", "--minibatch", "32",
-                    "--hidden", "16,16", "--horizon", "4", "--seed", "7",
-                    "--threads", "1", "--quiet"]) == 0
-        assert run(["eval", "--ontology", str(onto), "--data", str(data),
-                    "--diag", str(diag), "--policy", str(policy),
-                    "--out", str(report), "--traces", str(traces),
-                    "--horizon", "4", "--seed", "2", "--threads", "1"]) == 0
-        return [data, data.with_name("cohort.header.json"), diag, policy,
-                value, log, report, traces]
+def _cli_pipeline(root):
+    """The small CLI pipeline; returns its eight artifacts in a fixed order."""
+    root.mkdir()
+    onto = root / "onto"
+    data = root / "cohort.jsonl"
+    diag = root / "diag.json"
+    policy = root / "policy.json"
+    value = root / "value.json"
+    log = root / "train.csv"
+    report = root / "report.json"
+    traces = root / "traces.jsonl"
+    assert run(["gen-ontology", "--m1", "6", "--m2", "12", "--n-open", "3",
+                "--out", str(onto)]) == 0
+    assert run(["gen-data", "--ontology", str(onto), "--out", str(data),
+                "--n", "300", "--n-diseases", "4", "--n-flags", "2",
+                "--seed", "11", "--threads", "1"]) == 0
+    assert run(["train-diag", "--ontology", str(onto), "--data", str(data),
+                "--out", str(diag), "--epochs", "3", "--batch-size", "32",
+                "--hidden", "16,16", "--history-width", "8", "--seed", "3",
+                "--threads", "1", "--quiet"]) == 0
+    assert run(["train-inquiry", "--ontology", str(onto), "--data", str(data),
+                "--diag", str(diag), "--out", str(policy),
+                "--value-out", str(value), "--log", str(log),
+                "--iterations", "2", "--episodes", "6", "--minibatch", "32",
+                "--hidden", "16,16", "--horizon", "4", "--seed", "7",
+                "--threads", "1", "--quiet"]) == 0
+    assert run(["eval", "--ontology", str(onto), "--data", str(data),
+                "--diag", str(diag), "--policy", str(policy),
+                "--out", str(report), "--traces", str(traces),
+                "--horizon", "4", "--seed", "2", "--threads", "1"]) == 0
+    return [data, data.with_name("cohort.header.json"), diag, policy,
+            value, log, report, traces]
 
-    first = pipeline(tmp_path / "a")
-    second = pipeline(tmp_path / "b")
+
+def test_cli_pipeline_is_byte_identical_across_runs(tmp_path):
+    first = _cli_pipeline(tmp_path / "a")
+    second = _cli_pipeline(tmp_path / "b")
     for fa, fb in zip(first, second):
         assert fa.read_bytes() == fb.read_bytes(), fa.name
     _line(f"{len(first)} artifacts byte-identical across two runs")
+
+
+# sha256 of each artifact of ``_cli_pipeline``, pinned so that a change in
+# behaviour shows up even when it is deterministic. An intended change
+# re-pins the moved digests and says why in CHANGES.md.
+CLI_GOLDEN = {
+    "cohort.jsonl": "cc4840ef115a8832b6fa1e9c382b881e48de5aed0bdb3d2d1b5eaf177e445992",
+    "cohort.header.json": "064e4e8424d9521be0052ca80335b522e972384914f784d4f0ba520ec89f4b90",
+    "diag.json": "efe0742e80711f6452e11b20ef7dab2abbda0ed202912b815b169eaffff636a2",
+    "policy.json": "0593f21aa0dfd7114ebdf3d97b28c89b59b559fb116b7bd8bca1abe3c66138a0",
+    "value.json": "0c08c4c765dba6a3c4fb4b62cb5a9b0f7d9ee6957d5cc6d8e8ada2168d09ca7d",
+    "train.csv": "91710ff3cbb881328497cd04cde58f460360164b3bda9a29fdd8936c262cf4ea",
+    "report.json": "dc81847b2a3ad5f8cb2186d39842c4554017c667221bea6d6891eaa62f5ab836",
+    "traces.jsonl": "deff80957ae71126bd48a5ee8320de828c418736c76c3ecdb7790c83ff7dc1a6",
+}
+
+
+def test_cli_pipeline_matches_golden_digests(tmp_path):
+    artifacts = _cli_pipeline(tmp_path / "run")
+    got = {a.name: hashlib.sha256(a.read_bytes()).hexdigest() for a in artifacts}
+    moved = sorted(name for name in CLI_GOLDEN if got[name] != CLI_GOLDEN[name])
+    assert not moved, f"artifacts differ from the pinned reference: {moved}"
+    _line(f"{len(artifacts)} artifacts match their pinned sha256")
