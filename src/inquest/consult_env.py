@@ -2,8 +2,29 @@
 
 The environment wraps one patient record per episode. It discloses part of
 the record up front, answers questions truthfully (optionally with response
-noise), and enforces which questions may be asked. States are immutable;
-``step`` returns a new state, so an episode can be replayed or branched.
+noise), and enforces which questions may be asked.
+
+Lockstep engine. ``Lockstep`` advances N episodes together, in the manner of
+a vector env (EnvPool; Gymnasium ``VectorEnv``). Episode state is an (N, M)
+int8 status array and an (N, K) asked mask. Disclosure, legality, answers and
+first-level denial propagation are array operations on ``HpiOntology.index``.
+Each round the caller takes the episodes that still have a legal question
+from ``pending``, picks one question for each, and passes them to ``step``.
+An episode leaves the active set when it reaches its horizon or has nothing
+legal left. All active episodes are at the same round. The single-episode
+API (``reset``, ``legal_actions`` and ``step`` on an immutable ``EnvState``)
+is the N=1 case of the same functions, so an episode can still be replayed or
+branched one state at a time.
+
+Determinism contract. Every episode owns its RNG and draws from it in a fixed
+order: one ``random(M)`` for disclosure at reset (rollouts draw the patient
+with one ``integers`` before that); then, each round, the
+caller's policy draw (one ``random()`` for PPO sampling, one ``integers`` for
+RandomLegal, none for greedy) and one ``random(r)`` for response noise on the
+r slots the question reveals. Nothing is drawn for noise when noise is 0, and
+``random(r)`` gives the same doubles as r single draws. An episode's outcome
+therefore depends only on its patient and its own stream, never on N or on
+the other episodes in the batch.
 
 Status codes match the dataset's ternary HPI coding: 0 unknown, 1 confirmed,
 2 denied.
@@ -14,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DigestMismatch, DomainError, IllegalAction, ValidationError
-from .ontology import FIRST, HpiOntology
-from .patientgen import CONFIRMED, DENIED, NOT_MENTIONED, PatientRecord
+from .errors import ConfigError, DigestMismatch, DomainError, IllegalAction
+from .ontology import CONFIRMED, DENIED, NOT_MENTIONED, HpiOntology, OntologyIndex, check_hierarchy
+from .patientgen import PatientRecord
 
 UNKNOWN = NOT_MENTIONED
 
@@ -77,16 +98,168 @@ def _as_rng(rng: np.random.Generator | int) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _check_patient(patient: PatientRecord, ontology: HpiOntology) -> None:
-    if len(patient.hpi) != ontology.n_elements:
-        raise DigestMismatch(
-            f"patient has {len(patient.hpi)} elements, ontology {ontology.n_elements}"
-        )
-    for e in range(ontology.n_elements):
-        parent = ontology.parent_of(e)
-        if parent is not None and patient.hpi[e] == CONFIRMED and patient.hpi[parent] != CONFIRMED:
-            raise ValidationError(f"patient {patient.id}: element {e} confirmed under non-confirmed parent")
+def _check_patients(patients, ontology: HpiOntology) -> np.ndarray:
+    """Stacked (N, M) HPI of the patients, after the length and hierarchy checks."""
+    for p in patients:
+        if len(p.hpi) != ontology.n_elements:
+            raise DigestMismatch(
+                f"patient has {len(p.hpi)} elements, ontology {ontology.n_elements}"
+            )
+    if not patients:
+        return np.zeros((0, ontology.n_elements), dtype=np.int8)
+    hpi = np.stack([p.hpi for p in patients])
+    check_hierarchy(ontology, hpi, "patient", [p.id for p in patients])
+    return hpi
 
+
+def _check_answering(noise: float, unmentioned_answer: str) -> None:
+    if unmentioned_answer not in (UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN):
+        raise ConfigError(f"unknown unmentioned-answer mode {unmentioned_answer!r}")
+    if not 0.0 <= noise <= 1.0:
+        raise DomainError("noise must lie in [0, 1]")
+
+
+# ---------------------------------------------------------------------------
+# Batched rules: every function takes (N, M) status rows, one per episode
+# ---------------------------------------------------------------------------
+
+def _disclose(hpi: np.ndarray, index: OntologyIndex, probs: DisclosureProbs, rngs) -> np.ndarray:
+    """Initial status: each episode draws one uniform per element, by element id.
+
+    Not-mentioned elements never disclose; a second-level positive needs its
+    parent disclosed.
+    """
+    u = np.array([rng.random(hpi.shape[1]) for rng in rngs]).reshape(hpi.shape)
+    first, second = ~index.second, index.second
+    status = np.zeros(hpi.shape, dtype=np.int8)
+    status[first & (hpi == CONFIRMED) & (u < probs.p1p)] = CONFIRMED
+    status[first & (hpi == DENIED) & (u < probs.p1n)] = DENIED
+    opened = status[:, index.up] != UNKNOWN
+    status[second & (hpi == CONFIRMED) & opened & (u < probs.p2p)] = CONFIRMED
+    status[second & (hpi == DENIED) & (u < probs.p2n)] = DENIED
+    return status
+
+
+def _legal(status: np.ndarray, asked: np.ndarray, index: OntologyIndex) -> np.ndarray:
+    """(N, K) mask: unasked, every target's parent confirmed, a target unknown."""
+    unknown = (status == UNKNOWN).astype(float)
+    unconfirmed = (status != CONFIRMED).astype(float)
+    return ~asked & (unknown @ index.targets > 0.0) & (unconfirmed @ index.gates == 0.0)
+
+
+def _answer(
+    status: np.ndarray,
+    actions: np.ndarray,
+    hpi: np.ndarray,
+    index: OntologyIndex,
+    noise: float,
+    rngs,
+    unmentioned_answer: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ask ``actions[i]`` in row i; returns the new status and (N, 4) findings.
+
+    Unknown targets resolve to the truth (not-mentioned ones to Denied, or not
+    at all in "unknown" mode); each revealed slot then flips sign with
+    probability ``noise``, drawn in ascending element order. A first-level
+    slot revealed Denied drags its Unknown children to Denied, uncredited.
+    Findings columns are f1p, f1n, f2p, f2n.
+    """
+    answered = (index.targets[:, actions].T > 0.0) & (status == UNKNOWN)
+    if unmentioned_answer == UNMENTIONED_UNKNOWN:
+        answered &= hpi != NOT_MENTIONED
+    revealed = np.where(hpi == CONFIRMED, CONFIRMED, DENIED).astype(np.int8)
+    if noise > 0.0:
+        for i, rng in enumerate(rngs):
+            slots = np.flatnonzero(answered[i])
+            flip = slots[rng.random(len(slots)) < noise]
+            revealed[i, flip] = CONFIRMED + DENIED - revealed[i, flip]
+    new = np.where(answered, revealed, status)
+    first = ~index.second
+    dragged = index.second & (answered & first & (new == DENIED))[:, index.up] & (new == UNKNOWN)
+    new[dragged] = DENIED
+    positive = new == CONFIRMED
+    findings = np.stack(
+        [
+            (answered & first & positive).sum(axis=1),
+            (answered & first & ~positive).sum(axis=1),
+            (answered & index.second & positive).sum(axis=1),
+            (answered & index.second & ~positive).sum(axis=1),
+        ],
+        axis=1,
+    )
+    return new, findings
+
+
+# ---------------------------------------------------------------------------
+# Lockstep engine
+# ---------------------------------------------------------------------------
+
+class Lockstep:
+    """N episodes advanced together; see the module docstring for the contract.
+
+    ``status`` (N, M) and ``asked`` (N, K) hold every episode, finished or
+    not; ``active`` lists the episodes still asking, in ascending order.
+    """
+
+    def __init__(
+        self,
+        patients,
+        ontology: HpiOntology,
+        probs: DisclosureProbs,
+        rngs,
+        horizon: int,
+        noise: float = 0.0,
+        unmentioned_answer: str = UNMENTIONED_DENIED,
+    ):
+        probs.validate()
+        _check_answering(noise, unmentioned_answer)
+        if len(patients) != len(rngs):
+            raise ConfigError("need one RNG per episode")
+        self.hpi = _check_patients(patients, ontology)
+        if horizon < 0:
+            raise ConfigError("horizon must be non-negative")
+        self.index = ontology.index
+        self.rngs = list(rngs)
+        self.horizon = horizon
+        self.noise = noise
+        self.unmentioned_answer = unmentioned_answer
+        self.status = _disclose(self.hpi, self.index, probs, self.rngs)
+        self.asked = np.zeros((len(patients), ontology.n_questions), dtype=bool)
+        self.t = 0
+        self.active = np.arange(len(patients))
+        self._mask = None
+
+    def pending(self) -> tuple[np.ndarray, np.ndarray]:
+        """Episodes that ask this round and their legality masks (n, K).
+
+        Episodes at the horizon or without a legal question finish here.
+        """
+        rows = self.active if self.t < self.horizon else self.active[:0]
+        mask = _legal(self.status[rows], self.asked[rows], self.index)
+        keep = mask.any(axis=1)
+        self.active, self._mask = rows[keep], mask[keep]
+        return self.active, self._mask
+
+    def step(self, actions) -> np.ndarray:
+        """Ask ``actions[i]`` in episode ``active[i]``; returns (n, 4) findings."""
+        rows = self.active
+        actions = np.asarray(actions, dtype=np.int64)
+        mask, self._mask = self._mask, None
+        legal = mask is not None and actions.shape == rows.shape
+        if not (legal and mask[np.arange(len(rows)), actions].all()):
+            raise IllegalAction("each step needs one legal action per pending() episode")
+        self.status[rows], findings = _answer(
+            self.status[rows], actions, self.hpi[rows], self.index, self.noise,
+            [self.rngs[i] for i in rows], self.unmentioned_answer,
+        )
+        self.asked[rows, actions] = True
+        self.t += 1
+        return findings
+
+
+# ---------------------------------------------------------------------------
+# Single episode: the N=1 case
+# ---------------------------------------------------------------------------
 
 def reset(
     patient: PatientRecord,
@@ -101,29 +274,8 @@ def reset(
     outcome does not depend on iteration order. Not-mentioned elements never
     disclose.
     """
-    probs.validate()
-    _check_patient(patient, ontology)
-    if horizon < 0:
-        raise ConfigError("horizon must be non-negative")
-    rng = _as_rng(rng)
-    m = ontology.n_elements
-    u = rng.random(m)
-    status = np.zeros(m, dtype=np.int8)
-    p = patient.hpi
-    for f in ontology.first_level_ids():
-        if p[f] == CONFIRMED and u[f] < probs.p1p:
-            status[f] = CONFIRMED
-        elif p[f] == DENIED and u[f] < probs.p1n:
-            status[f] = DENIED
-    for e in range(m):
-        parent = ontology.parent_of(e)
-        if parent is None:
-            continue
-        if p[e] == CONFIRMED and status[parent] != UNKNOWN and u[e] < probs.p2p:
-            status[e] = CONFIRMED
-        elif p[e] == DENIED and u[e] < probs.p2n:
-            status[e] = DENIED
-    return EnvState(status, frozenset(), 0, patient.id, horizon)
+    env = Lockstep([patient], ontology, probs, [_as_rng(rng)], horizon)
+    return EnvState(env.status[0], frozenset(), 0, patient.id, horizon)
 
 
 def legal_actions(state: EnvState, ontology: HpiOntology) -> np.ndarray:
@@ -132,22 +284,9 @@ def legal_actions(state: EnvState, ontology: HpiOntology) -> np.ndarray:
     A question is legal iff it was not asked, every second-level target has a
     Confirmed parent, and at least one target is still Unknown.
     """
-    mask = np.zeros(ontology.n_questions, dtype=bool)
-    status = state.status
-    for q in ontology.questions:
-        if q.id in state.asked:
-            continue
-        ok = True
-        any_unknown = False
-        for t in q.targets:
-            parent = ontology.parent_of(t)
-            if parent is not None and status[parent] != CONFIRMED:
-                ok = False
-                break
-            if status[t] == UNKNOWN:
-                any_unknown = True
-        mask[q.id] = ok and any_unknown
-    return mask
+    asked = np.zeros((1, ontology.n_questions), dtype=bool)
+    asked[0, list(state.asked)] = True
+    return _legal(state.status[None], asked, ontology.index)[0]
 
 
 def step(
@@ -167,10 +306,7 @@ def step(
     target that resolves Denied drags its Unknown children to Denied without
     crediting them in the findings.
     """
-    if unmentioned_answer not in (UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN):
-        raise ConfigError(f"unknown unmentioned-answer mode {unmentioned_answer!r}")
-    if not 0.0 <= noise <= 1.0:
-        raise DomainError("noise must lie in [0, 1]")
+    _check_answering(noise, unmentioned_answer)
     if noise > 0.0 and rng is None:
         raise ConfigError("response noise needs an RNG")
     if state.t >= state.horizon:
@@ -181,41 +317,23 @@ def step(
         raise IllegalAction(f"state belongs to patient {state.patient_id!r}, got {patient.id!r}")
     if question_id in state.asked:
         raise IllegalAction(f"question {question_id} was already asked")
-    question = ontology.questions[question_id]
-    for t in question.targets:
-        parent = ontology.parent_of(t)
-        if parent is not None and state.status[parent] != CONFIRMED:
-            raise IllegalAction(f"question {question_id}: target {t} has unconfirmed parent")
-    if all(state.status[t] != UNKNOWN for t in question.targets):
+    index = ontology.index
+    targets = np.flatnonzero(index.targets[:, question_id])
+    gated = targets[index.second[targets] & (state.status[index.up[targets]] != CONFIRMED)]
+    if gated.size:
+        raise IllegalAction(f"question {question_id}: target {gated[0]} has unconfirmed parent")
+    if (state.status[targets] != UNKNOWN).all():
         raise IllegalAction(f"question {question_id} has no unknown targets left")
 
-    rng = _as_rng(rng) if rng is not None else None
-    status = state.status.copy()
-    counts = {FIRST: [0, 0], 2: [0, 0]}  # level -> [positives, negatives]
-    for t in sorted(question.targets):
-        if status[t] != UNKNOWN:
-            continue
-        truth = patient.hpi[t]
-        if truth == CONFIRMED:
-            revealed = CONFIRMED
-        elif truth == DENIED or unmentioned_answer == UNMENTIONED_DENIED:
-            revealed = DENIED
-        else:
-            continue  # unknown mode: the patient cannot answer, slot stays open
-        if noise > 0.0 and rng.random() < noise:
-            revealed = DENIED if revealed == CONFIRMED else CONFIRMED
-        status[t] = revealed
-        level = ontology.elements[t].level
-        counts[level][0 if revealed == CONFIRMED else 1] += 1
-        if level == FIRST and revealed == DENIED:
-            for child in ontology.children_of(t):
-                if status[child] == UNKNOWN:
-                    status[child] = DENIED
-    findings = StepFindings(counts[1][0], counts[1][1], counts[2][0], counts[2][1])
-    next_state = EnvState(
-        status, state.asked | {question_id}, state.t + 1, state.patient_id, state.horizon
+    rngs = [_as_rng(rng) if rng is not None else None]
+    status, findings = _answer(
+        state.status[None], np.array([question_id]), patient.hpi[None], index, noise, rngs,
+        unmentioned_answer,
     )
-    return next_state, findings
+    next_state = EnvState(
+        status[0], state.asked | {question_id}, state.t + 1, state.patient_id, state.horizon
+    )
+    return next_state, StepFindings(*(int(v) for v in findings[0]))
 
 
 def observed_ternary(state: EnvState) -> np.ndarray:

@@ -19,6 +19,8 @@ from .nncore import DenseNet, forward, forward_with_cache, softmax
 
 _TAG_SL = (1 << 40) + 3
 
+_ONE_HOT = np.eye(3)  # row v is the triple one-hot of ternary status v
+
 
 @dataclass
 class DiagnosisModel:
@@ -52,6 +54,9 @@ class SlTrainConfig:
             raise DomainError("hide-rate range must satisfy 0 <= lo <= hi <= 1")
         if self.epochs < 0 or self.batch_size < 1:
             raise DomainError("epochs must be >= 0 and batch_size >= 1")
+        # lr = 0 is allowed: it trains nothing, which freezes the parameters.
+        if not (np.isfinite(self.lr) and self.lr >= 0.0):
+            raise DomainError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
@@ -67,9 +72,7 @@ def encode_hpi_ternary(obs: np.ndarray) -> np.ndarray:
     if flat.size and (flat.min() < 0 or flat.max() > 2):
         raise DomainError("ternary entries must be 0, 1 or 2")
     n, m = flat.shape
-    out = np.zeros((n, 3 * m))
-    cols = 3 * np.arange(m) + flat
-    out[np.arange(n)[:, None], cols] = 1.0
+    out = _ONE_HOT[flat].reshape(n, 3 * m)
     return out if obs.ndim == 2 else out[0]
 
 
@@ -101,15 +104,18 @@ def _input_matrix(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -
 
 def predict(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Disease distribution for one (history, observation) pair."""
-    return softmax(forward(model.net, _input_matrix(model, history, obs)))[0]
+    return predict_batch(model, history, obs)[0]
 
 
 def predict_batch(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    return softmax(forward(model.net, _input_matrix(model, history, obs)))
+    """Disease distributions, one row per pair; a row's bytes do not depend on
+    the other rows (``nncore.forward_blocked``)."""
+    return softmax(nncore.forward_blocked(model.net, _input_matrix(model, history, obs)))
 
 
 def rank_from_probs(probs: np.ndarray) -> np.ndarray:
-    """Indices by descending probability; exact ties by ascending index."""
+    """Indices by descending probability (per row for a 2-D array); exact ties
+    by ascending index."""
     return np.argsort(-np.asarray(probs), kind="stable")
 
 
@@ -226,16 +232,10 @@ def save_diagnosis(model: DiagnosisModel, path: str | Path) -> None:
 
 def load_diagnosis(path: str | Path) -> DiagnosisModel:
     net = nncore.load_net(path)
-    meta = net.meta
-    if meta.get("kind") != "diagnosis":
-        raise ParseError("checkpoint is not a diagnosis model")
-    model = DiagnosisModel(
-        net,
-        int(meta["history_width"]),
-        int(meta["n_elements"]),
-        tuple(meta["disease_names"]),
-        meta["ontology_digest"],
-    )
+    meta = nncore.checkpoint_meta(net, "diagnosis", "a diagnosis model", {
+        "history_width": int, "n_elements": int, "disease_names": tuple, "ontology_digest": str,
+    })
+    model = DiagnosisModel(net, **meta)
     if net.layer_dims[0] != model.history_width + 3 * model.n_elements:
         raise ParseError("checkpoint input width does not match recorded dimensions")
     if net.layer_dims[-1] != model.n_diseases:

@@ -2,8 +2,16 @@
 
 Runs any question-selection policy (trained, random, fixed-order) against
 simulated patients, ranks diseases from the final observation, and computes
-recall-at-K plus pooled rediscovery precision/recall/F1. Per-patient RNG
-streams keyed on (seed, patient index) make evaluation order-independent.
+recall-at-K plus pooled rediscovery precision/recall/F1.
+
+``evaluate`` consults every patient at once on the lockstep engine
+(``consult_env.Lockstep``) through ``consult_batch``; ``simulate_consultation``
+is its N=1 case. Policies decide for a batch (``select_batch``), so each round
+costs one forward of the policy net over the active episodes, and the final
+ranking one forward of the ranker. Patient i draws from an RNG keyed on
+(seed, i), and every net runs in fixed-size blocks
+(``nncore.forward_blocked``). A patient's trace is therefore the same bytes
+whether it is evaluated alone or inside any dataset.
 """
 from __future__ import annotations
 
@@ -16,7 +24,7 @@ import numpy as np
 
 from . import consult_env, nncore
 from .consult_env import DisclosureProbs, UNMENTIONED_DENIED
-from .diagnosis import DiagnosisModel, encode_hpi_ternary, rank_diseases
+from .diagnosis import DiagnosisModel, encode_hpi_ternary, predict_batch, rank_from_probs
 from .errors import (
     ConfigError,
     DigestMismatch,
@@ -83,7 +91,22 @@ class EvalReport:
 # Policies
 # ---------------------------------------------------------------------------
 
-class GreedyModelPolicy:
+class _BatchPolicy:
+    """A question-selection policy decides for a batch of episodes at once:
+    ``select_batch(histories, statuses, masks, rngs)`` returns one question
+    per row. ``select`` is the N=1 case, for one dialogue at a time."""
+
+    ontology_digest = None
+    history_width = None
+
+    def select(self, history, state, mask, rng) -> int:
+        histories = None if history is None else np.asarray(history, dtype=float)[None]
+        statuses = None if state is None else state.status[None]
+        masks = np.asarray(mask, dtype=bool)[None]
+        return int(self.select_batch(histories, statuses, masks, [rng])[0])
+
+
+class GreedyModelPolicy(_BatchPolicy):
     """Trained policy run greedily: argmax over legal-action probabilities.
 
     Ties break toward the lowest question id.
@@ -94,32 +117,27 @@ class GreedyModelPolicy:
         self.ontology_digest = policy.ontology_digest
         self.history_width = policy.history_width
 
-    def select(self, history, state, mask, rng) -> int:
-        x = np.concatenate([history, encode_hpi_ternary(state.status)])
-        logits = nncore.forward(self.inner.net, x[None, :])
-        probs = masked_softmax(logits, np.asarray(mask, dtype=bool)[None, :])[0]
-        return int(np.argmax(probs))
+    def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
+        x = np.concatenate([histories, encode_hpi_ternary(statuses)], axis=1)
+        probs = masked_softmax(nncore.forward_blocked(self.inner.net, x), masks)
+        return probs.argmax(axis=1)
 
 
-class RandomLegalPolicy:
+class RandomLegalPolicy(_BatchPolicy):
     """Uniform choice over whatever is currently legal."""
 
-    ontology_digest = None
-    history_width = None
+    def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
+        masks = np.asarray(masks, dtype=bool)
+        nth = np.array([rng.integers(n) for n, rng in zip(masks.sum(axis=1).tolist(), rngs)])
+        # Position of the nth legal question (0-based) in each row.
+        return (masks.cumsum(axis=1) <= nth[:, None]).sum(axis=1)
 
-    def select(self, history, state, mask, rng) -> int:
-        ids = np.flatnonzero(mask)
-        return int(ids[rng.integers(len(ids))])
 
-
-class FixedOrderPolicy:
+class FixedOrderPolicy(_BatchPolicy):
     """Asks the lowest-id legal question every round."""
 
-    ontology_digest = None
-    history_width = None
-
-    def select(self, history, state, mask, rng) -> int:
-        return int(np.flatnonzero(mask)[0])
+    def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
+        return np.asarray(masks).argmax(axis=1)
 
 
 def baseline_policy(kind: str):
@@ -134,6 +152,64 @@ def baseline_policy(kind: str):
 # Simulation
 # ---------------------------------------------------------------------------
 
+def consult_batch(
+    policy,
+    diag_model: DiagnosisModel,
+    patients,
+    ontology: HpiOntology,
+    disclosure: DisclosureProbs,
+    horizon: int,
+    rngs,
+    noise: float = 0.0,
+    unmentioned_answer: str = UNMENTIONED_DENIED,
+) -> list[DialogueTrace]:
+    """Full consultations of all ``patients`` in lockstep, patient i drawing
+    from ``rngs[i]``; one trace per patient, in order.
+
+    Each round runs one blocked policy forward over the active episodes and
+    the final ranking one blocked ranker forward over all of them, so a
+    patient's trace is the same bytes whatever the batch holds.
+    """
+    if diag_model.ontology_digest != ontology.content_digest:
+        raise DigestMismatch("diagnosis model was built against a different ontology")
+    policy_digest = getattr(policy, "ontology_digest", None)
+    if policy_digest is not None and policy_digest != ontology.content_digest:
+        raise DigestMismatch("policy was built against a different ontology")
+
+    width = getattr(policy, "history_width", None) or diag_model.history_width
+    env = consult_env.Lockstep(
+        patients, ontology, disclosure, rngs, horizon, noise, unmentioned_answer
+    )
+    e_policy = np.array([encode_history(p, width) for p in patients])
+    rounds = [[] for _ in patients]
+    while True:
+        rows, mask = env.pending()
+        if not len(rows):
+            break
+        before = env.status[rows]
+        actions = policy.select_batch(e_policy[rows], before, mask, [rngs[i] for i in rows])
+        env.step(actions)
+        after = env.status[rows]
+        row_of, element = np.nonzero(after != before)
+        revealed = list(zip(element.tolist(), after[row_of, element].tolist()))
+        bounds = np.searchsorted(row_of, np.arange(len(rows) + 1)).tolist()
+        for j, (i, action) in enumerate(zip(rows.tolist(), np.asarray(actions).tolist())):
+            rounds[i].append((action, tuple(revealed[bounds[j] : bounds[j + 1]])))
+    e_diag = np.array([encode_history(p, diag_model.history_width) for p in patients])
+    rankings = rank_from_probs(predict_batch(diag_model, e_diag, env.status)) if patients else []
+    return [
+        DialogueTrace(
+            patient_id=patient.id,
+            rounds=tuple(rounds[i]),
+            final_observation=env.status[i].copy(),
+            ranking=tuple(int(d) for d in rankings[i]),
+            true_label=patient.label,
+            horizon=horizon,
+        )
+        for i, patient in enumerate(patients)
+    ]
+
+
 def simulate_consultation(
     policy,
     diag_model: DiagnosisModel,
@@ -145,39 +221,12 @@ def simulate_consultation(
     noise: float = 0.0,
     unmentioned_answer: str = UNMENTIONED_DENIED,
 ) -> DialogueTrace:
-    """One full consultation; stops early if no question remains legal."""
-    if diag_model.ontology_digest != ontology.content_digest:
-        raise DigestMismatch("diagnosis model was built against a different ontology")
-    policy_digest = getattr(policy, "ontology_digest", None)
-    if policy_digest is not None and policy_digest != ontology.content_digest:
-        raise DigestMismatch("policy was built against a different ontology")
-
-    width = getattr(policy, "history_width", None) or diag_model.history_width
-    e_policy = encode_history(patient, width)
-    e_diag = encode_history(patient, diag_model.history_width)
-    state = consult_env.reset(patient, ontology, disclosure, rng, horizon=horizon)
-    rounds = []
-    while state.t < horizon:
-        mask = consult_env.legal_actions(state, ontology)
-        if not mask.any():
-            break
-        action = policy.select(e_policy, state, mask, rng)
-        before = state.status
-        state, _ = consult_env.step(
-            state, action, patient, ontology, noise, rng, unmentioned_answer
-        )
-        changed = np.flatnonzero(state.status != before)
-        rounds.append((action, tuple((int(e), int(state.status[e])) for e in changed)))
-    final = consult_env.observed_ternary(state)
-    ranking = rank_diseases(diag_model, e_diag, final)
-    return DialogueTrace(
-        patient_id=patient.id,
-        rounds=tuple(rounds),
-        final_observation=final,
-        ranking=tuple(int(d) for d in ranking),
-        true_label=patient.label,
-        horizon=horizon,
-    )
+    """One full consultation (the N=1 case of ``consult_batch``); stops early
+    if no question remains legal."""
+    return consult_batch(
+        policy, diag_model, [patient], ontology, disclosure, horizon, [rng],
+        noise, unmentioned_answer,
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +308,14 @@ def evaluate(
     if len(dataset) == 0:
         raise EmptyInput("empty evaluation dataset")
     disclosure = disclosure if disclosure is not None else DisclosureProbs()
-    traces = []
-    for i, patient in enumerate(dataset.records):
-        rng = np.random.default_rng([seed, i])
-        traces.append(
-            simulate_consultation(
-                policy, diag_model, patient, ontology, disclosure, horizon, rng,
-                noise, unmentioned_answer,
-            )
-        )
+    for k in (*ks, group_k):
+        if int(k) < 1:
+            raise ConfigError(f"recall cut-offs must be >= 1, got {k}")
+    rngs = [np.random.default_rng([seed, i]) for i in range(len(dataset))]
+    traces = consult_batch(
+        policy, diag_model, dataset.records, ontology, disclosure, horizon, rngs,
+        noise, unmentioned_answer,
+    )
     recalls = recall_at_k(traces, ks)
     redisc = rediscovery_metrics(traces, dataset.records)
 

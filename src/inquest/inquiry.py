@@ -16,7 +16,7 @@ import numpy as np
 
 from . import consult_env, nncore
 from .consult_env import DisclosureProbs, UNMENTIONED_DENIED
-from .diagnosis import DiagnosisModel, encode_hpi_ternary, predict
+from .diagnosis import DiagnosisModel, encode_hpi_ternary, predict_batch
 from .errors import (
     ConfigError,
     DigestMismatch,
@@ -101,6 +101,12 @@ class PpoConfig:
             raise DomainError("lam_gae must lie in [0, 1]")
         if self.minibatch_size < 1 or self.update_epochs < 1:
             raise DomainError("minibatch_size and update_epochs must be >= 1")
+        for name in ("policy_lr", "value_lr"):
+            lr = getattr(self, name)
+            if not (np.isfinite(lr) and lr >= 0.0):
+                raise DomainError(f"{name} must be finite and >= 0, got {lr}")
+        if not (np.isfinite(self.entropy_coef) and self.entropy_coef >= 0.0):
+            raise DomainError(f"entropy_coef must be finite and >= 0, got {self.entropy_coef}")
 
 
 @dataclass
@@ -185,9 +191,10 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if not mask.any(axis=1).all():
         raise NoLegalAction("a row has no legal action")
     z = np.where(mask, logits, -np.inf)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def policy_distribution(
@@ -195,13 +202,38 @@ def policy_distribution(
 ) -> np.ndarray:
     """Action distribution for one state; zero on illegal actions."""
     x = np.concatenate([np.asarray(history, dtype=float), np.asarray(state_encoding, dtype=float)])
-    logits = nncore.forward(policy.net, x[None, :])
+    logits = nncore.forward_blocked(policy.net, x[None, :])
     return masked_softmax(logits, np.asarray(legal_mask, dtype=bool)[None, :])[0]
+
+
+def _sample_actions(probs: np.ndarray, rngs) -> np.ndarray:
+    """One action per row, drawn with one ``random()`` from that row's RNG.
+
+    Same draw and same result as ``rng.choice(K, p=probs[i])``: the index
+    where the uniform falls in the normalized cumulative distribution.
+    """
+    u = np.array([rng.random() for rng in rngs])
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Reward
 # ---------------------------------------------------------------------------
+
+def _rewards(params: RewardParams, findings: np.ndarray, prev: np.ndarray, new: np.ndarray):
+    """Rewards of n rounds from (n, 4) findings counts and (n, D) distributions."""
+    f1p, f1n, f2p, f2n = findings.T
+    beta = params.negative_discount
+    return (
+        -params.time_penalty
+        + params.first_level_weight * (f1p + beta * f1n)
+        + f2p
+        + beta * f2n
+        + np.abs(prev - new).sum(axis=1)
+    )
+
 
 def compute_reward(
     params: RewardParams,
@@ -214,14 +246,8 @@ def compute_reward(
     new = np.asarray(new_probs, dtype=float)
     if prev.shape != new.shape or prev.ndim != 1:
         raise ShapeError(f"distribution shapes differ: {prev.shape} vs {new.shape}")
-    beta = params.negative_discount
-    return float(
-        -params.time_penalty
-        + params.first_level_weight * (findings.f1p + beta * findings.f1n)
-        + findings.f2p
-        + beta * findings.f2n
-        + np.abs(prev - new).sum()
-    )
+    counts = np.array([[findings.f1p, findings.f1n, findings.f2p, findings.f2n]])
+    return float(_rewards(params, counts, prev[None], new[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +272,10 @@ def collect_rollouts(
     """Sample episodes with the current policy against the environment.
 
     Episode ``ep`` draws everything (patient choice, disclosure, action
-    sampling, response noise) from an RNG keyed on (seed, iteration, ep), so
-    batches are identical however episodes are scheduled.
+    sampling, response noise) from an RNG keyed on (seed, iteration, ep). The
+    episodes run in lockstep (``consult_env.Lockstep``) with one blocked
+    forward per net per round, so an episode's transitions are the same bytes
+    whatever ``n_episodes`` is. The batch is episode-major, in ``ep`` order.
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot roll out against an empty dataset")
@@ -260,52 +288,50 @@ def collect_rollouts(
         if digest != ontology.content_digest:
             raise DigestMismatch(f"{name} was built against a different ontology")
 
-    rows, actions, logps, rewards, values, dones, masks = [], [], [], [], [], [], []
-    episodes = 0
-    for ep in range(n_episodes):
-        rng = np.random.default_rng([seed, iteration, ep])
-        patient = dataset.records[int(rng.integers(len(dataset)))]
-        e_pol = encode_history(patient, policy.history_width)
-        e_diag = encode_history(patient, diag_model.history_width)
-        state = consult_env.reset(patient, ontology, disclosure, rng, horizon=horizon)
-        prev = predict(diag_model, e_diag, consult_env.observed_ternary(state))
-        start = len(rows)
-        while state.t < horizon:
-            mask = consult_env.legal_actions(state, ontology)
-            if not mask.any():
-                break
-            x = np.concatenate([e_pol, encode_hpi_ternary(state.status)])
-            probs = masked_softmax(
-                nncore.forward(policy.net, x[None, :]), mask[None, :]
-            )[0]
-            action = int(rng.choice(len(probs), p=probs))
-            state, findings = consult_env.step(
-                state, action, patient, ontology, noise, rng, unmentioned_answer
-            )
-            new = predict(diag_model, e_diag, consult_env.observed_ternary(state))
-            rows.append(x)
-            actions.append(action)
-            logps.append(float(np.log(probs[action])))
-            rewards.append(compute_reward(reward_params, findings, prev, new))
-            values.append(float(nncore.forward(value.net, x[None, :])[0]))
-            dones.append(False)
-            masks.append(mask)
-            prev = new
-        if len(rows) > start:
-            dones[-1] = True
-            episodes += 1
-    if episodes == 0:
+    rngs = [np.random.default_rng([seed, iteration, ep]) for ep in range(n_episodes)]
+    patients = [dataset.records[int(rng.integers(len(dataset)))] for rng in rngs]
+    env = consult_env.Lockstep(
+        patients, ontology, disclosure, rngs, horizon, noise, unmentioned_answer
+    )
+    e_pol = np.array([encode_history(p, policy.history_width) for p in patients])
+    e_diag = np.array([encode_history(p, diag_model.history_width) for p in patients])
+    belief = predict_batch(diag_model, e_diag, env.status) if n_episodes else None
+    rounds = []
+    while True:
+        rows, mask = env.pending()
+        if not len(rows):
+            break
+        x = np.hstack([e_pol[rows], encode_hpi_ternary(env.status[rows])])
+        probs = masked_softmax(nncore.forward_blocked(policy.net, x), mask)
+        actions = _sample_actions(probs, [rngs[i] for i in rows])
+        findings = env.step(actions)
+        new = predict_batch(diag_model, e_diag[rows], env.status[rows])
+        rewards = _rewards(reward_params, findings, belief[rows], new)
+        belief[rows] = new
+        logps = np.log(probs[np.arange(len(rows)), actions])
+        values = nncore.forward_blocked(value.net, x)
+        rounds.append((rows, x, actions, logps, rewards, values, mask))
+    if not rounds:
         raise EmptyDataset("no episode produced a single legal step")
-    k = policy.n_questions
+
+    # Rounds come out round-major; a stable sort by episode makes the batch
+    # episode-major with each episode's rounds in order.
+    episode = np.concatenate([r[0] for r in rounds])
+    order = np.argsort(episode, kind="stable")
+    episode = episode[order]
+    dones = np.append(episode[1:] != episode[:-1], True)
+    inputs, actions, logps, rewards, values, masks = (
+        np.concatenate([r[j] for r in rounds])[order] for j in range(1, 7)
+    )
     return TrajectoryBatch(
-        inputs=np.array(rows),
-        actions=np.array(actions, dtype=np.int64),
-        logps=np.array(logps),
-        rewards=np.array(rewards),
-        values=np.array(values),
-        dones=np.array(dones, dtype=bool),
-        masks=np.array(masks, dtype=bool).reshape(len(rows), k),
-        n_episodes=episodes,
+        inputs=inputs,
+        actions=actions.astype(np.int64),
+        logps=logps,
+        rewards=rewards,
+        values=values,
+        dones=dones,
+        masks=masks,
+        n_episodes=int(dones.sum()),
     )
 
 
@@ -581,15 +607,10 @@ def save_policy(
 
 def load_policy(path: str | Path) -> InquiryPolicy:
     net = nncore.load_net(path)
-    if net.meta.get("kind") != "inquiry-policy":
-        raise ParseError("checkpoint is not an inquiry policy")
-    policy = InquiryPolicy(
-        net,
-        int(net.meta["history_width"]),
-        int(net.meta["n_elements"]),
-        int(net.meta["n_questions"]),
-        net.meta["ontology_digest"],
-    )
+    meta = nncore.checkpoint_meta(net, "inquiry-policy", "an inquiry policy", {
+        "history_width": int, "n_elements": int, "n_questions": int, "ontology_digest": str,
+    })
+    policy = InquiryPolicy(net, **meta)
     if net.layer_dims[0] != policy.history_width + 3 * policy.n_elements:
         raise ParseError("checkpoint input width does not match recorded dimensions")
     if net.layer_dims[-1] != policy.n_questions:
@@ -609,14 +630,10 @@ def save_value(value: ValueNet, path: str | Path) -> None:
 
 def load_value(path: str | Path) -> ValueNet:
     net = nncore.load_net(path)
-    if net.meta.get("kind") != "inquiry-value":
-        raise ParseError("checkpoint is not a value net")
-    value = ValueNet(
-        net,
-        int(net.meta["history_width"]),
-        int(net.meta["n_elements"]),
-        net.meta["ontology_digest"],
-    )
+    meta = nncore.checkpoint_meta(net, "inquiry-value", "a value net", {
+        "history_width": int, "n_elements": int, "ontology_digest": str,
+    })
+    value = ValueNet(net, **meta)
     if net.layer_dims[0] != value.history_width + 3 * value.n_elements:
         raise ParseError("checkpoint input width does not match recorded dimensions")
     return value

@@ -21,6 +21,14 @@ HEAD_SCALAR = "scalar"
 
 _TAG_INIT = (1 << 40) + 2
 
+# Rows per matrix product in ``forward_blocked``. A row's result from a BLAS
+# product can depend on how many rows the product has (a 1-row product takes
+# the gemv path; wider heads switch kernels at larger row counts), but it did
+# not depend on the other rows of a fixed-size product. So inference that must
+# give the same bytes for any batch size runs in zero-padded blocks of exactly
+# this many rows.
+BLOCK_ROWS = 8
+
 
 @dataclass
 class DenseNet:
@@ -88,6 +96,25 @@ def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     out, _ = forward_with_cache(net, x)
     return out
+
+
+def forward_blocked(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    """Like ``forward``, but each row's output is the same bytes whatever the
+    other rows are and however many there are (see ``BLOCK_ROWS``)."""
+    x = _check_input(net, x)
+    n = len(x)
+    blocks = max(-(-n // BLOCK_ROWS), 1)
+    h = np.zeros((blocks * BLOCK_ROWS, x.shape[1]))
+    h[:n] = x
+    h = h.reshape(blocks, BLOCK_ROWS, -1)
+    for i in range(net.n_layers):
+        # A stacked matmul issues one product per block of BLOCK_ROWS rows.
+        h = h @ net.weights[i]
+        h += net.biases[i]
+        if i < net.n_layers - 1:
+            np.maximum(h, 0.0, out=h)
+    out = h.reshape(blocks * BLOCK_ROWS, -1)[:n]
+    return out[:, 0] if net.output_head == HEAD_SCALAR else out
 
 
 def forward_with_cache(net: DenseNet, x: np.ndarray):
@@ -270,10 +297,33 @@ def save_net(net: DenseNet, path: str | Path) -> None:
         "biases": [b.tolist() for b in net.biases],
         "meta": net.meta,
     }
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise NonFinite("checkpoint holds non-finite values; nothing written") from None
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(text + "\n")
+
+
+def checkpoint_meta(net: DenseNet, kind: str, what: str, fields: dict) -> dict:
+    """Typed meta of a loaded checkpoint: ``fields`` maps each required key to
+    its converter (``int``, ``str``, ...). Raises ParseError, naming ``what``
+    the checkpoint should hold, when the kind differs or a key is missing or
+    malformed."""
+    meta = net.meta if isinstance(net.meta, dict) else {}
+    if meta.get("kind") != kind:
+        raise ParseError(f"checkpoint is not {what}")
+    out = {}
+    for key, convert in fields.items():
+        if key not in meta:
+            raise ParseError(f"{kind} checkpoint meta lacks {key!r}")
+        try:
+            out[key] = convert(meta[key])
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"{kind} checkpoint meta has a malformed {key!r}") from None
+    return out
 
 
 def load_net(path: str | Path) -> DenseNet:

@@ -12,10 +12,17 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 
 FIRST = 1
 SECOND = 2
+
+# Ternary status of one element slot, shared by records and dialogue state.
+NOT_MENTIONED = 0
+CONFIRMED = 1
+DENIED = 2
 
 CLOSED = "closed"
 OPEN = "open"
@@ -58,6 +65,26 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
+class OntologyIndex:
+    """Array form of the hierarchy and catalog, for code that works on
+    (N, M) status arrays instead of walking elements one by one.
+
+    ``up[e]`` is the parent of a second-level element and ``e`` itself for a
+    first-level one, so gathers through it never index out of range;
+    ``second`` marks the elements that have a parent. ``targets[e, q]`` is 1
+    when question ``q`` probes element ``e``; ``gates[p, q]`` is 1 when ``p``
+    is the parent of a target of ``q``, so ``q`` is legal only while ``p`` is
+    confirmed. Both are float so that a product with a 0/1 status mask counts
+    exactly, one column per question.
+    """
+
+    up: np.ndarray  # int64 (M,)
+    second: np.ndarray  # bool (M,)
+    targets: np.ndarray  # float64 (M, K), 0/1
+    gates: np.ndarray  # float64 (M, K), 0/1
+
+
+@dataclass(frozen=True)
 class HpiOntology:
     """Immutable element hierarchy plus question catalog."""
 
@@ -89,6 +116,27 @@ class HpiOntology:
 
     def first_level_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.elements if e.level == FIRST)
+
+    @property
+    def index(self) -> OntologyIndex:
+        """The array index, built on first use and cached."""
+        cached = getattr(self, "_index_cache", None)
+        if cached is None:
+            m, k = self.n_elements, self.n_questions
+            up = np.arange(m)
+            for e in self.elements:
+                if e.parent is not None:
+                    up[e.id] = e.parent
+            targets = np.zeros((m, k))
+            gates = np.zeros((m, k))
+            for q in self.questions:
+                targets[list(q.targets), q.id] = 1.0
+                for t in q.targets:
+                    if up[t] != t:
+                        gates[up[t], q.id] = 1.0
+            cached = OntologyIndex(up, up != np.arange(m), targets, gates)
+            object.__setattr__(self, "_index_cache", cached)
+        return cached
 
     def _children_map(self) -> dict[int, tuple[int, ...]]:
         cached = getattr(self, "_children_cache", None)
@@ -166,6 +214,19 @@ def validate(ontology: HpiOntology) -> ValidationReport:
             findings.append(f"element {e.id}: unreachable element (targeted by no question)")
 
     return ValidationReport(tuple(findings))
+
+
+def check_hierarchy(ontology: HpiOntology, hpi: np.ndarray, what: str, ids) -> None:
+    """Raise ValidationError if any row of ``hpi`` (N, M) confirms an element
+    whose parent is not confirmed; the message names ``what`` ``ids[row]``."""
+    index = ontology.index
+    hpi = np.asarray(hpi)
+    bad = index.second & (hpi == CONFIRMED) & (hpi[:, index.up] != CONFIRMED)
+    if bad.any():
+        row, e = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"{what} {ids[row]}: element {e} confirmed under non-confirmed parent"
+        )
 
 
 def question_targets(ontology: HpiOntology, question_id: int) -> set[int]:

@@ -25,12 +25,20 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .ontology import FIRST, SECOND, CLOSED, OPEN, HpiElement, HpiOntology, Question
+from .ontology import (
+    CLOSED,
+    CONFIRMED,
+    DENIED,
+    FIRST,
+    NOT_MENTIONED,
+    OPEN,
+    SECOND,
+    HpiElement,
+    HpiOntology,
+    Question,
+    check_hierarchy,
+)
 from .ontology import validate as validate_ontology
-
-NOT_MENTIONED = 0
-CONFIRMED = 1
-DENIED = 2
 
 SEXES = ("male", "female")
 
@@ -602,6 +610,9 @@ def encode_history(
 # Dataset files: JSON-lines records plus a sidecar header
 # ---------------------------------------------------------------------------
 
+_RECORD_FIELDS = ("hpi", "label", "age", "sex", "prior_flags")
+
+
 def _header_path(path: Path) -> Path:
     return path.with_name(path.stem + ".header.json")
 
@@ -659,24 +670,37 @@ def load_dataset(path: str | Path, ontology: HpiOntology | None = None) -> Patie
                 row = json.loads(line)
             except json.JSONDecodeError:
                 raise ParseError(f"line {lineno}: malformed record") from None
+            if not isinstance(row, dict):
+                raise ParseError(f"line {lineno}: malformed record")
             rid = row.get("id", f"line{lineno}")
-            hpi = np.asarray(row["hpi"], dtype=np.int8)
+            missing = [k for k in _RECORD_FIELDS if k not in row]
+            if missing:
+                raise ParseError(f"record {rid}: missing field {missing[0]!r}")
+            # Integers only: a float, bool or string would otherwise be
+            # truncated or coerced into a silently different record.
+            label, age, flags = row["label"], row["age"], row["prior_flags"]
+            if type(label) is not int or type(age) is not int or not (
+                isinstance(flags, list) and all(type(v) is int for v in flags)
+            ):
+                raise ParseError(f"record {rid}: label, age and prior_flags must be integers")
+            try:
+                hpi = np.array(row["hpi"])
+            except ValueError:
+                raise ParseError(f"record {rid}: malformed hpi") from None
             if hpi.shape != (m,):
                 raise ParseError(f"record {rid}: hpi length {hpi.size} != M={m}")
-            if np.any((hpi < 0) | (hpi > 2)):
+            if hpi.dtype.kind != "i" or np.any((hpi < 0) | (hpi > 2)):
                 raise ParseError(f"record {rid}: hpi entries must be 0, 1 or 2")
-            if not 0 <= row["label"] < d:
-                raise ValidationError(f"record {rid}: label {row['label']} out of range")
+            if not 0 <= label < d:
+                raise ValidationError(f"record {rid}: label {label} out of range")
             if row["sex"] not in SEXES:
                 raise ParseError(f"record {rid}: unknown sex {row['sex']!r}")
-            if ontology is not None:
-                _check_hpi_consistency(ontology, hpi, rid)
-            records.append(
-                PatientRecord(
-                    rid, int(row["age"]), row["sex"], tuple(int(v) for v in row["prior_flags"]),
-                    hpi, int(row["label"]),
-                )
-            )
+            records.append(PatientRecord(
+                rid, age, row["sex"], tuple(flags), hpi.astype(np.int8), label
+            ))
+    if ontology is not None and records:
+        check_hierarchy(ontology, np.stack([r.hpi for r in records]), "record",
+                        [r.id for r in records])
     return PatientDataset(
         records=records,
         disease_names=tuple(header["disease_names"]),
@@ -684,10 +708,3 @@ def load_dataset(path: str | Path, ontology: HpiOntology | None = None) -> Patie
         ontology_digest=header["ontology_digest"],
         genmodel_digest=header.get("genmodel_digest"),
     )
-
-
-def _check_hpi_consistency(ontology: HpiOntology, hpi: np.ndarray, rid: str) -> None:
-    for e in range(ontology.n_elements):
-        parent = ontology.parent_of(e)
-        if parent is not None and hpi[e] == CONFIRMED and hpi[parent] != CONFIRMED:
-            raise ValidationError(f"record {rid}: element {e} confirmed under non-confirmed parent")

@@ -322,8 +322,8 @@ CLI_GOLDEN = {
     "cohort.jsonl": "cc4840ef115a8832b6fa1e9c382b881e48de5aed0bdb3d2d1b5eaf177e445992",
     "cohort.header.json": "064e4e8424d9521be0052ca80335b522e972384914f784d4f0ba520ec89f4b90",
     "diag.json": "efe0742e80711f6452e11b20ef7dab2abbda0ed202912b815b169eaffff636a2",
-    "policy.json": "0593f21aa0dfd7114ebdf3d97b28c89b59b559fb116b7bd8bca1abe3c66138a0",
-    "value.json": "0c08c4c765dba6a3c4fb4b62cb5a9b0f7d9ee6957d5cc6d8e8ada2168d09ca7d",
+    "policy.json": "d40a1135e806951e4e5449592a25f5f742fe2a594b041d1290f2a19a619219a4",
+    "value.json": "19786bcf8dd1868d049288d2770f3414084cbd12f95fe7c98bbd8a227e7eec02",
     "train.csv": "91710ff3cbb881328497cd04cde58f460360164b3bda9a29fdd8936c262cf4ea",
     "report.json": "dc81847b2a3ad5f8cb2186d39842c4554017c667221bea6d6891eaa62f5ab836",
     "traces.jsonl": "deff80957ae71126bd48a5ee8320de828c418736c76c3ecdb7790c83ff7dc1a6",

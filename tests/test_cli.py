@@ -300,3 +300,62 @@ def test_consult_command_with_stdin(workspace, tmp_path, monkeypatch, capsys):
     assert saved[0].n_rounds <= 3
     out = capsys.readouterr().out
     assert "top diseases" in out
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs and settings end in exit code 1, not a traceback
+# ---------------------------------------------------------------------------
+
+def test_train_diag_on_record_missing_label_exits_1(workspace, tmp_path, capsys):
+    root, onto_dir, data, diag, policy = workspace
+    bad = tmp_path / "cohort.jsonl"
+    lines = data.read_text().splitlines()
+    lines[3] = lines[3].replace('"label":', '"lab":')
+    bad.write_text("\n".join(lines) + "\n")
+    (tmp_path / "cohort.header.json").write_text(
+        data.with_name("cohort.header.json").read_text())
+    out = tmp_path / "d.json"
+    assert run(["train-diag", "--ontology", str(onto_dir), "--data", str(bad),
+                "--out", str(out), "--epochs", "1", "--quiet"]) == 1
+    assert "missing field 'label'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_with_policy_lacking_meta_exits_1(workspace, tmp_path, capsys):
+    root, onto_dir, data, diag, policy = workspace
+    broken = tmp_path / "policy.json"
+    broken.write_text(policy.read_text().replace('"history_width"', '"width"'))
+    assert run(["eval", "--ontology", str(onto_dir), "--data", str(data),
+                "--diag", str(diag), "--policy", str(broken),
+                "--out", str(tmp_path / "r.json")]) == 1
+    assert "history_width" in capsys.readouterr().err
+
+
+def test_train_diag_rejects_nan_lr(workspace, tmp_path):
+    root, onto_dir, data, diag, policy = workspace
+    out = tmp_path / "d.json"
+    assert run(["train-diag", "--ontology", str(onto_dir), "--data", str(data),
+                "--out", str(out), "--epochs", "1", "--lr", "nan", "--quiet"]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--policy-lr", "nan"), ("--value-lr", "-0.001"), ("--entropy-coef", "nan"),
+])
+def test_train_inquiry_rejects_bad_numeric_flag(workspace, tmp_path, flag, value):
+    root, onto_dir, data, diag, policy = workspace
+    out = tmp_path / "p.json"
+    assert run(["train-inquiry", "--ontology", str(onto_dir), "--data", str(data),
+                "--diag", str(diag), "--out", str(out), "--iterations", "1",
+                "--episodes", "2", "--hidden", "8", flag, value, "--quiet"]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "1,0,3"), ("--group-k", "0")])
+def test_eval_rejects_recall_cutoff_below_one(workspace, tmp_path, flag, value):
+    root, onto_dir, data, diag, policy = workspace
+    out = tmp_path / "r.json"
+    assert run(["eval", "--ontology", str(onto_dir), "--data", str(data),
+                "--diag", str(diag), "--baseline", "FixedOrder", "--out", str(out),
+                flag, value]) == 1
+    assert not out.exists()

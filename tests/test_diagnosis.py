@@ -269,3 +269,21 @@ def test_checkpoint_width_guard(tmp_path, toy):
     path.write_text(blob)
     with pytest.raises(ParseError, match="width"):
         load_diagnosis(path)
+
+
+@pytest.mark.parametrize("key", ["history_width", "n_elements", "disease_names",
+                                 "ontology_digest"])
+def test_checkpoint_missing_meta_raises_parse_error(tmp_path, toy, key):
+    model = fresh_model(toy)
+    path = tmp_path / "diag.json"
+    save_diagnosis(model, path)
+    del model.net.meta[key]
+    nncore.save_net(model.net, path)
+    with pytest.raises(ParseError, match=key):
+        load_diagnosis(path)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])
+def test_sl_config_rejects_bad_learning_rate(lr):
+    with pytest.raises(DomainError, match="lr"):
+        SlTrainConfig(lr=lr).validate()

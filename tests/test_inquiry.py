@@ -655,3 +655,28 @@ def test_checkpoint_dimension_guard(tmp_path, flat):
     nncore.save_net(net, path)
     with pytest.raises(ParseError):
         load_policy(path)
+
+
+@pytest.mark.parametrize("key", ["kind", "history_width", "n_elements", "ontology_digest"])
+@pytest.mark.parametrize("kind", ["policy", "value"])
+def test_checkpoint_missing_meta_raises_parse_error(flat, tmp_path, key, kind):
+    onto, ds, diag, policy, value = flat
+    path = tmp_path / f"{kind}.json"
+    (save_policy if kind == "policy" else save_value)(
+        policy if kind == "policy" else value, path
+    )
+    net = nncore.load_net(path)
+    del net.meta[key]
+    nncore.save_net(net, path)
+    with pytest.raises(ParseError):
+        (load_policy if kind == "policy" else load_value)(path)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("policy_lr", float("nan")), ("policy_lr", -1e-3), ("policy_lr", float("inf")),
+    ("value_lr", float("nan")), ("value_lr", -1e-3),
+    ("entropy_coef", float("nan")), ("entropy_coef", -0.01), ("entropy_coef", float("inf")),
+])
+def test_ppo_config_rejects_bad_numeric_settings(field, bad):
+    with pytest.raises(DomainError, match=field):
+        PpoConfig(**{field: bad}).validate()

@@ -1,0 +1,229 @@
+"""Lockstep engine: batched rules against straight-line oracles, and
+byte-identical results whatever the batch size."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from inquest import nncore
+from inquest.consult_env import (
+    UNKNOWN,
+    UNMENTIONED_DENIED,
+    UNMENTIONED_UNKNOWN,
+    DisclosureProbs,
+    Lockstep,
+)
+from inquest.diagnosis import new_diagnosis_model
+from inquest.errors import EmptyDataset, IllegalAction
+from inquest.evalharness import (
+    GreedyModelPolicy,
+    RandomLegalPolicy,
+    consult_batch,
+    evaluate,
+    save_traces,
+    simulate_consultation,
+)
+from inquest.inquiry import RewardParams, collect_rollouts, new_inquiry_policy, new_value_net
+from inquest.ontology import FIRST
+from inquest.patientgen import (
+    CONFIRMED,
+    DENIED,
+    PatientDataset,
+    benchmark_genmodel,
+    benchmark_ontology,
+    generate_cohort,
+    toy_genmodel,
+    toy_ontology,
+)
+
+WIDTH = 16
+
+
+SHAPES = {"toy": toy_ontology(), "desk": benchmark_ontology()}
+COHORTS = {
+    "toy": generate_cohort(toy_genmodel(SHAPES["toy"]), 60, seed=3),
+    "desk": generate_cohort(benchmark_genmodel(SHAPES["desk"]), 60, seed=3),
+}
+
+
+# ---------------------------------------------------------------------------
+# Straight-line oracles: one element and one question at a time
+# ---------------------------------------------------------------------------
+
+def oracle_legal(onto, status, asked):
+    legal = np.zeros(onto.n_questions, dtype=bool)
+    for q in onto.questions:
+        if asked[q.id]:
+            continue
+        gated = any(
+            onto.parent_of(t) is not None and status[onto.parent_of(t)] != CONFIRMED
+            for t in q.targets
+        )
+        fresh = any(status[t] == UNKNOWN for t in q.targets)
+        legal[q.id] = not gated and fresh
+    return legal
+
+
+def oracle_step(onto, status, question, hpi, noise, rng, mode):
+    status = status.copy()
+    counts = {1: [0, 0], 2: [0, 0]}
+    for t in sorted(onto.questions[question].targets):
+        if status[t] != UNKNOWN:
+            continue
+        if hpi[t] == CONFIRMED:
+            revealed = CONFIRMED
+        elif hpi[t] == DENIED or mode == UNMENTIONED_DENIED:
+            revealed = DENIED
+        else:
+            continue
+        if noise > 0.0 and rng.random() < noise:
+            revealed = DENIED if revealed == CONFIRMED else CONFIRMED
+        status[t] = revealed
+        level = onto.elements[t].level
+        counts[level][0 if revealed == CONFIRMED else 1] += 1
+        if level == FIRST and revealed == DENIED:
+            for child in onto.children_of(t):
+                if status[child] == UNKNOWN:
+                    status[child] = DENIED
+    return status, [counts[1][0], counts[1][1], counts[2][0], counts[2][1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(SHAPES)),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    noise=st.sampled_from([0.0, 0.3]),
+    mode=st.sampled_from([UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN]),
+)
+def test_batched_legality_and_step_match_straight_line_oracle(shape, seed, n, noise, mode):
+    onto, cohort = SHAPES[shape], COHORTS[shape]
+    draw = np.random.default_rng(seed)
+    patients = [cohort.records[i] for i in draw.integers(len(cohort), size=n)]
+    rngs = [np.random.default_rng([seed, i]) for i in range(n)]
+    env = Lockstep(patients, onto, DisclosureProbs(), rngs, horizon=50, noise=noise,
+                   unmentioned_answer=mode)
+    env.status[:] = draw.integers(0, 3, size=env.status.shape)
+    env.asked[:] = draw.random(env.asked.shape) < 0.3
+    status, asked = env.status.copy(), env.asked.copy()
+
+    rows, mask = env.pending()
+    want = np.array([oracle_legal(onto, status[i], asked[i]) for i in range(n)])
+    assert rows.tolist() == np.flatnonzero(want.any(axis=1)).tolist()
+    assert np.array_equal(mask, want[rows])
+    if not len(rows):
+        return
+    actions = np.array([draw.choice(np.flatnonzero(m)) for m in mask])
+    oracle_rngs = [np.random.default_rng([seed, i]) for i in range(n)]
+    for g in oracle_rngs:  # past the disclosure draw, as the engine's streams are
+        g.random(onto.n_elements)
+    findings = env.step(actions)
+    for j, i in enumerate(rows):
+        want_status, want_counts = oracle_step(onto, status[i], actions[j], patients[i].hpi,
+                                               noise, oracle_rngs[i], mode)
+        assert np.array_equal(env.status[i], want_status)
+        assert findings[j].tolist() == want_counts
+        assert env.asked[i, actions[j]]
+    for i in range(n):  # same stream position: nothing drawn beyond the oracle's
+        assert rngs[i].random() == oracle_rngs[i].random()
+
+
+def test_lockstep_step_rejects_illegal_or_unrequested_actions():
+    onto, cohort = SHAPES["toy"], COHORTS["toy"]
+    env = Lockstep(cohort.records[:2], onto, DisclosureProbs(0, 0, 0, 0),
+                   [np.random.default_rng(i) for i in range(2)], horizon=5)
+    with pytest.raises(IllegalAction):
+        env.step([0, 0])  # pending() not called yet
+    rows, mask = env.pending()
+    illegal = int(np.flatnonzero(~mask[0])[0]) if (~mask[0]).any() else None
+    if illegal is not None:
+        with pytest.raises(IllegalAction):
+            env.step([illegal, int(np.flatnonzero(mask[1])[0])])
+
+
+# ---------------------------------------------------------------------------
+# Row invariance of the blocked forward
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dims", [
+    (64 + 270, 128, 128, 100),  # desk policy
+    (64 + 270, 128, 128, 1),  # desk value net
+    (64 + 270, 256, 256, 20),  # desk ranker
+])
+def test_blocked_forward_is_row_invariant(dims):
+    head = nncore.HEAD_SCALAR if dims[-1] == 1 else nncore.HEAD_LOGITS
+    net = nncore.init_dense(dims, head, seed=4, zero_output=False)
+    x = np.random.default_rng(5).standard_normal((130, dims[0]))
+    alone = np.stack([nncore.forward_blocked(net, x[i : i + 1])[0] for i in range(130)])
+    for n in range(1, 131):
+        assert nncore.forward_blocked(net, x[:n]).tobytes() == alone[:n].tobytes(), n
+    assert nncore.forward_blocked(net, x[::-1]).tobytes() == alone[::-1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Same bytes whatever N is
+# ---------------------------------------------------------------------------
+
+def _random_heads(net, seed):
+    """Untrained nets start with a zero output layer; randomize it so argmax
+    and rankings depend on the input."""
+    rng = np.random.default_rng(seed)
+    net.weights[-1] = rng.standard_normal(net.weights[-1].shape)
+    return net
+
+
+@pytest.fixture(scope="module")
+def desk_nets():
+    onto = SHAPES["desk"]
+    ds = generate_cohort(benchmark_genmodel(onto), 100, seed=8)
+    diag = new_diagnosis_model(WIDTH, ds.m, ds.disease_names, onto.content_digest,
+                               hidden=(32, 32), seed=1)
+    policy = new_inquiry_policy(WIDTH, ds.m, onto.n_questions, onto.content_digest,
+                                hidden=(32, 32), seed=2)
+    value = new_value_net(WIDTH, ds.m, onto.content_digest, hidden=(32, 32), seed=3)
+    for i, model in enumerate((diag, policy, value)):
+        _random_heads(model.net, i)
+    return onto, ds, diag, policy, value
+
+
+@pytest.mark.parametrize("make_policy", [GreedyModelPolicy, lambda _: RandomLegalPolicy()])
+def test_consultation_alone_matches_consultation_in_dataset(desk_nets, tmp_path, make_policy):
+    onto, ds, diag, policy, _ = desk_nets
+    chosen = make_policy(policy)
+    _, traces = evaluate(chosen, diag, ds, onto, horizon=12, seed=4, noise=0.1)
+
+    def blob(trace_list, name):
+        save_traces(trace_list, tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    one = PatientDataset(ds.records[:1], ds.disease_names, ds.m, ds.ontology_digest)
+    _, alone = evaluate(chosen, diag, one, onto, horizon=12, seed=4, noise=0.1)
+    assert blob(alone, "alone.jsonl") == blob(traces[:1], "first.jsonl")
+    for i in (1, 37, 99):
+        trace = simulate_consultation(chosen, diag, ds.records[i], onto, DisclosureProbs(), 12,
+                                      np.random.default_rng([4, i]), noise=0.1)
+        assert blob([trace], f"alone{i}.jsonl") == blob(traces[i : i + 1], f"in{i}.jsonl")
+
+
+def test_one_episode_rollout_matches_episode_zero_of_a_batch(desk_nets):
+    onto, ds, diag, policy, value = desk_nets
+
+    def batch(n):
+        return collect_rollouts(policy, value, diag, ds, onto, DisclosureProbs(),
+                                RewardParams(), n, 10, seed=6, iteration=2, noise=0.1)
+
+    one, many = batch(1), batch(64)
+    assert many.n_episodes == 64
+    k = len(one)
+    assert many.dones[k - 1] and not many.dones[: k - 1].any()
+    for name in ("inputs", "actions", "logps", "rewards", "values", "dones", "masks"):
+        assert getattr(one, name).tobytes() == getattr(many, name)[:k].tobytes(), name
+
+
+def test_empty_batches(desk_nets):
+    onto, ds, diag, policy, value = desk_nets
+    assert consult_batch(GreedyModelPolicy(policy), diag, [], onto, DisclosureProbs(),
+                         10, []) == []
+    with pytest.raises(EmptyDataset):
+        collect_rollouts(policy, value, diag, ds, onto, DisclosureProbs(), RewardParams(), 0,
+                         10, seed=0)

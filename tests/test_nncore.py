@@ -238,3 +238,12 @@ def test_training_reduces_loss_deterministically():
     assert losses_a == losses_b
     assert all(np.array_equal(w1, w2) for w1, w2 in zip(net_a.weights, net_b.weights))
     assert losses_a[-1] < 0.25 < losses_a[0]
+
+
+def test_save_net_refuses_non_finite_values(tmp_path):
+    net = init_dense([3, 2], seed=0)
+    net.weights[0][0, 0] = np.nan
+    path = tmp_path / "net.json"
+    with pytest.raises(NonFinite):
+        save_net(net, path)
+    assert not path.exists()

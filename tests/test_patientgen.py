@@ -481,3 +481,31 @@ def test_load_rejects_missing_header_field(tmp_path):
     (tmp_path / "x.header.json").write_text(json.dumps({"D": 3, "M": 7}))
     with pytest.raises(ParseError, match="header missing"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("field", ["label", "age", "sex", "prior_flags", "hpi"])
+def test_load_rejects_record_missing_a_field(tmp_path, field):
+    row = _row()
+    del row[field]
+    with pytest.raises(ParseError, match=f"missing field '{field}'"):
+        load_dataset(_write_rows(tmp_path, [row]))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("age", "forty", "must be integers"), ("age", 40.9, "must be integers"),
+    ("label", 0.9, "must be integers"), ("label", True, "must be integers"),
+    ("prior_flags", [0.5, 1], "must be integers"), ("prior_flags", None, "must be integers"),
+    ("hpi", [1.7, 0, 0, 1, 0, 0, 0], "0, 1 or 2"), ("hpi", [True] * 7, "0, 1 or 2"),
+    ("hpi", list("1000100"), "0, 1 or 2"), ("hpi", "1000100", "length"),
+    ("hpi", [[1, 0], [0]], "malformed hpi"),
+])
+def test_load_rejects_non_integer_fields(tmp_path, field, value, message):
+    with pytest.raises(ParseError, match=message):
+        load_dataset(_write_rows(tmp_path, [_row(**{field: value})]))
+
+
+def test_load_rejects_non_object_record(tmp_path):
+    with pytest.raises(ParseError, match="malformed record"):
+        p = _write_rows(tmp_path, [])
+        p.write_text("[1, 2]\n")
+        load_dataset(p)
