@@ -1,4 +1,5 @@
 """Cohort sampling, the exact posterior against brute force, splits, file IO."""
+import hashlib
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from inquest.patientgen import (
     DENIED,
     NOT_MENTIONED,
     GenerativeModel,
+    PatientRecord,
     bayes_posterior,
     benchmark_genmodel,
     benchmark_ontology,
@@ -27,6 +29,7 @@ from inquest.patientgen import (
     filter_rare,
     full_evidence,
     generate_cohort,
+    generate_ontology,
     load_dataset,
     save_dataset,
     split_dataset,
@@ -191,6 +194,99 @@ def test_benchmark_model_valid_and_seeded():
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
     assert a.n_diseases == 20 and a.n_flags == 8
+
+
+# sha256 of the records file of two desk cohorts, pinned on the per-family
+# sampling loop (``reference_record``): a faster sampler keeps every byte.
+DESK_COHORT_GOLDEN = {
+    0: "055faf31d3489fa597aacb6494f62bc70d47110df16c8159d623d74db0aed365",
+    1: "976845e28bc302cc70f023e4e052920e705be771fadf2afbdb59f2b147c9f4d5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DESK_COHORT_GOLDEN))
+def test_desk_cohort_matches_golden_digest(tmp_path, seed):
+    gm = benchmark_genmodel(benchmark_ontology(), n_diseases=20, seed=0, n_flags=8)
+    path = tmp_path / "cohort.jsonl"
+    save_dataset(generate_cohort(gm, 500, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_COHORT_GOLDEN[seed]
+
+
+def reference_record(gm, index, rng):
+    """The per-family sampling loop, kept as the byte-for-byte reference."""
+    d = int(rng.choice(gm.n_diseases, p=gm.priors))
+    age = int(np.clip(round(gm.age_mean[d] + gm.age_std[d] * rng.standard_normal()), 0.0, 100.0))
+    sex = "female" if rng.random() < gm.p_female[d] else "male"
+    flags = tuple(int(u < p) for u, p in zip(rng.random(gm.n_flags), gm.flag_probs[d]))
+    m = gm.n_elements
+    u_present = rng.random(m)
+    u_mention = rng.random(m)
+    hpi = np.zeros(m, dtype=np.int8)
+    for f in gm.first_level_ids():
+        children = gm.children_of(f)
+        if u_present[f] < gm.first_level_cpt[d, f]:
+            hpi[f] = CONFIRMED
+            for c in children:
+                if u_present[c] < gm.second_level_cpt[d, c]:
+                    hpi[c] = CONFIRMED
+                elif u_mention[c] < gm.mention_prob:
+                    hpi[c] = DENIED
+        else:
+            status = DENIED if u_mention[f] < gm.mention_prob else NOT_MENTIONED
+            hpi[f] = status
+            hpi[children] = status
+    return PatientRecord(f"p{index:06d}", age, sex, flags, hpi, d)
+
+
+def record_bytes(r):
+    """Everything that reaches a dataset file, types and dtype included."""
+    return (r.id, type(r.age), r.age, r.sex, tuple(map(type, r.prior_flags)), r.prior_flags,
+            r.hpi.dtype.str, r.hpi.tobytes(), type(r.label), r.label)
+
+
+@st.composite
+def random_genmodels(draw):
+    """Models on random ``generate_ontology`` shapes whose tables mix exact 0s
+    and 1s with interior values, with zero-mass diseases among the priors."""
+    m1, m2 = draw(st.integers(1, 5)), draw(st.integers(0, 9))
+    d, n_flags = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    mention = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    onto = generate_ontology(m1, m2)
+    m = onto.n_elements
+    parent = np.array([-1 if onto.parent_of(e) is None else onto.parent_of(e) for e in range(m)])
+    first = parent < 0
+
+    def table(shape):
+        return np.choose(rng.integers(0, 3, shape), [np.zeros(shape), np.ones(shape), rng.random(shape)])
+
+    cpt1 = np.where(first, table((d, m)), 0.0)
+    cpt2 = np.where(first | (cpt1[:, np.maximum(parent, 0)] == 0.0), 0.0, table((d, m)))
+    weights = rng.random(d) * (rng.random(d) < 0.6)
+    weights[rng.integers(d)] += 0.5
+    gm = GenerativeModel(
+        ontology_digest=onto.content_digest,
+        disease_names=tuple(f"d{i}" for i in range(d)),
+        parent=parent,
+        priors=weights / weights.sum(),
+        first_level_cpt=cpt1,
+        second_level_cpt=cpt2,
+        age_mean=rng.uniform(-20.0, 120.0, d),
+        age_std=rng.uniform(0.0, 30.0, d),
+        p_female=table((d,)),
+        flag_probs=table((d, n_flags)),
+        mention_prob=mention,
+    )
+    validate_genmodel(gm)
+    return gm
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_genmodels(), st.integers(0, 2**32 - 1))
+def test_sampler_matches_per_family_reference(gm, seed):
+    got = generate_cohort(gm, 20, seed).records
+    want = [reference_record(gm, i, np.random.default_rng([seed, i])) for i in range(20)]
+    assert [record_bytes(r) for r in got] == [record_bytes(r) for r in want]
 
 
 # ---------------------------------------------------------------------------
