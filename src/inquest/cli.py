@@ -504,6 +504,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
     e_diag = encode_history(record, diag_model.history_width)
     rng = np.random.default_rng(0)  # baselines may sample; interaction stays seeded
 
+    action, revealed = None, []  # the round being answered
     try:
         for _ in range(horizon):
             state = EnvState(
@@ -516,7 +517,6 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
                 break
             action = policy.select(e_policy, state, mask, rng)
             targets = question_targets(ontology, action)
-            revealed = []
             for t in sorted(targets):
                 if status[t] != 0:
                     continue
@@ -531,7 +531,12 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
                             status[child] = DENIED
                             revealed.append((child, int(DENIED)))
             rounds.append((action, tuple(revealed)))
+            revealed = []
     except _SessionEnd:
+        # An open question cut off between two prompts keeps the answers it
+        # got, so the transcript replays to the final observation.
+        if revealed:
+            rounds.append((action, tuple(revealed)))
         output_fn("input closed; ranking with what was gathered")
 
     probs = predict(diag_model, e_diag, status)

@@ -151,12 +151,16 @@ def train_epoch(
         raise EmptyDataset("cannot train on an empty dataset")
     if dataset.m != model.n_elements or dataset.n_diseases != model.n_diseases:
         raise ShapeError("dataset dimensions do not match model")
-    hist, hpi, labels = _dataset_arrays(dataset, model.history_width)
     if adam is None:
         adam = nncore.init_adam(nncore.net_params(model.net))
+    return _train_epoch(model, _dataset_arrays(dataset, model.history_width), cfg, epoch, adam)
 
+
+def _train_epoch(model, arrays, cfg: SlTrainConfig, epoch: int, adam) -> SlEpochMetrics:
+    """``train_epoch`` on the checked arrays of ``_dataset_arrays``."""
+    hist, hpi, labels = arrays
     rng = np.random.default_rng([cfg.seed, _TAG_SL, epoch])
-    order = rng.permutation(len(dataset))
+    order = rng.permutation(len(labels))
     total_loss = 0.0
     hits = 0
     for start in range(0, len(order), cfg.batch_size):
@@ -173,7 +177,7 @@ def train_epoch(
         hits += int((logits.argmax(axis=1) == y).sum())
         gw, gb, _ = nncore.backward(model.net, cache, nncore.cross_entropy_grad(logits, y))
         nncore.adam_step(nncore.net_params(model.net), nncore.flat_grads(gw, gb), adam, cfg.lr)
-    n = len(dataset)
+    n = len(labels)
     return SlEpochMetrics(total_loss / n, hits / n)
 
 
@@ -192,9 +196,10 @@ def train_diagnosis(
         hidden=cfg.hidden, seed=cfg.seed,
     )
     adam = nncore.init_adam(nncore.net_params(model.net))
+    arrays = _dataset_arrays(dataset, model.history_width)
     history = []
     for epoch in range(cfg.epochs):
-        metrics = train_epoch(model, dataset, cfg, epoch=epoch, adam=adam)
+        metrics = _train_epoch(model, arrays, cfg, epoch, adam)
         history.append(metrics)
         if log is not None:
             line = f"epoch {epoch}: loss {metrics.mean_loss:.4f} acc {metrics.accuracy:.4f}"

@@ -167,28 +167,44 @@ class GenerativeModel:
 
 def validate_genmodel(gm: GenerativeModel) -> None:
     """Raise ConfigError on any violated model invariant."""
+    if gm.parent.ndim != 1 or gm.parent.dtype.kind not in "iu":
+        raise ConfigError("parent must be a 1-D integer array")
     d, m = gm.n_diseases, gm.n_elements
     if gm.priors.shape != (d,):
         raise ConfigError("priors shape does not match disease count")
-    if abs(float(gm.priors.sum()) - 1.0) > 1e-9:
-        raise ConfigError("priors must sum to 1")
-    for name, arr in (("priors", gm.priors), ("first_level_cpt", gm.first_level_cpt),
-                      ("second_level_cpt", gm.second_level_cpt), ("p_female", gm.p_female),
-                      ("flag_probs", gm.flag_probs)):
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ConfigError(f"{name} contains probabilities outside [0, 1]")
     if gm.first_level_cpt.shape != (d, m) or gm.second_level_cpt.shape != (d, m):
         raise ConfigError("incidence tables must have shape (diseases, elements)")
+    if any(a.shape != (d,) for a in (gm.age_mean, gm.age_std, gm.p_female)) or (
+        gm.flag_probs.ndim != 2 or len(gm.flag_probs) != d
+    ):
+        raise ConfigError("demographic tables must have one row per disease")
+    probabilities = {"priors": gm.priors, "first_level_cpt": gm.first_level_cpt,
+                     "second_level_cpt": gm.second_level_cpt, "p_female": gm.p_female,
+                     "flag_probs": gm.flag_probs}
+    for name, arr in {**probabilities, "age_mean": gm.age_mean, "age_std": gm.age_std}.items():
+        # NaN fails every comparison, so the range checks below would pass it.
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"{name} contains NaN or infinite values")
+    for name, arr in probabilities.items():
+        if np.any(arr < 0.0) or np.any(arr > 1.0):
+            raise ConfigError(f"{name} contains probabilities outside [0, 1]")
+    if abs(float(gm.priors.sum()) - 1.0) > 1e-9:
+        raise ConfigError("priors must sum to 1")
     if not 0.0 <= gm.mention_prob <= 1.0:
         raise ConfigError("mention_prob must lie in [0, 1]")
+    if np.any((gm.parent < -1) | (gm.parent >= m)):
+        raise ConfigError(f"parent entries must lie in [-1, {m})")
     first = gm.parent < 0
     if not first.any():
         raise ConfigError("model has no first-level elements")
+    second_ids = np.flatnonzero(~first)
+    nested = second_ids[~first[gm.parent[second_ids]]]
+    if nested.size:
+        raise ConfigError(f"element {nested[0]} has a second-level parent")
     if np.any(gm.first_level_cpt[:, ~first] != 0.0):
         raise ConfigError("first_level_cpt must be zero at second-level slots")
     if np.any(gm.second_level_cpt[:, first] != 0.0):
         raise ConfigError("second_level_cpt must be zero at first-level slots")
-    second_ids = np.flatnonzero(~first)
     parent_inc = gm.first_level_cpt[:, gm.parent[second_ids]]
     orphaned = (parent_inc == 0.0) & (gm.second_level_cpt[:, second_ids] != 0.0)
     if np.any(orphaned):
@@ -377,33 +393,54 @@ def benchmark_genmodel(
 # Cohort sampling
 # ---------------------------------------------------------------------------
 
-def _sample_record(gm: GenerativeModel, index: int, rng: np.random.Generator) -> PatientRecord:
-    # Fixed draw order per record: disease, age, sex, flags, then one presence
-    # and one mention uniform per element slot (unused slots still consume
-    # their draw, which keeps records independent of sampling shortcuts).
-    d = int(rng.choice(gm.n_diseases, p=gm.priors))
-    age = int(np.clip(round(gm.age_mean[d] + gm.age_std[d] * rng.standard_normal()), AGE_MIN, AGE_MAX))
+@dataclass(frozen=True)
+class _SamplerIndex:
+    """What every record of one cohort reads from the model, built once."""
+
+    prior_cdf: np.ndarray  # (D,) normalized cumulative priors
+    root: np.ndarray  # (M,) the element itself if first-level, else its parent
+    incidence: np.ndarray  # (D, M) first-level CPT at first-level slots, second-level elsewhere
+
+    @classmethod
+    def of(cls, gm: GenerativeModel) -> _SamplerIndex:
+        # The normalization matches rng.choice(D, p=priors), which places
+        # one uniform in this CDF.
+        cdf = gm.priors.cumsum()
+        cdf /= cdf[-1]
+        first = gm.parent < 0
+        root = np.where(first, np.arange(gm.n_elements), gm.parent)
+        return cls(cdf, root, np.where(first, gm.first_level_cpt, gm.second_level_cpt))
+
+
+def _sample_record(
+    gm: GenerativeModel, index: _SamplerIndex, record: int, rng: np.random.Generator
+) -> PatientRecord:
+    """Sample record number ``record`` from its own stream ``rng``.
+
+    Draw order, fixed because the bytes of every cohort depend on it: one
+    uniform for the disease (placed in the prior CDF, the same single draw
+    ``rng.choice(D, p=priors)`` makes), one normal for age, one uniform for
+    sex, ``F`` flag uniforms, then ``M`` presence and ``M`` mention uniforms,
+    one per element slot whether or not the slot uses it.
+
+    Family rule: a present first-level element is confirmed and its children
+    are sampled on their own (confirmed if present, else denied if mentioned);
+    an absent one is denied if mentioned, else not mentioned, and its children
+    share that status.
+    """
+    d = int(index.prior_cdf.searchsorted(rng.random(), side="right"))
+    age = round(gm.age_mean[d] + gm.age_std[d] * rng.standard_normal())
+    age = int(min(max(age, AGE_MIN), AGE_MAX))
     sex = "female" if rng.random() < gm.p_female[d] else "male"
-    flags = tuple(int(u < p) for u, p in zip(rng.random(gm.n_flags), gm.flag_probs[d]))
+    flags = tuple((rng.random(gm.n_flags) < gm.flag_probs[d]).astype(int).tolist())
 
     m = gm.n_elements
-    u_present = rng.random(m)
-    u_mention = rng.random(m)
-    hpi = np.zeros(m, dtype=np.int8)
-    for f in gm.first_level_ids():
-        children = gm.children_of(f)
-        if u_present[f] < gm.first_level_cpt[d, f]:
-            hpi[f] = CONFIRMED
-            for c in children:
-                if u_present[c] < gm.second_level_cpt[d, c]:
-                    hpi[c] = CONFIRMED
-                elif u_mention[c] < gm.mention_prob:
-                    hpi[c] = DENIED
-        else:
-            status = DENIED if u_mention[f] < gm.mention_prob else NOT_MENTIONED
-            hpi[f] = status
-            hpi[children] = status  # absent parent: children share its recorded status
-    return PatientRecord(f"p{index:06d}", age, sex, flags, hpi, d)
+    present = rng.random(m) < index.incidence[d]
+    own = np.where(rng.random(m) < gm.mention_prob, DENIED, NOT_MENTIONED).astype(np.int8)
+    own[present] = CONFIRMED
+    # A child reads its own status under a present parent, the parent's otherwise.
+    hpi = np.where(present[index.root], own, own[index.root])
+    return PatientRecord(f"p{record:06d}", age, sex, flags, hpi, d)
 
 
 def generate_cohort(gm: GenerativeModel, n: int, seed: int) -> PatientDataset:
@@ -415,7 +452,8 @@ def generate_cohort(gm: GenerativeModel, n: int, seed: int) -> PatientDataset:
     if n < 1:
         raise ConfigError("cohort size must be at least 1")
     validate_genmodel(gm)
-    records = [_sample_record(gm, i, np.random.default_rng([seed, i])) for i in range(n)]
+    index = _SamplerIndex.of(gm)
+    records = [_sample_record(gm, index, i, np.random.default_rng([seed, i])) for i in range(n)]
     return PatientDataset(
         records=records,
         disease_names=gm.disease_names,

@@ -272,6 +272,35 @@ def test_repl_eof_is_graceful(repl_models):
     assert sorted(trace.ranking) == [0, 1, 2]
 
 
+class ScriptedQuestions:
+    """Asks the given questions in order, whatever is legal."""
+
+    history_width = None
+
+    def __init__(self, questions):
+        self.questions = list(questions)
+
+    def select(self, history, state, mask, rng):
+        return self.questions.pop(0)
+
+
+def test_repl_eof_inside_open_question_keeps_its_answers(repl_models):
+    onto, diag = repl_models
+    # Question 0 confirms element 0; open question 7 then asks about its
+    # children 3 and 6, and input ends after the answer about 3.
+    trace = consult_repl(
+        ScriptedQuestions([0, 7]), diag, onto, horizon=5,
+        input_fn=scripted_input(["44", "f", "y", "y"]),
+        output_fn=lambda s: None,
+    )
+    assert trace.rounds == ((0, ((0, 1),)), (7, ((3, 1),)))
+    replayed = np.zeros(onto.n_elements, dtype=np.int8)
+    for _, revealed in trace.rounds:
+        for e, s in revealed:
+            replayed[e] = s
+    assert replayed.tolist() == trace.final_observation.tolist() == [1, 0, 0, 1, 0, 0, 0]
+
+
 def test_repl_replay_reproduces_ranking(repl_models):
     onto, diag = repl_models
     trace = consult_repl(

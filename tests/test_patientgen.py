@@ -1,4 +1,5 @@
 """Cohort sampling, the exact posterior against brute force, splits, file IO."""
+import dataclasses
 import hashlib
 import json
 
@@ -183,6 +184,49 @@ def test_genmodel_rejects_child_without_parent_mass(toy):
     )
     with pytest.raises(ConfigError, match="parent incidence is zero"):
         validate_genmodel(gm)
+
+
+def _with(gm, **tables):
+    """A copy of ``gm`` whose named tables are edited copies: ``{name: (index, value)}``."""
+    fields = {}
+    for name, edits in tables.items():
+        arr = getattr(gm, name).copy()
+        for where, value in edits:
+            arr[where] = value
+        fields[name] = arr
+    return dataclasses.replace(gm, **fields)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"priors": [(1, np.nan)]}, "priors contains NaN"),
+    ({"first_level_cpt": [((0, 0), np.nan)]}, "first_level_cpt contains NaN"),
+    ({"second_level_cpt": [((1, 3), np.nan)]}, "second_level_cpt contains NaN"),
+    ({"age_mean": [(0, np.nan)]}, "age_mean contains NaN"),
+    ({"age_std": [(2, np.inf)]}, "age_std contains NaN or infinite"),
+    ({"flag_probs": [((0, 1), np.nan)]}, "flag_probs contains NaN"),
+    ({"p_female": [(1, np.nan)]}, "p_female contains NaN"),
+    ({"parent": [(6, 99)]}, r"parent entries must lie in \[-1, 7\)"),
+    ({"parent": [(4, -2)]}, r"parent entries must lie in \[-1, 7\)"),
+    # Element 6 hangs under element 3, itself a child of 0; a zero column
+    # keeps every other check quiet.
+    ({"parent": [(6, 3)], "second_level_cpt": [((slice(None), 6), 0.0)]},
+     "element 6 has a second-level parent"),
+])
+def test_genmodel_rejects_what_the_sampler_would_mis_sample(toy, edits, message):
+    gm = _with(toy, **edits)
+    with pytest.raises(ConfigError, match=message):
+        validate_genmodel(gm)
+    with pytest.raises(ConfigError, match=message):
+        generate_cohort(gm, 5, seed=0)
+
+
+def test_genmodel_rejects_malformed_tables(toy):
+    with pytest.raises(ConfigError, match="1-D integer"):
+        validate_genmodel(dataclasses.replace(toy, parent=toy.parent.astype(float)))
+    with pytest.raises(ConfigError, match="one row per disease"):
+        validate_genmodel(dataclasses.replace(toy, age_mean=toy.age_mean[:2]))
+    with pytest.raises(ConfigError, match="one row per disease"):
+        validate_genmodel(dataclasses.replace(toy, flag_probs=toy.flag_probs[0]))
 
 
 def test_benchmark_model_valid_and_seeded():
