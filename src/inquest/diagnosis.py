@@ -152,7 +152,7 @@ def train_epoch(
     if dataset.m != model.n_elements or dataset.n_diseases != model.n_diseases:
         raise ShapeError("dataset dimensions do not match model")
     if adam is None:
-        adam = nncore.init_adam(nncore.net_params(model.net))
+        adam = nncore.init_adam(model.net.params)
     return _train_epoch(model, _dataset_arrays(dataset, model.history_width), cfg, epoch, adam)
 
 
@@ -175,8 +175,8 @@ def _train_epoch(model, arrays, cfg: SlTrainConfig, epoch: int, adam) -> SlEpoch
         logits, cache = forward_with_cache(model.net, x)
         total_loss += nncore.cross_entropy(logits, y) * len(idx)
         hits += int((logits.argmax(axis=1) == y).sum())
-        gw, gb, _ = nncore.backward(model.net, cache, nncore.cross_entropy_grad(logits, y))
-        nncore.adam_step(nncore.net_params(model.net), nncore.flat_grads(gw, gb), adam, cfg.lr)
+        nncore.backward(model.net, cache, nncore.cross_entropy_grad(logits, y), adam.grad)
+        nncore.adam_step(model.net.params, adam.grad, adam, cfg.lr)
     n = len(labels)
     return SlEpochMetrics(total_loss / n, hits / n)
 
@@ -195,7 +195,7 @@ def train_diagnosis(
         cfg.history_width, dataset.m, dataset.disease_names, dataset.ontology_digest,
         hidden=cfg.hidden, seed=cfg.seed,
     )
-    adam = nncore.init_adam(nncore.net_params(model.net))
+    adam = nncore.init_adam(model.net.params)
     arrays = _dataset_arrays(dataset, model.history_width)
     history = []
     for epoch in range(cfg.epochs):

@@ -390,13 +390,15 @@ def policy_loss_and_grad(
     adv: np.ndarray,
     clip_eps: float,
     entropy_coef: float,
+    out: np.ndarray | None = None,
 ):
     """Clipped-surrogate loss (minus entropy bonus) with analytic gradients.
 
     Loss = -mean(min(rho A, clip(rho) A)) - entropy_coef * mean(H). The
     logit gradient combines d(surrogate)/d(logit_j) = active * A * rho *
     (1[j=a] - pi_j) on legal entries with the entropy term; both vanish on
-    illegal entries because pi is exactly zero there.
+    illegal entries because pi is exactly zero there. The weight and bias
+    gradients are views into ``out`` (see ``nncore.backward``).
     """
     n = len(actions)
     logits, cache = nncore.forward_with_cache(net, inputs)
@@ -411,7 +413,7 @@ def policy_loss_and_grad(
     onehot[np.arange(n), actions] = 1.0
     dsurr = coeff[:, None] * (onehot - probs)
     grad_logits = -(dsurr + entropy_coef * dh) / n
-    gw, gb, _ = nncore.backward(net, cache, grad_logits)
+    gw, gb = nncore.backward(net, cache, grad_logits, out)
 
     loss = -float(surr.mean()) - entropy_coef * float(h.mean())
     stats = {
@@ -441,9 +443,9 @@ def ppo_update(
     if len(batch) == 0:
         raise ShapeError("empty trajectory batch")
     if adam_policy is None:
-        adam_policy = nncore.init_adam(nncore.net_params(policy.net))
+        adam_policy = nncore.init_adam(policy.net.params)
     if adam_value is None:
-        adam_value = nncore.init_adam(nncore.net_params(value.net))
+        adam_value = nncore.init_adam(value.net.params)
 
     adv, returns = gae_advantages(batch, cfg.gamma, cfg.lam_gae)
     adv = (adv - adv.mean()) / max(float(adv.std()), 1e-8)
@@ -455,7 +457,7 @@ def ppo_update(
         order = rng.permutation(len(batch))
         for start in range(0, len(order), cfg.minibatch_size):
             mb = order[start : start + cfg.minibatch_size]
-            loss, gw, gb, stats = policy_loss_and_grad(
+            loss, _, _, stats = policy_loss_and_grad(
                 policy.net,
                 batch.inputs[mb],
                 batch.masks[mb],
@@ -464,19 +466,16 @@ def ppo_update(
                 adv[mb],
                 cfg.clip_eps,
                 cfg.entropy_coef,
+                out=adam_policy.grad,
             )
-            nncore.adam_step(
-                nncore.net_params(policy.net), nncore.flat_grads(gw, gb), adam_policy, cfg.policy_lr
-            )
+            nncore.adam_step(policy.net.params, adam_policy.grad, adam_policy, cfg.policy_lr)
 
             pred, vcache = nncore.forward_with_cache(value.net, batch.inputs[mb])
             v_loss = nncore.squared_error(pred, returns[mb])
-            gvw, gvb, _ = nncore.backward(
-                value.net, vcache, nncore.squared_error_grad(pred, returns[mb])
+            nncore.backward(
+                value.net, vcache, nncore.squared_error_grad(pred, returns[mb]), adam_value.grad
             )
-            nncore.adam_step(
-                nncore.net_params(value.net), nncore.flat_grads(gvw, gvb), adam_value, cfg.value_lr
-            )
+            nncore.adam_step(value.net.params, adam_value.grad, adam_value, cfg.value_lr)
 
             sums["policy_loss"] += loss
             sums["value_loss"] += v_loss
@@ -522,8 +521,8 @@ def train_inquiry(
     value = new_value_net(
         width, dataset.m, ontology.content_digest, hidden=cfg.hidden, seed=cfg.seed + 1
     )
-    adam_policy = nncore.init_adam(nncore.net_params(policy.net))
-    adam_value = nncore.init_adam(nncore.net_params(value.net))
+    adam_policy = nncore.init_adam(policy.net.params)
+    adam_value = nncore.init_adam(value.net.params)
     history: list[IterStats] = []
     for it in range(cfg.iterations):
         batch = collect_rollouts(

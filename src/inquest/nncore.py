@@ -3,6 +3,16 @@
 Everything is deterministic given (seed, data): no threads, no global state,
 no framework. Gradients have a second, independent route through central
 finite differences (``numeric_gradients``) so analytic backprop is testable.
+
+Buffers: a ``DenseNet`` owns one contiguous float64 buffer, ``net.params``,
+laid out layer by layer as ``weights[0], biases[0], weights[1], ...``, and
+``net.weights[i]`` and ``net.biases[i]`` are views into it. Parameters are
+written in place (``w += ...``, ``w[...] = ...``); ``net.weights[i]`` is never
+rebound, because a rebound entry would leave the buffer that ``adam_step``
+updates and ``save_net`` checks. A net holds no gradient. A gradient is a
+second buffer with the same layout (``param_views``): a training run keeps
+one in its ``AdamState``, so it lives exactly as long as the run, and a
+loaded, inference-only net carries its parameters alone.
 """
 from __future__ import annotations
 
@@ -29,6 +39,28 @@ _TAG_INIT = (1 << 40) + 2
 # this many rows.
 BLOCK_ROWS = 8
 
+# Elements per chunk of ``adam_step``: the chunk's slices of the parameters,
+# gradient, moments and two scratch rows stay in cache across the update's
+# fourteen passes.
+ADAM_CHUNK = 1 << 15
+
+
+def n_params(layer_dims) -> int:
+    return sum(a * b + b for a, b in zip(layer_dims, layer_dims[1:]))
+
+
+def param_views(layer_dims, buf: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(weights, biases) views into a flat buffer laid out like ``net.params``."""
+    if buf.shape != (n_params(layer_dims),) or buf.dtype != np.float64:
+        raise ShapeError(f"buffer {buf.shape} {buf.dtype} does not fit layers {layer_dims}")
+    weights, biases, at = [], [], 0
+    for d_in, d_out in zip(layer_dims, layer_dims[1:]):
+        weights.append(buf[at : at + d_in * d_out].reshape(d_in, d_out))
+        at += d_in * d_out
+        biases.append(buf[at : at + d_out])
+        at += d_out
+    return weights, biases
+
 
 @dataclass
 class DenseNet:
@@ -36,18 +68,43 @@ class DenseNet:
 
     ``output_head`` only changes the output shape contract: "logits" returns
     (n, d_out) raw scores, "scalar" requires d_out == 1 and returns (n,).
+    ``weights`` and ``biases`` are views into ``params`` (see the module
+    docstring).
     """
 
     layer_dims: tuple[int, ...]
     hidden_activation: str
     output_head: str
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
     meta: dict = field(default_factory=dict)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = param_views(self.layer_dims, self.params)
+
+    def __setstate__(self, state):
+        # Copies (``copy.deepcopy``, pickle) copy the views one by one, which
+        # would leave them outside the copy's buffer; rebuild them on it.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+
+def _spec_problem(dims: tuple, hidden_activation, output_head) -> str | None:
+    """What is wrong with a net's declared geometry, or None."""
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        return f"layer_dims must be >=2 positive sizes, got {dims}"
+    if hidden_activation != RELU:
+        return f"unsupported activation {hidden_activation!r}"
+    if output_head not in (HEAD_LOGITS, HEAD_SCALAR):
+        return f"unsupported output head {output_head!r}"
+    if output_head == HEAD_SCALAR and dims[-1] != 1:
+        return "scalar head requires a single output unit"
+    return None
 
 
 def init_dense(
@@ -63,25 +120,17 @@ def init_dense(
     outputs are constant (uniform class scores / zero value estimate).
     """
     dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ConfigError(f"layer_dims must be >=2 positive sizes, got {dims}")
-    if hidden_activation != RELU:
-        raise ConfigError(f"unsupported activation {hidden_activation!r}")
-    if output_head not in (HEAD_LOGITS, HEAD_SCALAR):
-        raise ConfigError(f"unsupported output head {output_head!r}")
-    if output_head == HEAD_SCALAR and dims[-1] != 1:
-        raise ConfigError("scalar head requires a single output unit")
+    problem = _spec_problem(dims, hidden_activation, output_head)
+    if problem:
+        raise ConfigError(problem)
     rng = np.random.default_rng([seed, _TAG_INIT])
-    weights, biases = [], []
-    for i in range(len(dims) - 1):
-        fan_in = dims[i]
-        limit = np.sqrt(6.0 / fan_in)
-        w = rng.uniform(-limit, limit, size=(dims[i], dims[i + 1]))
-        if zero_output and i == len(dims) - 2:
-            w = np.zeros_like(w)
-        weights.append(w)
-        biases.append(np.zeros(dims[i + 1]))
-    return DenseNet(dims, hidden_activation, output_head, weights, biases)
+    net = DenseNet(dims, hidden_activation, output_head, np.zeros(n_params(dims)))
+    for i, w in enumerate(net.weights):
+        if zero_output and i == net.n_layers - 1:
+            break  # the last draw: skipping it changes no other layer
+        limit = np.sqrt(6.0 / dims[i])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return net
 
 
 def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:
@@ -132,68 +181,97 @@ def forward_with_cache(net: DenseNet, x: np.ndarray):
     return out, (acts, pres)
 
 
-def backward(net: DenseNet, cache, grad_out: np.ndarray):
-    """Backprop ``grad_out`` (d loss / d output) to parameter and input grads."""
+def backward(net: DenseNet, cache, grad_out: np.ndarray, out: np.ndarray | None = None):
+    """Backprop ``grad_out`` (d loss / d output) to the parameter gradients.
+
+    Writes them into ``out``, a flat buffer laid out like ``net.params``
+    (allocated when None), and returns its ``(grads_w, grads_b)`` views. The
+    gradient with respect to the input is not computed.
+    """
     acts, pres = cache
     g = np.asarray(grad_out, dtype=float)
     if net.output_head == HEAD_SCALAR:
         g = g.reshape(-1, 1)
     if g.shape != pres[-1].shape:
         raise ShapeError(f"grad_out shape {g.shape} does not match output {pres[-1].shape}")
-    grads_w = [None] * net.n_layers
-    grads_b = [None] * net.n_layers
+    grads_w, grads_b = param_views(net.layer_dims, np.empty_like(net.params) if out is None else out)
     for i in range(net.n_layers - 1, -1, -1):
-        if i < net.n_layers - 1:
-            g = g * (pres[i] > 0.0)
-        grads_w[i] = acts[i].T @ g
-        grads_b[i] = g.sum(axis=0)
-        g = g @ net.weights[i].T
-    return grads_w, grads_b, g
+        np.matmul(acts[i].T, g, out=grads_w[i])
+        np.sum(g, axis=0, out=grads_b[i])
+        if i:
+            g = g @ net.weights[i].T
+            g *= pres[i - 1] > 0.0
+    return grads_w, grads_b
 
 
-def net_params(net: DenseNet) -> list[np.ndarray]:
-    """Flat parameter list (weights then biases, layer order) sharing storage."""
-    return list(net.weights) + list(net.biases)
-
-
-def flat_grads(grads_w, grads_b) -> list[np.ndarray]:
-    return list(grads_w) + list(grads_b)
+def _all_finite(a: np.ndarray) -> bool:
+    # min and max propagate NaN, and one of them is infinite when any entry
+    # is; unlike ``isfinite(a).all()`` this allocates nothing of a's size.
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """Adam moments of one flat parameter buffer, plus the training run's
+    gradient buffer ``grad`` and ``adam_step``'s (2, chunk) scratch."""
+
+    m: np.ndarray
+    v: np.ndarray
+    grad: np.ndarray
+    scratch: np.ndarray
     t: int = 0
 
 
-def init_adam(params: list[np.ndarray]) -> AdamState:
-    return AdamState([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+def init_adam(params: np.ndarray) -> AdamState:
+    return AdamState(
+        np.zeros_like(params), np.zeros_like(params), np.zeros_like(params),
+        np.empty((2, min(params.size, ADAM_CHUNK))),
+    )
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
+    """One bias-corrected Adam update of the flat buffer ``params``, in place.
+
+    The whole gradient is checked before anything is written, so a
+    non-finite gradient leaves parameters, moments and step count as they
+    were. The update runs chunk by chunk with no allocation, in the
+    arithmetic order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), which fixes its bytes.
+    """
+    if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError("params, grads and Adam state are inconsistent")
+    if not _all_finite(grads):
+        raise NonFinite("gradient contains non-finite values")
     state.t += 1
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if not np.all(np.isfinite(g)):
-            raise NonFinite("gradient contains non-finite values")
+    c1 = 1.0 - beta1**state.t
+    c2 = 1.0 - beta2**state.t
+    chunk = state.scratch.shape[1]
+    for start in range(0, params.size, chunk):
+        s = slice(start, start + chunk)
+        p, g, m, v = params[s], grads[s], state.m[s], state.v[s]
+        a, b = state.scratch[:, : len(p)]
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(g, 1.0 - beta1, out=a)
+        m += a
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**state.t)
-        v_hat = v / (1.0 - beta2**state.t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(g, 1.0 - beta2, out=a)
+        a *= g
+        v += a
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p -= a
 
 
 # ---------------------------------------------------------------------------
@@ -287,24 +365,41 @@ def relative_error(a, b, floor: float = 1e-8) -> float:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _write_arrays(fh, arrays) -> None:
+    for i, a in enumerate(arrays):
+        fh.write(("," if i else "") + _dumps(a.tolist()))
+
+
 def save_net(net: DenseNet, path: str | Path) -> None:
-    """JSON checkpoint; byte-identical for identical nets."""
-    payload = {
-        "layer_dims": list(net.layer_dims),
-        "hidden_activation": net.hidden_activation,
-        "output_head": net.output_head,
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-        "meta": net.meta,
-    }
+    """JSON checkpoint; byte-identical for identical nets.
+
+    The bytes are those of ``_dumps`` of the whole payload (keys sorted), but
+    each array is encoded and written on its own, so the text of at most one
+    array is in memory at a time. Non-finite values raise NonFinite before
+    the file is created.
+    """
+    if not _all_finite(net.params):
+        raise NonFinite("checkpoint holds non-finite values; nothing written")
     try:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        meta = _dumps(net.meta)
     except ValueError:
-        raise NonFinite("checkpoint holds non-finite values; nothing written") from None
+        raise NonFinite("checkpoint meta holds non-finite values; nothing written") from None
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write('{"biases":[')
+        _write_arrays(fh, net.biases)
+        fh.write(
+            f'],"hidden_activation":{_dumps(net.hidden_activation)}'
+            f',"layer_dims":{_dumps(list(net.layer_dims))},"meta":{meta}'
+            f',"output_head":{_dumps(net.output_head)},"weights":['
+        )
+        _write_arrays(fh, net.weights)
+        fh.write("]}\n")
 
 
 def checkpoint_meta(net: DenseNet, kind: str, what: str, fields: dict) -> dict:
@@ -326,23 +421,57 @@ def checkpoint_meta(net: DenseNet, kind: str, what: str, fields: dict) -> dict:
     return out
 
 
+def _is_list_of(x, n: int) -> bool:
+    return isinstance(x, list) and len(x) == n
+
+
+def _numeric(values: list, shape: tuple, layer: int) -> np.ndarray:
+    try:
+        a = np.array(values)
+    except ValueError:  # rows nested to different depths
+        a = None
+    if a is None or a.dtype.kind not in "if" or a.shape != shape:
+        raise ParseError(f"checkpoint layer {layer} holds a non-numeric value")
+    return a
+
+
 def load_net(path: str | Path) -> DenseNet:
+    """Read a ``save_net`` checkpoint. A file that is not one (malformed
+    JSON, a missing field, layer_dims that are not integers, an unsupported
+    activation or head, a wrong shape, a non-numeric or non-finite value)
+    raises ParseError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; deep nesting
         raise ParseError(f"malformed checkpoint: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError("malformed checkpoint: not a JSON object")
     for key in ("layer_dims", "hidden_activation", "output_head", "weights", "biases"):
         if key not in payload:
             raise ParseError(f"checkpoint missing field {key!r}")
-    dims = tuple(payload["layer_dims"])
-    weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
-    if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
+    dims = payload["layer_dims"]
+    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+        raise ParseError("checkpoint layer_dims must be a list of integers")
+    dims = tuple(dims)
+    problem = _spec_problem(dims, payload["hidden_activation"], payload["output_head"])
+    if problem:
+        raise ParseError(f"checkpoint: {problem}")
+    weights, biases = payload["weights"], payload["biases"]
+    if not (_is_list_of(weights, len(dims) - 1) and _is_list_of(biases, len(dims) - 1)):
         raise ParseError("checkpoint layer count does not match layer_dims")
+    # Checking every row's length first bounds the buffer by the file's size.
     for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
+        if not (_is_list_of(w, dims[i]) and _is_list_of(b, dims[i + 1])
+                and all(_is_list_of(row, dims[i + 1]) for row in w)):
             raise ParseError(f"checkpoint layer {i} has wrong shape")
-    return DenseNet(
-        dims, payload["hidden_activation"], payload["output_head"], weights, biases,
+    net = DenseNet(
+        dims, payload["hidden_activation"], payload["output_head"], np.empty(n_params(dims)),
         payload.get("meta", {}),
     )
+    for i, views in enumerate(zip(net.weights, net.biases)):
+        for view, values in zip(views, (weights[i], biases[i])):
+            view[...] = _numeric(values, view.shape, i)
+        weights[i] = biases[i] = None  # each layer's lists go once copied
+    if not _all_finite(net.params):
+        raise ParseError("checkpoint holds non-finite values")
+    return net

@@ -93,7 +93,7 @@ def test_backprop_matches_finite_differences_on_random_nets():
             loss_of_net = lambda n: nncore.squared_error(nncore.forward(n, x), target)
             out, cache = nncore.forward_with_cache(net, x)
             grad_out = nncore.squared_error_grad(out, target)
-        gw, gb, _ = nncore.backward(net, cache, grad_out)
+        gw, gb = nncore.backward(net, cache, grad_out)
         nw, nb = nncore.numeric_gradients(net, loss_of_net)
         worst = max(worst, nncore.relative_error(gw, nw), nncore.relative_error(gb, nb))
     elapsed = time.time() - t0

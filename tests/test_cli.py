@@ -1,4 +1,6 @@
 """End-to-end tests for the command-line surface and the consultation REPL."""
+import re
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,18 @@ def test_eval_with_policy_lacking_meta_exits_1(workspace, tmp_path, capsys):
                 "--diag", str(diag), "--policy", str(broken),
                 "--out", str(tmp_path / "r.json")]) == 1
     assert "history_width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ['"x"', "NaN"])
+def test_eval_with_malformed_policy_weight_exits_1(workspace, tmp_path, capsys, value):
+    root, onto_dir, data, diag, policy = workspace
+    broken = tmp_path / "policy.json"
+    broken.write_text(re.sub(r'("weights":\[\[\[)[^,\]]+', r"\g<1>" + value,
+                             policy.read_text(), count=1))
+    assert run(["eval", "--ontology", str(onto_dir), "--data", str(data),
+                "--diag", str(diag), "--policy", str(broken),
+                "--out", str(tmp_path / "r.json")]) == 1
+    assert "checkpoint" in capsys.readouterr().err
 
 
 def test_train_diag_rejects_nan_lr(workspace, tmp_path):

@@ -179,7 +179,7 @@ def test_heldout_loss_decreases_over_first_epochs(toy, splits):
                         hidden=(64, 64), history_width=E)
     model = new_diagnosis_model(E, 7, train.disease_names, train.ontology_digest,
                                 hidden=(64, 64), seed=0)
-    adam = nncore.init_adam(nncore.net_params(model.net))
+    adam = nncore.init_adam(model.net.params)
     losses = []
     for epoch in range(cfg.epochs):
         train_epoch(model, small, cfg, epoch=epoch, adam=adam)

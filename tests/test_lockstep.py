@@ -168,7 +168,7 @@ def _random_heads(net, seed):
     """Untrained nets start with a zero output layer; randomize it so argmax
     and rankings depend on the input."""
     rng = np.random.default_rng(seed)
-    net.weights[-1] = rng.standard_normal(net.weights[-1].shape)
+    net.weights[-1][...] = rng.standard_normal(net.weights[-1].shape)
     return net
 
 

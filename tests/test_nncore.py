@@ -1,8 +1,14 @@
 """Gradient correctness against finite differences, Adam, checkpoints."""
+import copy
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from inquest.errors import ConfigError, NonFinite, ParseError, ShapeError
+from inquest.errors import ConfigError, InquestError, NonFinite, ParseError, ShapeError
 from inquest.nncore import (
     AdamState,
     DenseNet,
@@ -10,15 +16,14 @@ from inquest.nncore import (
     backward,
     cross_entropy,
     cross_entropy_grad,
-    flat_grads,
     forward,
     forward_with_cache,
     init_adam,
     init_dense,
     load_net,
     log_softmax,
-    net_params,
     numeric_gradients,
+    param_views,
     relative_error,
     save_net,
     softmax,
@@ -48,13 +53,58 @@ def randomized(net, seed):
     return net
 
 
+class ReferenceAdam:
+    def __init__(self, params):
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+
+def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-array Adam step that the flat in-place one replaced."""
+    state.t += 1
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if not np.all(np.isfinite(g)):
+            raise NonFinite("gradient contains non-finite values")
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**state.t)
+        v_hat = v / (1.0 - beta2**state.t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def reference_backward(weights, output_head, cache, grad_out):
+    """The allocating backward that the buffer-writing one replaced; it also
+    returns the input gradient."""
+    acts, pres = cache
+    g = np.asarray(grad_out, dtype=float)
+    if output_head == "scalar":
+        g = g.reshape(-1, 1)
+    n_layers = len(weights)
+    grads_w = [None] * n_layers
+    grads_b = [None] * n_layers
+    for i in range(n_layers - 1, -1, -1):
+        if i < n_layers - 1:
+            g = g * (pres[i] > 0.0)
+        grads_w[i] = acts[i].T @ g
+        grads_b[i] = g.sum(axis=0)
+        g = g @ weights[i].T
+    return grads_w, grads_b, g
+
+
+def same_bytes(xs, ys):
+    return [x.tobytes() for x in xs] == [y.tobytes() for y in ys]
+
+
 def test_backprop_matches_finite_differences_logits():
     net = randomized(init_dense((4, 8, 6, 3), seed=1), seed=2)
     x = sample_away_from_kinks(net, 5, seed=3)
     labels = np.array([0, 2, 1, 2, 0])
 
     logits, cache = forward_with_cache(net, x)
-    gw, gb, _ = backward(net, cache, cross_entropy_grad(logits, labels))
+    gw, gb = backward(net, cache, cross_entropy_grad(logits, labels))
     nw, nb = numeric_gradients(net, lambda p: cross_entropy(forward(p, x), labels))
     assert relative_error(gw, nw) < 1e-6
     assert relative_error(gb, nb) < 1e-6
@@ -67,30 +117,10 @@ def test_backprop_matches_finite_differences_scalar():
 
     pred, cache = forward_with_cache(net, x)
     assert pred.shape == (6,)
-    gw, gb, _ = backward(net, cache, squared_error_grad(pred, target))
+    gw, gb = backward(net, cache, squared_error_grad(pred, target))
     nw, nb = numeric_gradients(net, lambda p: squared_error(forward(p, x), target))
     assert relative_error(gw, nw) < 1e-6
     assert relative_error(gb, nb) < 1e-6
-
-
-def test_input_gradient_matches_finite_differences():
-    net = randomized(init_dense((3, 6, 2), seed=8), seed=9)
-    x = sample_away_from_kinks(net, 4, seed=10)
-    labels = np.array([1, 0, 1, 0])
-
-    logits, cache = forward_with_cache(net, x)
-    _, _, gx = backward(net, cache, cross_entropy_grad(logits, labels))
-
-    eps = 1e-6
-    num = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        for j in range(x.shape[1]):
-            for sign in (1.0, -1.0):
-                xp = x.copy()
-                xp[i, j] += sign * eps
-                num[i, j] += sign * cross_entropy(forward(net, xp), labels)
-    num /= 2 * eps
-    assert relative_error([gx], [num]) < 1e-6
 
 
 def test_single_linear_layer_closed_form():
@@ -99,7 +129,7 @@ def test_single_linear_layer_closed_form():
     x = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]])
     y = np.array([1.0, -2.0, 0.25])
     pred, cache = forward_with_cache(net, x)
-    gw, gb, _ = backward(net, cache, squared_error_grad(pred, y))
+    gw, gb = backward(net, cache, squared_error_grad(pred, y))
     r = (pred - y) / len(y)
     assert np.allclose(gw[0], x.T @ r.reshape(-1, 1), atol=1e-14)
     assert np.allclose(gb[0], r.sum(), atol=1e-14)
@@ -128,8 +158,8 @@ def test_he_uniform_bounds_and_determinism():
 def test_adam_single_step_closed_form():
     p = np.array([1.0])
     g = np.array([0.3])
-    state = init_adam([p])
-    adam_step([p], [g], state, lr=0.1)
+    state = init_adam(p)
+    adam_step(p, g, state, lr=0.1)
     # After one bias-corrected step the update is lr * g / (|g| + eps).
     assert p[0] == pytest.approx(1.0 - 0.1 * 0.3 / (0.3 + 1e-8), abs=1e-14)
     assert state.t == 1
@@ -137,17 +167,91 @@ def test_adam_single_step_closed_form():
 
 def test_adam_converges_on_quadratic():
     p = np.array([5.0, -3.0])
-    state = init_adam([p])
+    state = init_adam(p)
     for _ in range(2000):
-        adam_step([p], [p.copy()], state, lr=0.05)
+        adam_step(p, p.copy(), state, lr=0.05)
     assert np.abs(p).max() < 1e-3
 
 
 def test_adam_rejects_nonfinite_gradient():
     p = np.array([1.0])
-    state = init_adam([p])
+    state = init_adam(p)
     with pytest.raises(NonFinite):
-        adam_step([p], [np.array([np.nan])], state, lr=0.1)
+        adam_step(p, np.array([np.nan]), state, lr=0.1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+    scalar=st.booleans(),
+    rows=st.integers(1, 5),
+    chunk=st.integers(1, 64),
+    lr=st.sampled_from([0.0, 1e-3, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_backward_and_adam_match_per_array_reference(dims, scalar, rows, chunk, lr, seed):
+    head = "scalar" if scalar else "logits"
+    if scalar:
+        dims[-1] = 1
+    net = randomized(init_dense(dims, head, seed=seed % 997, zero_output=False), seed)
+    ref_params = [a.copy() for a in net.weights + net.biases]
+    ref = ReferenceAdam(ref_params)
+    state = init_adam(net.params)
+    # A small scratch puts chunk boundaries inside and between layers.
+    state.scratch = np.empty((2, min(chunk, net.params.size)))
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        out, cache = forward_with_cache(net, rng.normal(size=(rows, dims[0])))
+        grad_out = rng.normal(size=out.shape)
+        gw, gb = backward(net, cache, grad_out, state.grad)
+        rw, rb, _ = reference_backward(ref_params[: net.n_layers], head, cache, grad_out)
+        assert same_bytes(gw + gb, rw + rb)
+        adam_step(net.params, state.grad, state, lr)
+        reference_adam_step(ref_params, rw + rb, ref, lr)
+        assert same_bytes(net.weights + net.biases, ref_params)
+        for moment, ref_moment in ((state.m, ref.m), (state.v, ref.v)):
+            mw, mb = param_views(net.layer_dims, moment)
+            assert same_bytes(mw + mb, ref_moment)
+        assert state.t == ref.t
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_rejects_nonfinite_gradient_before_writing_anything(bad):
+    net = randomized(init_dense((4, 5, 3), seed=1), seed=2)
+    state = init_adam(net.params)
+    state.grad[:] = np.random.default_rng(3).normal(size=state.grad.shape)
+    adam_step(net.params, state.grad, state, lr=0.1)
+    before = [a.copy() for a in (net.params, state.m, state.v)]
+    state.grad[-1] = bad  # the last bias gradient, checked last per array before
+    with pytest.raises(NonFinite):
+        adam_step(net.params, state.grad, state, lr=0.1)
+    assert same_bytes([net.params, state.m, state.v], before)
+    assert state.t == 1
+
+
+def test_adam_step_allocates_almost_nothing():
+    net = init_dense((334, 256, 256, 20), seed=0)  # the ranker's shape
+    state = init_adam(net.params)
+    state.grad[:] = np.random.default_rng(0).normal(size=state.grad.shape)
+    adam_step(net.params, state.grad, state, lr=1e-3)
+    tracemalloc.start()
+    try:
+        adam_step(net.params, state.grad, state, lr=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * net.params.nbytes
+
+
+def test_copies_and_loaded_nets_keep_views_into_their_own_buffer(tmp_path):
+    net = randomized(init_dense((4, 6, 3), seed=3), seed=4)
+    save_net(net, tmp_path / "net.json")
+    for other in (copy.deepcopy(net), load_net(tmp_path / "net.json")):
+        assert other.params.tobytes() == net.params.tobytes()
+        assert not np.shares_memory(other.params, net.params)
+        other.params[:] = 0.0
+        assert all((a == 0.0).all() for a in other.weights + other.biases)
+        assert (net.params != 0.0).any()
 
 
 def test_softmax_is_stable_and_normalized():
@@ -207,6 +311,93 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_net(path)
 
 
+def test_save_net_writes_the_one_shot_encoding(tmp_path):
+    net = randomized(init_dense((5, 4, 3), seed=7), seed=8)
+    net.meta = {"kind": "x", "names": ["\u00e9t\u00e9", "b"], "nested": {"z": 1, "a": [0.5, 2]}}
+    payload = {
+        "layer_dims": list(net.layer_dims),
+        "hidden_activation": net.hidden_activation,
+        "output_head": net.output_head,
+        "weights": [w.tolist() for w in net.weights],
+        "biases": [b.tolist() for b in net.biases],
+        "meta": net.meta,
+    }
+    save_net(net, tmp_path / "net.json")
+    want = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    assert (tmp_path / "net.json").read_text(encoding="utf-8") == want
+
+
+def _edit_weight(payload, value):
+    payload["weights"][0][0][0] = value
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda p: _edit_weight(p, "x"), id="string-weight"),
+    pytest.param(lambda p: _edit_weight(p, None), id="null-weight"),
+    pytest.param(lambda p: _edit_weight(p, [1.0]), id="nested-weight"),
+    pytest.param(lambda p: p["weights"][0].__setitem__(0, p["weights"][0][0][:-1]), id="ragged-row"),
+    pytest.param(lambda p: _edit_weight(p, float("nan")), id="nan-literal"),
+    pytest.param(lambda p: p["biases"][1].__setitem__(0, float("inf")), id="infinity-literal"),
+    pytest.param(lambda p: p.__setitem__("hidden_activation", "tanh"), id="tanh"),
+    pytest.param(lambda p: p.__setitem__("output_head", "scalar"), id="scalar-head-on-2-units"),
+    pytest.param(lambda p: p.__setitem__("layer_dims", [3.0, 4, 2]), id="float-layer-dims"),
+    pytest.param(lambda p: p.__setitem__("layer_dims", [3, True, 2]), id="bool-layer-dims"),
+    pytest.param(lambda p: p.__setitem__("weights", {}), id="weights-not-a-list"),
+])
+def test_load_net_rejects_malformed_checkpoints(tmp_path, edit):
+    path = tmp_path / "net.json"
+    save_net(init_dense((3, 4, 2), seed=0), path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError):
+        load_net(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_net_fuzz_raises_only_inquest_errors(fuzz_dir, data):
+    kind = data.draw(st.sampled_from(["bytes", "json", "edit"]))
+    if kind == "bytes":
+        blob = data.draw(st.binary(max_size=200))
+    elif kind == "json":
+        blob = json.dumps(data.draw(JSON_VALUES)).encode()
+    else:
+        net = init_dense((3, 4, 2), seed=0, zero_output=False)
+        payload = {
+            "layer_dims": list(net.layer_dims), "hidden_activation": net.hidden_activation,
+            "output_head": net.output_head, "weights": [w.tolist() for w in net.weights],
+            "biases": [b.tolist() for b in net.biases], "meta": {"kind": "diagnosis"},
+        }
+        node, key = payload, data.draw(st.sampled_from(sorted(payload)))
+        while isinstance(node[key], list) and node[key] and data.draw(st.booleans()):
+            node, key = node[key], data.draw(st.integers(0, len(node[key]) - 1))
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUES)
+        blob = json.dumps(payload).encode()
+    path = fuzz_dir / "net.json"
+    path.write_bytes(blob)
+    try:
+        net = load_net(path)
+    except InquestError:
+        return
+    assert net.params.size == sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+
+
 def test_checkpoint_rejects_shape_mismatch(tmp_path):
     net = init_dense((3, 2), seed=0)
     path = tmp_path / "net.json"
@@ -224,13 +415,13 @@ def test_training_reduces_loss_deterministically():
 
     def run():
         net = init_dense((6, 16, 2), seed=5)
-        state = init_adam(net_params(net))
+        state = init_adam(net.params)
         losses = []
         for _ in range(120):
             logits, cache = forward_with_cache(net, x)
             losses.append(cross_entropy(logits, labels))
-            gw, gb, _ = backward(net, cache, cross_entropy_grad(logits, labels))
-            adam_step(net_params(net), flat_grads(gw, gb), state, lr=1e-2)
+            backward(net, cache, cross_entropy_grad(logits, labels), state.grad)
+            adam_step(net.params, state.grad, state, lr=1e-2)
         return net, losses
 
     net_a, losses_a = run()
@@ -244,6 +435,11 @@ def test_save_net_refuses_non_finite_values(tmp_path):
     net = init_dense([3, 2], seed=0)
     net.weights[0][0, 0] = np.nan
     path = tmp_path / "net.json"
+    with pytest.raises(NonFinite):
+        save_net(net, path)
+    assert not path.exists()
+    net = init_dense([3, 2], seed=0)
+    net.meta = {"scale": float("inf")}
     with pytest.raises(NonFinite):
         save_net(net, path)
     assert not path.exists()
