@@ -52,8 +52,8 @@ class SlTrainConfig:
     def validate(self) -> None:
         if not (0.0 <= self.hide_lo <= self.hide_hi <= 1.0):
             raise DomainError("hide-rate range must satisfy 0 <= lo <= hi <= 1")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise DomainError("epochs must be >= 0 and batch_size >= 1")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise DomainError("epochs and batch_size must be >= 1")
         # lr = 0 is allowed: it trains nothing, which freezes the parameters.
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise DomainError(f"lr must be finite and >= 0, got {self.lr}")
@@ -225,14 +225,13 @@ def top1_accuracy(model: DiagnosisModel, dataset: PatientDataset) -> float:
 
 
 def save_diagnosis(model: DiagnosisModel, path: str | Path) -> None:
-    model.net.meta = {
+    nncore.save_net(model.net, path, {
         "kind": "diagnosis",
         "history_width": model.history_width,
         "n_elements": model.n_elements,
         "disease_names": list(model.disease_names),
         "ontology_digest": model.ontology_digest,
-    }
-    nncore.save_net(model.net, path)
+    })
 
 
 def load_diagnosis(path: str | Path) -> DiagnosisModel:

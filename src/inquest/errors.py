@@ -37,10 +37,6 @@ class ShapeError(InquestError):
     """Array dimensions do not match the declared model geometry."""
 
 
-class StateError(InquestError):
-    """An operation ran without its required prior state (e.g. backward without cache)."""
-
-
 class DomainError(InquestError):
     """A value falls outside its declared domain (e.g. ternary entry not in {0,1,2})."""
 

@@ -30,6 +30,7 @@ from .errors import (
     DigestMismatch,
     EmptyInput,
     IoError,
+    NonFinite,
     PairingError,
     ParseError,
 )
@@ -400,15 +401,19 @@ def _report_payload(report: EvalReport) -> dict:
 
 
 def emit_report(report: EvalReport, path: str | Path, format: str = "json") -> None:
-    """Write the report as JSON (lossless) or two-column CSV rows."""
+    """Write the report as JSON (lossless) or two-column CSV rows. A
+    non-finite value raises NonFinite before the file is created."""
     if format not in ("json", "csv"):
         raise ConfigError(f"unknown report format {format!r}")
     payload = _report_payload(report)
+    try:  # the CSV rows come from the same payload, so this checks both formats
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NonFinite("report holds non-finite values; nothing written") from None
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             if format == "json":
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(text)
             else:
                 fh.write("metric,value\n")
                 for k, v in payload["recall_at_k"].items():
@@ -449,27 +454,31 @@ def load_report(path: str | Path) -> EvalReport:
 
 
 def save_traces(traces, path: str | Path) -> None:
-    """JSON-lines dump, one consultation per line."""
+    """JSON-lines dump, one consultation per line. A non-finite value raises
+    NonFinite before the file is created."""
+    try:
+        lines = [
+            json.dumps(
+                {
+                    "patient_id": t.patient_id,
+                    "rounds": [[q, [[e, s] for e, s in revealed]] for q, revealed in t.rounds],
+                    "final_observation": [int(v) for v in t.final_observation],
+                    "ranking": list(t.ranking),
+                    "true_label": t.true_label,
+                    "horizon": t.horizon,
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+                allow_nan=False,
+            )
+            + "\n"
+            for t in traces
+        ]
+    except ValueError:
+        raise NonFinite("traces hold non-finite values; nothing written") from None
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for t in traces:
-                fh.write(
-                    json.dumps(
-                        {
-                            "patient_id": t.patient_id,
-                            "rounds": [
-                                [q, [[e, s] for e, s in revealed]] for q, revealed in t.rounds
-                            ],
-                            "final_observation": [int(v) for v in t.final_observation],
-                            "ranking": list(t.ranking),
-                            "true_label": t.true_label,
-                            "horizon": t.horizon,
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+            fh.writelines(lines)
     except OSError as exc:
         raise IoError(f"cannot write traces to {path}: {exc}") from exc
 

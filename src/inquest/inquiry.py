@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     EmptyDataset,
     NoLegalAction,
+    NonFinite,
     ParseError,
     ShapeError,
 )
@@ -93,8 +94,10 @@ class PpoConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.clip_eps <= 0:
-            raise DomainError("clip_eps must be positive")
+        if self.iterations < 1:
+            raise DomainError("iterations must be >= 1")
+        if not (np.isfinite(self.clip_eps) and self.clip_eps > 0):
+            raise DomainError(f"clip_eps must be finite and positive, got {self.clip_eps}")
         if not 0.0 < self.gamma <= 1.0:
             raise DomainError("gamma must lie in (0, 1]")
         if not 0.0 <= self.lam_gae <= 1.0:
@@ -550,7 +553,12 @@ def train_inquiry(
 
 
 def write_training_log(rows: list[IterStats], path: str | Path) -> None:
-    """CSV log, one row per iteration."""
+    """CSV log, one row per iteration. A non-finite value raises NonFinite
+    before the file is created."""
+    stats = [(r.mean_reward, r.mean_len, r.policy_loss, r.value_loss, r.clip_frac, r.entropy)
+             for r in rows]
+    if not np.isfinite(np.array(stats, dtype=float)).all():
+        raise NonFinite("training log holds non-finite values; nothing written")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -558,18 +566,8 @@ def write_training_log(rows: list[IterStats], path: str | Path) -> None:
         writer.writerow(
             ["iter", "mean_reward", "mean_len", "policy_loss", "value_loss", "clip_frac", "entropy"]
         )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.iteration,
-                    f"{r.mean_reward:.6f}",
-                    f"{r.mean_len:.6f}",
-                    f"{r.policy_loss:.6f}",
-                    f"{r.value_loss:.6f}",
-                    f"{r.clip_frac:.6f}",
-                    f"{r.entropy:.6f}",
-                ]
-            )
+        for r, values in zip(rows, stats):
+            writer.writerow([r.iteration] + [f"{v:.6f}" for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +598,7 @@ def save_policy(
             "p1p": disclosure.p1p, "p1n": disclosure.p1n,
             "p2p": disclosure.p2p, "p2n": disclosure.p2n,
         }
-    policy.net.meta = meta
-    nncore.save_net(policy.net, path)
+    nncore.save_net(policy.net, path, meta)
 
 
 def load_policy(path: str | Path) -> InquiryPolicy:
@@ -618,13 +615,12 @@ def load_policy(path: str | Path) -> InquiryPolicy:
 
 
 def save_value(value: ValueNet, path: str | Path) -> None:
-    value.net.meta = {
+    nncore.save_net(value.net, path, {
         "kind": "inquiry-value",
         "history_width": value.history_width,
         "n_elements": value.n_elements,
         "ontology_digest": value.ontology_digest,
-    }
-    nncore.save_net(value.net, path)
+    })
 
 
 def load_value(path: str | Path) -> ValueNet:

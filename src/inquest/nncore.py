@@ -13,10 +13,17 @@ updates and ``save_net`` checks. A net holds no gradient. A gradient is a
 second buffer with the same layout (``param_views``): a training run keeps
 one in its ``AdamState``, so it lives exactly as long as the run, and a
 loaded, inference-only net carries its parameters alone.
+
+Checkpoints: ``save_net`` writes one JSON header line and then the body, the
+raw little-endian float64 bytes of ``net.params``. The header's fields are
+``kind`` (always ``"dense-net"``), ``meta`` (the caller's JSON object),
+``layer_dims``, ``hidden_activation``, ``output_head``, ``dtype`` (``"<f8"``),
+``nbytes`` and the ``sha256`` of the body; ``load_net`` checks every one.
 """
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +50,13 @@ BLOCK_ROWS = 8
 # gradient, moments and two scratch rows stay in cache across the update's
 # fourteen passes.
 ADAM_CHUNK = 1 << 15
+
+# Checkpoint header: ``kind`` names the file type, ``dtype`` the body's
+# element type (the only one written or read).
+CHECKPOINT_KIND = "dense-net"
+DTYPE = "<f8"
+HEADER_FIELDS = ("kind", "meta", "layer_dims", "hidden_activation", "output_head",
+                 "dtype", "nbytes", "sha256")
 
 
 def n_params(layer_dims) -> int:
@@ -365,41 +379,31 @@ def relative_error(a, b, floor: float = 1e-8) -> float:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+def save_net(net: DenseNet, path: str | Path, meta: dict | None = None) -> None:
+    """Write a checkpoint; byte-identical for identical nets and meta.
 
-
-def _write_arrays(fh, arrays) -> None:
-    for i, a in enumerate(arrays):
-        fh.write(("," if i else "") + _dumps(a.tolist()))
-
-
-def save_net(net: DenseNet, path: str | Path) -> None:
-    """JSON checkpoint; byte-identical for identical nets.
-
-    The bytes are those of ``_dumps`` of the whole payload (keys sorted), but
-    each array is encoded and written on its own, so the text of at most one
-    array is in memory at a time. Non-finite values raise NonFinite before
-    the file is created.
+    ``meta`` defaults to ``net.meta``. The file is one JSON header line
+    (keys sorted) and then the raw bytes of ``net.params``. Non-finite
+    parameters or meta raise NonFinite before the file is created.
     """
     if not _all_finite(net.params):
         raise NonFinite("checkpoint holds non-finite values; nothing written")
+    body = net.params.astype(DTYPE, copy=False).tobytes()
+    header = {
+        "kind": CHECKPOINT_KIND, "meta": net.meta if meta is None else meta,
+        "layer_dims": list(net.layer_dims), "hidden_activation": net.hidden_activation,
+        "output_head": net.output_head, "dtype": DTYPE, "nbytes": len(body),
+        "sha256": hashlib.sha256(body).hexdigest(),
+    }
     try:
-        meta = _dumps(net.meta)
+        line = json.dumps(header, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError:
         raise NonFinite("checkpoint meta holds non-finite values; nothing written") from None
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"biases":[')
-        _write_arrays(fh, net.biases)
-        fh.write(
-            f'],"hidden_activation":{_dumps(net.hidden_activation)}'
-            f',"layer_dims":{_dumps(list(net.layer_dims))},"meta":{meta}'
-            f',"output_head":{_dumps(net.output_head)},"weights":['
-        )
-        _write_arrays(fh, net.weights)
-        fh.write("]}\n")
+    with open(path, "wb") as fh:
+        fh.write(line.encode("ascii") + b"\n")
+        fh.write(body)
 
 
 def checkpoint_meta(net: DenseNet, kind: str, what: str, fields: dict) -> dict:
@@ -407,71 +411,58 @@ def checkpoint_meta(net: DenseNet, kind: str, what: str, fields: dict) -> dict:
     its converter (``int``, ``str``, ...). Raises ParseError, naming ``what``
     the checkpoint should hold, when the kind differs or a key is missing or
     malformed."""
-    meta = net.meta if isinstance(net.meta, dict) else {}
-    if meta.get("kind") != kind:
+    if net.meta.get("kind") != kind:
         raise ParseError(f"checkpoint is not {what}")
     out = {}
     for key, convert in fields.items():
-        if key not in meta:
+        if key not in net.meta:
             raise ParseError(f"{kind} checkpoint meta lacks {key!r}")
         try:
-            out[key] = convert(meta[key])
+            out[key] = convert(net.meta[key])
         except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{kind} checkpoint meta has a malformed {key!r}") from None
     return out
 
 
-def _is_list_of(x, n: int) -> bool:
-    return isinstance(x, list) and len(x) == n
-
-
-def _numeric(values: list, shape: tuple, layer: int) -> np.ndarray:
-    try:
-        a = np.array(values)
-    except ValueError:  # rows nested to different depths
-        a = None
-    if a is None or a.dtype.kind not in "if" or a.shape != shape:
-        raise ParseError(f"checkpoint layer {layer} holds a non-numeric value")
-    return a
-
-
 def load_net(path: str | Path) -> DenseNet:
-    """Read a ``save_net`` checkpoint. A file that is not one (malformed
-    JSON, a missing field, layer_dims that are not integers, an unsupported
-    activation or head, a wrong shape, a non-numeric or non-finite value)
-    raises ParseError."""
+    """Read a ``save_net`` checkpoint. A file that is not one (a header that
+    is not a JSON object with every field, another kind, layer_dims that are
+    not integers, an unsupported activation, head or dtype, a body whose
+    length or sha256 differs from the header's, a non-finite value) raises
+    ParseError."""
+    blob = Path(path).read_bytes()
+    end = blob.find(b"\n")
+    if end < 0:
+        raise ParseError("malformed checkpoint: no header line")
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        header = json.loads(blob[:end])
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; deep nesting
-        raise ParseError(f"malformed checkpoint: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ParseError("malformed checkpoint: not a JSON object")
-    for key in ("layer_dims", "hidden_activation", "output_head", "weights", "biases"):
-        if key not in payload:
-            raise ParseError(f"checkpoint missing field {key!r}")
-    dims = payload["layer_dims"]
+        raise ParseError(f"malformed checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ParseError("malformed checkpoint: header is not a JSON object")
+    for key in HEADER_FIELDS:
+        if key not in header:
+            raise ParseError(f"checkpoint header missing field {key!r}")
+    if header["kind"] != CHECKPOINT_KIND:
+        raise ParseError(f"checkpoint kind is not {CHECKPOINT_KIND!r}")
+    dims = header["layer_dims"]
     if not isinstance(dims, list) or any(type(d) is not int for d in dims):
         raise ParseError("checkpoint layer_dims must be a list of integers")
     dims = tuple(dims)
-    problem = _spec_problem(dims, payload["hidden_activation"], payload["output_head"])
+    problem = _spec_problem(dims, header["hidden_activation"], header["output_head"])
     if problem:
         raise ParseError(f"checkpoint: {problem}")
-    weights, biases = payload["weights"], payload["biases"]
-    if not (_is_list_of(weights, len(dims) - 1) and _is_list_of(biases, len(dims) - 1)):
-        raise ParseError("checkpoint layer count does not match layer_dims")
-    # Checking every row's length first bounds the buffer by the file's size.
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if not (_is_list_of(w, dims[i]) and _is_list_of(b, dims[i + 1])
-                and all(_is_list_of(row, dims[i + 1]) for row in w)):
-            raise ParseError(f"checkpoint layer {i} has wrong shape")
-    net = DenseNet(
-        dims, payload["hidden_activation"], payload["output_head"], np.empty(n_params(dims)),
-        payload.get("meta", {}),
-    )
-    for i, views in enumerate(zip(net.weights, net.biases)):
-        for view, values in zip(views, (weights[i], biases[i])):
-            view[...] = _numeric(values, view.shape, i)
-        weights[i] = biases[i] = None  # each layer's lists go once copied
-    if not _all_finite(net.params):
+    if header["dtype"] != DTYPE:
+        raise ParseError(f"checkpoint dtype must be {DTYPE!r}")
+    if not isinstance(header["meta"], dict):
+        raise ParseError("checkpoint meta must be a JSON object")
+    body = memoryview(blob)[end + 1 :]
+    if not len(body) == header["nbytes"] == 8 * n_params(dims):
+        raise ParseError(f"checkpoint body of {len(body)} bytes does not match the layer shapes")
+    if hashlib.sha256(body).hexdigest() != header["sha256"]:
+        raise ParseError("checkpoint body does not match its sha256")
+    params = np.frombuffer(body, dtype=DTYPE).astype(np.float64)
+    if not _all_finite(params):
         raise ParseError("checkpoint holds non-finite values")
-    return net
+    return DenseNet(dims, header["hidden_activation"], header["output_head"], params,
+                    header["meta"])

@@ -22,6 +22,7 @@ from .errors import (
     DigestMismatch,
     EmptyDataset,
     InconsistentEvidence,
+    NonFinite,
     ParseError,
     ValidationError,
 )
@@ -655,10 +656,14 @@ def _header_path(path: Path) -> Path:
     return path.with_name(path.stem + ".header.json")
 
 
+def _json_line(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
 def save_dataset(dataset: PatientDataset, path: str | Path) -> None:
-    """Write records as JSON-lines plus a ``*.header.json`` sidecar; lossless."""
+    """Write records as JSON-lines plus a ``*.header.json`` sidecar; lossless.
+    A non-finite value raises NonFinite before either file is created."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "D": dataset.n_diseases,
         "M": dataset.m,
@@ -666,19 +671,26 @@ def save_dataset(dataset: PatientDataset, path: str | Path) -> None:
         "genmodel_digest": dataset.genmodel_digest,
         "ontology_digest": dataset.ontology_digest,
     }
-    with open(_header_path(path), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in dataset.records:
-            row = {
+    try:
+        head = _json_line(header)
+        lines = [
+            _json_line({
                 "id": r.id,
                 "age": r.age,
                 "sex": r.sex,
                 "prior_flags": list(r.prior_flags),
                 "hpi": [int(v) for v in r.hpi],
                 "label": r.label,
-            }
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+            })
+            for r in dataset.records
+        ]
+    except ValueError:
+        raise NonFinite("dataset holds non-finite values; nothing written") from None
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(_header_path(path), "w", encoding="utf-8") as fh:
+        fh.write(head)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 def load_dataset(path: str | Path, ontology: HpiOntology | None = None) -> PatientDataset:

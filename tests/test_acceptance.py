@@ -321,18 +321,40 @@ def test_cli_pipeline_is_byte_identical_across_runs(tmp_path):
 CLI_GOLDEN = {
     "cohort.jsonl": "cc4840ef115a8832b6fa1e9c382b881e48de5aed0bdb3d2d1b5eaf177e445992",
     "cohort.header.json": "064e4e8424d9521be0052ca80335b522e972384914f784d4f0ba520ec89f4b90",
-    "diag.json": "efe0742e80711f6452e11b20ef7dab2abbda0ed202912b815b169eaffff636a2",
-    "policy.json": "d40a1135e806951e4e5449592a25f5f742fe2a594b041d1290f2a19a619219a4",
-    "value.json": "19786bcf8dd1868d049288d2770f3414084cbd12f95fe7c98bbd8a227e7eec02",
+    "diag.json": "173f9210e4087c5dc08d6074612f68b63f0d6cf0899d33ca7259032fe37b5d47",
+    "policy.json": "6c281b3b34ca20cab016bf28f1da419cc00cf8b82d32437a3559b7d7ec0918a5",
+    "value.json": "eeadefc4b05698a6e6e1ace2a2dbdf41e1014705ebf51f375b3d515dc431c4e4",
     "train.csv": "91710ff3cbb881328497cd04cde58f460360164b3bda9a29fdd8936c262cf4ea",
     "report.json": "dc81847b2a3ad5f8cb2186d39842c4554017c667221bea6d6891eaa62f5ab836",
     "traces.jsonl": "deff80957ae71126bd48a5ee8320de828c418736c76c3ecdb7790c83ff7dc1a6",
 }
 
+# sha256 of ``load_net(p).params.tobytes()`` for the three checkpoints. These
+# values were computed from the JSON-text checkpoints that preceded the
+# binary body, so they hold the trained parameters fixed across a change of
+# file format.
+CLI_PARAMS_GOLDEN = {
+    "diag.json": "ebe996788be797d90faa08807bbd0f6587b726140b594d26fc63e17aa923d2c8",
+    "policy.json": "0bb11a6d440854c520ce34fe4ab60d184103284c3177296ca9d276b99479278d",
+    "value.json": "76cdab18e7bd8cca63e71db125294456684c63d928d06107d8da687d846bf882",
+}
 
-def test_cli_pipeline_matches_golden_digests(tmp_path):
-    artifacts = _cli_pipeline(tmp_path / "run")
+
+@pytest.fixture(scope="module")
+def cli_artifacts(tmp_path_factory):
+    return _cli_pipeline(tmp_path_factory.mktemp("cli") / "run")
+
+
+def test_cli_pipeline_matches_golden_digests(cli_artifacts):
+    artifacts = cli_artifacts
     got = {a.name: hashlib.sha256(a.read_bytes()).hexdigest() for a in artifacts}
     moved = sorted(name for name in CLI_GOLDEN if got[name] != CLI_GOLDEN[name])
     assert not moved, f"artifacts differ from the pinned reference: {moved}"
     _line(f"{len(artifacts)} artifacts match their pinned sha256")
+
+
+def test_cli_checkpoints_load_to_pinned_parameter_bytes(cli_artifacts):
+    got = {a.name: hashlib.sha256(nncore.load_net(a).params.tobytes()).hexdigest()
+           for a in cli_artifacts if a.name in CLI_PARAMS_GOLDEN}
+    assert got == CLI_PARAMS_GOLDEN
+    _line(f"{len(got)} checkpoints load to their pinned parameter bytes")

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line surface and the consultation REPL."""
-import re
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -355,7 +356,8 @@ def test_train_diag_on_record_missing_label_exits_1(workspace, tmp_path, capsys)
 def test_eval_with_policy_lacking_meta_exits_1(workspace, tmp_path, capsys):
     root, onto_dir, data, diag, policy = workspace
     broken = tmp_path / "policy.json"
-    broken.write_text(policy.read_text().replace('"history_width"', '"width"'))
+    head, body = policy.read_bytes().split(b"\n", 1)
+    broken.write_bytes(head.replace(b'"history_width"', b'"width"') + b"\n" + body)
     assert run(["eval", "--ontology", str(onto_dir), "--data", str(data),
                 "--diag", str(diag), "--policy", str(broken),
                 "--out", str(tmp_path / "r.json")]) == 1
@@ -364,10 +366,18 @@ def test_eval_with_policy_lacking_meta_exits_1(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ['"x"', "NaN"])
 def test_eval_with_malformed_policy_weight_exits_1(workspace, tmp_path, capsys, value):
+    """'"x"' writes text over the first weight and leaves the header's sha256
+    stale; NaN stores a NaN there under a matching sha256."""
     root, onto_dir, data, diag, policy = workspace
+    head, body = policy.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    if value == "NaN":
+        body = np.float64("nan").tobytes() + body[8:]
+        header["sha256"] = hashlib.sha256(body).hexdigest()
+    else:
+        body = value.encode().ljust(8) + body[8:]
     broken = tmp_path / "policy.json"
-    broken.write_text(re.sub(r'("weights":\[\[\[)[^,\]]+', r"\g<1>" + value,
-                             policy.read_text(), count=1))
+    broken.write_bytes(json.dumps(header).encode() + b"\n" + body)
     assert run(["eval", "--ontology", str(onto_dir), "--data", str(data),
                 "--diag", str(diag), "--policy", str(broken),
                 "--out", str(tmp_path / "r.json")]) == 1
@@ -380,6 +390,34 @@ def test_train_diag_rejects_nan_lr(workspace, tmp_path):
     assert run(["train-diag", "--ontology", str(onto_dir), "--data", str(data),
                 "--out", str(out), "--epochs", "1", "--lr", "nan", "--quiet"]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_train_diag_rejects_epochs_below_one(workspace, tmp_path, value):
+    root, onto_dir, data, diag, policy = workspace
+    out = tmp_path / "d.json"
+    assert run(["train-diag", "--ontology", str(onto_dir), "--data", str(data),
+                "--out", str(out), "--epochs", value, "--quiet"]) == 1
+    assert not out.exists()
+
+
+def _train_inquiry_writes_nothing(workspace, tmp_path, *flags) -> bool:
+    root, onto_dir, data, diag, policy = workspace
+    outs = [tmp_path / "p.json", tmp_path / "v.json", tmp_path / "train.csv"]
+    code = run(["train-inquiry", "--ontology", str(onto_dir), "--data", str(data),
+                "--diag", str(diag), "--out", str(outs[0]), "--value-out", str(outs[1]),
+                "--log", str(outs[2]), "--episodes", "2", "--hidden", "8", "--quiet", *flags])
+    return code == 1 and not any(p.exists() for p in outs)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_train_inquiry_rejects_iterations_below_one(workspace, tmp_path, value):
+    assert _train_inquiry_writes_nothing(workspace, tmp_path, "--iterations", value)
+
+
+def test_train_inquiry_rejects_nan_clip_range(workspace, tmp_path):
+    assert _train_inquiry_writes_nothing(workspace, tmp_path, "--iterations", "1",
+                                         "--clip-eps", "nan")
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -244,6 +244,7 @@ def test_checkpoint_round_trip(tmp_path, toy, trained):
     model, _ = trained
     path = tmp_path / "diag.json"
     save_diagnosis(model, path)
+    assert model.net.meta == {}
     again = load_diagnosis(path)
     assert again.disease_names == model.disease_names
     assert again.ontology_digest == model.ontology_digest
@@ -265,8 +266,8 @@ def test_checkpoint_width_guard(tmp_path, toy):
     model = fresh_model(toy)
     path = tmp_path / "diag.json"
     save_diagnosis(model, path)
-    blob = path.read_text().replace('"n_elements":7', '"n_elements":8')
-    path.write_text(blob)
+    head, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(head.replace(b'"n_elements":7', b'"n_elements":8') + b"\n" + body)
     with pytest.raises(ParseError, match="width"):
         load_diagnosis(path)
 
@@ -277,10 +278,17 @@ def test_checkpoint_missing_meta_raises_parse_error(tmp_path, toy, key):
     model = fresh_model(toy)
     path = tmp_path / "diag.json"
     save_diagnosis(model, path)
-    del model.net.meta[key]
-    nncore.save_net(model.net, path)
+    net = nncore.load_net(path)
+    del net.meta[key]
+    nncore.save_net(net, path)
     with pytest.raises(ParseError, match=key):
         load_diagnosis(path)
+
+
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_sl_config_rejects_epochs_below_one(epochs):
+    with pytest.raises(DomainError, match="epochs"):
+        SlTrainConfig(epochs=epochs).validate()
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])

@@ -1,4 +1,6 @@
 """Tests for consultation evaluation: traces, recall, rediscovery, reports."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from inquest.errors import (
     DigestMismatch,
     EmptyInput,
     IoError,
+    NonFinite,
     PairingError,
     ParseError,
 )
@@ -374,6 +377,17 @@ def test_report_json_round_trip(tmp_path, toy_setup):
     assert loaded.config_digest == report.config_digest
 
 
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_report_refuses_non_finite_values(tmp_path, toy_setup, format):
+    onto, ds, diag = toy_setup
+    report, _ = evaluate(baseline_policy(RANDOM_LEGAL), diag, ds, onto, seed=1)
+    report.recall_at_k[1] = float("nan")
+    path = tmp_path / f"report.{format}"
+    with pytest.raises(NonFinite):
+        emit_report(report, path, format)
+    assert not path.exists()
+
+
 def test_report_csv_rows(tmp_path, toy_setup):
     onto, ds, diag = toy_setup
     report, _ = evaluate(baseline_policy(RANDOM_LEGAL), diag, ds, onto, seed=1)
@@ -426,6 +440,16 @@ def test_trace_jsonl_round_trip(tmp_path, toy_setup):
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_traces(path)
+
+
+def test_save_traces_refuses_non_finite_values(tmp_path, toy_setup):
+    onto, ds, diag = toy_setup
+    _, traces = evaluate(baseline_policy(RANDOM_LEGAL), diag, ds, onto, seed=3)
+    traces[-1] = dataclasses.replace(traces[-1], horizon=float("inf"))
+    path = tmp_path / "traces.jsonl"
+    with pytest.raises(NonFinite):
+        save_traces(traces, path)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

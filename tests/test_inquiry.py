@@ -14,10 +14,12 @@ from inquest.errors import (
     DigestMismatch,
     DomainError,
     NoLegalAction,
+    NonFinite,
     ParseError,
     ShapeError,
 )
 from inquest.inquiry import (
+    IterStats,
     PpoConfig,
     RewardParams,
     TrajectoryBatch,
@@ -600,6 +602,14 @@ def test_training_log_format(tmp_path, small_benchmark):
     assert abs(float(first[1]) - history[0].mean_reward) < 1e-6
 
 
+def test_training_log_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "log.csv"
+    rows = [IterStats(0, 1.0, 2.0, 0.1, 0.2, 0.0, 1.5), IterStats(1, 1.0, 2.0, 0.1, 0.2, 0.0, np.nan)]
+    with pytest.raises(NonFinite):
+        write_training_log(rows, path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -644,15 +654,14 @@ def test_checkpoint_kind_guards(tmp_path, flat):
 def test_checkpoint_dimension_guard(tmp_path, flat):
     onto, ds, diag, policy, value = flat
     net = nncore.init_dense((8 + 36, 4, onto.n_questions))
-    net.meta = {
+    path = tmp_path / "bad.json"
+    nncore.save_net(net, path, {
         "kind": "inquiry-policy",
         "history_width": 8,
         "n_elements": 99,
         "n_questions": onto.n_questions,
         "ontology_digest": onto.content_digest,
-    }
-    path = tmp_path / "bad.json"
-    nncore.save_net(net, path)
+    })
     with pytest.raises(ParseError):
         load_policy(path)
 
@@ -676,6 +685,8 @@ def test_checkpoint_missing_meta_raises_parse_error(flat, tmp_path, key, kind):
     ("policy_lr", float("nan")), ("policy_lr", -1e-3), ("policy_lr", float("inf")),
     ("value_lr", float("nan")), ("value_lr", -1e-3),
     ("entropy_coef", float("nan")), ("entropy_coef", -0.01), ("entropy_coef", float("inf")),
+    ("clip_eps", float("nan")), ("clip_eps", float("inf")), ("clip_eps", 0.0),
+    ("iterations", 0), ("iterations", -3),
 ])
 def test_ppo_config_rejects_bad_numeric_settings(field, bad):
     with pytest.raises(DomainError, match=field):

@@ -1,5 +1,6 @@
 """Gradient correctness against finite differences, Adam, checkpoints."""
 import copy
+import hashlib
 import json
 import tracemalloc
 
@@ -285,13 +286,14 @@ def test_forward_shape_errors():
 
 def test_checkpoint_round_trip(tmp_path):
     net = randomized(init_dense((5, 9, 4), seed=11), seed=12)
-    net.meta = {"input_width": 5, "note": "round trip"}
+    meta = {"input_width": 5, "note": "round trip"}
     x = np.random.default_rng(13).normal(size=(7, 5))
     path = tmp_path / "net.json"
-    save_net(net, path)
+    save_net(net, path, meta)
+    assert net.meta == {}
     again = load_net(path)
     assert again.layer_dims == net.layer_dims
-    assert again.meta == net.meta
+    assert again.meta == meta
     assert np.array_equal(forward(again, x), forward(net, x))
 
     save_net(again, tmp_path / "second.json")
@@ -302,55 +304,116 @@ def test_checkpoint_rejects_corruption(tmp_path):
     net = init_dense((3, 2), seed=0)
     path = tmp_path / "net.json"
     save_net(net, path)
-    blob = path.read_text().replace('"output_head"', '"head_kind"')
-    path.write_text(blob)
+    head, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(head.replace(b'"output_head"', b'"head_kind"') + b"\n" + body)
     with pytest.raises(ParseError, match="output_head"):
         load_net(path)
-    path.write_text("{broken")
+    path.write_bytes(b"{broken\n")
     with pytest.raises(ParseError, match="malformed"):
         load_net(path)
 
 
-def test_save_net_writes_the_one_shot_encoding(tmp_path):
+def test_save_net_writes_the_exact_layout(tmp_path):
     net = randomized(init_dense((5, 4, 3), seed=7), seed=8)
-    net.meta = {"kind": "x", "names": ["\u00e9t\u00e9", "b"], "nested": {"z": 1, "a": [0.5, 2]}}
-    payload = {
-        "layer_dims": list(net.layer_dims),
-        "hidden_activation": net.hidden_activation,
-        "output_head": net.output_head,
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-        "meta": net.meta,
+    meta = {"kind": "x", "names": ["\u00e9t\u00e9", "b"], "nested": {"z": 1, "a": [0.5, 2]}}
+    body = b"".join(a.astype("<f8").tobytes() for w, b in zip(net.weights, net.biases)
+                    for a in (w, b))
+    header = {
+        "kind": "dense-net",
+        "meta": meta,
+        "layer_dims": [5, 4, 3],
+        "hidden_activation": "relu",
+        "output_head": "logits",
+        "dtype": "<f8",
+        "nbytes": 8 * (5 * 4 + 4 + 4 * 3 + 3),
+        "sha256": hashlib.sha256(body).hexdigest(),
     }
-    save_net(net, tmp_path / "net.json")
-    want = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-    assert (tmp_path / "net.json").read_text(encoding="utf-8") == want
+    save_net(net, tmp_path / "net.json", meta)
+    want = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body
+    assert (tmp_path / "net.json").read_bytes() == want
 
 
-def _edit_weight(payload, value):
-    payload["weights"][0][0][0] = value
+def _read_checkpoint(path):
+    head, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(head), bytearray(body)
 
 
-@pytest.mark.parametrize("edit", [
-    pytest.param(lambda p: _edit_weight(p, "x"), id="string-weight"),
-    pytest.param(lambda p: _edit_weight(p, None), id="null-weight"),
-    pytest.param(lambda p: _edit_weight(p, [1.0]), id="nested-weight"),
-    pytest.param(lambda p: p["weights"][0].__setitem__(0, p["weights"][0][0][:-1]), id="ragged-row"),
-    pytest.param(lambda p: _edit_weight(p, float("nan")), id="nan-literal"),
-    pytest.param(lambda p: p["biases"][1].__setitem__(0, float("inf")), id="infinity-literal"),
-    pytest.param(lambda p: p.__setitem__("hidden_activation", "tanh"), id="tanh"),
-    pytest.param(lambda p: p.__setitem__("output_head", "scalar"), id="scalar-head-on-2-units"),
-    pytest.param(lambda p: p.__setitem__("layer_dims", [3.0, 4, 2]), id="float-layer-dims"),
-    pytest.param(lambda p: p.__setitem__("layer_dims", [3, True, 2]), id="bool-layer-dims"),
-    pytest.param(lambda p: p.__setitem__("weights", {}), id="weights-not-a-list"),
+def _write_checkpoint(path, header, body):
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(body))
+
+
+def _seal(header, body):
+    """Make the header's nbytes and sha256 match an edited body."""
+    header["nbytes"], header["sha256"] = len(body), hashlib.sha256(body).hexdigest()
+
+
+def _set_header(**fields):
+    return lambda header, body: header.update(fields)
+
+
+def _drop_header(key):
+    return lambda header, body: header.pop(key)
+
+
+def _set_value(i, raw, seal=True):
+    def edit(header, body):
+        body[8 * i : 8 * i + 8] = raw
+        if seal:
+            _seal(header, body)
+    return edit
+
+
+def _resize_body(delta):
+    def edit(header, body):
+        if delta < 0:
+            del body[delta:]
+        else:
+            body.extend(bytes(delta))
+        _seal(header, body)
+    return edit
+
+
+# The (3, 4, 2) net has 26 parameters; the last is the last output bias.
+@pytest.mark.parametrize("edit, match", [
+    pytest.param(_set_value(0, b'"x"     ', seal=False), "sha256", id="string-weight"),
+    pytest.param(_resize_body(-8), "shapes", id="ragged-row"),
+    pytest.param(_resize_body(8), "shapes", id="extra-value"),
+    pytest.param(_resize_body(-3), "shapes", id="partial-value"),
+    pytest.param(_set_value(0, np.float64(np.nan).tobytes()), "non-finite", id="nan-literal"),
+    pytest.param(_set_value(25, np.float64(np.inf).tobytes()), "non-finite",
+                 id="infinity-literal"),
+    pytest.param(_set_header(hidden_activation="tanh"), "activation", id="tanh"),
+    pytest.param(_set_header(output_head="scalar"), "scalar head", id="scalar-head-on-2-units"),
+    pytest.param(_set_header(layer_dims=[3.0, 4, 2]), "integers", id="float-layer-dims"),
+    pytest.param(_set_header(layer_dims=[3, True, 2]), "integers", id="bool-layer-dims"),
+    pytest.param(_set_header(dtype="<f4"), "dtype", id="float32-dtype"),
+    pytest.param(_set_header(dtype=">f8"), "dtype", id="big-endian-dtype"),
+    pytest.param(_set_header(nbytes=200), "shapes", id="nbytes-mismatch"),
+    pytest.param(_set_header(sha256="0" * 64), "sha256", id="sha256-mismatch"),
+    pytest.param(_set_header(kind="cohort"), "kind", id="other-kind"),
+    pytest.param(_set_header(meta=["kind", "diagnosis"]), "meta", id="meta-not-an-object"),
+    pytest.param(_drop_header("sha256"), "sha256", id="missing-sha256"),
+    pytest.param(_drop_header("meta"), "meta", id="missing-meta"),
 ])
-def test_load_net_rejects_malformed_checkpoints(tmp_path, edit):
+def test_load_net_rejects_malformed_checkpoints(tmp_path, edit, match):
     path = tmp_path / "net.json"
     save_net(init_dense((3, 4, 2), seed=0), path)
-    payload = json.loads(path.read_text())
-    edit(payload)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ParseError):
+    header, body = _read_checkpoint(path)
+    edit(header, body)
+    _write_checkpoint(path, header, body)
+    with pytest.raises(ParseError, match=match):
+        load_net(path)
+
+
+def test_load_net_rejects_the_previous_json_layout(tmp_path):
+    net = init_dense((3, 2), seed=0, zero_output=False)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({
+        "layer_dims": [3, 2], "hidden_activation": "relu", "output_head": "logits",
+        "weights": [w.tolist() for w in net.weights], "biases": [b.tolist() for b in net.biases],
+        "meta": {},
+    }))
+    with pytest.raises(ParseError, match="header"):
         load_net(path)
 
 
@@ -369,32 +432,38 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_load_net_fuzz_raises_only_inquest_errors(fuzz_dir, data):
-    kind = data.draw(st.sampled_from(["bytes", "json", "edit"]))
+    path = fuzz_dir / "net.json"
+    save_net(init_dense((3, 4, 2), seed=0, zero_output=False), path, {"kind": "diagnosis"})
+    blob = bytearray(path.read_bytes())
+    body_at = blob.index(b"\n") + 1
+    kind = data.draw(st.sampled_from(["bytes", "json", "truncate", "flip", "header"]))
     if kind == "bytes":
         blob = data.draw(st.binary(max_size=200))
     elif kind == "json":
         blob = json.dumps(data.draw(JSON_VALUES)).encode()
+    elif kind == "truncate":
+        del blob[data.draw(st.integers(body_at, len(blob) - 1)):]
+    elif kind == "flip":
+        blob[data.draw(st.integers(body_at, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
     else:
-        net = init_dense((3, 4, 2), seed=0, zero_output=False)
-        payload = {
-            "layer_dims": list(net.layer_dims), "hidden_activation": net.hidden_activation,
-            "output_head": net.output_head, "weights": [w.tolist() for w in net.weights],
-            "biases": [b.tolist() for b in net.biases], "meta": {"kind": "diagnosis"},
-        }
-        node, key = payload, data.draw(st.sampled_from(sorted(payload)))
-        while isinstance(node[key], list) and node[key] and data.draw(st.booleans()):
-            node, key = node[key], data.draw(st.integers(0, len(node[key]) - 1))
+        header, body = json.loads(blob[:body_at]), blob[body_at:]
+        node, key = header, data.draw(st.sampled_from(sorted(header)))
+        while isinstance(node[key], (list, dict)) and node[key] and data.draw(st.booleans()):
+            child = node[key]
+            node, key = child, data.draw(
+                st.sampled_from(sorted(child)) if isinstance(child, dict)
+                else st.integers(0, len(child) - 1))
         if data.draw(st.booleans()):
             del node[key]
         else:
             node[key] = data.draw(JSON_VALUES)
-        blob = json.dumps(payload).encode()
-    path = fuzz_dir / "net.json"
+        blob = json.dumps(header).encode() + b"\n" + body
     path.write_bytes(blob)
     try:
         net = load_net(path)
     except InquestError:
         return
+    assert kind == "header", "a truncated or flipped body loaded"
     assert net.params.size == sum(w.size + b.size for w, b in zip(net.weights, net.biases))
 
 
@@ -402,8 +471,8 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     net = init_dense((3, 2), seed=0)
     path = tmp_path / "net.json"
     save_net(net, path)
-    blob = path.read_text().replace('"layer_dims":[3,2]', '"layer_dims":[4,2]')
-    path.write_text(blob)
+    head, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(head.replace(b'"layer_dims":[3,2]', b'"layer_dims":[4,2]') + b"\n" + body)
     with pytest.raises(ParseError, match="shape"):
         load_net(path)
 
@@ -438,8 +507,6 @@ def test_save_net_refuses_non_finite_values(tmp_path):
     with pytest.raises(NonFinite):
         save_net(net, path)
     assert not path.exists()
-    net = init_dense([3, 2], seed=0)
-    net.meta = {"scale": float("inf")}
     with pytest.raises(NonFinite):
-        save_net(net, path)
+        save_net(init_dense([3, 2], seed=0), path, {"scale": float("inf")})
     assert not path.exists()

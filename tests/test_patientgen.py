@@ -13,6 +13,7 @@ from inquest.errors import (
     DigestMismatch,
     EmptyDataset,
     InconsistentEvidence,
+    NonFinite,
     ParseError,
     ValidationError,
 )
@@ -558,6 +559,15 @@ def test_save_load_round_trip(tmp_path, toy):
 
     save_dataset(again, tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_save_dataset_refuses_non_finite_values(tmp_path, toy):
+    ds = generate_cohort(toy, 5, seed=0)
+    ds.records[-1] = dataclasses.replace(ds.records[-1], age=float("nan"))
+    path = tmp_path / "cohort.jsonl"
+    with pytest.raises(NonFinite):
+        save_dataset(ds, path)
+    assert not path.exists() and not (tmp_path / "cohort.header.json").exists()
 
 
 def test_load_rejects_wrong_ontology(tmp_path, toy):
