@@ -28,7 +28,7 @@ from .diagnosis import (
     save_diagnosis,
     train_diagnosis,
 )
-from .errors import ConfigError, InquestError, IoError, ParseError
+from .errors import ConfigError, InquestError, IoError, ParseError, reading
 from .evalharness import (
     DialogueTrace,
     FIXED_ORDER,
@@ -76,10 +76,8 @@ ENV_THREADS = "INQUEST_THREADS"
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    try:
+    with reading(f"config {path}"):
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -159,6 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
                        "execution is sequential, 1 is the reproducible mode)")
         p.add_argument("--seed", type=int, default=0)
 
+    # The simulated dialogue's settings, shared by train-inquiry and eval.
+    dialogue = argparse.ArgumentParser(add_help=False)
+    dialogue.add_argument("--horizon", type=int, default=10)
+    dialogue.add_argument("--noise", type=float, default=0.0)
+    dialogue.add_argument("--unmentioned-answer", default=UNMENTIONED_DENIED,
+                          choices=(UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN))
+    for name, default in (("--p1p", 0.5), ("--p1n", 0.1), ("--p2p", 0.3), ("--p2n", 0.05)):
+        dialogue.add_argument(name, type=float, default=default)
+
     p = sub.add_parser("gen-ontology", help="write a synthetic two-level element tree")
     common(p)
     p.add_argument("--m1", type=int, default=30)
@@ -193,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hide-hi", type=float, default=0.8)
     p.add_argument("--quiet", action="store_true")
 
-    p = sub.add_parser("train-inquiry", help="train the question policy with PPO")
+    p = sub.add_parser("train-inquiry", parents=[dialogue],
+                       help="train the question policy with PPO")
     common(p)
     p.add_argument("--ontology", required=True)
     p.add_argument("--data", required=True)
@@ -212,20 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value-lr", type=float, default=1e-3)
     p.add_argument("--entropy-coef", type=float, default=0.01)
     p.add_argument("--hidden", type=_int_list, default=(128, 128))
-    p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--unmentioned-answer", choices=(UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN),
-                   default=UNMENTIONED_DENIED)
     p.add_argument("--time-penalty", type=float, default=0.5)
     p.add_argument("--first-level-weight", type=float, default=2.0)
     p.add_argument("--negative-discount", type=float, default=0.5)
-    p.add_argument("--p1p", type=float, default=0.5)
-    p.add_argument("--p1n", type=float, default=0.1)
-    p.add_argument("--p2p", type=float, default=0.3)
-    p.add_argument("--p2n", type=float, default=0.05)
     p.add_argument("--quiet", action="store_true")
 
-    p = sub.add_parser("eval", help="run consultations over a dataset and score them")
+    p = sub.add_parser("eval", parents=[dialogue],
+                       help="run consultations over a dataset and score them")
     common(p)
     p.add_argument("--ontology", required=True)
     p.add_argument("--data", required=True)
@@ -238,14 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", default=None, help="optional JSON-lines trace dump")
     p.add_argument("--k", type=_int_list, default=(1, 3, 5))
     p.add_argument("--group-k", type=int, default=1)
-    p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--unmentioned-answer", choices=(UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN),
-                   default=UNMENTIONED_DENIED)
-    p.add_argument("--p1p", type=float, default=0.5)
-    p.add_argument("--p1n", type=float, default=0.1)
-    p.add_argument("--p2p", type=float, default=0.3)
-    p.add_argument("--p2n", type=float, default=0.05)
 
     p = sub.add_parser("consult", help="interactive consultation; you answer as the patient")
     common(p)

@@ -334,15 +334,3 @@ def step(
         status[0], state.asked | {question_id}, state.t + 1, state.patient_id, state.horizon
     )
     return next_state, StepFindings(*(int(v) for v in findings[0]))
-
-
-def observed_ternary(state: EnvState) -> np.ndarray:
-    """The diagnosis-model view of the dialogue so far (copy, writable)."""
-    return state.status.copy()
-
-
-def encode_state(state: EnvState) -> np.ndarray:
-    """Triple one-hot of the status vector, length 3M."""
-    from .diagnosis import encode_hpi_ternary
-
-    return encode_hpi_ternary(state.status)

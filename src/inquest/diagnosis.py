@@ -19,7 +19,9 @@ from .nncore import DenseNet, forward, forward_with_cache, softmax
 
 _TAG_SL = (1 << 40) + 3
 
-_ONE_HOT = np.eye(3)  # row v is the triple one-hot of ternary status v
+# Row v is the triple one-hot of ternary status v, in the nets' dtype so that
+# the input matrices built from it need no cast.
+_ONE_HOT = np.eye(3, dtype=nncore.NET_DTYPE)
 
 
 @dataclass
@@ -85,7 +87,8 @@ def new_diagnosis_model(
     seed: int = 0,
 ) -> DiagnosisModel:
     dims = (history_width + 3 * n_elements, *hidden, len(disease_names))
-    net = nncore.init_dense(dims, output_head=nncore.HEAD_LOGITS, seed=seed)
+    net = nncore.init_dense(dims, output_head=nncore.HEAD_LOGITS, seed=seed,
+                            dtype=nncore.NET_DTYPE)
     return DiagnosisModel(net, history_width, n_elements, tuple(disease_names), ontology_digest)
 
 
@@ -99,7 +102,7 @@ def _input_matrix(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -
         raise ShapeError(f"observation length {obs2.shape[1]} != {model.n_elements}")
     if history.shape[0] != obs2.shape[0]:
         raise ShapeError("history and observation batch sizes differ")
-    return np.hstack([history, encode_hpi_ternary(obs2)])
+    return np.hstack([history, encode_hpi_ternary(obs2)], dtype=model.net.dtype)
 
 
 def predict(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -170,7 +173,7 @@ def _train_epoch(model, arrays, cfg: SlTrainConfig, epoch: int, adam) -> SlEpoch
             rates = rng.uniform(cfg.hide_lo, cfg.hide_hi, size=len(idx))
             hide = rng.random(obs.shape) < rates[:, None]
             obs = np.where(hide & (obs != 0), 0, obs)
-        x = np.hstack([hist[idx], encode_hpi_ternary(obs)])
+        x = np.hstack([hist[idx], encode_hpi_ternary(obs)], dtype=model.net.dtype)
         y = labels[idx]
         logits, cache = forward_with_cache(model.net, x)
         total_loss += nncore.cross_entropy(logits, y) * len(idx)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``reading``, which gives
+the file loaders one way to raise them."""
+import csv
+from contextlib import contextmanager
 
 
 class InquestError(Exception):
@@ -58,4 +61,18 @@ class PairingError(InquestError):
 
 
 class IoError(InquestError):
-    """A report or trace file could not be written or read."""
+    """A file could not be written or read."""
+
+
+@contextmanager
+def reading(what: str):
+    """Raise whatever goes wrong while loading ``what`` as an InquestError:
+    IoError when the file cannot be read, ParseError when its bytes do not
+    decode or its values do not convert. InquestErrors pass unchanged."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(f"cannot read {what}: {exc}") from exc
+    except (ValueError, TypeError, KeyError, IndexError, AttributeError, OverflowError,
+            RecursionError, csv.Error) as exc:
+        raise ParseError(f"malformed {what}: {exc}") from None

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .errors import (
     NonFinite,
     PairingError,
     ParseError,
+    reading,
 )
 from .inquiry import InquiryPolicy, masked_softmax
 from .ontology import HpiOntology
@@ -119,7 +121,8 @@ class GreedyModelPolicy(_BatchPolicy):
         self.history_width = policy.history_width
 
     def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
-        x = np.concatenate([histories, encode_hpi_ternary(statuses)], axis=1)
+        x = np.concatenate([histories, encode_hpi_ternary(statuses)], axis=1,
+                           dtype=self.inner.net.dtype)
         probs = masked_softmax(nncore.forward_blocked(self.inner.net, x), masks)
         return probs.argmax(axis=1)
 
@@ -428,29 +431,38 @@ def emit_report(report: EvalReport, path: str | Path, format: str = "json") -> N
         raise IoError(f"cannot write report to {path}: {exc}") from exc
 
 
+def _finite(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _typed(value, kind: type):
+    if type(value) is not kind:
+        raise ValueError(f"expected a {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_report(path: str | Path) -> EvalReport:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read report from {path}: {exc}") from exc
-    except json.JSONDecodeError:
-        raise ParseError(f"{path}: malformed report") from None
-    for key in ("recall_at_k", "rediscovery", "group_recall", "n_patients", "config_digest"):
-        if key not in payload:
-            raise ParseError(f"{path}: report missing field {key!r}")
-    r = payload["rediscovery"]
-    return EvalReport(
-        recall_at_k={int(k): float(v) for k, v in payload["recall_at_k"].items()},
-        rediscovery=RediscoveryMetrics(
-            int(r["tp"]), int(r["fp"]), int(r["fn"]),
-            float(r["precision"]), float(r["recall"]), float(r["f1"]),
-            bool(r["degenerate"]),
-        ),
-        group_recall={str(k): float(v) for k, v in payload["group_recall"].items()},
-        n_patients=int(payload["n_patients"]),
-        config_digest=payload["config_digest"],
-    )
+    """Read an ``emit_report`` JSON file. Anything else raises IoError or
+    ParseError."""
+    with reading(f"report {path}"):
+        payload = _typed(json.loads(Path(path).read_text(encoding="utf-8")), dict)
+        for key in ("recall_at_k", "rediscovery", "group_recall", "n_patients", "config_digest"):
+            if key not in payload:
+                raise ParseError(f"{path}: report missing field {key!r}")
+        r = payload["rediscovery"]
+        return EvalReport(
+            recall_at_k={int(k): _finite(v) for k, v in payload["recall_at_k"].items()},
+            rediscovery=RediscoveryMetrics(
+                _typed(r["tp"], int), _typed(r["fp"], int), _typed(r["fn"], int),
+                _finite(r["precision"]), _finite(r["recall"]), _finite(r["f1"]),
+                _typed(r["degenerate"], bool),
+            ),
+            group_recall={k: _finite(v) for k, v in payload["group_recall"].items()},
+            n_patients=_typed(payload["n_patients"], int),
+            config_digest=_typed(payload["config_digest"], str),
+        )
 
 
 def save_traces(traces, path: str | Path) -> None:
@@ -484,30 +496,28 @@ def save_traces(traces, path: str | Path) -> None:
 
 
 def load_traces(path: str | Path) -> list[DialogueTrace]:
+    """Read a ``save_traces`` JSON-lines file. Anything else raises IoError or
+    ParseError."""
     traces = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read traces from {path}: {exc}") from exc
-    with fh:
+    with reading(f"traces {path}"), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
+            with reading(f"trace on line {lineno} of {path}"):
                 row = json.loads(line)
-            except json.JSONDecodeError:
-                raise ParseError(f"line {lineno}: malformed trace") from None
-            traces.append(
-                DialogueTrace(
-                    patient_id=row["patient_id"],
+                final = [_typed(v, int) for v in row["final_observation"]]
+                if any(not 0 <= v <= 2 for v in final):
+                    raise ParseError(f"line {lineno}: observation entries must be 0, 1 or 2")
+                traces.append(DialogueTrace(
+                    patient_id=_typed(row["patient_id"], str),
                     rounds=tuple(
-                        (int(q), tuple((int(e), int(s)) for e, s in revealed))
+                        (_typed(q, int),
+                         tuple((_typed(e, int), _typed(s, int)) for e, s in revealed))
                         for q, revealed in row["rounds"]
                     ),
-                    final_observation=np.array(row["final_observation"], dtype=np.int8),
-                    ranking=tuple(int(d) for d in row["ranking"]),
-                    true_label=int(row["true_label"]),
-                    horizon=int(row["horizon"]),
-                )
-            )
+                    final_observation=np.array(final, dtype=np.int8),
+                    ranking=tuple(_typed(d, int) for d in row["ranking"]),
+                    true_label=_typed(row["true_label"], int),
+                    horizon=_typed(row["horizon"], int),
+                ))
     return traces

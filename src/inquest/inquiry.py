@@ -116,7 +116,7 @@ class PpoConfig:
 class TrajectoryBatch:
     """Flat transition arrays; episodes are contiguous, one done flag each."""
 
-    inputs: np.ndarray  # (n, E + 3M)
+    inputs: np.ndarray  # (n, E + 3M), in the policy net's dtype
     actions: np.ndarray  # (n,) int
     logps: np.ndarray  # (n,) log-probability at collection time
     rewards: np.ndarray  # (n,)
@@ -165,7 +165,8 @@ def new_inquiry_policy(
     seed: int = 0,
 ) -> InquiryPolicy:
     dims = (history_width + 3 * n_elements, *hidden, n_questions)
-    net = nncore.init_dense(dims, output_head=nncore.HEAD_LOGITS, seed=seed)
+    net = nncore.init_dense(dims, output_head=nncore.HEAD_LOGITS, seed=seed,
+                            dtype=nncore.NET_DTYPE)
     return InquiryPolicy(net, history_width, n_elements, n_questions, ontology_digest)
 
 
@@ -177,7 +178,8 @@ def new_value_net(
     seed: int = 0,
 ) -> ValueNet:
     dims = (history_width + 3 * n_elements, *hidden, 1)
-    net = nncore.init_dense(dims, output_head=nncore.HEAD_SCALAR, seed=seed)
+    net = nncore.init_dense(dims, output_head=nncore.HEAD_SCALAR, seed=seed,
+                            dtype=nncore.NET_DTYPE)
     return ValueNet(net, history_width, n_elements, ontology_digest)
 
 
@@ -304,7 +306,8 @@ def collect_rollouts(
         rows, mask = env.pending()
         if not len(rows):
             break
-        x = np.hstack([e_pol[rows], encode_hpi_ternary(env.status[rows])])
+        x = np.hstack([e_pol[rows], encode_hpi_ternary(env.status[rows])],
+                      dtype=policy.net.dtype)
         probs = masked_softmax(nncore.forward_blocked(policy.net, x), mask)
         actions = _sample_actions(probs, [rngs[i] for i in rows])
         findings = env.step(actions)
@@ -345,8 +348,10 @@ def collect_rollouts(
 def gae_advantages(
     batch: TrajectoryBatch, gamma: float, lam_gae: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-scan GAE within episodes; returns (advantages, value targets)."""
+    """Reverse-scan GAE within episodes, in float64; returns (advantages,
+    value targets)."""
     n = len(batch)
+    values = np.asarray(batch.values, dtype=float)
     adv = np.zeros(n)
     gae = 0.0
     for t in range(n - 1, -1, -1):
@@ -354,11 +359,11 @@ def gae_advantages(
             next_value = 0.0
             gae = 0.0
         else:
-            next_value = batch.values[t + 1]
-        delta = batch.rewards[t] + gamma * next_value - batch.values[t]
+            next_value = values[t + 1]
+        delta = batch.rewards[t] + gamma * next_value - values[t]
         gae = delta + gamma * lam_gae * gae
         adv[t] = gae
-    return adv, adv + batch.values
+    return adv, adv + values
 
 
 def clipped_surrogate(

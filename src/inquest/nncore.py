@@ -1,24 +1,30 @@
-"""Minimal dense-network engine: float64 numpy, manual backprop, Adam.
+"""Minimal dense-network engine: float32 or float64 numpy, manual backprop, Adam.
 
 Everything is deterministic given (seed, data): no threads, no global state,
 no framework. Gradients have a second, independent route through central
 finite differences (``numeric_gradients``) so analytic backprop is testable.
 
-Buffers: a ``DenseNet`` owns one contiguous float64 buffer, ``net.params``,
-laid out layer by layer as ``weights[0], biases[0], weights[1], ...``, and
+Buffers: a ``DenseNet`` owns one contiguous buffer, ``net.params``, whose
+element type is the net's dtype (float32 or float64). It is laid out layer by
+layer as ``weights[0], biases[0], weights[1], ...``, and
 ``net.weights[i]`` and ``net.biases[i]`` are views into it. Parameters are
 written in place (``w += ...``, ``w[...] = ...``); ``net.weights[i]`` is never
 rebound, because a rebound entry would leave the buffer that ``adam_step``
 updates and ``save_net`` checks. A net holds no gradient. A gradient is a
 second buffer with the same layout (``param_views``): a training run keeps
 one in its ``AdamState``, so it lives exactly as long as the run, and a
-loaded, inference-only net carries its parameters alone.
+loaded, inference-only net carries its parameters alone. Activations,
+gradients and Adam's moments and scratch are in the net's dtype too: inputs
+are cast to it on entry. The model nets (ranker, policy, value) are built in
+``NET_DTYPE``; ``init_dense`` defaults to float64, which finite differences
+need.
 
 Checkpoints: ``save_net`` writes one JSON header line and then the body, the
-raw little-endian float64 bytes of ``net.params``. The header's fields are
+raw little-endian bytes of ``net.params``. The header's fields are
 ``kind`` (always ``"dense-net"``), ``meta`` (the caller's JSON object),
-``layer_dims``, ``hidden_activation``, ``output_head``, ``dtype`` (``"<f8"``),
-``nbytes`` and the ``sha256`` of the body; ``load_net`` checks every one.
+``layer_dims``, ``hidden_activation``, ``output_head``, ``dtype`` (``"<f4"``
+or ``"<f8"``), ``nbytes`` and the ``sha256`` of the body; ``load_net`` checks
+every one and keeps the file's dtype.
 """
 from __future__ import annotations
 
@@ -43,7 +49,10 @@ _TAG_INIT = (1 << 40) + 2
 # the gemv path; wider heads switch kernels at larger row counts), but it did
 # not depend on the other rows of a fixed-size product. So inference that must
 # give the same bytes for any batch size runs in zero-padded blocks of exactly
-# this many rows.
+# this many rows. Measured for sgemm at the desk shapes with one BLAS thread:
+# 4 rows made a lone row's forward faster but tied 8 on the batched
+# evaluation; 1 and 2 rows were 1.6-2.7x slower on batches, 16 and 32 rows
+# slower on a lone row.
 BLOCK_ROWS = 8
 
 # Elements per chunk of ``adam_step``: the chunk's slices of the parameters,
@@ -51,10 +60,14 @@ BLOCK_ROWS = 8
 # fourteen passes.
 ADAM_CHUNK = 1 << 15
 
+# Element type of the ranker, policy and value nets.
+NET_DTYPE = np.float32
+
 # Checkpoint header: ``kind`` names the file type, ``dtype`` the body's
-# element type (the only one written or read).
+# element type, one of ``DTYPES``'s keys; a net's buffer has the matching
+# native type.
 CHECKPOINT_KIND = "dense-net"
-DTYPE = "<f8"
+DTYPES = {"<f4": np.float32, "<f8": np.float64}
 HEADER_FIELDS = ("kind", "meta", "layer_dims", "hidden_activation", "output_head",
                  "dtype", "nbytes", "sha256")
 
@@ -63,9 +76,10 @@ def n_params(layer_dims) -> int:
     return sum(a * b + b for a, b in zip(layer_dims, layer_dims[1:]))
 
 
-def param_views(layer_dims, buf: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(weights, biases) views into a flat buffer laid out like ``net.params``."""
-    if buf.shape != (n_params(layer_dims),) or buf.dtype != np.float64:
+def param_views(layer_dims, buf: np.ndarray, dtype):
+    """(weights, biases) views into a flat ``dtype`` buffer laid out like
+    ``net.params``."""
+    if buf.shape != (n_params(layer_dims),) or buf.dtype != dtype:
         raise ShapeError(f"buffer {buf.shape} {buf.dtype} does not fit layers {layer_dims}")
     weights, biases, at = [], [], 0
     for d_in, d_out in zip(layer_dims, layer_dims[1:]):
@@ -95,7 +109,9 @@ class DenseNet:
     biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.weights, self.biases = param_views(self.layer_dims, self.params)
+        if self.params.dtype not in DTYPES.values():
+            raise ShapeError(f"unsupported parameter dtype {self.params.dtype}")
+        self.weights, self.biases = param_views(self.layer_dims, self.params, self.dtype)
 
     def __setstate__(self, state):
         # Copies (``copy.deepcopy``, pickle) copy the views one by one, which
@@ -106,6 +122,10 @@ class DenseNet:
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.params.dtype
 
 
 def _spec_problem(dims: tuple, hidden_activation, output_head) -> str | None:
@@ -127,18 +147,21 @@ def init_dense(
     seed: int = 0,
     hidden_activation: str = RELU,
     zero_output: bool = True,
+    dtype=np.float64,
 ) -> DenseNet:
-    """He-uniform init, U(+-sqrt(6/fan_in)) per layer.
+    """He-uniform init, U(+-sqrt(6/fan_in)) per layer, in ``dtype``.
 
     With ``zero_output`` the last layer starts at zero so the net's initial
-    outputs are constant (uniform class scores / zero value estimate).
+    outputs are constant (uniform class scores / zero value estimate). The
+    draws are float64 whatever ``dtype`` is, so a float32 net starts at the
+    rounded float64 net.
     """
     dims = tuple(int(d) for d in layer_dims)
     problem = _spec_problem(dims, hidden_activation, output_head)
     if problem:
         raise ConfigError(problem)
     rng = np.random.default_rng([seed, _TAG_INIT])
-    net = DenseNet(dims, hidden_activation, output_head, np.zeros(n_params(dims)))
+    net = DenseNet(dims, hidden_activation, output_head, np.zeros(n_params(dims), dtype))
     for i, w in enumerate(net.weights):
         if zero_output and i == net.n_layers - 1:
             break  # the last draw: skipping it changes no other layer
@@ -148,7 +171,7 @@ def init_dense(
 
 
 def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=net.dtype)
     if x.ndim != 2 or x.shape[1] != net.layer_dims[0]:
         raise ShapeError(
             f"expected input (n, {net.layer_dims[0]}), got {x.shape}"
@@ -167,7 +190,7 @@ def forward_blocked(net: DenseNet, x: np.ndarray) -> np.ndarray:
     x = _check_input(net, x)
     n = len(x)
     blocks = max(-(-n // BLOCK_ROWS), 1)
-    h = np.zeros((blocks * BLOCK_ROWS, x.shape[1]))
+    h = np.zeros((blocks * BLOCK_ROWS, x.shape[1]), net.dtype)
     h[:n] = x
     h = h.reshape(blocks, BLOCK_ROWS, -1)
     for i in range(net.n_layers):
@@ -203,12 +226,13 @@ def backward(net: DenseNet, cache, grad_out: np.ndarray, out: np.ndarray | None 
     gradient with respect to the input is not computed.
     """
     acts, pres = cache
-    g = np.asarray(grad_out, dtype=float)
+    g = np.asarray(grad_out, dtype=net.dtype)
     if net.output_head == HEAD_SCALAR:
         g = g.reshape(-1, 1)
     if g.shape != pres[-1].shape:
         raise ShapeError(f"grad_out shape {g.shape} does not match output {pres[-1].shape}")
-    grads_w, grads_b = param_views(net.layer_dims, np.empty_like(net.params) if out is None else out)
+    buf = np.empty_like(net.params) if out is None else out
+    grads_w, grads_b = param_views(net.layer_dims, buf, net.dtype)
     for i in range(net.n_layers - 1, -1, -1):
         np.matmul(acts[i].T, g, out=grads_w[i])
         np.sum(g, axis=0, out=grads_b[i])
@@ -227,7 +251,8 @@ def _all_finite(a: np.ndarray) -> bool:
 @dataclass
 class AdamState:
     """Adam moments of one flat parameter buffer, plus the training run's
-    gradient buffer ``grad`` and ``adam_step``'s (2, chunk) scratch."""
+    gradient buffer ``grad`` and ``adam_step``'s (2, chunk) scratch, all in
+    the parameters' dtype."""
 
     m: np.ndarray
     v: np.ndarray
@@ -239,7 +264,7 @@ class AdamState:
 def init_adam(params: np.ndarray) -> AdamState:
     return AdamState(
         np.zeros_like(params), np.zeros_like(params), np.zeros_like(params),
-        np.empty((2, min(params.size, ADAM_CHUNK))),
+        np.empty((2, min(params.size, ADAM_CHUNK)), params.dtype),
     )
 
 
@@ -257,16 +282,21 @@ def adam_step(
     The whole gradient is checked before anything is written, so a
     non-finite gradient leaves parameters, moments and step count as they
     were. The update runs chunk by chunk with no allocation, in the
-    arithmetic order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), which fixes its bytes.
+    arithmetic order m = b1*m + (1-b1)*g, m = 0 where |m| < tiny,
+    v = b2*v + ((1-b2)*g)*g, p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), which
+    fixes its bytes. ``tiny`` is the dtype's smallest normal number: a unit
+    whose gradient stays zero decays its m into the subnormal range, where
+    arithmetic runs many times slower, and rounding keeps it there.
     """
-    if params.shape != grads.shape or params.shape != state.m.shape:
+    if not (params.shape == grads.shape == state.m.shape
+            and params.dtype == grads.dtype == state.m.dtype):
         raise ShapeError("params, grads and Adam state are inconsistent")
     if not _all_finite(grads):
         raise NonFinite("gradient contains non-finite values")
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
+    tiny = np.finfo(params.dtype).tiny
     chunk = state.scratch.shape[1]
     for start in range(0, params.size, chunk):
         s = slice(start, start + chunk)
@@ -275,6 +305,9 @@ def adam_step(
         m *= beta1
         np.multiply(g, 1.0 - beta1, out=a)
         m += a
+        np.abs(m, out=a)
+        np.greater_equal(a, tiny, out=a)
+        m *= a
         v *= beta2
         np.multiply(g, 1.0 - beta2, out=a)
         a *= g
@@ -293,6 +326,8 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in float64 whatever the logits' dtype."""
+    logits = np.asarray(logits, dtype=float)
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -383,16 +418,18 @@ def save_net(net: DenseNet, path: str | Path, meta: dict | None = None) -> None:
     """Write a checkpoint; byte-identical for identical nets and meta.
 
     ``meta`` defaults to ``net.meta``. The file is one JSON header line
-    (keys sorted) and then the raw bytes of ``net.params``. Non-finite
-    parameters or meta raise NonFinite before the file is created.
+    (keys sorted) and then the raw little-endian bytes of ``net.params``, in
+    the net's dtype. Non-finite parameters or meta raise NonFinite before
+    the file is created.
     """
     if not _all_finite(net.params):
         raise NonFinite("checkpoint holds non-finite values; nothing written")
-    body = net.params.astype(DTYPE, copy=False).tobytes()
+    little = net.params.astype(net.dtype.newbyteorder("<"), copy=False)
+    body = little.tobytes()
     header = {
         "kind": CHECKPOINT_KIND, "meta": net.meta if meta is None else meta,
         "layer_dims": list(net.layer_dims), "hidden_activation": net.hidden_activation,
-        "output_head": net.output_head, "dtype": DTYPE, "nbytes": len(body),
+        "output_head": net.output_head, "dtype": little.dtype.str, "nbytes": len(body),
         "sha256": hashlib.sha256(body).hexdigest(),
     }
     try:
@@ -429,7 +466,7 @@ def load_net(path: str | Path) -> DenseNet:
     is not a JSON object with every field, another kind, layer_dims that are
     not integers, an unsupported activation, head or dtype, a body whose
     length or sha256 differs from the header's, a non-finite value) raises
-    ParseError."""
+    ParseError. The net keeps the file's dtype."""
     blob = Path(path).read_bytes()
     end = blob.find(b"\n")
     if end < 0:
@@ -452,16 +489,17 @@ def load_net(path: str | Path) -> DenseNet:
     problem = _spec_problem(dims, header["hidden_activation"], header["output_head"])
     if problem:
         raise ParseError(f"checkpoint: {problem}")
-    if header["dtype"] != DTYPE:
-        raise ParseError(f"checkpoint dtype must be {DTYPE!r}")
+    code = header["dtype"]
+    if not (isinstance(code, str) and code in DTYPES):
+        raise ParseError(f"checkpoint dtype must be one of {sorted(DTYPES)}")
     if not isinstance(header["meta"], dict):
         raise ParseError("checkpoint meta must be a JSON object")
     body = memoryview(blob)[end + 1 :]
-    if not len(body) == header["nbytes"] == 8 * n_params(dims):
+    if not len(body) == header["nbytes"] == np.dtype(code).itemsize * n_params(dims):
         raise ParseError(f"checkpoint body of {len(body)} bytes does not match the layer shapes")
     if hashlib.sha256(body).hexdigest() != header["sha256"]:
         raise ParseError("checkpoint body does not match its sha256")
-    params = np.frombuffer(body, dtype=DTYPE).astype(np.float64)
+    params = np.frombuffer(body, dtype=code).astype(DTYPES[code])
     if not _all_finite(params):
         raise ParseError("checkpoint holds non-finite values")
     return DenseNet(dims, header["hidden_activation"], header["output_head"], params,

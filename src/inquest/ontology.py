@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, reading
 
 FIRST = 1
 SECOND = 2
@@ -251,8 +251,9 @@ def load_ontology(path: str | Path) -> HpiOntology:
     violations.
     """
     root = Path(path)
-    elements = _read_elements(root / HPI_FILENAME)
-    questions = _read_questions(root / QUESTIONS_FILENAME)
+    with reading(f"ontology {root}"):
+        elements = _read_elements(root / HPI_FILENAME)
+        questions = _read_questions(root / QUESTIONS_FILENAME)
     ontology = HpiOntology(tuple(elements), tuple(questions))
     report = validate(ontology)
     if not report.ok:

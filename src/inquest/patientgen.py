@@ -25,6 +25,7 @@ from .errors import (
     NonFinite,
     ParseError,
     ValidationError,
+    reading,
 )
 from .ontology import (
     CLOSED,
@@ -695,16 +696,29 @@ def save_dataset(dataset: PatientDataset, path: str | Path) -> None:
 
 def load_dataset(path: str | Path, ontology: HpiOntology | None = None) -> PatientDataset:
     """Read a dataset back; verifies the header digest against ``ontology``
-    when given, plus per-record shape and hierarchy consistency."""
+    when given, plus per-record shape and hierarchy consistency. A file that
+    cannot be read raises IoError, malformed content ParseError."""
     path = Path(path)
-    try:
-        header = json.loads(_header_path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed header: {exc}") from None
+    with reading(f"dataset {path}"):
+        return _load_dataset(path, ontology)
+
+
+def _load_dataset(path: Path, ontology: HpiOntology | None) -> PatientDataset:
+    header = json.loads(_header_path(path).read_text(encoding="utf-8"))
+    if not isinstance(header, dict):
+        raise ParseError("malformed header: not a JSON object")
     for key in ("D", "M", "disease_names", "ontology_digest"):
         if key not in header:
             raise ParseError(f"header missing field {key!r}")
-    m, d = header["M"], header["D"]
+    m, d, names = header["M"], header["D"], header["disease_names"]
+    if type(m) is not int or type(d) is not int or m < 0 or d < 0:
+        raise ParseError("header M and D must be non-negative integers")
+    if not (isinstance(names, list) and len(names) == d and all(isinstance(n, str) for n in names)):
+        raise ParseError("header disease_names must be D strings")
+    if not isinstance(header["ontology_digest"], str) or not isinstance(
+        header.get("genmodel_digest", ""), (str, type(None))
+    ):
+        raise ParseError("header digests must be strings")
     if ontology is not None:
         if ontology.content_digest != header["ontology_digest"]:
             raise DigestMismatch("dataset was built against a different ontology")
@@ -723,6 +737,8 @@ def load_dataset(path: str | Path, ontology: HpiOntology | None = None) -> Patie
             if not isinstance(row, dict):
                 raise ParseError(f"line {lineno}: malformed record")
             rid = row.get("id", f"line{lineno}")
+            if not isinstance(rid, str):
+                raise ParseError(f"line {lineno}: record id must be a string")
             missing = [k for k in _RECORD_FIELDS if k not in row]
             if missing:
                 raise ParseError(f"record {rid}: missing field {missing[0]!r}")
@@ -753,7 +769,7 @@ def load_dataset(path: str | Path, ontology: HpiOntology | None = None) -> Patie
                         [r.id for r in records])
     return PatientDataset(
         records=records,
-        disease_names=tuple(header["disease_names"]),
+        disease_names=tuple(names),
         m=m,
         ontology_digest=header["ontology_digest"],
         genmodel_digest=header.get("genmodel_digest"),

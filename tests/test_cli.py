@@ -201,6 +201,49 @@ def test_config_unknown_key_rejected(tmp_path):
         apply_config_defaults(sub.choices["gen-data"], {"no-such-flag": "1"})
 
 
+_PATHS = ["--ontology", "o", "--data", "d", "--diag", "g", "--out", "x"]
+_DIALOGUE_FLAGS = ["--horizon", "7", "--noise", "0.25", "--unmentioned-answer", "unknown",
+                   "--p1p", "0.6", "--p1n", "0.2", "--p2p", "0.4", "--p2n", "0.01"]
+_DIALOGUE_DEFAULTS = {"horizon": 10, "noise": 0.0, "unmentioned_answer": "denied",
+                      "p1p": 0.5, "p1n": 0.1, "p2p": 0.3, "p2n": 0.05}
+_DIALOGUE_SET = {"horizon": 7, "noise": 0.25, "unmentioned_answer": "unknown",
+                 "p1p": 0.6, "p1n": 0.2, "p2p": 0.4, "p2n": 0.01}
+_TRAIN_INQUIRY_REST = {
+    "command": "train-inquiry", "config": None, "threads": None, "seed": 0, "ontology": "o",
+    "data": "d", "diag": "g", "out": "x", "value_out": None, "log": None, "iterations": 30,
+    "episodes": 32, "minibatch": 64, "clip_eps": 0.2, "update_epochs": 4, "gamma": 0.99,
+    "lam_gae": 0.95, "policy_lr": 0.001, "value_lr": 0.001, "entropy_coef": 0.01,
+    "hidden": (128, 128), "time_penalty": 0.5, "first_level_weight": 2.0,
+    "negative_discount": 0.5, "quiet": False,
+}
+_EVAL_REST = {
+    "command": "eval", "config": None, "threads": None, "seed": 0, "ontology": "o", "data": "d",
+    "diag": "g", "policy": None, "baseline": "RandomLegal", "out": "x", "format": None,
+    "traces": None, "k": (1, 3, 5), "group_k": 1,
+}
+
+
+# The expected namespaces are those that the parser gave when train-inquiry and
+# eval each declared the dialogue flags themselves.
+@pytest.mark.parametrize("argv, want", [
+    (["train-inquiry", *_PATHS], {**_TRAIN_INQUIRY_REST, **_DIALOGUE_DEFAULTS}),
+    (["train-inquiry", *_PATHS, *_DIALOGUE_FLAGS], {**_TRAIN_INQUIRY_REST, **_DIALOGUE_SET}),
+    (["eval", *_PATHS, "--baseline", "RandomLegal"], {**_EVAL_REST, **_DIALOGUE_DEFAULTS}),
+    (["eval", *_PATHS, "--baseline", "RandomLegal", *_DIALOGUE_FLAGS],
+     {**_EVAL_REST, **_DIALOGUE_SET}),
+])
+def test_shared_dialogue_flags_parse_as_before(argv, want):
+    assert vars(build_parser().parse_args(argv)) == want
+
+
+def test_config_presets_reach_the_shared_dialogue_flags(tmp_path):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a.choices, dict)).choices
+    apply_config_defaults(sub["eval"], {"horizon": "5", "p2n": "0.2"})
+    args = parser.parse_args(["eval", *_PATHS, "--policy", "p", "--p2n", "0.3"])
+    assert (args.horizon, args.p2n, args.p1p) == (5, 0.3, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Consultation REPL
 # ---------------------------------------------------------------------------

@@ -8,9 +8,7 @@ from inquest.consult_env import (
     DisclosureProbs,
     EnvState,
     StepFindings,
-    encode_state,
     legal_actions,
-    observed_ternary,
     reset,
     step,
 )
@@ -305,15 +303,3 @@ def test_random_episodes_respect_invariants(onto, toy):
                 if parent is not None and state.status[e] == CONFIRMED:
                     assert state.status[parent] == CONFIRMED
     assert total_steps > 500
-
-
-def test_state_encoding_round_trip(onto):
-    patient = make_patient([1, 2, 0, 1, 0, 0, 0])
-    state = reset(patient, onto, ALL, rng=0)
-    obs = observed_ternary(state)
-    assert np.array_equal(obs, state.status)
-    enc = encode_state(state)
-    assert enc.shape == (21,)
-    assert np.array_equal(enc.reshape(7, 3).argmax(axis=1), state.status)
-    obs[0] = 9  # the returned copy is detached from the state
-    assert state.status[0] != 9

@@ -152,12 +152,14 @@ def test_lockstep_step_rejects_illegal_or_unrequested_actions():
 ])
 def test_blocked_forward_is_row_invariant(dims):
     head = nncore.HEAD_SCALAR if dims[-1] == 1 else nncore.HEAD_LOGITS
-    net = nncore.init_dense(dims, head, seed=4, zero_output=False)
     x = np.random.default_rng(5).standard_normal((130, dims[0]))
-    alone = np.stack([nncore.forward_blocked(net, x[i : i + 1])[0] for i in range(130)])
-    for n in range(1, 131):
-        assert nncore.forward_blocked(net, x[:n]).tobytes() == alone[:n].tobytes(), n
-    assert nncore.forward_blocked(net, x[::-1]).tobytes() == alone[::-1].tobytes()
+    for dtype in (nncore.NET_DTYPE, np.float64):  # the model nets' and the default
+        net = nncore.init_dense(dims, head, seed=4, zero_output=False, dtype=dtype)
+        alone = np.stack([nncore.forward_blocked(net, x[i : i + 1])[0] for i in range(130)])
+        assert alone.dtype == dtype
+        for n in range(1, 131):
+            assert nncore.forward_blocked(net, x[:n]).tobytes() == alone[:n].tobytes(), n
+        assert nncore.forward_blocked(net, x[::-1]).tobytes() == alone[::-1].tobytes()
 
 
 # ---------------------------------------------------------------------------

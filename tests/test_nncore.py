@@ -211,7 +211,7 @@ def test_flat_backward_and_adam_match_per_array_reference(dims, scalar, rows, ch
         reference_adam_step(ref_params, rw + rb, ref, lr)
         assert same_bytes(net.weights + net.biases, ref_params)
         for moment, ref_moment in ((state.m, ref.m), (state.v, ref.v)):
-            mw, mb = param_views(net.layer_dims, moment)
+            mw, mb = param_views(net.layer_dims, moment, net.dtype)
             assert same_bytes(mw + mb, ref_moment)
         assert state.t == ref.t
 
@@ -300,6 +300,71 @@ def test_checkpoint_round_trip(tmp_path):
     assert (tmp_path / "second.json").read_bytes() == path.read_bytes()
 
 
+def test_float32_checkpoint_round_trip_keeps_dtype_and_bytes(tmp_path):
+    net = randomized(init_dense((5, 9, 4), seed=11), seed=12)
+    net32 = DenseNet(net.layer_dims, net.hidden_activation, net.output_head,
+                     net.params.astype(np.float32))
+    path = tmp_path / "net.json"
+    save_net(net32, path, {"note": "f4"})
+    header, body = _read_checkpoint(path)
+    assert header["dtype"] == "<f4"
+    assert header["nbytes"] == 4 * net.params.size == len(body)
+    again = load_net(path)
+    assert again.dtype == np.float32
+    assert again.params.tobytes() == net32.params.tobytes()
+    x = np.random.default_rng(13).normal(size=(7, 5))
+    assert forward(again, x).dtype == np.float32
+    assert forward(again, x).tobytes() == forward(net32, x).tobytes()
+    save_net(again, tmp_path / "second.json")
+    assert (tmp_path / "second.json").read_bytes() == path.read_bytes()
+
+
+def test_float32_net_trains_entirely_in_float32():
+    net = randomized(init_dense((6, 8, 3), seed=5), seed=6)
+    ref = copy.deepcopy(net)
+    net = DenseNet(net.layer_dims, net.hidden_activation, net.output_head,
+                   net.params.astype(np.float32))
+    state, ref_state = init_adam(net.params), init_adam(ref.params)
+    assert {a.dtype for a in (net.params, state.m, state.v, state.grad, state.scratch)} \
+        == {np.dtype(np.float32)}
+    x = sample_away_from_kinks(ref, 16, seed=1, margin=1e-2)
+    labels = np.arange(16) % 3
+    for _ in range(3):
+        logits, cache = forward_with_cache(net, x)
+        ref_logits, ref_cache = forward_with_cache(ref, x)
+        assert logits.dtype == np.float32
+        # float32 keeps about 7 significant digits; a few roundings per value.
+        assert relative_error([logits], [ref_logits], floor=1e-3) < 1e-4
+        backward(net, cache, cross_entropy_grad(logits, labels), state.grad)
+        backward(ref, ref_cache, cross_entropy_grad(ref_logits, labels), ref_state.grad)
+        assert relative_error([state.grad], [ref_state.grad], floor=1e-3) < 1e-3
+        adam_step(net.params, state.grad, state, lr=1e-2)
+        adam_step(ref.params, ref_state.grad, ref_state, lr=1e-2)
+        assert relative_error([net.params], [ref.params], floor=1e-3) < 1e-4
+    assert net.params.dtype == np.float32
+    with pytest.raises(ShapeError):
+        adam_step(net.params, state.grad.astype(np.float64), state, lr=1e-2)
+    with pytest.raises(ShapeError):
+        backward(net, cache, cross_entropy_grad(logits, labels), np.zeros(net.params.size))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_moment_of_a_silent_unit_reaches_zero_without_going_subnormal(dtype):
+    params = np.zeros(4, dtype)
+    state = init_adam(params)
+    tiny = np.finfo(dtype).tiny
+    state.grad[:] = [1.0, -1.0, 0.0, 1e-3]
+    adam_step(params, state.grad, state, lr=1e-3)
+    state.grad[:] = 0.0
+    steps = 0
+    while state.m.any():
+        adam_step(params, state.grad, state, lr=1e-3)
+        steps += 1
+        assert not ((state.m != 0) & (np.abs(state.m) < tiny)).any(), steps
+    assert steps < 8000
+    assert np.isfinite(params).all()
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     net = init_dense((3, 2), seed=0)
     path = tmp_path / "net.json"
@@ -386,8 +451,11 @@ def _resize_body(delta):
     pytest.param(_set_header(output_head="scalar"), "scalar head", id="scalar-head-on-2-units"),
     pytest.param(_set_header(layer_dims=[3.0, 4, 2]), "integers", id="float-layer-dims"),
     pytest.param(_set_header(layer_dims=[3, True, 2]), "integers", id="bool-layer-dims"),
-    pytest.param(_set_header(dtype="<f4"), "dtype", id="float32-dtype"),
+    pytest.param(_set_header(dtype="<f4"), "shapes", id="float32-dtype"),
     pytest.param(_set_header(dtype=">f8"), "dtype", id="big-endian-dtype"),
+    pytest.param(_set_header(dtype="<f2"), "dtype", id="float16-dtype"),
+    pytest.param(_set_header(dtype="<i8"), "dtype", id="int64-dtype"),
+    pytest.param(_set_header(dtype=["<f8"]), "dtype", id="list-dtype"),
     pytest.param(_set_header(nbytes=200), "shapes", id="nbytes-mismatch"),
     pytest.param(_set_header(sha256="0" * 64), "sha256", id="sha256-mismatch"),
     pytest.param(_set_header(kind="cohort"), "kind", id="other-kind"),
@@ -433,7 +501,9 @@ def fuzz_dir(tmp_path_factory):
 @given(data=st.data())
 def test_load_net_fuzz_raises_only_inquest_errors(fuzz_dir, data):
     path = fuzz_dir / "net.json"
-    save_net(init_dense((3, 4, 2), seed=0, zero_output=False), path, {"kind": "diagnosis"})
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    save_net(init_dense((3, 4, 2), seed=0, zero_output=False, dtype=dtype), path,
+             {"kind": "diagnosis"})
     blob = bytearray(path.read_bytes())
     body_at = blob.index(b"\n") + 1
     kind = data.draw(st.sampled_from(["bytes", "json", "truncate", "flip", "header"]))
