@@ -7,7 +7,6 @@ Every subcommand is deterministic given its flags and seeds. A flat
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -51,7 +50,6 @@ from .inquiry import (
 )
 from .ontology import (
     load_ontology,
-    question_targets,
     save_ontology,
     validate as validate_ontology,
 )
@@ -66,9 +64,6 @@ from .patientgen import (
     load_dataset,
     save_dataset,
 )
-
-ENV_THREADS = "INQUEST_THREADS"
-
 
 # ---------------------------------------------------------------------------
 # Config file: flat `key = value` lines, # comments, flags win
@@ -126,18 +121,6 @@ def _int_list(raw: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from None
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        raw = os.environ.get(ENV_THREADS, "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError("threads must be >= 1")
-    return value  # execution is sequential either way; 1 is the verified mode
-
-
 # ---------------------------------------------------------------------------
 # Subcommand parser
 # ---------------------------------------------------------------------------
@@ -152,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="flat key = value file of flag presets")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker count (falls back to ${ENV_THREADS}; "
-                       "execution is sequential, 1 is the reproducible mode)")
         p.add_argument("--seed", type=int, default=0)
 
     # The simulated dialogue's settings, shared by train-inquiry and eval.
@@ -509,8 +489,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
                 output_fn("no further questions are possible")
                 break
             action = policy.select(e_policy, state, mask, rng)
-            targets = question_targets(ontology, action)
-            for t in sorted(targets):
+            for t in ontology.questions[action].targets:
                 if status[t] != 0:
                     continue
                 name = ontology.elements[t].name
@@ -593,7 +572,6 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        _resolve_threads(args.threads)
         return _COMMANDS[args.command](args)
     except InquestError as exc:
         print(f"error: {exc}", file=sys.stderr)

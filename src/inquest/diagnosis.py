@@ -3,12 +3,14 @@
 The same network serves two callers: standalone ranking on a completed record
 and in-dialogue scoring on a partial observation. Masking augmentation during
 training hides random known entries so the model stays calibrated on partial
-views.
+views. ``ModelSpec`` declares a model kind's net shape and checkpoint meta
+once; the inquiry policy and value nets are declared with it too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -78,6 +80,40 @@ def encode_hpi_ternary(obs: np.ndarray) -> np.ndarray:
     return out if obs.ndim == 2 else out[0]
 
 
+@dataclass(frozen=True)
+class ModelSpec:
+    """One model kind's contract, shared by its constructor, its checkpoint
+    writer and its loader. The net reads ``history_width + 3 * n_elements``
+    inputs ([history, ternary status]) and ends in ``head`` with
+    ``width(meta)`` outputs. ``fields`` maps each meta key, which is also an
+    attribute of ``cls``, to its converter (``nncore.checkpoint_meta``);
+    ``what`` names the kind in errors."""
+
+    cls: type
+    kind: str
+    what: str
+    fields: dict
+    head: str
+    width: Callable[[dict], int]
+
+
+DIAGNOSIS = ModelSpec(
+    DiagnosisModel, "diagnosis", "a diagnosis model",
+    {"history_width": int, "n_elements": int, "disease_names": tuple, "ontology_digest": str},
+    nncore.HEAD_LOGITS, lambda meta: len(meta["disease_names"]),
+)
+
+
+def _input_width(meta: dict) -> int:
+    return meta["history_width"] + 3 * meta["n_elements"]
+
+
+def new_model(spec: ModelSpec, hidden: tuple[int, ...], seed: int, **meta):
+    dims = (_input_width(meta), *hidden, spec.width(meta))
+    net = nncore.init_dense(dims, output_head=spec.head, seed=seed, dtype=nncore.NET_DTYPE)
+    return spec.cls(net, **meta)
+
+
 def new_diagnosis_model(
     history_width: int,
     n_elements: int,
@@ -86,10 +122,8 @@ def new_diagnosis_model(
     hidden: tuple[int, ...] = (256, 256),
     seed: int = 0,
 ) -> DiagnosisModel:
-    dims = (history_width + 3 * n_elements, *hidden, len(disease_names))
-    net = nncore.init_dense(dims, output_head=nncore.HEAD_LOGITS, seed=seed,
-                            dtype=nncore.NET_DTYPE)
-    return DiagnosisModel(net, history_width, n_elements, tuple(disease_names), ontology_digest)
+    return new_model(DIAGNOSIS, hidden, seed, history_width=history_width, n_elements=n_elements,
+                     disease_names=tuple(disease_names), ontology_digest=ontology_digest)
 
 
 def _input_matrix(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -227,24 +261,34 @@ def top1_accuracy(model: DiagnosisModel, dataset: PatientDataset) -> float:
     return float((probs.argmax(axis=1) == labels).mean())
 
 
+def save_model(model, path: str | Path, spec: ModelSpec, **extra) -> None:
+    """Checkpoint ``model`` with its kind, its ``spec.fields`` and ``extra``
+    as the meta."""
+    meta = {key: getattr(model, key) for key in spec.fields}
+    nncore.save_net(model.net, path, {"kind": spec.kind, **meta, **extra})
+
+
+def load_model(path: str | Path, spec: ModelSpec):
+    """Read a ``save_model`` checkpoint of ``spec``'s kind. Raises ParseError
+    when the file holds another kind, a meta field is missing or malformed, or
+    the net's input width, output width or head is not what the meta and
+    ``spec`` give."""
+    net = nncore.load_net(path)
+    meta = nncore.checkpoint_meta(net, spec.kind, spec.what, spec.fields)
+    if net.layer_dims[0] != _input_width(meta):
+        raise ParseError("checkpoint input width does not match recorded dimensions")
+    if net.layer_dims[-1] != spec.width(meta):
+        raise ParseError(f"{spec.kind} checkpoint output width {net.layer_dims[-1]} "
+                         f"!= {spec.width(meta)}")
+    if net.output_head != spec.head:
+        raise ParseError(f"{spec.kind} checkpoint output head {net.output_head!r} "
+                         f"!= {spec.head!r}")
+    return spec.cls(net, **meta)
+
+
 def save_diagnosis(model: DiagnosisModel, path: str | Path) -> None:
-    nncore.save_net(model.net, path, {
-        "kind": "diagnosis",
-        "history_width": model.history_width,
-        "n_elements": model.n_elements,
-        "disease_names": list(model.disease_names),
-        "ontology_digest": model.ontology_digest,
-    })
+    save_model(model, path, DIAGNOSIS)
 
 
 def load_diagnosis(path: str | Path) -> DiagnosisModel:
-    net = nncore.load_net(path)
-    meta = nncore.checkpoint_meta(net, "diagnosis", "a diagnosis model", {
-        "history_width": int, "n_elements": int, "disease_names": tuple, "ontology_digest": str,
-    })
-    model = DiagnosisModel(net, **meta)
-    if net.layer_dims[0] != model.history_width + 3 * model.n_elements:
-        raise ParseError("checkpoint input width does not match recorded dimensions")
-    if net.layer_dims[-1] != model.n_diseases:
-        raise ParseError("checkpoint output width does not match disease count")
-    return model
+    return load_model(path, DIAGNOSIS)

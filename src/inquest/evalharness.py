@@ -59,14 +59,6 @@ class DialogueTrace:
     def n_rounds(self) -> int:
         return len(self.rounds)
 
-    @property
-    def stopped_early(self) -> bool:
-        return len(self.rounds) < self.horizon
-
-    def label_rank(self) -> int:
-        """1-based position of the true label in the ranking."""
-        return self.ranking.index(self.true_label) + 1
-
 
 @dataclass(frozen=True)
 class RediscoveryMetrics:

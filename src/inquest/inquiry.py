@@ -9,14 +9,22 @@ scheduling.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import consult_env, nncore
 from .consult_env import DisclosureProbs, UNMENTIONED_DENIED
-from .diagnosis import DiagnosisModel, encode_hpi_ternary, predict_batch
+from .diagnosis import (
+    DiagnosisModel,
+    ModelSpec,
+    encode_hpi_ternary,
+    load_model,
+    new_model,
+    predict_batch,
+    save_model,
+)
 from .errors import (
     ConfigError,
     DigestMismatch,
@@ -24,7 +32,6 @@ from .errors import (
     EmptyDataset,
     NoLegalAction,
     NonFinite,
-    ParseError,
     ShapeError,
 )
 from .ontology import HpiOntology
@@ -52,6 +59,18 @@ class ValueNet:
     history_width: int
     n_elements: int
     ontology_digest: str
+
+
+POLICY = ModelSpec(
+    InquiryPolicy, "inquiry-policy", "an inquiry policy",
+    {"history_width": int, "n_elements": int, "n_questions": int, "ontology_digest": str},
+    nncore.HEAD_LOGITS, lambda meta: meta["n_questions"],
+)
+VALUE = ModelSpec(
+    ValueNet, "inquiry-value", "a value net",
+    {"history_width": int, "n_elements": int, "ontology_digest": str},
+    nncore.HEAD_SCALAR, lambda meta: 1,
+)
 
 
 @dataclass(frozen=True)
@@ -164,10 +183,8 @@ def new_inquiry_policy(
     hidden: tuple[int, ...] = (128, 128),
     seed: int = 0,
 ) -> InquiryPolicy:
-    dims = (history_width + 3 * n_elements, *hidden, n_questions)
-    net = nncore.init_dense(dims, output_head=nncore.HEAD_LOGITS, seed=seed,
-                            dtype=nncore.NET_DTYPE)
-    return InquiryPolicy(net, history_width, n_elements, n_questions, ontology_digest)
+    return new_model(POLICY, hidden, seed, history_width=history_width, n_elements=n_elements,
+                     n_questions=n_questions, ontology_digest=ontology_digest)
 
 
 def new_value_net(
@@ -177,10 +194,8 @@ def new_value_net(
     hidden: tuple[int, ...] = (128, 128),
     seed: int = 0,
 ) -> ValueNet:
-    dims = (history_width + 3 * n_elements, *hidden, 1)
-    net = nncore.init_dense(dims, output_head=nncore.HEAD_SCALAR, seed=seed,
-                            dtype=nncore.NET_DTYPE)
-    return ValueNet(net, history_width, n_elements, ontology_digest)
+    return new_model(VALUE, hidden, seed, history_width=history_width, n_elements=n_elements,
+                     ontology_digest=ontology_digest)
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +215,6 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z
-
-
-def policy_distribution(
-    policy: InquiryPolicy, history: np.ndarray, state_encoding: np.ndarray, legal_mask: np.ndarray
-) -> np.ndarray:
-    """Action distribution for one state; zero on illegal actions."""
-    x = np.concatenate([np.asarray(history, dtype=float), np.asarray(state_encoding, dtype=float)])
-    logits = nncore.forward_blocked(policy.net, x[None, :])
-    return masked_softmax(logits, np.asarray(legal_mask, dtype=bool)[None, :])[0]
 
 
 def _sample_actions(probs: np.ndarray, rngs) -> np.ndarray:
@@ -585,55 +591,18 @@ def save_policy(
     reward_params: RewardParams | None = None,
     disclosure: DisclosureProbs | None = None,
 ) -> None:
-    meta = {
-        "kind": "inquiry-policy",
-        "history_width": policy.history_width,
-        "n_elements": policy.n_elements,
-        "n_questions": policy.n_questions,
-        "ontology_digest": policy.ontology_digest,
-    }
-    if reward_params is not None:
-        meta["reward_params"] = {
-            "time_penalty": reward_params.time_penalty,
-            "first_level_weight": reward_params.first_level_weight,
-            "negative_discount": reward_params.negative_discount,
-        }
-    if disclosure is not None:
-        meta["disclosure_probs"] = {
-            "p1p": disclosure.p1p, "p1n": disclosure.p1n,
-            "p2p": disclosure.p2p, "p2n": disclosure.p2n,
-        }
-    nncore.save_net(policy.net, path, meta)
+    extra = {"reward_params": reward_params, "disclosure_probs": disclosure}
+    save_model(policy, path, POLICY,
+               **{key: asdict(block) for key, block in extra.items() if block is not None})
 
 
 def load_policy(path: str | Path) -> InquiryPolicy:
-    net = nncore.load_net(path)
-    meta = nncore.checkpoint_meta(net, "inquiry-policy", "an inquiry policy", {
-        "history_width": int, "n_elements": int, "n_questions": int, "ontology_digest": str,
-    })
-    policy = InquiryPolicy(net, **meta)
-    if net.layer_dims[0] != policy.history_width + 3 * policy.n_elements:
-        raise ParseError("checkpoint input width does not match recorded dimensions")
-    if net.layer_dims[-1] != policy.n_questions:
-        raise ParseError("checkpoint output width does not match question count")
-    return policy
+    return load_model(path, POLICY)
 
 
 def save_value(value: ValueNet, path: str | Path) -> None:
-    nncore.save_net(value.net, path, {
-        "kind": "inquiry-value",
-        "history_width": value.history_width,
-        "n_elements": value.n_elements,
-        "ontology_digest": value.ontology_digest,
-    })
+    save_model(value, path, VALUE)
 
 
 def load_value(path: str | Path) -> ValueNet:
-    net = nncore.load_net(path)
-    meta = nncore.checkpoint_meta(net, "inquiry-value", "a value net", {
-        "history_width": int, "n_elements": int, "ontology_digest": str,
-    })
-    value = ValueNet(net, **meta)
-    if net.layer_dims[0] != value.history_width + 3 * value.n_elements:
-        raise ParseError("checkpoint input width does not match recorded dimensions")
-    return value
+    return load_model(path, VALUE)

@@ -447,7 +447,8 @@ def checkpoint_meta(net: DenseNet, kind: str, what: str, fields: dict) -> dict:
     """Typed meta of a loaded checkpoint: ``fields`` maps each required key to
     its converter (``int``, ``str``, ...). Raises ParseError, naming ``what``
     the checkpoint should hold, when the kind differs or a key is missing or
-    malformed."""
+    malformed. ``diagnosis.load_model`` calls it with a kind's ``ModelSpec``
+    and then checks the net's head and widths against the typed meta."""
     if net.meta.get("kind") != kind:
         raise ParseError(f"checkpoint is not {what}")
     out = {}

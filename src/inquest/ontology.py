@@ -229,13 +229,6 @@ def check_hierarchy(ontology: HpiOntology, hpi: np.ndarray, what: str, ids) -> N
         )
 
 
-def question_targets(ontology: HpiOntology, question_id: int) -> set[int]:
-    """Target element ids of one question; size 1 for closed questions."""
-    if not 0 <= question_id < ontology.n_questions:
-        raise IndexError(f"question id {question_id} out of range 0..{ontology.n_questions - 1}")
-    return set(ontology.questions[question_id].targets)
-
-
 def _parse_int(text: str, what: str, row: int) -> int:
     try:
         return int(text)

@@ -288,21 +288,21 @@ def _cli_pipeline(root):
                 "--out", str(onto)]) == 0
     assert run(["gen-data", "--ontology", str(onto), "--out", str(data),
                 "--n", "300", "--n-diseases", "4", "--n-flags", "2",
-                "--seed", "11", "--threads", "1"]) == 0
+                "--seed", "11"]) == 0
     assert run(["train-diag", "--ontology", str(onto), "--data", str(data),
                 "--out", str(diag), "--epochs", "3", "--batch-size", "32",
                 "--hidden", "16,16", "--history-width", "8", "--seed", "3",
-                "--threads", "1", "--quiet"]) == 0
+                "--quiet"]) == 0
     assert run(["train-inquiry", "--ontology", str(onto), "--data", str(data),
                 "--diag", str(diag), "--out", str(policy),
                 "--value-out", str(value), "--log", str(log),
                 "--iterations", "2", "--episodes", "6", "--minibatch", "32",
                 "--hidden", "16,16", "--horizon", "4", "--seed", "7",
-                "--threads", "1", "--quiet"]) == 0
+                "--quiet"]) == 0
     assert run(["eval", "--ontology", str(onto), "--data", str(data),
                 "--diag", str(diag), "--policy", str(policy),
                 "--out", str(report), "--traces", str(traces),
-                "--horizon", "4", "--seed", "2", "--threads", "1"]) == 0
+                "--horizon", "4", "--seed", "2"]) == 0
     return [data, data.with_name("cohort.header.json"), diag, policy,
             value, log, report, traces]
 

@@ -78,19 +78,6 @@ def test_eval_requires_exactly_one_policy_source(workspace, tmp_path):
     assert run(base + ["--policy", str(policy), "--baseline", "RandomLegal"]) == 1
 
 
-def test_threads_flag_and_env(workspace, tmp_path, monkeypatch):
-    root, onto_dir, data, diag, policy = workspace
-    out = tmp_path / "o.json"
-    argv = ["eval", "--ontology", str(onto_dir), "--data", str(data),
-            "--diag", str(diag), "--baseline", "FixedOrder", "--out", str(out)]
-    assert run(argv + ["--threads", "2"]) == 0
-    monkeypatch.setenv("INQUEST_THREADS", "not-a-number")
-    assert run(argv) == 1
-    monkeypatch.setenv("INQUEST_THREADS", "3")
-    assert run(argv) == 0
-    assert run(argv + ["--threads", "0"]) == 1
-
-
 # ---------------------------------------------------------------------------
 # Pipeline behavior
 # ---------------------------------------------------------------------------
@@ -209,7 +196,7 @@ _DIALOGUE_DEFAULTS = {"horizon": 10, "noise": 0.0, "unmentioned_answer": "denied
 _DIALOGUE_SET = {"horizon": 7, "noise": 0.25, "unmentioned_answer": "unknown",
                  "p1p": 0.6, "p1n": 0.2, "p2p": 0.4, "p2n": 0.01}
 _TRAIN_INQUIRY_REST = {
-    "command": "train-inquiry", "config": None, "threads": None, "seed": 0, "ontology": "o",
+    "command": "train-inquiry", "config": None, "seed": 0, "ontology": "o",
     "data": "d", "diag": "g", "out": "x", "value_out": None, "log": None, "iterations": 30,
     "episodes": 32, "minibatch": 64, "clip_eps": 0.2, "update_epochs": 4, "gamma": 0.99,
     "lam_gae": 0.95, "policy_lr": 0.001, "value_lr": 0.001, "entropy_coef": 0.01,
@@ -217,7 +204,7 @@ _TRAIN_INQUIRY_REST = {
     "negative_discount": 0.5, "quiet": False,
 }
 _EVAL_REST = {
-    "command": "eval", "config": None, "threads": None, "seed": 0, "ontology": "o", "data": "d",
+    "command": "eval", "config": None, "seed": 0, "ontology": "o", "data": "d",
     "diag": "g", "policy": None, "baseline": "RandomLegal", "out": "x", "format": None,
     "traces": None, "k": (1, 3, 5), "group_k": 1,
 }

@@ -19,6 +19,14 @@ from inquest.diagnosis import (
     train_epoch,
 )
 from inquest.errors import DomainError, EmptyDataset, ParseError, ShapeError
+from inquest.inquiry import (
+    load_policy,
+    load_value,
+    new_inquiry_policy,
+    new_value_net,
+    save_policy,
+    save_value,
+)
 from inquest.patientgen import (
     PatientDataset,
     bayes_posterior,
@@ -254,12 +262,44 @@ def test_checkpoint_round_trip(tmp_path, toy, trained):
     assert np.array_equal(predict_batch(again, hist, obs), predict_batch(model, hist, obs))
 
 
-def test_checkpoint_kind_guard(tmp_path, toy):
-    model = fresh_model(toy)
-    path = tmp_path / "net.json"
-    nncore.save_net(model.net, path)  # meta lacks the diagnosis block
-    with pytest.raises(ParseError, match="not a diagnosis model"):
-        load_diagnosis(path)
+_CHECKPOINTS = {  # kind: (writer, loader, what loading another kind's file names)
+    "diagnosis": (save_diagnosis, load_diagnosis, "not a diagnosis model"),
+    "policy": (save_policy, load_policy, "not an inquiry policy"),
+    "value": (save_value, load_value, "not a value net"),
+}
+_OTHER_KIND = {"diagnosis": "policy", "policy": "value", "value": "diagnosis"}
+# (kind, case): the head, output width and meta changes of a net that its
+# kind's meta does not describe.
+_BAD_NETS = {
+    ("diagnosis", "head"): (nncore.HEAD_SCALAR, 1, {"disease_names": ["d0"]}),
+    ("diagnosis", "width"): (nncore.HEAD_LOGITS, 9, {}),
+    ("policy", "head"): (nncore.HEAD_SCALAR, 1, {"n_questions": 1}),
+    ("policy", "width"): (nncore.HEAD_LOGITS, 9, {}),
+    ("value", "head"): (nncore.HEAD_LOGITS, 1, {}),
+    ("value", "width"): (nncore.HEAD_LOGITS, 5, {}),
+}
+
+
+@pytest.mark.parametrize("case", ["head", "width", "other-kind"])
+@pytest.mark.parametrize("kind", ["diagnosis", "policy", "value"])
+def test_checkpoint_kind_guard(tmp_path, toy, kind, case):
+    models = {"diagnosis": fresh_model(toy),
+              "policy": new_inquiry_policy(E, 7, 5, toy.ontology_digest, hidden=(16, 16)),
+              "value": new_value_net(E, 7, toy.ontology_digest, hidden=(16, 16))}
+    save, load, not_kind = _CHECKPOINTS[kind]
+    path = tmp_path / "net.ckpt"
+    if case == "other-kind":
+        other = _OTHER_KIND[kind]
+        _CHECKPOINTS[other][0](models[other], path)
+        with pytest.raises(ParseError, match=not_kind):
+            load(path)
+        return
+    head, width, changes = _BAD_NETS[kind, case]
+    save(models[kind], path)
+    meta = {**nncore.load_net(path).meta, **changes}
+    nncore.save_net(nncore.init_dense((E + 3 * 7, 4, width), output_head=head), path, meta)
+    with pytest.raises(ParseError, match=f"output {case}"):
+        load(path)
 
 
 def test_checkpoint_width_guard(tmp_path, toy):

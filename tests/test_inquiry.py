@@ -31,7 +31,6 @@ from inquest.inquiry import (
     masked_softmax,
     new_inquiry_policy,
     new_value_net,
-    policy_distribution,
     policy_loss_and_grad,
     ppo_update,
     save_policy,
@@ -146,8 +145,8 @@ def test_single_legal_action_gets_probability_one():
 def test_fresh_policy_is_uniform_over_legal_set(flat):
     onto, ds, diag, policy, value = flat
     mask = np.array([True, False, True, True] * 3)
-    e = encode_history(ds.records[0], 8)
-    probs = policy_distribution(policy, e, manual_ternary(np.zeros(12, dtype=int)), mask)
+    x = np.concatenate([encode_history(ds.records[0], 8), manual_ternary(np.zeros(12))])
+    probs = masked_softmax(nncore.forward_blocked(policy.net, x[None, :]), mask[None, :])[0]
     assert np.allclose(probs[mask], 1.0 / mask.sum(), atol=1e-12)
     assert (probs[~mask] == 0.0).all()
 
@@ -156,11 +155,9 @@ def test_no_legal_action_raises(flat):
     onto, ds, diag, policy, value = flat
     with pytest.raises(NoLegalAction):
         masked_softmax(np.zeros((1, 4)), np.zeros((1, 4), dtype=bool))
-    e = encode_history(ds.records[0], 8)
+    x = np.concatenate([encode_history(ds.records[0], 8), manual_ternary(np.zeros(12))])
     with pytest.raises(NoLegalAction):
-        policy_distribution(
-            policy, e, manual_ternary(np.zeros(12, dtype=int)), np.zeros(12, dtype=bool)
-        )
+        masked_softmax(nncore.forward_blocked(policy.net, x[None, :]), np.zeros((1, 12), bool))
 
 
 def test_masked_softmax_shape_mismatch():
@@ -179,7 +176,8 @@ def test_policy_never_rates_illegal_actions(toy_setup):
             mask = consult_env.legal_actions(state, onto)
             if not mask.any():
                 break
-            probs = policy_distribution(policy, e, manual_ternary(state.status), mask)
+            x = np.concatenate([e, manual_ternary(state.status)])[None, :]
+            probs = masked_softmax(nncore.forward_blocked(policy.net, x), mask[None, :])[0]
             assert (probs[~mask] == 0.0).all()
             assert abs(probs.sum() - 1.0) < 1e-9
             action = int(rng.choice(len(probs), p=probs))

@@ -11,7 +11,6 @@ from inquest.ontology import (
     HpiOntology,
     Question,
     load_ontology,
-    question_targets,
     save_ontology,
     validate,
 )
@@ -41,16 +40,8 @@ def test_minimal_ontology_loads(tmp_path):
     assert onto.children_of(0) == (1, 2)
     assert onto.first_level_ids() == (0,)
     assert onto.questions[2].kind == OPEN
-    assert question_targets(onto, 2) == {1, 2}
-    assert question_targets(onto, 0) == {0}
-
-
-def test_question_targets_out_of_range(tmp_path):
-    onto = load_ontology(write_ontology(tmp_path, MINIMAL_HPI, MINIMAL_QUESTIONS))
-    with pytest.raises(IndexError):
-        question_targets(onto, 3)
-    with pytest.raises(IndexError):
-        question_targets(onto, -1)
+    assert onto.questions[2].targets == (1, 2)
+    assert onto.questions[0].targets == (0,)
 
 
 def test_round_trip_preserves_digest(tmp_path):
