@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nncore
 from .errors import DomainError, EmptyDataset, ParseError, ShapeError
-from .patientgen import PatientDataset, encode_history, full_evidence
+from .patientgen import PatientDataset, encode_histories, full_evidence
 from .nncore import DenseNet, forward, forward_with_cache, softmax
 
 _TAG_SL = (1 << 40) + 3
@@ -86,7 +86,7 @@ class ModelSpec:
     writer and its loader. The net reads ``history_width + 3 * n_elements``
     inputs ([history, ternary status]) and ends in ``head`` with
     ``width(meta)`` outputs. ``fields`` maps each meta key, which is also an
-    attribute of ``cls``, to its converter (``nncore.checkpoint_meta``);
+    attribute of ``cls``, to its exact type check (``nncore.checkpoint_meta``);
     ``what`` names the kind in errors."""
 
     cls: type
@@ -99,7 +99,8 @@ class ModelSpec:
 
 DIAGNOSIS = ModelSpec(
     DiagnosisModel, "diagnosis", "a diagnosis model",
-    {"history_width": int, "n_elements": int, "disease_names": tuple, "ontology_digest": str},
+    {"history_width": nncore.meta_int, "n_elements": nncore.meta_int,
+     "disease_names": nncore.meta_strs, "ontology_digest": nncore.meta_str},
     nncore.HEAD_LOGITS, lambda meta: len(meta["disease_names"]),
 )
 
@@ -165,8 +166,8 @@ def _dataset_arrays(dataset: PatientDataset, width: int):
     # answers every question, so absence (denied or never mentioned) reads
     # as denied. Masking augmentation then hides entries to mimic the
     # partial views seen mid-dialogue.
-    hist = np.stack([encode_history(r, width) for r in dataset.records])
-    hpi = np.stack([full_evidence(r.hpi) for r in dataset.records])
+    hist = encode_histories(dataset.records, width)
+    hpi = full_evidence(np.stack([r.hpi for r in dataset.records]))
     labels = dataset.labels()
     return hist, hpi, labels
 

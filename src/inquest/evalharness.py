@@ -38,7 +38,7 @@ from .errors import (
 )
 from .inquiry import InquiryPolicy, masked_softmax
 from .ontology import HpiOntology
-from .patientgen import CONFIRMED, PatientDataset, PatientRecord, encode_history
+from .patientgen import CONFIRMED, PatientDataset, PatientRecord, encode_histories
 
 RANDOM_LEGAL = "RandomLegal"
 FIXED_ORDER = "FixedOrder"
@@ -176,7 +176,7 @@ def consult_batch(
     env = consult_env.Lockstep(
         patients, ontology, disclosure, rngs, horizon, noise, unmentioned_answer
     )
-    e_policy = np.array([encode_history(p, width) for p in patients])
+    e_policy = encode_histories(patients, width)
     rounds = [[] for _ in patients]
     while True:
         rows, mask = env.pending()
@@ -191,7 +191,7 @@ def consult_batch(
         bounds = np.searchsorted(row_of, np.arange(len(rows) + 1)).tolist()
         for j, (i, action) in enumerate(zip(rows.tolist(), np.asarray(actions).tolist())):
             rounds[i].append((action, tuple(revealed[bounds[j] : bounds[j + 1]])))
-    e_diag = np.array([encode_history(p, diag_model.history_width) for p in patients])
+    e_diag = encode_histories(patients, diag_model.history_width)
     rankings = rank_from_probs(predict_batch(diag_model, e_diag, env.status)) if patients else []
     return [
         DialogueTrace(

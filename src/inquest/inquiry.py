@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
 )
 from .ontology import HpiOntology
-from .patientgen import PatientDataset, encode_history
+from .patientgen import PatientDataset, encode_histories
 
 _TAG_PPO = (1 << 40) + 4
 
@@ -63,12 +63,14 @@ class ValueNet:
 
 POLICY = ModelSpec(
     InquiryPolicy, "inquiry-policy", "an inquiry policy",
-    {"history_width": int, "n_elements": int, "n_questions": int, "ontology_digest": str},
+    {"history_width": nncore.meta_int, "n_elements": nncore.meta_int,
+     "n_questions": nncore.meta_int, "ontology_digest": nncore.meta_str},
     nncore.HEAD_LOGITS, lambda meta: meta["n_questions"],
 )
 VALUE = ModelSpec(
     ValueNet, "inquiry-value", "a value net",
-    {"history_width": int, "n_elements": int, "ontology_digest": str},
+    {"history_width": nncore.meta_int, "n_elements": nncore.meta_int,
+     "ontology_digest": nncore.meta_str},
     nncore.HEAD_SCALAR, lambda meta: 1,
 )
 
@@ -304,8 +306,9 @@ def collect_rollouts(
     env = consult_env.Lockstep(
         patients, ontology, disclosure, rngs, horizon, noise, unmentioned_answer
     )
-    e_pol = np.array([encode_history(p, policy.history_width) for p in patients])
-    e_diag = np.array([encode_history(p, diag_model.history_width) for p in patients])
+    e_pol = encode_histories(patients, policy.history_width)
+    e_diag = (e_pol if diag_model.history_width == policy.history_width
+              else encode_histories(patients, diag_model.history_width))
     belief = predict_batch(diag_model, e_diag, env.status) if n_episodes else None
     rounds = []
     while True:

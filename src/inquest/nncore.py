@@ -443,21 +443,42 @@ def save_net(net: DenseNet, path: str | Path, meta: dict | None = None) -> None:
         fh.write(body)
 
 
+def meta_int(value) -> int:
+    """A checkpoint meta integer: JSON booleans and floats are not ones."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def meta_str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def meta_strs(value) -> tuple[str, ...]:
+    """A checkpoint meta list of strings, as a tuple; a bare string is not one."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"{value!r} is not a list of strings")
+    return tuple(value)
+
+
 def checkpoint_meta(net: DenseNet, kind: str, what: str, fields: dict) -> dict:
     """Typed meta of a loaded checkpoint: ``fields`` maps each required key to
-    its converter (``int``, ``str``, ...). Raises ParseError, naming ``what``
+    its check (``meta_int``, ``meta_str``, ``meta_strs``), which returns the
+    value or raises on one of another type. Raises ParseError, naming ``what``
     the checkpoint should hold, when the kind differs or a key is missing or
     malformed. ``diagnosis.load_model`` calls it with a kind's ``ModelSpec``
     and then checks the net's head and widths against the typed meta."""
     if net.meta.get("kind") != kind:
         raise ParseError(f"checkpoint is not {what}")
     out = {}
-    for key, convert in fields.items():
+    for key, check in fields.items():
         if key not in net.meta:
             raise ParseError(f"{kind} checkpoint meta lacks {key!r}")
         try:
-            out[key] = convert(net.meta[key])
-        except (TypeError, ValueError, OverflowError):
+            out[key] = check(net.meta[key])
+        except TypeError:
             raise ParseError(f"{kind} checkpoint meta has a malformed {key!r}") from None
     return out
 

@@ -10,9 +10,11 @@ HPI coding throughout: 0 = not mentioned / unknown, 1 = confirmed, 2 = denied.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from .errors import (
     DigestMismatch,
     EmptyDataset,
     InconsistentEvidence,
+    InquestError,
     NonFinite,
     ParseError,
     ValidationError,
@@ -46,6 +49,10 @@ SEXES = ("male", "female")
 
 AGE_MIN = 0.0
 AGE_MAX = 100.0
+
+# Records sampled together by generate_cohort: at the desk shape one block's
+# uniforms take about 0.4 MB.
+SAMPLE_BLOCK = 256
 
 # Disjoint RNG stream tags; record streams use plain (seed, index), so tags
 # sit far above any realistic record count.
@@ -414,48 +421,66 @@ class _SamplerIndex:
         return cls(cdf, root, np.where(first, gm.first_level_cpt, gm.second_level_cpt))
 
 
-def _sample_record(
-    gm: GenerativeModel, index: _SamplerIndex, record: int, rng: np.random.Generator
-) -> PatientRecord:
-    """Sample record number ``record`` from its own stream ``rng``.
+def _sample_block(
+    gm: GenerativeModel, index: _SamplerIndex, seed: int, ids: range
+) -> list[PatientRecord]:
+    """Records ``ids`` of a ``generate_cohort`` cohort, sampled together."""
+    f, m = gm.n_flags, gm.n_elements
+    u_disease = np.empty(len(ids))
+    z_age = np.empty(len(ids))
+    u = np.empty((len(ids), 1 + f + 2 * m))
+    for j, i in enumerate(ids):
+        rng = np.random.default_rng([seed, i])
+        u_disease[j] = rng.random()
+        z_age[j] = rng.standard_normal()
+        rng.random(out=u[j])
 
-    Draw order, fixed because the bytes of every cohort depend on it: one
-    uniform for the disease (placed in the prior CDF, the same single draw
-    ``rng.choice(D, p=priors)`` makes), one normal for age, one uniform for
-    sex, ``F`` flag uniforms, then ``M`` presence and ``M`` mention uniforms,
-    one per element slot whether or not the slot uses it.
+    d = index.prior_cdf.searchsorted(u_disease, side="right")
+    # np.rint rounds half to even, as round() does.
+    age = np.clip(np.rint(gm.age_mean[d] + gm.age_std[d] * z_age), AGE_MIN, AGE_MAX)
+    female = u[:, 0] < gm.p_female[d]
+    flags = (u[:, 1 : 1 + f] < gm.flag_probs[d]).astype(int).tolist()
+    present = u[:, 1 + f : 1 + f + m] < index.incidence[d]
+    own = np.where(u[:, 1 + f + m :] < gm.mention_prob, DENIED, NOT_MENTIONED).astype(np.int8)
+    own[present] = CONFIRMED
+    # A child reads its own status under a present parent, the parent's otherwise.
+    hpi = np.where(present[:, index.root], own, own[:, index.root])
+    return [
+        PatientRecord(f"p{i:06d}", a, "female" if w else "male", tuple(fl), h, label)
+        for i, a, w, fl, h, label in zip(
+            ids, age.astype(int).tolist(), female.tolist(), flags, hpi, d.tolist()
+        )
+    ]
+
+
+def generate_cohort(gm: GenerativeModel, n: int, seed: int) -> PatientDataset:
+    """Sample ``n`` records; bit-identical for identical (model, n, seed).
+
+    Record ``i`` draws from its own stream ``default_rng([seed, i])``, so the
+    output does not depend on how records are scheduled, and the cohort's
+    first ``k`` records are those of any cohort of ``k`` or more. Records are
+    sampled in blocks of ``SAMPLE_BLOCK``, which bounds the draw buffers
+    whatever ``n`` is and leaves every byte as a record-by-record loop gives.
+
+    Draw order per stream, fixed because the bytes of every cohort depend on
+    it: one uniform for the disease (placed in the prior CDF, the same single
+    draw ``rng.choice(D, p=priors)`` makes), one normal for age (rounded half
+    to even, then clamped to [AGE_MIN, AGE_MAX]), then ``1 + F + 2M``
+    uniforms in one call: sex, ``F`` flags, ``M`` presence and ``M`` mention
+    uniforms, one per element slot whether or not the slot uses it.
 
     Family rule: a present first-level element is confirmed and its children
     are sampled on their own (confirmed if present, else denied if mentioned);
     an absent one is denied if mentioned, else not mentioned, and its children
     share that status.
     """
-    d = int(index.prior_cdf.searchsorted(rng.random(), side="right"))
-    age = round(gm.age_mean[d] + gm.age_std[d] * rng.standard_normal())
-    age = int(min(max(age, AGE_MIN), AGE_MAX))
-    sex = "female" if rng.random() < gm.p_female[d] else "male"
-    flags = tuple((rng.random(gm.n_flags) < gm.flag_probs[d]).astype(int).tolist())
-
-    m = gm.n_elements
-    present = rng.random(m) < index.incidence[d]
-    own = np.where(rng.random(m) < gm.mention_prob, DENIED, NOT_MENTIONED).astype(np.int8)
-    own[present] = CONFIRMED
-    # A child reads its own status under a present parent, the parent's otherwise.
-    hpi = np.where(present[index.root], own, own[index.root])
-    return PatientRecord(f"p{record:06d}", age, sex, flags, hpi, d)
-
-
-def generate_cohort(gm: GenerativeModel, n: int, seed: int) -> PatientDataset:
-    """Sample ``n`` records; bit-identical for identical (model, n, seed).
-
-    Each record draws from its own RNG stream keyed by (seed, record index),
-    so the output does not depend on how records are scheduled.
-    """
     if n < 1:
         raise ConfigError("cohort size must be at least 1")
     validate_genmodel(gm)
     index = _SamplerIndex.of(gm)
-    records = [_sample_record(gm, index, i, np.random.default_rng([seed, i])) for i in range(n)]
+    records = []
+    for start in range(0, n, SAMPLE_BLOCK):
+        records += _sample_block(gm, index, seed, range(start, min(start + SAMPLE_BLOCK, n)))
     return PatientDataset(
         records=records,
         disease_names=gm.disease_names,
@@ -626,24 +651,39 @@ def filter_rare(dataset: PatientDataset, min_count: int) -> tuple[PatientDataset
 # History encoding
 # ---------------------------------------------------------------------------
 
+def encode_histories(
+    records: list[PatientRecord], width: int, age_min: float = AGE_MIN, age_max: float = AGE_MAX
+) -> np.ndarray:
+    """Deterministic structured history rows, one per record, in float64:
+    [age, sex one-hot, flags, 0...].
+
+    Age is min-max normalized to [0, 1] against the configured bounds; surplus
+    slots stay zero, so one width serves records with differing flag counts.
+    """
+    n_flags = [len(r.prior_flags) for r in records]
+    for r, k in zip(records, n_flags):
+        needed = 1 + len(SEXES) + k
+        if width < needed:
+            raise ConfigError(f"history width {width} below required {needed}")
+        if r.sex not in SEXES:
+            raise ConfigError(f"unknown sex {r.sex!r}")
+    out = np.zeros((len(records), width))
+    out[:, 0] = [min(max((r.age - age_min) / (age_max - age_min), 0.0), 1.0) for r in records]
+    for j, sex in enumerate(SEXES):
+        out[:, 1 + j] = [r.sex == sex for r in records]
+    if len(set(n_flags)) == 1:
+        out[:, 3 : 3 + n_flags[0]] = [r.prior_flags for r in records]
+    else:
+        for row, r, k in zip(out, records, n_flags):
+            row[3 : 3 + k] = r.prior_flags
+    return out
+
+
 def encode_history(
     record: PatientRecord, width: int, age_min: float = AGE_MIN, age_max: float = AGE_MAX
 ) -> np.ndarray:
-    """Deterministic structured history vector: [age, sex one-hot, flags, 0...].
-
-    Age is min-max normalized to [0, 1] against the configured bounds; surplus
-    slots stay zero so one width can serve records with fewer flags.
-    """
-    needed = 1 + len(SEXES) + len(record.prior_flags)
-    if width < needed:
-        raise ConfigError(f"history width {width} below required {needed}")
-    if record.sex not in SEXES:
-        raise ConfigError(f"unknown sex {record.sex!r}")
-    vec = np.zeros(width)
-    vec[0] = min(max((record.age - age_min) / (age_max - age_min), 0.0), 1.0)
-    vec[1 + SEXES.index(record.sex)] = 1.0
-    vec[3 : 3 + len(record.prior_flags)] = record.prior_flags
-    return vec
+    """``encode_histories`` of one record."""
+    return encode_histories([record], width, age_min, age_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +701,91 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _refused(rid: str, value, what: str) -> InquestError:
+    """The error for a record field ``load_dataset`` would reject: NonFinite
+    for a NaN or infinity, else ValidationError."""
+    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+        return NonFinite(f"record {rid}: {what} is {value}; nothing written")
+    return ValidationError(f"record {rid}: {what} must be an integer, got {value!r}")
+
+
+def _int_column(records: list[PatientRecord], what: str) -> list[int]:
+    """Field ``what`` of every record as a Python int; a bool is not one."""
+    column = [getattr(r, what) for r in records]
+    if set(map(type, column)) <= {int}:
+        return column
+    for r, v in zip(records, column):
+        if not _is_int(v):
+            raise _refused(r.id, v, what)
+    return [int(v) for v in column]
+
+
+def _record_lines(dataset: PatientDataset) -> list[str]:
+    """The records' JSON lines: the bytes of ``json.dumps`` with sorted keys
+    and no spaces, without a per-record ``json.dumps``. A record that
+    ``load_dataset`` would reject raises before any line is built."""
+    records, m = dataset.records, dataset.m
+    for r in records:
+        if not isinstance(r.id, str):
+            raise ValidationError(f"record id {r.id!r} is not a string")
+    ages = _int_column(records, "age")
+    labels = _int_column(records, "label")
+    flags = [r.prior_flags for r in records]
+    if not (set(map(type, flags)) <= {tuple}
+            and set(map(type, itertools.chain.from_iterable(flags))) <= {int}):
+        for r in records:
+            if not isinstance(r.prior_flags, (tuple, list)):
+                raise ValidationError(f"record {r.id}: prior_flags must be a sequence")
+            for v in r.prior_flags:
+                if not _is_int(v):
+                    raise _refused(r.id, v, "prior flag")
+        flags = [tuple(map(int, fl)) for fl in flags]
+    hpis = [np.asarray(r.hpi) for r in records]
+    for r, label, h in zip(records, labels, hpis):
+        if not 0 <= label < dataset.n_diseases:
+            raise ValidationError(f"record {r.id}: label {label} out of range")
+        if r.sex not in SEXES:
+            raise ValidationError(f"record {r.id}: unknown sex {r.sex!r}")
+        if h.shape != (m,):
+            raise ValidationError(f"record {r.id}: hpi shape {h.shape} != ({m},)")
+        if h.dtype.kind not in "iu":
+            if h.dtype.kind == "f" and not np.isfinite(h).all():
+                raise NonFinite(f"record {r.id}: hpi holds a NaN or infinity; nothing written")
+            raise ValidationError(f"record {r.id}: hpi entries must be integers, "
+                                  f"got dtype {h.dtype}")
+    hpi = np.stack(hpis) if hpis else np.zeros((0, m), dtype=np.int8)
+    bad = ((hpi < 0) | (hpi > 2)).any(axis=1)
+    if bad.any():
+        raise ValidationError(f"record {records[bad.argmax()].id}: hpi entries must be "
+                              f"0, 1 or 2")
+
+    # Row i of ``digits`` is record i's hpi as ASCII "d,d,...,d,".
+    width = 2 * m
+    digits = np.full((len(records), width), ord(","), dtype=np.uint8)
+    digits[:, 0::2] = hpi + ord("0")
+    hpi_text = digits.tobytes().decode("ascii")
+    flag_text = {fl: ",".join(map(str, fl)) for fl in set(flags)}
+    sex_text = {s: encode_basestring_ascii(s) for s in SEXES}
+    return [
+        f'{{"age":{age},"hpi":[{hpi_text[i * width : (i + 1) * width - 1]}],'
+        f'"id":{encode_basestring_ascii(r.id)},"label":{label},'
+        f'"prior_flags":[{flag_text[fl]}],"sex":{sex_text[r.sex]}}}\n'
+        for i, (r, age, label, fl) in enumerate(zip(records, ages, labels, flags))
+    ]
+
+
 def save_dataset(dataset: PatientDataset, path: str | Path) -> None:
     """Write records as JSON-lines plus a ``*.header.json`` sidecar; lossless.
-    A non-finite value raises NonFinite before either file is created."""
+
+    A record that ``load_dataset`` would reject (an id that is not a string,
+    an age, label or flag that is not an integer, a label out of range, an
+    unknown sex, an hpi that is not M entries in 0..2) raises
+    ValidationError, and a non-finite value NonFinite, before either file is
+    created."""
     path = Path(path)
     header = {
         "D": dataset.n_diseases,
@@ -674,19 +796,9 @@ def save_dataset(dataset: PatientDataset, path: str | Path) -> None:
     }
     try:
         head = _json_line(header)
-        lines = [
-            _json_line({
-                "id": r.id,
-                "age": r.age,
-                "sex": r.sex,
-                "prior_flags": list(r.prior_flags),
-                "hpi": [int(v) for v in r.hpi],
-                "label": r.label,
-            })
-            for r in dataset.records
-        ]
     except ValueError:
         raise NonFinite("dataset holds non-finite values; nothing written") from None
+    lines = _record_lines(dataset)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(_header_path(path), "w", encoding="utf-8") as fh:
         fh.write(head)

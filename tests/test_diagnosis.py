@@ -325,6 +325,24 @@ def test_checkpoint_missing_meta_raises_parse_error(tmp_path, toy, key):
         load_diagnosis(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("history_width", 2.7), ("n_elements", True), ("disease_names", [1, 2, 3]),
+    ("disease_names", "xyz"), ("ontology_digest", 5),
+])
+def test_checkpoint_meta_of_another_type_raises_parse_error(tmp_path, key, value):
+    # Each bad value converts to one the net fits (width 2, 1 element, 3
+    # diseases), so only an exact type check refuses it.
+    meta = {"kind": "diagnosis", "history_width": 2, "n_elements": 1,
+            "disease_names": ["a", "b", "c"], "ontology_digest": "d"}
+    net = nncore.init_dense((2 + 3 * 1, 4, 3), output_head=nncore.HEAD_LOGITS)
+    path = tmp_path / "diag.ckpt"
+    nncore.save_net(net, path, meta)
+    assert load_diagnosis(path).disease_names == ("a", "b", "c")
+    nncore.save_net(net, path, {**meta, key: value})
+    with pytest.raises(ParseError, match=f"malformed '{key}'"):
+        load_diagnosis(path)
+
+
 @pytest.mark.parametrize("epochs", [0, -3])
 def test_sl_config_rejects_epochs_below_one(epochs):
     with pytest.raises(DomainError, match="epochs"):

@@ -21,11 +21,15 @@ from inquest.patientgen import (
     CONFIRMED,
     DENIED,
     NOT_MENTIONED,
+    SAMPLE_BLOCK,
+    SEXES,
     GenerativeModel,
+    PatientDataset,
     PatientRecord,
     bayes_posterior,
     benchmark_genmodel,
     benchmark_ontology,
+    encode_histories,
     encode_history,
     enumerate_bayes_rate,
     filter_rare,
@@ -334,6 +338,14 @@ def test_sampler_matches_per_family_reference(gm, seed):
     assert [record_bytes(r) for r in got] == [record_bytes(r) for r in want]
 
 
+@pytest.mark.parametrize("n", [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                               2 * SAMPLE_BLOCK + 1])
+def test_sampler_matches_reference_across_block_edges(toy, n):
+    got = generate_cohort(toy, n, seed=21).records
+    want = [reference_record(toy, i, np.random.default_rng([21, i])) for i in range(n)]
+    assert [record_bytes(r) for r in got] == [record_bytes(r) for r in want]
+
+
 # ---------------------------------------------------------------------------
 # Posterior oracle
 # ---------------------------------------------------------------------------
@@ -534,6 +546,26 @@ def test_encode_history_layout(toy):
     assert np.all(vec[5:] == 0.0)
 
 
+def test_encode_histories_pads_differing_flag_counts(toy):
+    base = generate_cohort(toy, 3, seed=0).records
+    records = [dataclasses.replace(r, age=age, sex=sex, prior_flags=flags)
+               for r, age, sex, flags in zip(base, (0, 50, 130), ("female", "male", "female"),
+                                             ((), (1, 0, 1), (0, 1)))]
+    want = np.array([
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+        [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+    ])
+    got = encode_histories(records, 7)
+    assert got.dtype == np.float64 and np.array_equal(got, want)
+    assert all(np.array_equal(encode_history(r, 7), row) for r, row in zip(records, want))
+    assert encode_histories([], 7).shape == (0, 7)
+    with pytest.raises(ConfigError, match="history width 5 below required 6"):
+        encode_histories(records, 5)
+    with pytest.raises(ConfigError, match="unknown sex 'x'"):
+        encode_histories([*records, dataclasses.replace(records[0], sex="x")], 7)
+
+
 def test_encode_history_age_clipping(toy):
     r = generate_cohort(toy, 1, seed=0).records[0]
     r.age = 120
@@ -568,6 +600,68 @@ def test_save_dataset_refuses_non_finite_values(tmp_path, toy):
     with pytest.raises(NonFinite):
         save_dataset(ds, path)
     assert not path.exists() and not (tmp_path / "cohort.header.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("age", 40.5), ("age", True), ("label", 1.0), ("label", False), ("label", 3),
+    pytest.param("prior_flags", (0, 0.5), id="flag-float"),
+    pytest.param("prior_flags", (True, 0), id="flag-bool"),
+    ("sex", "other"), ("id", 7),
+    pytest.param("hpi", np.array([1, 0, 0, 5, 0, 0, 0], dtype=np.int8), id="hpi-entry-5"),
+    pytest.param("hpi", np.array([1, 0, 0, 1, 0, 0], dtype=np.int8), id="hpi-short"),
+    pytest.param("hpi", np.array([[1, 0, 0, 1, 0, 0, 0]], dtype=np.int8), id="hpi-2d"),
+    pytest.param("hpi", np.array([1.0, 0, 0, 1, 0, 0, 0]), id="hpi-float"),
+    pytest.param("hpi", np.array([True, False, False, True, False, False, False]),
+                 id="hpi-bool"),
+])
+def test_save_dataset_refuses_what_the_loader_rejects(tmp_path, toy, field, value):
+    ds = generate_cohort(toy, 5, seed=0)
+    ds.records[2] = dataclasses.replace(ds.records[2], **{field: value})
+    path = tmp_path / "cohort.jsonl"
+    with pytest.raises(ValidationError):
+        save_dataset(ds, path)
+    assert not path.exists() and not (tmp_path / "cohort.header.json").exists()
+
+
+def reference_save(dataset, path):
+    """The per-record ``json.dumps`` writer, kept as the byte-for-byte reference."""
+    lines = [
+        json.dumps({"id": r.id, "age": r.age, "sex": r.sex, "prior_flags": list(r.prior_flags),
+                    "hpi": [int(v) for v in r.hpi], "label": r.label},
+                   sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        for r in dataset.records
+    ]
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+# Ids mix quotes, backslashes, control and non-ASCII characters with the rest
+# of Unicode.
+_IDS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                         st.characters()), max_size=8)
+
+
+@st.composite
+def random_datasets(draw):
+    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    records = [
+        PatientRecord(
+            draw(_IDS), draw(st.integers(-10**12, 10**12)), draw(st.sampled_from(SEXES)),
+            tuple(draw(st.lists(st.integers(-10**6, 10**6), max_size=3))),
+            np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)), dtype=np.int8),
+            draw(st.integers(0, d - 1)),
+        )
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return PatientDataset(records, tuple(f"d{i}" for i in range(d)), m, "digest")
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_datasets())
+def test_save_dataset_matches_per_record_json_dumps(tmp_path_factory, dataset):
+    tmp = tmp_path_factory.mktemp("save")
+    save_dataset(dataset, tmp / "got.jsonl")
+    reference_save(dataset, tmp / "want.jsonl")
+    assert (tmp / "got.jsonl").read_bytes() == (tmp / "want.jsonl").read_bytes()
 
 
 def test_load_rejects_wrong_ontology(tmp_path, toy):
