@@ -10,7 +10,6 @@ HPI coding throughout: 0 = not mentioned / unknown, 1 = confirmed, 2 = denied.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,7 +23,6 @@ from .errors import (
     DigestMismatch,
     EmptyDataset,
     InconsistentEvidence,
-    InquestError,
     NonFinite,
     ParseError,
     ValidationError,
@@ -671,11 +669,8 @@ def encode_histories(
     out[:, 0] = [min(max((r.age - age_min) / (age_max - age_min), 0.0), 1.0) for r in records]
     for j, sex in enumerate(SEXES):
         out[:, 1 + j] = [r.sex == sex for r in records]
-    if len(set(n_flags)) == 1:
-        out[:, 3 : 3 + n_flags[0]] = [r.prior_flags for r in records]
-    else:
-        for row, r, k in zip(out, records, n_flags):
-            row[3 : 3 + k] = r.prior_flags
+    for row, r, k in zip(out, records, n_flags):
+        row[3 : 3 + k] = r.prior_flags
     return out
 
 
@@ -701,55 +696,28 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _refused(rid: str, value, what: str) -> InquestError:
-    """The error for a record field ``load_dataset`` would reject: NonFinite
-    for a NaN or infinity, else ValidationError."""
-    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
-        return NonFinite(f"record {rid}: {what} is {value}; nothing written")
-    return ValidationError(f"record {rid}: {what} must be an integer, got {value!r}")
-
-
-def _int_column(records: list[PatientRecord], what: str) -> list[int]:
-    """Field ``what`` of every record as a Python int; a bool is not one."""
-    column = [getattr(r, what) for r in records]
-    if set(map(type, column)) <= {int}:
-        return column
-    for r, v in zip(records, column):
-        if not _is_int(v):
-            raise _refused(r.id, v, what)
-    return [int(v) for v in column]
-
-
 def _record_lines(dataset: PatientDataset) -> list[str]:
     """The records' JSON lines: the bytes of ``json.dumps`` with sorted keys
     and no spaces, without a per-record ``json.dumps``. A record that
     ``load_dataset`` would reject raises before any line is built."""
     records, m = dataset.records, dataset.m
+    hpis = []
     for r in records:
         if not isinstance(r.id, str):
             raise ValidationError(f"record id {r.id!r} is not a string")
-    ages = _int_column(records, "age")
-    labels = _int_column(records, "label")
-    flags = [r.prior_flags for r in records]
-    if not (set(map(type, flags)) <= {tuple}
-            and set(map(type, itertools.chain.from_iterable(flags))) <= {int}):
-        for r in records:
-            if not isinstance(r.prior_flags, (tuple, list)):
-                raise ValidationError(f"record {r.id}: prior_flags must be a sequence")
-            for v in r.prior_flags:
-                if not _is_int(v):
-                    raise _refused(r.id, v, "prior flag")
-        flags = [tuple(map(int, fl)) for fl in flags]
-    hpis = [np.asarray(r.hpi) for r in records]
-    for r, label, h in zip(records, labels, hpis):
+        age, label, flags = r.age, r.label, r.prior_flags
+        # Exact ints, as load_dataset reads them: a bool is not one.
+        if not (type(age) is int and type(label) is int and type(flags) is tuple
+                and all(type(v) is int for v in flags)):
+            values = (age, label, *flags) if isinstance(flags, tuple) else (age, label)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise NonFinite(f"record {r.id}: non-finite age, label or flag; nothing written")
+            raise ValidationError(f"record {r.id}: age, label and prior_flags must be integers")
         if not 0 <= label < dataset.n_diseases:
             raise ValidationError(f"record {r.id}: label {label} out of range")
         if r.sex not in SEXES:
             raise ValidationError(f"record {r.id}: unknown sex {r.sex!r}")
+        h = np.asarray(r.hpi)
         if h.shape != (m,):
             raise ValidationError(f"record {r.id}: hpi shape {h.shape} != ({m},)")
         if h.dtype.kind not in "iu":
@@ -757,6 +725,7 @@ def _record_lines(dataset: PatientDataset) -> list[str]:
                 raise NonFinite(f"record {r.id}: hpi holds a NaN or infinity; nothing written")
             raise ValidationError(f"record {r.id}: hpi entries must be integers, "
                                   f"got dtype {h.dtype}")
+        hpis.append(h)
     hpi = np.stack(hpis) if hpis else np.zeros((0, m), dtype=np.int8)
     bad = ((hpi < 0) | (hpi > 2)).any(axis=1)
     if bad.any():
@@ -768,13 +737,13 @@ def _record_lines(dataset: PatientDataset) -> list[str]:
     digits = np.full((len(records), width), ord(","), dtype=np.uint8)
     digits[:, 0::2] = hpi + ord("0")
     hpi_text = digits.tobytes().decode("ascii")
-    flag_text = {fl: ",".join(map(str, fl)) for fl in set(flags)}
+    flag_text = {fl: ",".join(map(str, fl)) for fl in {r.prior_flags for r in records}}
     sex_text = {s: encode_basestring_ascii(s) for s in SEXES}
     return [
-        f'{{"age":{age},"hpi":[{hpi_text[i * width : (i + 1) * width - 1]}],'
-        f'"id":{encode_basestring_ascii(r.id)},"label":{label},'
-        f'"prior_flags":[{flag_text[fl]}],"sex":{sex_text[r.sex]}}}\n'
-        for i, (r, age, label, fl) in enumerate(zip(records, ages, labels, flags))
+        f'{{"age":{r.age},"hpi":[{hpi_text[i * width : (i + 1) * width - 1]}],'
+        f'"id":{encode_basestring_ascii(r.id)},"label":{r.label},'
+        f'"prior_flags":[{flag_text[r.prior_flags]}],"sex":{sex_text[r.sex]}}}\n'
+        for i, r in enumerate(records)
     ]
 
 

@@ -604,6 +604,7 @@ def test_save_dataset_refuses_non_finite_values(tmp_path, toy):
 
 @pytest.mark.parametrize("field, value", [
     ("age", 40.5), ("age", True), ("label", 1.0), ("label", False), ("label", 3),
+    pytest.param("age", np.int64(40), id="age-numpy-int"),
     pytest.param("prior_flags", (0, 0.5), id="flag-float"),
     pytest.param("prior_flags", (True, 0), id="flag-bool"),
     ("sex", "other"), ("id", 7),
