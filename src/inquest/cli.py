@@ -7,6 +7,7 @@ Every subcommand is deterministic given its flags and seeds. A flat
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .evalharness import (
     GreedyModelPolicy,
     RANDOM_LEGAL,
     baseline_policy,
+    check_models,
     emit_report,
     evaluate,
     load_report,
@@ -133,9 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=True):
         p.add_argument("--config", help="flat key = value file of flag presets")
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
 
     # The simulated dialogue's settings, shared by train-inquiry and eval.
     dialogue = argparse.ArgumentParser(add_help=False)
@@ -143,11 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
     dialogue.add_argument("--noise", type=float, default=0.0)
     dialogue.add_argument("--unmentioned-answer", default=UNMENTIONED_DENIED,
                           choices=(UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN))
-    for name, default in (("--p1p", 0.5), ("--p1n", 0.1), ("--p2p", 0.3), ("--p2n", 0.05)):
-        dialogue.add_argument(name, type=float, default=default)
+    for f in dataclasses.fields(DisclosureProbs):
+        dialogue.add_argument(f"--{f.name}", type=float, default=f.default)
 
     p = sub.add_parser("gen-ontology", help="write a synthetic two-level element tree")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--m1", type=int, default=30)
     p.add_argument("--m2", type=int, default=60)
     p.add_argument("--n-open", type=int, default=10)
@@ -169,15 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--val-data", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--hidden", type=_int_list, default=(256, 256))
-    p.add_argument("--history-width", type=int, default=64)
+    p.add_argument("--epochs", type=int, default=SlTrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=SlTrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=SlTrainConfig.lr)
+    p.add_argument("--hidden", type=_int_list, default=SlTrainConfig.hidden)
+    p.add_argument("--history-width", type=int, default=SlTrainConfig.history_width)
     p.add_argument("--no-augment", action="store_true",
                    help="train on full observations only")
-    p.add_argument("--hide-lo", type=float, default=0.0)
-    p.add_argument("--hide-hi", type=float, default=0.8)
+    p.add_argument("--hide-lo", type=float, default=SlTrainConfig.hide_lo)
+    p.add_argument("--hide-hi", type=float, default=SlTrainConfig.hide_hi)
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("train-inquiry", parents=[dialogue],
@@ -189,20 +192,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--value-out", default=None)
     p.add_argument("--log", default=None, help="CSV iteration log path")
-    p.add_argument("--iterations", type=int, default=30)
-    p.add_argument("--episodes", type=int, default=32)
-    p.add_argument("--minibatch", type=int, default=64)
-    p.add_argument("--clip-eps", type=float, default=0.2)
-    p.add_argument("--update-epochs", type=int, default=4)
-    p.add_argument("--gamma", type=float, default=0.99)
-    p.add_argument("--lam-gae", type=float, default=0.95)
-    p.add_argument("--policy-lr", type=float, default=1e-3)
-    p.add_argument("--value-lr", type=float, default=1e-3)
-    p.add_argument("--entropy-coef", type=float, default=0.01)
-    p.add_argument("--hidden", type=_int_list, default=(128, 128))
-    p.add_argument("--time-penalty", type=float, default=0.5)
-    p.add_argument("--first-level-weight", type=float, default=2.0)
-    p.add_argument("--negative-discount", type=float, default=0.5)
+    p.add_argument("--iterations", type=int, default=PpoConfig.iterations)
+    p.add_argument("--episodes", type=int, default=PpoConfig.episodes_per_iter)
+    p.add_argument("--minibatch", type=int, default=PpoConfig.minibatch_size)
+    p.add_argument("--clip-eps", type=float, default=PpoConfig.clip_eps)
+    p.add_argument("--update-epochs", type=int, default=PpoConfig.update_epochs)
+    p.add_argument("--gamma", type=float, default=PpoConfig.gamma)
+    p.add_argument("--lam-gae", type=float, default=PpoConfig.lam_gae)
+    p.add_argument("--policy-lr", type=float, default=PpoConfig.policy_lr)
+    p.add_argument("--value-lr", type=float, default=PpoConfig.value_lr)
+    p.add_argument("--entropy-coef", type=float, default=PpoConfig.entropy_coef)
+    p.add_argument("--hidden", type=_int_list, default=PpoConfig.hidden)
+    p.add_argument("--time-penalty", type=float, default=RewardParams.time_penalty)
+    p.add_argument("--first-level-weight", type=float, default=RewardParams.first_level_weight)
+    p.add_argument("--negative-discount", type=float, default=RewardParams.negative_discount)
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("eval", parents=[dialogue],
@@ -221,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-k", type=int, default=1)
 
     p = sub.add_parser("consult", help="interactive consultation; you answer as the patient")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--ontology", required=True)
     p.add_argument("--diag", required=True)
     p.add_argument("--policy", default=None)
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcript", default=None, help="save the session as a trace file")
 
     p = sub.add_parser("report", help="render stored evaluation reports")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--inputs", nargs="+", required=True, help="report JSON files")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
@@ -247,8 +250,15 @@ def _load_pair(args):
     return onto, ds
 
 
+def _settings(cls, args, **given):
+    """A ``cls`` settings dataclass: each field not in ``given`` comes from the
+    parsed flag of the same name."""
+    return cls(**{f.name: getattr(args, f.name)
+                  for f in dataclasses.fields(cls) if f.name not in given}, **given)
+
+
 def _disclosure(args) -> DisclosureProbs:
-    probs = DisclosureProbs(args.p1p, args.p1n, args.p2p, args.p2n)
+    probs = _settings(DisclosureProbs, args)
     probs.validate()
     return probs
 
@@ -292,17 +302,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train_diag(args) -> int:
     onto, ds = _load_pair(args)
     val = load_dataset(args.val_data, ontology=onto) if args.val_data else None
-    cfg = SlTrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        seed=args.seed,
-        augment=not args.no_augment,
-        hide_lo=args.hide_lo,
-        hide_hi=args.hide_hi,
-        hidden=tuple(args.hidden),
-        history_width=args.history_width,
-    )
+    cfg = _settings(SlTrainConfig, args, augment=not args.no_augment)
     log = None if args.quiet else print
     model, history = train_diagnosis(ds, cfg, val=val, log=log)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -315,21 +315,9 @@ def cmd_train_diag(args) -> int:
 def cmd_train_inquiry(args) -> int:
     onto, ds = _load_pair(args)
     diag = load_diagnosis(args.diag)
-    cfg = PpoConfig(
-        iterations=args.iterations,
-        episodes_per_iter=args.episodes,
-        clip_eps=args.clip_eps,
-        update_epochs=args.update_epochs,
-        minibatch_size=args.minibatch,
-        gamma=args.gamma,
-        lam_gae=args.lam_gae,
-        policy_lr=args.policy_lr,
-        value_lr=args.value_lr,
-        entropy_coef=args.entropy_coef,
-        hidden=tuple(args.hidden),
-        seed=args.seed,
-    )
-    reward = RewardParams(args.time_penalty, args.first_level_weight, args.negative_discount)
+    cfg = _settings(PpoConfig, args, episodes_per_iter=args.episodes,
+                    minibatch_size=args.minibatch)
+    reward = _settings(RewardParams, args)
     disclosure = _disclosure(args)
     log = None if args.quiet else print
     policy, value, history = train_inquiry(
@@ -460,10 +448,14 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
     Open questions prompt once per unknown target element. A first-level
     "no" closes off that element's detail questions, mirroring the simulated
     environment. After the rounds (or EOF) the top-10 ranked diseases are
-    printed with probabilities.
+    printed with probabilities. Models built against another ontology
+    (``evalharness.check_models``) and a negative horizon are refused before
+    the first prompt.
     """
-    m = ontology.n_elements
-    status = np.zeros(m, dtype=np.int8)
+    check_models(policy, diag_model, ontology)
+    if horizon < 0:
+        raise ConfigError("horizon must be non-negative")
+    status = np.zeros(ontology.n_elements, dtype=np.int8)
     rounds: list = []
     age, sex = 50, "female"
     try:
@@ -529,10 +521,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
 def cmd_consult(args) -> int:
     onto = load_ontology(args.ontology)
     diag = load_diagnosis(args.diag)
-    if diag.ontology_digest != onto.content_digest:
-        raise ConfigError("diagnosis checkpoint does not match this ontology")
-    policy = _select_policy(args)
-    trace = consult_repl(policy, diag, onto, horizon=args.horizon)
+    trace = consult_repl(_select_policy(args), diag, onto, horizon=args.horizon)
     if args.transcript:
         save_traces([trace], args.transcript)
         print(f"saved transcript to {args.transcript}")

@@ -17,7 +17,7 @@ import numpy as np
 from . import nncore
 from .errors import DomainError, EmptyDataset, ParseError, ShapeError
 from .patientgen import PatientDataset, encode_histories, full_evidence
-from .nncore import DenseNet, forward, forward_with_cache, softmax
+from .nncore import DenseNet, forward_with_cache, softmax
 
 _TAG_SL = (1 << 40) + 3
 
@@ -147,8 +147,8 @@ def predict(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -> np.n
 
 def predict_batch(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Disease distributions, one row per pair; a row's bytes do not depend on
-    the other rows (``nncore.forward_blocked``)."""
-    return softmax(nncore.forward_blocked(model.net, _input_matrix(model, history, obs)))
+    the other rows (``nncore.forward``)."""
+    return softmax(nncore.forward(model.net, _input_matrix(model, history, obs)))
 
 
 def rank_from_probs(probs: np.ndarray) -> np.ndarray:
@@ -252,7 +252,7 @@ def eval_loss(model: DiagnosisModel, dataset: PatientDataset) -> float:
     if len(dataset) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     hist, hpi, labels = _dataset_arrays(dataset, model.history_width)
-    logits = forward(model.net, np.hstack([hist, encode_hpi_ternary(hpi)]))
+    logits = nncore.forward(model.net, np.hstack([hist, encode_hpi_ternary(hpi)]))
     return nncore.cross_entropy(logits, labels)
 
 

@@ -10,7 +10,7 @@ is its N=1 case. Policies decide for a batch (``select_batch``), so each round
 costs one forward of the policy net over the active episodes, and the final
 ranking one forward of the ranker. Patient i draws from an RNG keyed on
 (seed, i), and every net runs in fixed-size blocks
-(``nncore.forward_blocked``). A patient's trace is therefore the same bytes
+(``nncore.forward``). A patient's trace is therefore the same bytes
 whether it is evaluated alone or inside any dataset.
 """
 from __future__ import annotations
@@ -115,7 +115,7 @@ class GreedyModelPolicy(_BatchPolicy):
     def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
         x = np.concatenate([histories, encode_hpi_ternary(statuses)], axis=1,
                            dtype=self.inner.net.dtype)
-        probs = masked_softmax(nncore.forward_blocked(self.inner.net, x), masks)
+        probs = masked_softmax(nncore.forward(self.inner.net, x), masks)
         return probs.argmax(axis=1)
 
 
@@ -148,6 +148,16 @@ def baseline_policy(kind: str):
 # Simulation
 # ---------------------------------------------------------------------------
 
+def check_models(policy, diag_model: DiagnosisModel, ontology: HpiOntology) -> None:
+    """Raise DigestMismatch unless the ranker, and the policy if it is a
+    trained one, were built against ``ontology``."""
+    if diag_model.ontology_digest != ontology.content_digest:
+        raise DigestMismatch("diagnosis model was built against a different ontology")
+    policy_digest = getattr(policy, "ontology_digest", None)
+    if policy_digest is not None and policy_digest != ontology.content_digest:
+        raise DigestMismatch("policy was built against a different ontology")
+
+
 def consult_batch(
     policy,
     diag_model: DiagnosisModel,
@@ -166,12 +176,7 @@ def consult_batch(
     the final ranking one blocked ranker forward over all of them, so a
     patient's trace is the same bytes whatever the batch holds.
     """
-    if diag_model.ontology_digest != ontology.content_digest:
-        raise DigestMismatch("diagnosis model was built against a different ontology")
-    policy_digest = getattr(policy, "ontology_digest", None)
-    if policy_digest is not None and policy_digest != ontology.content_digest:
-        raise DigestMismatch("policy was built against a different ontology")
-
+    check_models(policy, diag_model, ontology)
     width = getattr(policy, "history_width", None) or diag_model.history_width
     env = consult_env.Lockstep(
         patients, ontology, disclosure, rngs, horizon, noise, unmentioned_answer

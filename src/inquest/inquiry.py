@@ -317,14 +317,14 @@ def collect_rollouts(
             break
         x = np.hstack([e_pol[rows], encode_hpi_ternary(env.status[rows])],
                       dtype=policy.net.dtype)
-        probs = masked_softmax(nncore.forward_blocked(policy.net, x), mask)
+        probs = masked_softmax(nncore.forward(policy.net, x), mask)
         actions = _sample_actions(probs, [rngs[i] for i in rows])
         findings = env.step(actions)
         new = predict_batch(diag_model, e_diag[rows], env.status[rows])
         rewards = _rewards(reward_params, findings, belief[rows], new)
         belief[rows] = new
         logps = np.log(probs[np.arange(len(rows)), actions])
-        values = nncore.forward_blocked(value.net, x)
+        values = nncore.forward(value.net, x)
         rounds.append((rows, x, actions, logps, rewards, values, mask))
     if not rounds:
         raise EmptyDataset("no episode produced a single legal step")
@@ -521,16 +521,16 @@ def train_inquiry(
     horizon: int = 10,
     noise: float = 0.0,
     unmentioned_answer: str = UNMENTIONED_DENIED,
-    history_width: int | None = None,
     log=None,
 ) -> tuple[InquiryPolicy, ValueNet, list[IterStats]]:
-    """Full PPO run from fresh nets; returns the nets plus per-iteration stats."""
+    """Full PPO run from fresh nets, which read histories as wide as the
+    ranker's; returns the nets plus per-iteration stats."""
     cfg.validate()
     reward_params = reward_params if reward_params is not None else RewardParams()
     disclosure = disclosure if disclosure is not None else DisclosureProbs()
     reward_params.validate()
     disclosure.validate()
-    width = history_width if history_width is not None else diag_model.history_width
+    width = diag_model.history_width
     policy = new_inquiry_policy(
         width, dataset.m, ontology.n_questions, ontology.content_digest,
         hidden=cfg.hidden, seed=cfg.seed,

@@ -44,7 +44,7 @@ HEAD_SCALAR = "scalar"
 
 _TAG_INIT = (1 << 40) + 2
 
-# Rows per matrix product in ``forward_blocked``. A row's result from a BLAS
+# Rows per matrix product in ``forward``. A row's result from a BLAS
 # product can depend on how many rows the product has (a 1-row product takes
 # the gemv path; wider heads switch kernels at larger row counts), but it did
 # not depend on the other rows of a fixed-size product. So inference that must
@@ -54,6 +54,9 @@ _TAG_INIT = (1 << 40) + 2
 # evaluation; 1 and 2 rows were 1.6-2.7x slower on batches, 16 and 32 rows
 # slower on a lone row.
 BLOCK_ROWS = 8
+
+# Adam's (beta1, beta2, eps), as in Kingma and Ba (2015).
+ADAM_BETAS_EPS = (0.9, 0.999, 1e-8)
 
 # Elements per chunk of ``adam_step``: the chunk's slices of the parameters,
 # gradient, moments and two scratch rows stay in cache across the update's
@@ -145,11 +148,11 @@ def init_dense(
     layer_dims: tuple[int, ...] | list[int],
     output_head: str = HEAD_LOGITS,
     seed: int = 0,
-    hidden_activation: str = RELU,
     zero_output: bool = True,
     dtype=np.float64,
 ) -> DenseNet:
-    """He-uniform init, U(+-sqrt(6/fan_in)) per layer, in ``dtype``.
+    """He-uniform init, U(+-sqrt(6/fan_in)) per layer, in ``dtype``, with
+    ReLU hidden layers.
 
     With ``zero_output`` the last layer starts at zero so the net's initial
     outputs are constant (uniform class scores / zero value estimate). The
@@ -157,11 +160,11 @@ def init_dense(
     rounded float64 net.
     """
     dims = tuple(int(d) for d in layer_dims)
-    problem = _spec_problem(dims, hidden_activation, output_head)
+    problem = _spec_problem(dims, RELU, output_head)
     if problem:
         raise ConfigError(problem)
     rng = np.random.default_rng([seed, _TAG_INIT])
-    net = DenseNet(dims, hidden_activation, output_head, np.zeros(n_params(dims), dtype))
+    net = DenseNet(dims, RELU, output_head, np.zeros(n_params(dims), dtype))
     for i, w in enumerate(net.weights):
         if zero_output and i == net.n_layers - 1:
             break  # the last draw: skipping it changes no other layer
@@ -180,13 +183,9 @@ def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
 
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    out, _ = forward_with_cache(net, x)
-    return out
-
-
-def forward_blocked(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Like ``forward``, but each row's output is the same bytes whatever the
-    other rows are and however many there are (see ``BLOCK_ROWS``)."""
+    """Inference pass: (n, d_in) inputs to the head's outputs. Each row's
+    output is the same bytes whatever the other rows are and however many
+    there are (see ``BLOCK_ROWS``)."""
     x = _check_input(net, x)
     n = len(x)
     blocks = max(-(-n // BLOCK_ROWS), 1)
@@ -268,31 +267,25 @@ def init_adam(params: np.ndarray) -> AdamState:
     )
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of the flat buffer ``params``, in place.
 
     The whole gradient is checked before anything is written, so a
     non-finite gradient leaves parameters, moments and step count as they
     were. The update runs chunk by chunk with no allocation, in the
     arithmetic order m = b1*m + (1-b1)*g, m = 0 where |m| < tiny,
-    v = b2*v + ((1-b2)*g)*g, p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), which
-    fixes its bytes. ``tiny`` is the dtype's smallest normal number: a unit
-    whose gradient stays zero decays its m into the subnormal range, where
-    arithmetic runs many times slower, and rounding keeps it there.
+    v = b2*v + ((1-b2)*g)*g, p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), with
+    (b1, b2, eps) = ``ADAM_BETAS_EPS``, which fixes its bytes. ``tiny`` is the
+    dtype's smallest normal number: a unit whose gradient stays zero decays
+    its m into the subnormal range, where arithmetic runs many times slower,
+    and rounding keeps it there.
     """
     if not (params.shape == grads.shape == state.m.shape
             and params.dtype == grads.dtype == state.m.dtype):
         raise ShapeError("params, grads and Adam state are inconsistent")
     if not _all_finite(grads):
         raise NonFinite("gradient contains non-finite values")
+    beta1, beta2, eps = ADAM_BETAS_EPS
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t

@@ -48,6 +48,9 @@ SEXES = ("male", "female")
 AGE_MIN = 0.0
 AGE_MAX = 100.0
 
+# Signature elements per disease in benchmark_genmodel.
+N_SIGNATURES = 3
+
 # Records sampled together by generate_cohort: at the desk shape one block's
 # uniforms take about 0.4 MB.
 SAMPLE_BLOCK = 256
@@ -321,21 +324,23 @@ def benchmark_genmodel(
     n_diseases: int = 20,
     seed: int = 0,
     n_flags: int = 8,
-    n_signatures: int = 3,
 ) -> GenerativeModel:
     """Seeded random incidence tables with per-disease signature elements.
 
     Sibling groups probed by open questions act as common complaints: every
     disease presents them at the same high rate, so confirming one says
     little by itself. The signal lives one level down. Each disease gets
-    ``n_signatures`` signature elements at marginal incidence 0.7-0.9 among
+    ``N_SIGNATURES`` signature elements at marginal incidence 0.7-0.9 among
     those groups' children, next to moderately disease-specific siblings,
     and the remaining first-level elements are low-incidence background.
     Detail findings mostly surface only under direct questioning, so the
     tables favor a policy that works complaint groups over one that probes
     at random. Ontologies without open questions fall back to first-level
-    signatures over the same background.
+    signatures over the same background. Fewer than one disease or a
+    negative flag count raises ConfigError.
     """
+    if n_diseases < 1 or n_flags < 0:
+        raise ConfigError(f"need n_diseases >= 1 and n_flags >= 0, got {n_diseases}, {n_flags}")
     rng = np.random.default_rng([seed, _TAG_GENMODEL])
     m = ontology.n_elements
     first_ids = np.array(ontology.first_level_ids())
@@ -351,7 +356,7 @@ def benchmark_genmodel(
     })
     common_set = set(common)
     child_pool = np.array([e for e in range(m) if parent[e] in common_set])
-    deep_signatures = len(child_pool) >= n_signatures
+    deep_signatures = len(child_pool) >= N_SIGNATURES
 
     cpt1 = np.zeros((n_diseases, m))
     cpt2 = np.zeros((n_diseases, m))
@@ -362,7 +367,7 @@ def benchmark_genmodel(
         cpt1[:, f] = inc
     for d in range(n_diseases):
         pool = child_pool if deep_signatures else first_ids
-        sig = rng.choice(pool, size=min(n_signatures, len(pool)), replace=False)
+        sig = rng.choice(pool, size=min(N_SIGNATURES, len(pool)), replace=False)
         signature[d, sig] = True
         if not deep_signatures:
             cpt1[d, sig] = rng.uniform(0.7, 0.9, len(sig))
@@ -649,13 +654,11 @@ def filter_rare(dataset: PatientDataset, min_count: int) -> tuple[PatientDataset
 # History encoding
 # ---------------------------------------------------------------------------
 
-def encode_histories(
-    records: list[PatientRecord], width: int, age_min: float = AGE_MIN, age_max: float = AGE_MAX
-) -> np.ndarray:
+def encode_histories(records: list[PatientRecord], width: int) -> np.ndarray:
     """Deterministic structured history rows, one per record, in float64:
     [age, sex one-hot, flags, 0...].
 
-    Age is min-max normalized to [0, 1] against the configured bounds; surplus
+    Age is min-max normalized to [0, 1] against [AGE_MIN, AGE_MAX]; surplus
     slots stay zero, so one width serves records with differing flag counts.
     """
     n_flags = [len(r.prior_flags) for r in records]
@@ -666,7 +669,7 @@ def encode_histories(
         if r.sex not in SEXES:
             raise ConfigError(f"unknown sex {r.sex!r}")
     out = np.zeros((len(records), width))
-    out[:, 0] = [min(max((r.age - age_min) / (age_max - age_min), 0.0), 1.0) for r in records]
+    out[:, 0] = [min(max((r.age - AGE_MIN) / (AGE_MAX - AGE_MIN), 0.0), 1.0) for r in records]
     for j, sex in enumerate(SEXES):
         out[:, 1 + j] = [r.sex == sex for r in records]
     for row, r, k in zip(out, records, n_flags):
@@ -674,11 +677,9 @@ def encode_histories(
     return out
 
 
-def encode_history(
-    record: PatientRecord, width: int, age_min: float = AGE_MIN, age_max: float = AGE_MAX
-) -> np.ndarray:
+def encode_history(record: PatientRecord, width: int) -> np.ndarray:
     """``encode_histories`` of one record."""
-    return encode_histories([record], width, age_min, age_max)[0]
+    return encode_histories([record], width)[0]
 
 
 # ---------------------------------------------------------------------------

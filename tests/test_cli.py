@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line surface and the consultation REPL."""
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -12,9 +13,11 @@ from inquest.cli import (
     parse_config_file,
     run,
 )
-from inquest.diagnosis import new_diagnosis_model, predict, rank_from_probs
-from inquest.errors import ParseError
+from inquest.consult_env import DisclosureProbs
+from inquest.diagnosis import SlTrainConfig, new_diagnosis_model, predict, rank_from_probs
+from inquest.errors import ConfigError, ParseError
 from inquest.evalharness import FIXED_ORDER, baseline_policy, load_report, load_traces
+from inquest.inquiry import PpoConfig, RewardParams
 from inquest.patientgen import encode_history, load_dataset, toy_ontology
 from inquest.ontology import load_ontology
 
@@ -231,6 +234,66 @@ def test_config_presets_reach_the_shared_dialogue_flags(tmp_path):
     assert (args.horizon, args.p2n, args.p1p) == (5, 0.3, 0.5)
 
 
+class _Stop(Exception):
+    """Raised by a stubbed stage once it has recorded its arguments."""
+
+
+def _settings_given_to_the_stages(workspace, monkeypatch, diag_flags=(), inquiry_flags=(),
+                                  eval_flags=()):
+    """Run train-diag, train-inquiry and eval up to their stage calls; returns
+    the ranker config, PPO config, reward, and the two disclosure settings."""
+    root, onto_dir, data, diag, policy = workspace
+    got = {}
+
+    def stub(name):
+        def record(*args, **kwargs):
+            got[name] = (args, kwargs)
+            raise _Stop()
+        return record
+
+    for name in ("train_diagnosis", "train_inquiry", "evaluate"):
+        monkeypatch.setattr(f"inquest.cli.{name}", stub(name))
+    inputs = ["--ontology", str(onto_dir), "--data", str(data), "--out", str(root / "unused")]
+    for argv in (["train-diag", *inputs, *diag_flags],
+                 ["train-inquiry", *inputs, "--diag", str(diag), *inquiry_flags],
+                 ["eval", *inputs, "--diag", str(diag), "--baseline", "FixedOrder", *eval_flags]):
+        with pytest.raises(_Stop):
+            run(argv)
+    (_, sl_cfg), _ = got["train_diagnosis"]
+    (_, _, _, ppo_cfg), inquiry_kw = got["train_inquiry"]
+    return (sl_cfg, ppo_cfg, inquiry_kw["reward_params"], inquiry_kw["disclosure"],
+            got["evaluate"][1]["disclosure"])
+
+
+def test_every_setting_defaults_to_its_dataclass(workspace, monkeypatch):
+    """A settings field without a flag of its name fails here."""
+    sl_cfg, ppo_cfg, reward, disclosure, eval_disclosure = _settings_given_to_the_stages(
+        workspace, monkeypatch)
+    assert sl_cfg == SlTrainConfig()
+    assert ppo_cfg == PpoConfig()
+    assert reward == RewardParams()
+    assert disclosure == eval_disclosure == DisclosureProbs()
+
+
+def test_non_default_flags_land_in_their_fields(workspace, monkeypatch):
+    sl_cfg, ppo_cfg, _, disclosure, eval_disclosure = _settings_given_to_the_stages(
+        workspace, monkeypatch, diag_flags=["--no-augment"],
+        inquiry_flags=["--episodes", "7", "--minibatch", "9", "--p2n", "0.2"],
+        eval_flags=["--p2n", "0.2"])
+    assert sl_cfg == SlTrainConfig(augment=False)
+    assert ppo_cfg == PpoConfig(episodes_per_iter=7, minibatch_size=9)
+    assert disclosure == eval_disclosure == DisclosureProbs(p2n=0.2)
+
+
+@pytest.mark.parametrize("command, takes_seed", [
+    ("gen-ontology", False), ("gen-data", True), ("train-diag", True),
+    ("train-inquiry", True), ("eval", True), ("consult", False), ("report", False),
+])
+def test_seed_is_a_flag_only_where_it_is_read(command, takes_seed):
+    sub = next(a for a in build_parser()._actions if isinstance(a.choices, dict)).choices
+    assert ("seed" in {a.dest for a in sub[command]._actions}) == takes_seed
+
+
 # ---------------------------------------------------------------------------
 # Consultation REPL
 # ---------------------------------------------------------------------------
@@ -364,9 +427,55 @@ def test_consult_command_with_stdin(workspace, tmp_path, monkeypatch, capsys):
     assert "top diseases" in out
 
 
+def test_repl_rejects_negative_horizon(repl_models):
+    onto, diag = repl_models
+    prompts = []
+    with pytest.raises(ConfigError, match="horizon must be non-negative"):
+        consult_repl(baseline_policy(FIXED_ORDER), diag, onto, horizon=-2,
+                     input_fn=prompts.append, output_fn=prompts.append)
+    assert prompts == []
+
+
+def test_consult_refuses_models_of_another_ontology(workspace, tmp_path, monkeypatch, capsys):
+    """The two ontologies have 12 elements and 14 questions each, so only
+    their digests tell them apart."""
+    root, onto_dir, data, diag, policy = workspace
+    other, other_data, other_diag = tmp_path / "onto", tmp_path / "c.jsonl", tmp_path / "d.json"
+    assert run(["gen-ontology", "--m1", "3", "--m2", "9", "--n-open", "2",
+                "--out", str(other)]) == 0
+    assert run(["gen-data", "--ontology", str(other), "--out", str(other_data),
+                "--n", "40", "--n-diseases", "3", "--n-flags", "2"]) == 0
+    assert run(["train-diag", "--ontology", str(other), "--data", str(other_data),
+                "--out", str(other_diag), "--epochs", "1", "--hidden", "16,16",
+                "--history-width", "8", "--quiet"]) == 0
+    assert (load_ontology(other).n_elements, load_ontology(other).n_questions) == \
+        (load_ontology(onto_dir).n_elements, load_ontology(onto_dir).n_questions)
+    capsys.readouterr()
+    for ontology, models, what in (
+        (other, ["--diag", str(other_diag), "--policy", str(policy)], "policy"),
+        (onto_dir, ["--diag", str(other_diag), "--baseline", "FixedOrder"], "diagnosis model"),
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO("44\nf\n" + "n\n" * 20))
+        assert run(["consult", "--ontology", str(ontology), *models, "--horizon", "3"]) == 1
+        assert f"{what} was built against a different ontology" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Malformed inputs and settings end in exit code 1, not a traceback
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n-flags", "-1"), ("--n-diseases", "-2"), ("--n-diseases", "0"),
+])
+def test_gen_data_rejects_bad_counts(workspace, tmp_path, capsys, flag, value):
+    root, onto_dir, data, diag, policy = workspace
+    out = tmp_path / "c.jsonl"
+    assert run(["gen-data", "--ontology", str(onto_dir), "--out", str(out), "--n", "5",
+                flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_diseases >= 1 and n_flags >= 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 def test_train_diag_on_record_missing_label_exits_1(workspace, tmp_path, capsys):
     root, onto_dir, data, diag, policy = workspace

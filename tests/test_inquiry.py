@@ -146,7 +146,7 @@ def test_fresh_policy_is_uniform_over_legal_set(flat):
     onto, ds, diag, policy, value = flat
     mask = np.array([True, False, True, True] * 3)
     x = np.concatenate([encode_history(ds.records[0], 8), manual_ternary(np.zeros(12))])
-    probs = masked_softmax(nncore.forward_blocked(policy.net, x[None, :]), mask[None, :])[0]
+    probs = masked_softmax(nncore.forward(policy.net, x[None, :]), mask[None, :])[0]
     assert np.allclose(probs[mask], 1.0 / mask.sum(), atol=1e-12)
     assert (probs[~mask] == 0.0).all()
 
@@ -157,7 +157,7 @@ def test_no_legal_action_raises(flat):
         masked_softmax(np.zeros((1, 4)), np.zeros((1, 4), dtype=bool))
     x = np.concatenate([encode_history(ds.records[0], 8), manual_ternary(np.zeros(12))])
     with pytest.raises(NoLegalAction):
-        masked_softmax(nncore.forward_blocked(policy.net, x[None, :]), np.zeros((1, 12), bool))
+        masked_softmax(nncore.forward(policy.net, x[None, :]), np.zeros((1, 12), bool))
 
 
 def test_masked_softmax_shape_mismatch():
@@ -177,7 +177,7 @@ def test_policy_never_rates_illegal_actions(toy_setup):
             if not mask.any():
                 break
             x = np.concatenate([e, manual_ternary(state.status)])[None, :]
-            probs = masked_softmax(nncore.forward_blocked(policy.net, x), mask[None, :])[0]
+            probs = masked_softmax(nncore.forward(policy.net, x), mask[None, :])[0]
             assert (probs[~mask] == 0.0).all()
             assert abs(probs.sum() - 1.0) < 1e-9
             action = int(rng.choice(len(probs), p=probs))

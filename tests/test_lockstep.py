@@ -155,11 +155,11 @@ def test_blocked_forward_is_row_invariant(dims):
     x = np.random.default_rng(5).standard_normal((130, dims[0]))
     for dtype in (nncore.NET_DTYPE, np.float64):  # the model nets' and the default
         net = nncore.init_dense(dims, head, seed=4, zero_output=False, dtype=dtype)
-        alone = np.stack([nncore.forward_blocked(net, x[i : i + 1])[0] for i in range(130)])
+        alone = np.stack([nncore.forward(net, x[i : i + 1])[0] for i in range(130)])
         assert alone.dtype == dtype
         for n in range(1, 131):
-            assert nncore.forward_blocked(net, x[:n]).tobytes() == alone[:n].tobytes(), n
-        assert nncore.forward_blocked(net, x[::-1]).tobytes() == alone[::-1].tobytes()
+            assert nncore.forward(net, x[:n]).tobytes() == alone[:n].tobytes(), n
+        assert nncore.forward(net, x[::-1]).tobytes() == alone[::-1].tobytes()
 
 
 # ---------------------------------------------------------------------------
