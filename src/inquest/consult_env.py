@@ -14,7 +14,8 @@ An episode leaves the active set when it reaches its horizon or has nothing
 legal left. All active episodes are at the same round. The single-episode
 API (``reset``, ``legal_actions`` and ``step`` on an immutable ``EnvState``)
 is the N=1 case of the same functions, so an episode can still be replayed or
-branched one state at a time.
+branched one state at a time. Legality has one implementation, ``_legal``:
+``step`` accepts exactly the questions ``legal_actions`` allows.
 
 Determinism contract. Every episode owns its RNG and draws from it in a fixed
 order: one ``random(M)`` for disclosure at reset (rollouts draw the patient
@@ -245,7 +246,8 @@ class Lockstep:
         rows = self.active
         actions = np.asarray(actions, dtype=np.int64)
         mask, self._mask = self._mask, None
-        legal = mask is not None and actions.shape == rows.shape
+        legal = (mask is not None and actions.shape == rows.shape
+                 and ((0 <= actions) & (actions < mask.shape[1])).all())
         if not (legal and mask[np.arange(len(rows)), actions].all()):
             raise IllegalAction("each step needs one legal action per pending() episode")
         self.status[rows], findings = _answer(
@@ -300,6 +302,7 @@ def step(
 ) -> tuple[EnvState, StepFindings]:
     """Ask one question; returns the next state and the per-level counts.
 
+    The question must be one that ``legal_actions`` allows, else IllegalAction.
     Unknown targets resolve to the patient's truth (not-mentioned answers as
     Denied in the default mode, or stays Unknown in "unknown" mode); each
     revealed status then flips sign with probability ``noise``. A first-level
@@ -311,24 +314,16 @@ def step(
         raise ConfigError("response noise needs an RNG")
     if state.t >= state.horizon:
         raise IllegalAction(f"episode horizon {state.horizon} reached")
-    if not 0 <= question_id < ontology.n_questions:
-        raise IllegalAction(f"question id {question_id} out of range")
     if patient.id != state.patient_id:
         raise IllegalAction(f"state belongs to patient {state.patient_id!r}, got {patient.id!r}")
-    if question_id in state.asked:
-        raise IllegalAction(f"question {question_id} was already asked")
-    index = ontology.index
-    targets = np.flatnonzero(index.targets[:, question_id])
-    gated = targets[index.second[targets] & (state.status[index.up[targets]] != CONFIRMED)]
-    if gated.size:
-        raise IllegalAction(f"question {question_id}: target {gated[0]} has unconfirmed parent")
-    if (state.status[targets] != UNKNOWN).all():
-        raise IllegalAction(f"question {question_id} has no unknown targets left")
+    in_range = 0 <= question_id < ontology.n_questions
+    if not (in_range and legal_actions(state, ontology)[question_id]):
+        raise IllegalAction(f"question {question_id} is not legal in this state")
 
     rngs = [_as_rng(rng) if rng is not None else None]
     status, findings = _answer(
-        state.status[None], np.array([question_id]), patient.hpi[None], index, noise, rngs,
-        unmentioned_answer,
+        state.status[None], np.array([question_id]), patient.hpi[None], ontology.index, noise,
+        rngs, unmentioned_answer,
     )
     next_state = EnvState(
         status[0], state.asked | {question_id}, state.t + 1, state.patient_id, state.horizon

@@ -235,14 +235,16 @@ def train_diagnosis(
     )
     adam = nncore.init_adam(model.net.params)
     arrays = _dataset_arrays(dataset, model.history_width)
+    logs_val = log is not None and val is not None and len(val)
+    val_arrays = _dataset_arrays(val, model.history_width) if logs_val else None
     history = []
     for epoch in range(cfg.epochs):
         metrics = _train_epoch(model, arrays, cfg, epoch, adam)
         history.append(metrics)
         if log is not None:
             line = f"epoch {epoch}: loss {metrics.mean_loss:.4f} acc {metrics.accuracy:.4f}"
-            if val is not None and len(val):
-                line += f" val_loss {eval_loss(model, val):.4f}"
+            if val_arrays is not None:
+                line += f" val_loss {_loss(model, val_arrays):.4f}"
             log(line)
     return model, history
 
@@ -251,7 +253,12 @@ def eval_loss(model: DiagnosisModel, dataset: PatientDataset) -> float:
     """Mean cross-entropy on fully-observed records, no augmentation."""
     if len(dataset) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    hist, hpi, labels = _dataset_arrays(dataset, model.history_width)
+    return _loss(model, _dataset_arrays(dataset, model.history_width))
+
+
+def _loss(model: DiagnosisModel, arrays) -> float:
+    """``eval_loss`` on the arrays of ``_dataset_arrays``."""
+    hist, hpi, labels = arrays
     logits = nncore.forward(model.net, np.hstack([hist, encode_hpi_ternary(hpi)]))
     return nncore.cross_entropy(logits, labels)
 

@@ -6,10 +6,10 @@ recall-at-K plus pooled rediscovery precision/recall/F1.
 
 ``evaluate`` consults every patient at once on the lockstep engine
 (``consult_env.Lockstep``) through ``consult_batch``; ``simulate_consultation``
-is its N=1 case. Policies decide for a batch (``select_batch``), so each round
-costs one forward of the policy net over the active episodes, and the final
-ranking one forward of the ranker. Patient i draws from an RNG keyed on
-(seed, i), and every net runs in fixed-size blocks
+is its N=1 case. Policies have one interface, ``select_batch``, which decides
+for a batch, so each round costs one forward of the policy net over the active
+episodes, and the final ranking one forward of the ranker. Patient i draws
+from an RNG keyed on (seed, i), and every net runs in fixed-size blocks
 (``nncore.forward``). A patient's trace is therefore the same bytes
 whether it is evaluated alone or inside any dataset.
 """
@@ -86,22 +86,11 @@ class EvalReport:
 # Policies
 # ---------------------------------------------------------------------------
 
-class _BatchPolicy:
-    """A question-selection policy decides for a batch of episodes at once:
-    ``select_batch(histories, statuses, masks, rngs)`` returns one question
-    per row. ``select`` is the N=1 case, for one dialogue at a time."""
+# A question-selection policy decides for a batch of episodes at once:
+# ``select_batch(histories, statuses, masks, rngs)`` returns one question per
+# row. A trained policy also carries ``history_width`` and ``ontology_digest``.
 
-    ontology_digest = None
-    history_width = None
-
-    def select(self, history, state, mask, rng) -> int:
-        histories = None if history is None else np.asarray(history, dtype=float)[None]
-        statuses = None if state is None else state.status[None]
-        masks = np.asarray(mask, dtype=bool)[None]
-        return int(self.select_batch(histories, statuses, masks, [rng])[0])
-
-
-class GreedyModelPolicy(_BatchPolicy):
+class GreedyModelPolicy:
     """Trained policy run greedily: argmax over legal-action probabilities.
 
     Ties break toward the lowest question id.
@@ -119,7 +108,7 @@ class GreedyModelPolicy(_BatchPolicy):
         return probs.argmax(axis=1)
 
 
-class RandomLegalPolicy(_BatchPolicy):
+class RandomLegalPolicy:
     """Uniform choice over whatever is currently legal."""
 
     def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
@@ -129,7 +118,7 @@ class RandomLegalPolicy(_BatchPolicy):
         return (masks.cumsum(axis=1) <= nth[:, None]).sum(axis=1)
 
 
-class FixedOrderPolicy(_BatchPolicy):
+class FixedOrderPolicy:
     """Asks the lowest-id legal question every round."""
 
     def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DigestMismatch,
-    EmptyDataset,
     InconsistentEvidence,
     NonFinite,
     ParseError,
@@ -587,7 +586,7 @@ def enumerate_bayes_rate(gm: GenerativeModel, max_states: int = 1_000_000) -> fl
 
 
 # ---------------------------------------------------------------------------
-# Splits and filtering
+# Splits
 # ---------------------------------------------------------------------------
 
 def split_dataset(
@@ -617,37 +616,6 @@ def split_dataset(
         )
         start += size
     return out[0], out[1], out[2]
-
-
-def filter_rare(dataset: PatientDataset, min_count: int) -> tuple[PatientDataset, dict[int, int]]:
-    """Drop records whose label occurs fewer than ``min_count`` times.
-
-    The surviving disease vocabulary is re-indexed densely (ascending old
-    index); returns the new dataset plus the old->new label mapping.
-    """
-    if min_count < 1:
-        raise ConfigError("min_count must be at least 1")
-    counts = np.bincount(dataset.labels(), minlength=dataset.n_diseases)
-    kept = np.flatnonzero(counts >= min_count)
-    if kept.size == 0:
-        raise EmptyDataset("no disease label reaches min_count")
-    mapping = {int(old): new for new, old in enumerate(kept)}
-    records = [
-        PatientRecord(r.id, r.age, r.sex, r.prior_flags, r.hpi, mapping[r.label])
-        for r in dataset.records
-        if r.label in mapping
-    ]
-    identity = len(mapping) == dataset.n_diseases
-    return (
-        PatientDataset(
-            records=records,
-            disease_names=tuple(dataset.disease_names[i] for i in kept),
-            m=dataset.m,
-            ontology_digest=dataset.ontology_digest,
-            genmodel_digest=dataset.genmodel_digest if identity else None,
-        ),
-        mapping,
-    )
 
 
 # ---------------------------------------------------------------------------

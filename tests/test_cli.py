@@ -376,8 +376,8 @@ class ScriptedQuestions:
     def __init__(self, questions):
         self.questions = list(questions)
 
-    def select(self, history, state, mask, rng):
-        return self.questions.pop(0)
+    def select_batch(self, histories, statuses, masks, rngs):
+        return [self.questions.pop(0)]
 
 
 def test_repl_eof_inside_open_question_keeps_its_answers(repl_models):

@@ -142,7 +142,7 @@ def test_asked_question_becomes_illegal(onto):
     state, _ = step(state, 0, patient, onto)
     mask = legal_actions(state, onto)
     assert not mask[0]
-    with pytest.raises(IllegalAction, match="already asked"):
+    with pytest.raises(IllegalAction, match="is not legal"):
         step(state, 0, patient, onto)
 
 
@@ -262,15 +262,15 @@ def test_horizon_bound(onto):
 def test_illegal_action_variants(onto):
     patient = make_patient([1, 2, 0, 1, 0, 0, 0])
     state = reset(patient, onto, NONE, rng=0)
-    with pytest.raises(IllegalAction, match="out of range"):
+    with pytest.raises(IllegalAction, match="is not legal"):
         step(state, 99, patient, onto)
-    with pytest.raises(IllegalAction, match="unconfirmed parent"):
+    with pytest.raises(IllegalAction, match="is not legal"):
         step(state, 3, patient, onto)  # closed question on child before parent
     other = make_patient([1, 2, 0, 1, 0, 0, 0], pid="someone-else")
     with pytest.raises(IllegalAction, match="belongs to"):
         step(state, 0, other, onto)
     full = reset(make_patient([1, 2, 0, 1, 0, 0, 2]), onto, ALL, rng=0)
-    with pytest.raises(IllegalAction, match="no unknown targets"):
+    with pytest.raises(IllegalAction, match="is not legal"):
         step(full, 0, make_patient([1, 2, 0, 1, 0, 0, 2]), onto)
 
 

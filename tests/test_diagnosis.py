@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import inquest.diagnosis as diagnosis
 import inquest.nncore as nncore
 from inquest.diagnosis import (
     SlTrainConfig,
@@ -175,6 +176,26 @@ def test_training_is_deterministic(toy, splits):
     b, hist_b = train_diagnosis(small, cfg)
     assert all(np.array_equal(x, y) for x, y in zip(a.net.weights, b.net.weights))
     assert [m.mean_loss for m in hist_a] == [m.mean_loss for m in hist_b]
+
+
+def test_logged_run_builds_validation_arrays_once(toy, splits, monkeypatch):
+    train, val, _ = splits
+    small = PatientDataset(train.records[:300], train.disease_names, train.m,
+                           train.ontology_digest, train.genmodel_digest)
+    cfg = SlTrainConfig(epochs=3, batch_size=32, seed=4, hidden=(16, 16), history_width=E)
+    built = []
+    real = diagnosis._dataset_arrays
+
+    def counted(dataset, width):
+        built.append(len(dataset))
+        return real(dataset, width)
+
+    monkeypatch.setattr(diagnosis, "_dataset_arrays", counted)
+    lines = []
+    model, _ = train_diagnosis(small, cfg, val=val, log=lines.append)
+    assert built == [len(small), len(val)]  # once for training, once for validation
+    assert len(lines) == 3
+    assert lines[-1].endswith(f" val_loss {eval_loss(model, val):.4f}")
 
 
 def test_heldout_loss_decreases_over_first_epochs(toy, splits):

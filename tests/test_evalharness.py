@@ -298,7 +298,7 @@ def test_random_legal_single_action():
     mask = np.zeros(9, dtype=bool)
     mask[6] = True
     rng = np.random.default_rng(0)
-    assert all(policy.select(None, None, mask, rng) == 6 for _ in range(10))
+    assert all(policy.select_batch(None, None, mask[None], [rng])[0] == 6 for _ in range(10))
 
 
 def test_fixed_order_always_legal():
@@ -308,7 +308,7 @@ def test_fixed_order_always_legal():
         mask = rng.random(30) < 0.3
         if not mask.any():
             mask[int(rng.integers(30))] = True
-        action = policy.select(None, None, mask, rng)
+        action = policy.select_batch(None, None, mask[None], [rng])[0]
         assert mask[action]
         assert action == int(np.flatnonzero(mask)[0])
 
@@ -316,11 +316,13 @@ def test_fixed_order_always_legal():
 def test_random_legal_reproducible():
     policy = baseline_policy(RANDOM_LEGAL)
     mask = np.ones(14, dtype=bool)
-    seq1 = [policy.select(None, None, mask, np.random.default_rng(8)) for _ in range(1)]
-    seq2 = [policy.select(None, None, mask, np.random.default_rng(8)) for _ in range(1)]
+    seq1 = [policy.select_batch(None, None, mask[None], [np.random.default_rng(8)])[0]
+            for _ in range(1)]
+    seq2 = [policy.select_batch(None, None, mask[None], [np.random.default_rng(8)])[0]
+            for _ in range(1)]
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    seq1 += [policy.select(None, None, mask, rng1) for _ in range(20)]
-    seq2 += [policy.select(None, None, mask, rng2) for _ in range(20)]
+    seq1 += [policy.select_batch(None, None, mask[None], [rng1])[0] for _ in range(20)]
+    seq2 += [policy.select_batch(None, None, mask[None], [rng2])[0] for _ in range(20)]
     assert seq1 == seq2
 
 

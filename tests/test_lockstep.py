@@ -11,7 +11,11 @@ from inquest.consult_env import (
     UNMENTIONED_DENIED,
     UNMENTIONED_UNKNOWN,
     DisclosureProbs,
+    EnvState,
     Lockstep,
+    StepFindings,
+    legal_actions,
+    step,
 )
 from inquest.diagnosis import new_diagnosis_model
 from inquest.errors import EmptyDataset, IllegalAction
@@ -139,6 +143,55 @@ def test_lockstep_step_rejects_illegal_or_unrequested_actions():
     if illegal is not None:
         with pytest.raises(IllegalAction):
             env.step([illegal, int(np.flatnonzero(mask[1])[0])])
+    # Out of range: -1 must not wrap round to question K-1, which is legal
+    # here, and K must not escape as an IndexError.
+    record = next(r for r in cohort.records if r.id == "p000002")
+    for action in (-1, onto.n_questions):
+        env = Lockstep([record], onto, DisclosureProbs(1, 0, 0, 0), [np.random.default_rng(0)],
+                       horizon=5)
+        _, mask = env.pending()
+        assert mask[0, -1]
+        with pytest.raises(IllegalAction):
+            env.step([action])
+        assert not env.asked.any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(SHAPES)),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 0.3]),
+    mode=st.sampled_from([UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN]),
+)
+def test_single_episode_step_follows_the_lockstep_rule(shape, seed, noise, mode):
+    """``step`` refuses exactly the questions that are out of range or not in
+    ``legal_actions``, and a legal one gives what a one-row ``Lockstep`` set
+    to the same state gives."""
+    onto, cohort = SHAPES[shape], COHORTS[shape]
+    draw = np.random.default_rng(seed)
+    patient = cohort.records[int(draw.integers(len(cohort)))]
+    status = draw.integers(0, 3, size=onto.n_elements).astype(np.int8)
+    asked = draw.random(onto.n_questions) < 0.3
+    state = EnvState(status, frozenset(np.flatnonzero(asked).tolist()), 0, patient.id, 10)
+    mask = legal_actions(state, onto)
+    for q in range(-1, onto.n_questions + 1):
+        rng = np.random.default_rng([seed, q + 1])
+        rng.random(onto.n_elements)  # past the disclosure draw, as the engine's stream is
+        if not (0 <= q < onto.n_questions and mask[q]):
+            with pytest.raises(IllegalAction):
+                step(state, q, patient, onto, noise, rng, mode)
+            continue
+        after, findings = step(state, q, patient, onto, noise, rng, mode)
+        env = Lockstep([patient], onto, DisclosureProbs(), [np.random.default_rng([seed, q + 1])],
+                       horizon=10, noise=noise, unmentioned_answer=mode)
+        env.status[:] = status
+        env.asked[:] = asked
+        _, pending_mask = env.pending()
+        assert np.array_equal(pending_mask[0], mask)
+        want = env.step([q])
+        assert np.array_equal(after.status, env.status[0])
+        assert findings == StepFindings(*want[0].tolist())
+        assert after.asked == state.asked | {q} and after.t == 1
 
 
 # ---------------------------------------------------------------------------

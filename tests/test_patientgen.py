@@ -32,7 +32,6 @@ from inquest.patientgen import (
     encode_histories,
     encode_history,
     enumerate_bayes_rate,
-    filter_rare,
     full_evidence,
     generate_cohort,
     generate_ontology,
@@ -499,35 +498,6 @@ def test_split_rejects_bad_ratios(toy):
         split_dataset(ds, (0.6, 0.1, 0.2), seed=0)
     with pytest.raises(ConfigError):
         split_dataset(ds, (0.7, 0.0, 0.3), seed=0)
-
-
-def test_filter_rare_drops_and_remaps(toy):
-    ds = generate_cohort(toy, 200, seed=8)
-    counts = np.bincount(ds.labels(), minlength=3)
-    cutoff = int(np.sort(counts)[0]) + 1  # drop exactly the rarest label
-    kept, mapping = filter_rare(ds, cutoff)
-    rare = int(np.argmin(counts))
-    assert rare not in mapping
-    assert len(kept) == len(ds) - counts[rare]
-    assert kept.n_diseases == 2
-    assert sorted(mapping.values()) == [0, 1]
-    assert kept.genmodel_digest is None  # vocabulary changed
-    for r in kept.records:
-        assert kept.disease_names[r.label] in ds.disease_names
-
-    same, ident = filter_rare(ds, 1)
-    assert same == ds and ident == {0: 0, 1: 1, 2: 2}
-    assert same.genmodel_digest == ds.genmodel_digest
-
-    with pytest.raises(EmptyDataset):
-        filter_rare(ds, len(ds) + 1)
-
-
-def test_filter_rare_boundary_keeps_exact_count(toy):
-    ds = generate_cohort(toy, 300, seed=12)
-    counts = np.bincount(ds.labels(), minlength=3)
-    kept, _ = filter_rare(ds, int(counts[2]))
-    assert any(name == "disease_02" for name in kept.disease_names)
 
 
 # ---------------------------------------------------------------------------

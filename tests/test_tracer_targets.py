@@ -1,14 +1,20 @@
-"""Every function the benchmark's span tracer wraps still exists in inquest.
+"""Every name the benchmark reads still exists in inquest.
 
 ``perfbench/tracer.py`` patches each ``TARGETS`` entry by name, so renaming
 or deleting a traced function breaks ``perfbench/run.py --trace 1``. This
 reads ``TARGETS`` from the tracer's source without running the tracer.
+``perfbench/workloads.py`` drives the package through module attributes
+(``consult_env.legal_actions``); those are read from its syntax tree, so a
+deleted name fails here rather than inside a benchmark run.
 """
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _targets():
@@ -29,3 +35,18 @@ def test_every_traced_target_resolves_in_the_package():
         if owner is None or not callable(vars(owner).get(name)):
             missing.append(f"{module_name}.{attr}")
     assert targets and not missing, missing
+
+
+def test_every_name_the_workloads_read_resolves_in_the_package():
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: alias.name  # bound name -> module name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "inquest"
+               for alias in node.names}
+    used = sorted({(modules[node.value.id], node.attr)
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules})
+    missing = [f"{module_name}.{attr}" for module_name, attr in used
+               if not hasattr(importlib.import_module(f"inquest.{module_name}"), attr)]
+    assert modules and used and not missing, missing
