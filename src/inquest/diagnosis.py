@@ -58,6 +58,8 @@ class SlTrainConfig:
             raise DomainError("hide-rate range must satisfy 0 <= lo <= hi <= 1")
         if self.epochs < 1 or self.batch_size < 1:
             raise DomainError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         # lr = 0 is allowed: it trains nothing, which freezes the parameters.
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise DomainError(f"lr must be finite and >= 0, got {self.lr}")

@@ -9,9 +9,9 @@ recall-at-K plus pooled rediscovery precision/recall/F1.
 is its N=1 case. Policies have one interface, ``select_batch``, which decides
 for a batch, so each round costs one forward of the policy net over the active
 episodes, and the final ranking one forward of the ranker. Patient i draws
-from an RNG keyed on (seed, i), and every net runs in fixed-size blocks
-(``nncore.forward``). A patient's trace is therefore the same bytes
-whether it is evaluated alone or inside any dataset.
+from stream i of ``patientgen.streams((seed,), ...)``, and every net runs in
+fixed-size blocks (``nncore.forward``). A patient's trace is therefore the
+same bytes whether it is evaluated alone or inside any dataset.
 """
 from __future__ import annotations
 
@@ -38,7 +38,13 @@ from .errors import (
 )
 from .inquiry import InquiryPolicy, masked_softmax
 from .ontology import HpiOntology
-from .patientgen import CONFIRMED, PatientDataset, PatientRecord, encode_histories
+from .patientgen import (
+    CONFIRMED,
+    PatientDataset,
+    PatientRecord,
+    encode_histories,
+    streams,
+)
 
 RANDOM_LEGAL = "RandomLegal"
 FIXED_ORDER = "FixedOrder"
@@ -294,14 +300,16 @@ def evaluate(
     group_of: dict[int, str] | None = None,
     group_k: int = 1,
 ) -> tuple[EvalReport, list[DialogueTrace]]:
-    """Consult every patient in the dataset once; patient i uses RNG (seed, i)."""
+    """Consult every patient in the dataset once; patient i draws from stream
+    i of ``patientgen.streams((seed,), ...)``, and a negative seed raises
+    ConfigError."""
     if len(dataset) == 0:
         raise EmptyInput("empty evaluation dataset")
     disclosure = disclosure if disclosure is not None else DisclosureProbs()
     for k in (*ks, group_k):
         if int(k) < 1:
             raise ConfigError(f"recall cut-offs must be >= 1, got {k}")
-    rngs = [np.random.default_rng([seed, i]) for i in range(len(dataset))]
+    rngs = streams((seed,), range(len(dataset)))
     traces = consult_batch(
         policy, diag_model, dataset.records, ontology, disclosure, horizon, rngs,
         noise, unmentioned_answer,

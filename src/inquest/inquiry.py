@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
 )
 from .ontology import HpiOntology
-from .patientgen import PatientDataset, encode_histories
+from .patientgen import PatientDataset, encode_histories, streams
 
 _TAG_PPO = (1 << 40) + 4
 
@@ -117,6 +117,8 @@ class PpoConfig:
     def validate(self) -> None:
         if self.iterations < 1:
             raise DomainError("iterations must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         if not (np.isfinite(self.clip_eps) and self.clip_eps > 0):
             raise DomainError(f"clip_eps must be finite and positive, got {self.clip_eps}")
         if not 0.0 < self.gamma <= 1.0:
@@ -285,10 +287,11 @@ def collect_rollouts(
     """Sample episodes with the current policy against the environment.
 
     Episode ``ep`` draws everything (patient choice, disclosure, action
-    sampling, response noise) from an RNG keyed on (seed, iteration, ep). The
-    episodes run in lockstep (``consult_env.Lockstep``) with one blocked
-    forward per net per round, so an episode's transitions are the same bytes
-    whatever ``n_episodes`` is. The batch is episode-major, in ``ep`` order.
+    sampling, response noise) from stream ``ep`` of
+    ``patientgen.streams((seed, iteration), ...)``. The episodes run in
+    lockstep (``consult_env.Lockstep``) with one blocked forward per net per
+    round, so an episode's transitions are the same bytes whatever
+    ``n_episodes`` is. The batch is episode-major, in ``ep`` order.
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot roll out against an empty dataset")
@@ -301,7 +304,7 @@ def collect_rollouts(
         if digest != ontology.content_digest:
             raise DigestMismatch(f"{name} was built against a different ontology")
 
-    rngs = [np.random.default_rng([seed, iteration, ep]) for ep in range(n_episodes)]
+    rngs = streams((seed, iteration), range(n_episodes))
     patients = [dataset.records[int(rng.integers(len(dataset)))] for rng in rngs]
     env = consult_env.Lockstep(
         patients, ontology, disclosure, rngs, horizon, noise, unmentioned_answer

@@ -9,14 +9,19 @@ HPI coding throughout: 0 = not mentioned / unknown, 1 = confirmed, 2 = denied.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (
     ConfigError,
@@ -54,10 +59,24 @@ N_SIGNATURES = 3
 # uniforms take about 0.4 MB.
 SAMPLE_BLOCK = 256
 
+# Dataset lines parsed and checked together by load_dataset. At the desk
+# shape a block's parsed rows and stacked int64 HPI matrix take about 0.1 MB;
+# blocks of SAMPLE_BLOCK lines raised peak RSS by about 0.25 MB and loaded
+# no faster.
+LOAD_BLOCK = 64
+
 # Disjoint RNG stream tags; record streams use plain (seed, index), so tags
 # sit far above any realistic record count.
 _TAG_SPLIT = 1 << 40
 _TAG_GENMODEL = (1 << 40) + 1
+
+# numpy.random.SeedSequence's hash constants, for ``streams``.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_XSHIFT = np.uint64(16)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
 
 
 @dataclass(eq=False)
@@ -114,7 +133,7 @@ class PatientDataset:
         )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GenerativeModel:
     """Disease -> HPI incidence tables plus per-disease demographics.
 
@@ -124,6 +143,9 @@ class GenerativeModel:
     conditional on its parent being present (zero at first-level slots, and
     required to be zero wherever the parent's incidence is zero).
     ``parent[e]`` is the element's parent id, -1 for first-level elements.
+
+    The model is frozen and holds read-only copies of the tables it is given,
+    so ``digest`` is computed once and cannot go stale.
     """
 
     ontology_digest: str
@@ -156,21 +178,22 @@ class GenerativeModel:
     def children_of(self, element_id: int) -> np.ndarray:
         return np.flatnonzero(self.parent == element_id)
 
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                table = value.copy()
+                table.flags.writeable = False
+                object.__setattr__(self, f.name, table)
+
     def digest(self) -> str:
-        canon = {
-            "ontology_digest": self.ontology_digest,
-            "disease_names": list(self.disease_names),
-            "parent": self.parent.tolist(),
-            "priors": self.priors.tolist(),
-            "first_level_cpt": self.first_level_cpt.tolist(),
-            "second_level_cpt": self.second_level_cpt.tolist(),
-            "age_mean": self.age_mean.tolist(),
-            "age_std": self.age_std.tolist(),
-            "p_female": self.p_female.tolist(),
-            "flag_probs": self.flag_probs.tolist(),
-            "mention_prob": self.mention_prob,
-        }
-        blob = json.dumps(canon, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        canon = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        blob = json.dumps(canon, sort_keys=True, separators=(",", ":"),
+                          default=np.ndarray.tolist).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -335,11 +358,13 @@ def benchmark_genmodel(
     Detail findings mostly surface only under direct questioning, so the
     tables favor a policy that works complaint groups over one that probes
     at random. Ontologies without open questions fall back to first-level
-    signatures over the same background. Fewer than one disease or a
-    negative flag count raises ConfigError.
+    signatures over the same background. Fewer than one disease, a negative
+    flag count or a negative seed raises ConfigError.
     """
     if n_diseases < 1 or n_flags < 0:
         raise ConfigError(f"need n_diseases >= 1 and n_flags >= 0, got {n_diseases}, {n_flags}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng([seed, _TAG_GENMODEL])
     m = ontology.n_elements
     first_ids = np.array(ontology.first_level_ids())
@@ -404,6 +429,84 @@ def benchmark_genmodel(
 # Cohort sampling
 # ---------------------------------------------------------------------------
 
+def _uint32_words(k: int) -> list[int]:
+    """``k >= 0`` as SeedSequence splits it: 32-bit words, low first; 0 is one word."""
+    words = [k & _MASK32]
+    while k := k >> 32:
+        words.append(k & _MASK32)
+    return words
+
+
+def _word_hash(const: int, mult: int):
+    """SeedSequence's running hash of 32-bit words held in uint64 arrays:
+    each call folds in the running constant, then advances it by ``mult``."""
+
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint64(const)
+        const = const * mult & _MASK32
+        value = value * np.uint64(const) & np.uint64(_MASK32)
+        return value ^ value >> _XSHIFT
+
+    return hash_words
+
+
+class _HashedState(ISeedSequence):
+    """Seeds a bit generator with state words ``streams`` already hashed:
+    ``PCG64`` asks for ``generate_state(4, np.uint64)``, which is ``words``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def streams(key: Iterable[int], ids: Iterable[int]) -> list[np.random.Generator]:
+    """Generators in exactly the states of
+    ``[np.random.default_rng([*key, i]) for i in ids]``, built together.
+
+    ``default_rng`` spends most of its time in ``SeedSequence``'s hash of the
+    entropy words. Here that hash (``mix_entropy`` then
+    ``generate_state(4, np.uint64)``) runs on uint64 arrays masked to 32 bits,
+    over every id at once, and each ``PCG64`` takes its four words from it.
+    Each id must be in [0, 2**32), so that it is one entropy word. A negative
+    key entry or an id out of range raises ConfigError.
+    """
+    key = [operator.index(k) for k in key]
+    ids = [operator.index(i) for i in ids]
+    if any(k < 0 for k in key):
+        raise ConfigError(f"RNG seeds must be non-negative, got {tuple(key)}")
+    bad = [i for i in ids if not 0 <= i <= _MASK32]
+    if bad:
+        raise ConfigError(f"RNG stream ids must lie in [0, 2**32), got {bad[0]}")
+    n = len(ids)
+    entropy = [np.full(n, w, dtype=np.uint64) for k in key for w in _uint32_words(k)]
+    entropy.append(np.array(ids, dtype=np.uint64))
+
+    hash_a = _word_hash(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & np.uint64(_MASK32)
+        return r ^ r >> _XSHIFT
+
+    zero = np.zeros(n, dtype=np.uint64)
+    pool = [hash_a(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hash_a(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hash_a(word))
+
+    hash_b = _word_hash(_INIT_B, _MULT_B)
+    state = np.stack([hash_b(pool[j % _POOL_SIZE]) for j in range(2 * _POOL_SIZE)], axis=1)
+    # Little-endian pairs of 32-bit words make the 64-bit ones.
+    state = state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+    return [np.random.Generator(np.random.PCG64(_HashedState(w))) for w in state]
+
+
 @dataclass(frozen=True)
 class _SamplerIndex:
     """What every record of one cohort reads from the model, built once."""
@@ -431,8 +534,7 @@ def _sample_block(
     u_disease = np.empty(len(ids))
     z_age = np.empty(len(ids))
     u = np.empty((len(ids), 1 + f + 2 * m))
-    for j, i in enumerate(ids):
-        rng = np.random.default_rng([seed, i])
+    for j, rng in enumerate(streams((seed,), ids)):
         u_disease[j] = rng.random()
         z_age[j] = rng.standard_normal()
         rng.random(out=u[j])
@@ -458,11 +560,12 @@ def _sample_block(
 def generate_cohort(gm: GenerativeModel, n: int, seed: int) -> PatientDataset:
     """Sample ``n`` records; bit-identical for identical (model, n, seed).
 
-    Record ``i`` draws from its own stream ``default_rng([seed, i])``, so the
-    output does not depend on how records are scheduled, and the cohort's
-    first ``k`` records are those of any cohort of ``k`` or more. Records are
-    sampled in blocks of ``SAMPLE_BLOCK``, which bounds the draw buffers
-    whatever ``n`` is and leaves every byte as a record-by-record loop gives.
+    Record ``i`` draws from its own stream, ``streams((seed,), ...)``'s
+    stream ``i``, so the output does not depend on how records are scheduled,
+    and the cohort's first ``k`` records are those of any cohort of ``k`` or
+    more. Records are sampled in blocks of ``SAMPLE_BLOCK``, which bounds the
+    draw buffers whatever ``n`` is and leaves every byte as a
+    record-by-record loop gives. A negative seed raises ConfigError.
 
     Draw order per stream, fixed because the bytes of every cohort depend on
     it: one uniform for the disease (placed in the prior CDF, the same single
@@ -753,6 +856,78 @@ def load_dataset(path: str | Path, ontology: HpiOntology | None = None) -> Patie
         return _load_dataset(path, ontology)
 
 
+def _parse_record(lineno: int, line: str, m: int, d: int) -> PatientRecord:
+    """One JSON line's record, checked field by field; the first failed check
+    raises."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError:
+        raise ParseError(f"line {lineno}: malformed record") from None
+    if not isinstance(row, dict):
+        raise ParseError(f"line {lineno}: malformed record")
+    rid = row.get("id", f"line{lineno}")
+    if not isinstance(rid, str):
+        raise ParseError(f"line {lineno}: record id must be a string")
+    missing = [k for k in _RECORD_FIELDS if k not in row]
+    if missing:
+        raise ParseError(f"record {rid}: missing field {missing[0]!r}")
+    # Integers only: a float, bool or string would otherwise be
+    # truncated or coerced into a silently different record.
+    label, age, flags = row["label"], row["age"], row["prior_flags"]
+    if type(label) is not int or type(age) is not int or not (
+        isinstance(flags, list) and all(type(v) is int for v in flags)
+    ):
+        raise ParseError(f"record {rid}: label, age and prior_flags must be integers")
+    try:
+        hpi = np.array(row["hpi"])
+    except ValueError:
+        raise ParseError(f"record {rid}: malformed hpi") from None
+    if hpi.shape != (m,):
+        raise ParseError(f"record {rid}: hpi length {hpi.size} != M={m}")
+    if hpi.dtype.kind != "i" or np.any((hpi < 0) | (hpi > 2)):
+        raise ParseError(f"record {rid}: hpi entries must be 0, 1 or 2")
+    if not 0 <= label < d:
+        raise ValidationError(f"record {rid}: label {label} out of range")
+    if row["sex"] not in SEXES:
+        raise ParseError(f"record {rid}: unknown sex {row['sex']!r}")
+    return PatientRecord(rid, age, row["sex"], tuple(flags), hpi.astype(np.int8), label)
+
+
+def _parse_block(block: list[tuple[int, str]], m: int, d: int) -> list[PatientRecord]:
+    """The records of ``block``'s ``(lineno, line)`` pairs, the same as
+    ``_parse_record`` gives line by line, with the hpi and label checks made
+    once over the block. When any check fails, the block is parsed again by
+    ``_parse_record``, which raises the first bad record's error."""
+    try:
+        rows = [json.loads(line) for _, line in block]
+        ids = [row.get("id", f"line{lineno}") for (lineno, _), row in zip(block, rows)]
+        hpis, labels, ages, sexes, flags = (
+            [row[k] for row in rows] for k in ("hpi", "label", "age", "sex", "prior_flags")
+        )
+        hpi = np.array(hpis)
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError):
+        hpi = None
+    ok = (
+        hpi is not None and hpi.shape == (len(block), m) and hpi.dtype.kind == "i"
+        # A row of booleans alone is rejected, but stacks among integer rows
+        # as integers.
+        and all(type(h[0]) is not bool for h in hpis)
+        and all(type(i) is str for i in ids)
+        and all(type(v) is int for v in labels + ages)
+        and all(type(fl) is list and all(type(v) is int for v in fl) for fl in flags)
+        and all(sex in SEXES for sex in sexes)
+        and hpi.min() >= 0 and hpi.max() <= 2
+        and min(labels) >= 0 and max(labels) < d
+    )
+    if not ok:
+        return [_parse_record(lineno, line, m, d) for lineno, line in block]
+    return [
+        PatientRecord(rid, age, sex, tuple(fl), h, label)
+        for rid, age, sex, fl, h, label in zip(ids, ages, sexes, flags,
+                                               hpi.astype(np.int8), labels)
+    ]
+
+
 def _load_dataset(path: Path, ontology: HpiOntology | None) -> PatientDataset:
     header = json.loads(_header_path(path).read_text(encoding="utf-8"))
     if not isinstance(header, dict):
@@ -775,45 +950,22 @@ def _load_dataset(path: Path, ontology: HpiOntology | None) -> PatientDataset:
         if ontology.n_elements != m:
             raise DigestMismatch("header element count does not match ontology")
 
-    records = []
+    records: list[PatientRecord] = []
+    block: list[tuple[int, str]] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                raise ParseError(f"line {lineno}: malformed record") from None
-            if not isinstance(row, dict):
-                raise ParseError(f"line {lineno}: malformed record")
-            rid = row.get("id", f"line{lineno}")
-            if not isinstance(rid, str):
-                raise ParseError(f"line {lineno}: record id must be a string")
-            missing = [k for k in _RECORD_FIELDS if k not in row]
-            if missing:
-                raise ParseError(f"record {rid}: missing field {missing[0]!r}")
-            # Integers only: a float, bool or string would otherwise be
-            # truncated or coerced into a silently different record.
-            label, age, flags = row["label"], row["age"], row["prior_flags"]
-            if type(label) is not int or type(age) is not int or not (
-                isinstance(flags, list) and all(type(v) is int for v in flags)
-            ):
-                raise ParseError(f"record {rid}: label, age and prior_flags must be integers")
-            try:
-                hpi = np.array(row["hpi"])
-            except ValueError:
-                raise ParseError(f"record {rid}: malformed hpi") from None
-            if hpi.shape != (m,):
-                raise ParseError(f"record {rid}: hpi length {hpi.size} != M={m}")
-            if hpi.dtype.kind != "i" or np.any((hpi < 0) | (hpi > 2)):
-                raise ParseError(f"record {rid}: hpi entries must be 0, 1 or 2")
-            if not 0 <= label < d:
-                raise ValidationError(f"record {rid}: label {label} out of range")
-            if row["sex"] not in SEXES:
-                raise ParseError(f"record {rid}: unknown sex {row['sex']!r}")
-            records.append(PatientRecord(
-                rid, age, row["sex"], tuple(flags), hpi.astype(np.int8), label
-            ))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    block.append((lineno, line))
+                if len(block) == LOAD_BLOCK:
+                    records += _parse_block(block, m, d)
+                    block = []
+        except (OSError, UnicodeDecodeError):
+            # A bad record read before the failed read is reported first, as
+            # a line-by-line reader would.
+            _parse_block(block, m, d)
+            raise
+    records += _parse_block(block, m, d)
     if ontology is not None and records:
         check_hierarchy(ontology, np.stack([r.hpi for r in records]), "record",
                         [r.id for r in records])

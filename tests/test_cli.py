@@ -477,6 +477,27 @@ def test_gen_data_rejects_bad_counts(workspace, tmp_path, capsys, flag, value):
     assert "Traceback" not in err
     assert not out.exists()
 
+@pytest.mark.parametrize("command, flag", [
+    ("gen-data", "--seed"), ("gen-data", "--genmodel-seed"), ("train-diag", "--seed"),
+    ("train-inquiry", "--seed"), ("eval", "--seed"),
+])
+def test_negative_seed_exits_1_and_writes_nothing(workspace, tmp_path, capsys, command, flag):
+    root, onto_dir, data, diag, policy = workspace
+    out = tmp_path / "out.json"
+    rest = {
+        "gen-data": ["--n", "5"],
+        "train-diag": ["--data", str(data), "--epochs", "1", "--quiet"],
+        "train-inquiry": ["--data", str(data), "--diag", str(diag), "--iterations", "1",
+                          "--episodes", "2", "--hidden", "8", "--quiet"],
+        "eval": ["--data", str(data), "--diag", str(diag), "--baseline", "FixedOrder"],
+    }[command]
+    assert run([command, "--ontology", str(onto_dir), "--out", str(out), *rest,
+                flag, "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be non-negative" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_diag_on_record_missing_label_exits_1(workspace, tmp_path, capsys):
     root, onto_dir, data, diag, policy = workspace
     bad = tmp_path / "cohort.jsonl"

@@ -374,3 +374,8 @@ def test_sl_config_rejects_epochs_below_one(epochs):
 def test_sl_config_rejects_bad_learning_rate(lr):
     with pytest.raises(DomainError, match="lr"):
         SlTrainConfig(lr=lr).validate()
+
+
+def test_sl_config_rejects_negative_seed():
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        SlTrainConfig(seed=-1).validate()

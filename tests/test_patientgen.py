@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inquest.errors import (
@@ -20,6 +20,7 @@ from inquest.errors import (
 from inquest.patientgen import (
     CONFIRMED,
     DENIED,
+    LOAD_BLOCK,
     NOT_MENTIONED,
     SAMPLE_BLOCK,
     SEXES,
@@ -38,6 +39,7 @@ from inquest.patientgen import (
     load_dataset,
     save_dataset,
     split_dataset,
+    streams,
     toy_genmodel,
     toy_ontology,
     validate_genmodel,
@@ -244,6 +246,18 @@ def test_benchmark_model_valid_and_seeded():
     assert a.n_diseases == 20 and a.n_flags == 8
 
 
+def test_genmodel_digest_cannot_go_stale(toy):
+    priors = toy.priors.copy()
+    gm = dataclasses.replace(toy, priors=priors)
+    digest = gm.digest()
+    priors[0] = 0.0  # the caller's array; the model holds its own copy
+    assert gm.digest() == digest == toy.digest()
+    with pytest.raises(ValueError, match="read-only"):
+        gm.priors[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gm.mention_prob = 0.5
+
+
 # sha256 of the records file of two desk cohorts, pinned on the per-family
 # sampling loop (``reference_record``): a faster sampler keeps every byte.
 DESK_COHORT_GOLDEN = {
@@ -343,6 +357,43 @@ def test_sampler_matches_reference_across_block_edges(toy, n):
     got = generate_cohort(toy, n, seed=21).records
     want = [reference_record(toy, i, np.random.default_rng([21, i])) for i in range(n)]
     assert [record_bytes(r) for r in got] == [record_bytes(r) for r in want]
+
+
+KEY_ENTRIES = st.just(0) | st.integers(0, 2**32 - 1) | st.integers(2**32, 2**160)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(KEY_ENTRIES, min_size=1, max_size=3), st.lists(st.integers(0, 2**32 - 1),
+                                                               max_size=4))
+@example(key=[0], ids=[])
+@example(key=[2**32], ids=[1])
+# Five key words and the id make six entropy words, past SeedSequence's pool of four.
+@example(key=[2**100 + 7, 2**32 + 1], ids=[3])
+def test_streams_match_default_rng(key, ids):
+    ids = [0, 2**32 - 1, *ids]
+    got = streams(key, ids)
+    assert len(got) == len(ids)
+    for i, rng in zip(ids, got):
+        want = np.random.default_rng([*key, i])
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.random(3).tolist() == want.random(3).tolist()
+        assert rng.standard_normal() == want.standard_normal()
+
+
+@pytest.mark.parametrize("key, ids, message", [
+    ((-1,), [0], "non-negative"), ((3, -2), [0], "non-negative"),
+    ((3,), [-1], "ids must lie"), ((3,), [0, 2**32], "ids must lie"),
+])
+def test_streams_refuse_negative_or_wide_values(key, ids, message):
+    with pytest.raises(ConfigError, match=message):
+        streams(key, ids)
+
+
+def test_negative_seeds_raise_config_error(toy):
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        benchmark_genmodel(toy_ontology(), seed=-1)
+    with pytest.raises(ConfigError, match="non-negative"):
+        generate_cohort(toy, 5, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +766,56 @@ def test_load_rejects_record_missing_a_field(tmp_path, field):
 def test_load_rejects_non_integer_fields(tmp_path, field, value, message):
     with pytest.raises(ParseError, match=message):
         load_dataset(_write_rows(tmp_path, [_row(**{field: value})]))
+
+
+def _write_lines(tmp_path, lines):
+    path = _write_rows(tmp_path, [])
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+@pytest.mark.parametrize("edits, error, message", [
+    # A row of booleans is refused, though it stacks among integer rows as integers.
+    ({5: {"hpi": [True] * 7}}, ParseError, "record p5: hpi entries"),
+    ({5: {"label": 9}, 7: {"hpi": [1, 0, 0]}}, ValidationError, "record p5: label 9"),
+    # A bad label in the second block, before a line that is not JSON.
+    ({LOAD_BLOCK + 1: {"label": 9}, LOAD_BLOCK + 2: "{not json"},
+     ValidationError, f"record p{LOAD_BLOCK + 1}: label 9 out of range"),
+    # The last record of a block has an unknown sex; the next block opens with a bad hpi.
+    ({LOAD_BLOCK - 1: {"sex": None}, LOAD_BLOCK: {"hpi": [3] * 7}},
+     ParseError, f"record p{LOAD_BLOCK - 1}: unknown sex"),
+    ({2 * LOAD_BLOCK + 2: "[1, 2]"}, ParseError, f"line {2 * LOAD_BLOCK + 3}: malformed"),
+])
+def test_load_reports_the_first_bad_record_in_file_order(tmp_path, edits, error, message):
+    lines = []
+    for i in range(2 * LOAD_BLOCK + 5):
+        edit = edits.get(i, {})
+        lines.append(edit if isinstance(edit, str) else json.dumps(_row(id=f"p{i}", **edit)))
+    with pytest.raises(error, match=message):
+        load_dataset(_write_lines(tmp_path, lines))
+
+
+def test_load_reports_a_bad_record_read_before_an_undecodable_byte(tmp_path):
+    """The bad label (at about 7 kB) and the byte (at about 13 kB) fall in
+    one block of lines but in different 8 kB chunks of the text reader, so a
+    reader that checks each line as it reads it meets the label first."""
+    lines = [json.dumps(_row(id=f"p{i}", label=9 if i == LOAD_BLOCK + 2 else 0))
+             for i in range(2 * LOAD_BLOCK)]
+    lines[-1] = lines[-1].replace("male", "m\udcffale")
+    path = _write_rows(tmp_path, [])
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
+    with pytest.raises(ValidationError, match=f"record p{LOAD_BLOCK + 2}: label 9"):
+        load_dataset(path)
+
+
+def test_load_reads_a_row_mixing_booleans_and_integers_as_integers(tmp_path):
+    """``np.array`` reads ``[true, 0, ...]`` as integers, so the record loads,
+    next to rows of plain integers in one block."""
+    rows = [_row(id=f"p{i}") for i in range(LOAD_BLOCK + 3)]
+    rows[4]["hpi"] = [True, 0, 0, 1, 0, 0, False]
+    got = load_dataset(_write_lines(tmp_path, [json.dumps(r) for r in rows])).records
+    assert [r.id for r in got] == [r["id"] for r in rows]
+    assert got[4].hpi.tolist() == [1, 0, 0, 1, 0, 0, 0] and got[4].hpi.dtype == np.int8
 
 
 def test_load_rejects_non_object_record(tmp_path):
