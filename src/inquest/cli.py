@@ -23,7 +23,7 @@ from .diagnosis import (
     save_diagnosis,
     train_diagnosis,
 )
-from .errors import ConfigError, InquestError, IoError, ParseError, reading
+from .errors import ConfigError, InquestError, ParseError, reading, writing
 from .evalharness import (
     DialogueTrace,
     FIXED_ORDER,
@@ -335,7 +335,6 @@ def cmd_eval(args) -> int:
         group_k=args.group_k,
     )
     fmt = args.format or ("csv" if str(args.out).endswith(".csv") else "json")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     emit_report(report, args.out, fmt)
     if args.traces:
         save_traces(traces, args.traces)
@@ -369,10 +368,8 @@ def cmd_report(args) -> int:
     lines.append("n_patients," + ",".join(str(r.n_patients) for r in reports))
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot write {args.out}: {exc}") from exc
+        with writing(args.out) as fh:
+            fh.write(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -537,17 +534,10 @@ def run(argv) -> int:
                 if isinstance(action, argparse._SubParsersAction):
                     apply_config_defaults(action.choices[sub_name], values)
         args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except InquestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[args.command](args)
-    except InquestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InquestError, OSError) as exc:  # OSError: e.g. stdout closed under ``report``
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and ``reading``, which gives
-the file loaders one way to raise them."""
+"""Exception types shared across the package, and the file boundary that
+raises them: ``reading`` for loaders, ``writing`` and ``json_line`` for writers."""
 import csv
+import json
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class InquestError(Exception):
@@ -76,3 +78,27 @@ def reading(what: str):
     except (ValueError, TypeError, KeyError, IndexError, AttributeError, OverflowError,
             RecursionError, csv.Error) as exc:
         raise ParseError(f"malformed {what}: {exc}") from None
+
+
+@contextmanager
+def writing(path, binary: bool = False):
+    """Open ``path`` for writing, as UTF-8 text with ``newline=""`` or as bytes,
+    after creating its parent directory; any OSError raises IoError. Writers
+    enter it only after every check, so a refused artifact leaves no file."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="")
+        with fh:
+            yield fh
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def json_line(obj, what: str, indent: int | None = None) -> str:
+    """``obj`` as JSON with sorted keys, compact separators (or ``indent``) and a
+    newline. A NaN or infinity raises NonFinite naming ``what``."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False,
+                          separators=None if indent else (",", ":")) + "\n"
+    except ValueError:
+        raise NonFinite(f"{what} holds non-finite values; nothing written") from None

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +30,11 @@ from .errors import (
     ConfigError,
     DigestMismatch,
     EmptyInput,
-    IoError,
-    NonFinite,
     PairingError,
     ParseError,
+    json_line,
     reading,
+    writing,
 )
 from .inquiry import InquiryPolicy, masked_softmax
 from .ontology import HpiOntology
@@ -382,15 +382,7 @@ def bootstrap_mean_diff(
 def _report_payload(report: EvalReport) -> dict:
     return {
         "recall_at_k": {str(k): v for k, v in sorted(report.recall_at_k.items())},
-        "rediscovery": {
-            "tp": report.rediscovery.tp,
-            "fp": report.rediscovery.fp,
-            "fn": report.rediscovery.fn,
-            "precision": report.rediscovery.precision,
-            "recall": report.rediscovery.recall,
-            "f1": report.rediscovery.f1,
-            "degenerate": report.rediscovery.degenerate,
-        },
+        "rediscovery": asdict(report.rediscovery),
         "group_recall": dict(sorted(report.group_recall.items())),
         "n_patients": report.n_patients,
         "config_digest": report.config_digest,
@@ -403,26 +395,21 @@ def emit_report(report: EvalReport, path: str | Path, format: str = "json") -> N
     if format not in ("json", "csv"):
         raise ConfigError(f"unknown report format {format!r}")
     payload = _report_payload(report)
-    try:  # the CSV rows come from the same payload, so this checks both formats
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError:
-        raise NonFinite("report holds non-finite values; nothing written") from None
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            if format == "json":
-                fh.write(text)
-            else:
-                fh.write("metric,value\n")
-                for k, v in payload["recall_at_k"].items():
-                    fh.write(f"recall_at_{k},{v:.6f}\n")
-                for name in ("precision", "recall", "f1"):
-                    fh.write(f"rediscovery_{name},{payload['rediscovery'][name]:.6f}\n")
-                for name, v in payload["group_recall"].items():
-                    fh.write(f"group_recall_{name},{v:.6f}\n")
-                fh.write(f"n_patients,{report.n_patients}\n")
-                fh.write(f"config_digest,{report.config_digest}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
+    # The CSV rows come from the same payload, so this checks both formats.
+    text = json_line(payload, "report", indent=2)
+    with writing(path) as fh:
+        if format == "json":
+            fh.write(text)
+        else:
+            fh.write("metric,value\n")
+            for k, v in payload["recall_at_k"].items():
+                fh.write(f"recall_at_{k},{v:.6f}\n")
+            for name in ("precision", "recall", "f1"):
+                fh.write(f"rediscovery_{name},{payload['rediscovery'][name]:.6f}\n")
+            for name, v in payload["group_recall"].items():
+                fh.write(f"group_recall_{name},{v:.6f}\n")
+            fh.write(f"n_patients,{report.n_patients}\n")
+            fh.write(f"config_digest,{report.config_digest}\n")
 
 
 def _finite(value) -> float:
@@ -462,31 +449,22 @@ def load_report(path: str | Path) -> EvalReport:
 def save_traces(traces, path: str | Path) -> None:
     """JSON-lines dump, one consultation per line. A non-finite value raises
     NonFinite before the file is created."""
-    try:
-        lines = [
-            json.dumps(
-                {
-                    "patient_id": t.patient_id,
-                    "rounds": [[q, [[e, s] for e, s in revealed]] for q, revealed in t.rounds],
-                    "final_observation": [int(v) for v in t.final_observation],
-                    "ranking": list(t.ranking),
-                    "true_label": t.true_label,
-                    "horizon": t.horizon,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-                allow_nan=False,
-            )
-            + "\n"
-            for t in traces
-        ]
-    except ValueError:
-        raise NonFinite("traces hold non-finite values; nothing written") from None
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-    except OSError as exc:
-        raise IoError(f"cannot write traces to {path}: {exc}") from exc
+    lines = [
+        json_line(
+            {
+                "patient_id": t.patient_id,
+                "rounds": [[q, [[e, s] for e, s in revealed]] for q, revealed in t.rounds],
+                "final_observation": [int(v) for v in t.final_observation],
+                "ranking": list(t.ranking),
+                "true_label": t.true_label,
+                "horizon": t.horizon,
+            },
+            "a trace",
+        )
+        for t in traces
+    ]
+    with writing(path) as fh:
+        fh.writelines(lines)
 
 
 def load_traces(path: str | Path) -> list[DialogueTrace]:

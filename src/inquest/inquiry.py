@@ -33,6 +33,7 @@ from .errors import (
     NoLegalAction,
     NonFinite,
     ShapeError,
+    writing,
 )
 from .ontology import HpiOntology
 from .patientgen import PatientDataset, encode_histories, streams
@@ -576,9 +577,7 @@ def write_training_log(rows: list[IterStats], path: str | Path) -> None:
              for r in rows]
     if not np.isfinite(np.array(stats, dtype=float)).all():
         raise NonFinite("training log holds non-finite values; nothing written")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with writing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["iter", "mean_reward", "mean_len", "policy_loss", "value_loss", "clip_frac", "entropy"]

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NonFinite, ParseError, ShapeError
+from .errors import ConfigError, NonFinite, ParseError, ShapeError, json_line, reading, writing
 
 RELU = "relu"
 HEAD_LOGITS = "logits"
@@ -157,12 +157,14 @@ def init_dense(
     With ``zero_output`` the last layer starts at zero so the net's initial
     outputs are constant (uniform class scores / zero value estimate). The
     draws are float64 whatever ``dtype`` is, so a float32 net starts at the
-    rounded float64 net.
+    rounded float64 net. Bad layer dims or a negative seed raise ConfigError.
     """
     dims = tuple(int(d) for d in layer_dims)
     problem = _spec_problem(dims, RELU, output_head)
     if problem:
         raise ConfigError(problem)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng([seed, _TAG_INIT])
     net = DenseNet(dims, RELU, output_head, np.zeros(n_params(dims), dtype))
     for i, w in enumerate(net.weights):
@@ -425,14 +427,9 @@ def save_net(net: DenseNet, path: str | Path, meta: dict | None = None) -> None:
         "output_head": net.output_head, "dtype": little.dtype.str, "nbytes": len(body),
         "sha256": hashlib.sha256(body).hexdigest(),
     }
-    try:
-        line = json.dumps(header, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except ValueError:
-        raise NonFinite("checkpoint meta holds non-finite values; nothing written") from None
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(line.encode("ascii") + b"\n")
+    line = json_line(header, "checkpoint meta").encode("ascii")
+    with writing(path, binary=True) as fh:
+        fh.write(line)
         fh.write(body)
 
 
@@ -481,8 +478,10 @@ def load_net(path: str | Path) -> DenseNet:
     is not a JSON object with every field, another kind, layer_dims that are
     not integers, an unsupported activation, head or dtype, a body whose
     length or sha256 differs from the header's, a non-finite value) raises
-    ParseError. The net keeps the file's dtype."""
-    blob = Path(path).read_bytes()
+    ParseError, and a file that cannot be read IoError. The net keeps the
+    file's dtype."""
+    with reading(f"checkpoint {path}"):
+        blob = Path(path).read_bytes()
     end = blob.find(b"\n")
     if end < 0:
         raise ParseError("malformed checkpoint: no header line")

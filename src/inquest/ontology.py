@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, reading
+from .errors import ParseError, ValidationError, reading, writing
 
 FIRST = 1
 SECOND = 2
@@ -29,6 +29,8 @@ OPEN = "open"
 
 HPI_FILENAME = "hpi.csv"
 QUESTIONS_FILENAME = "questions.csv"
+HPI_COLUMNS = ("id", "level", "parent_id", "name")
+QUESTION_COLUMNS = ("id", "kind", "target_ids")
 
 
 @dataclass(frozen=True)
@@ -254,53 +256,50 @@ def load_ontology(path: str | Path) -> HpiOntology:
     return ontology
 
 
-def _read_elements(path: Path) -> list[HpiElement]:
-    elements = []
+def _csv_rows(path: Path, columns: tuple[str, ...]):
+    """Yield ``(row number, row)`` for each row of a CSV file with header
+    ``columns``, checking the header and each row's width as it reads."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "level", "parent_id", "name"]:
-            raise ParseError(f"{path.name}: expected header id,level,parent_id,name")
+        if next(reader, None) != list(columns):
+            raise ParseError(f"{path.name}: expected header {','.join(columns)}")
         for i, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ParseError(f"{path.name} row {i}: expected 4 columns, got {len(row)}")
-            eid = _parse_int(row[0], "id", i)
-            level = _parse_int(row[1], "level", i)
-            parent = None if row[2] == "" else _parse_int(row[2], "parent_id", i)
-            elements.append(HpiElement(eid, level, parent, row[3]))
-    return elements
+            if len(row) != len(columns):
+                raise ParseError(f"{path.name} row {i}: expected {len(columns)} columns, "
+                                 f"got {len(row)}")
+            yield i, row
+
+
+def _read_elements(path: Path) -> list[HpiElement]:
+    return [
+        HpiElement(_parse_int(row[0], "id", i), _parse_int(row[1], "level", i),
+                   None if row[2] == "" else _parse_int(row[2], "parent_id", i), row[3])
+        for i, row in _csv_rows(path, HPI_COLUMNS)
+    ]
 
 
 def _read_questions(path: Path) -> list[Question]:
     questions = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "kind", "target_ids"]:
-            raise ParseError(f"{path.name}: expected header id,kind,target_ids")
-        for i, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ParseError(f"{path.name} row {i}: expected 3 columns, got {len(row)}")
-            qid = _parse_int(row[0], "id", i)
-            raw = [t for t in row[2].split(";") if t != ""]
-            if not raw:
-                raise ParseError(f"{path.name} row {i}: empty target list")
-            targets = tuple(sorted({_parse_int(t, "target id", i) for t in raw}))
-            questions.append(Question(qid, row[1], targets))
+    for i, row in _csv_rows(path, QUESTION_COLUMNS):
+        qid = _parse_int(row[0], "id", i)
+        raw = [t for t in row[2].split(";") if t != ""]
+        if not raw:
+            raise ParseError(f"{path.name} row {i}: empty target list")
+        targets = tuple(sorted({_parse_int(t, "target id", i) for t in raw}))
+        questions.append(Question(qid, row[1], targets))
     return questions
 
 
 def save_ontology(ontology: HpiOntology, path: str | Path) -> None:
     """Write the two CSV files; a round trip preserves the content digest."""
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    with open(root / HPI_FILENAME, "w", newline="", encoding="utf-8") as fh:
+    with writing(root / HPI_FILENAME) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "level", "parent_id", "name"])
+        writer.writerow(HPI_COLUMNS)
         for e in sorted(ontology.elements, key=lambda e: e.id):
             writer.writerow([e.id, e.level, "" if e.parent is None else e.parent, e.name])
-    with open(root / QUESTIONS_FILENAME, "w", newline="", encoding="utf-8") as fh:
+    with writing(root / QUESTIONS_FILENAME) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "kind", "target_ids"])
+        writer.writerow(QUESTION_COLUMNS)
         for q in sorted(ontology.questions, key=lambda q: q.id):
             writer.writerow([q.id, q.kind, ";".join(str(t) for t in q.targets)])

@@ -30,7 +30,9 @@ from .errors import (
     NonFinite,
     ParseError,
     ValidationError,
+    json_line,
     reading,
+    writing,
 )
 from .ontology import (
     CLOSED,
@@ -308,7 +310,7 @@ def toy_genmodel(ontology: HpiOntology | None = None) -> GenerativeModel:
     """
     onto = ontology if ontology is not None else toy_ontology()
     m = onto.n_elements
-    parent = np.array([-1 if onto.parent_of(e) is None else onto.parent_of(e) for e in range(m)])
+    parent = np.where(onto.index.second, onto.index.up, -1)
     d = 3
     cpt1 = np.zeros((d, m))
     cpt1[:, 0] = (0.92, 0.06, 0.10)
@@ -368,9 +370,7 @@ def benchmark_genmodel(
     rng = np.random.default_rng([seed, _TAG_GENMODEL])
     m = ontology.n_elements
     first_ids = np.array(ontology.first_level_ids())
-    parent = np.array(
-        [-1 if ontology.parent_of(e) is None else ontology.parent_of(e) for e in range(m)]
-    )
+    parent = np.where(ontology.index.second, ontology.index.up, -1)
 
     weights = rng.uniform(0.7, 1.3, n_diseases)
     priors = weights / weights.sum()
@@ -695,7 +695,10 @@ def enumerate_bayes_rate(gm: GenerativeModel, max_states: int = 1_000_000) -> fl
 def split_dataset(
     dataset: PatientDataset, ratios: tuple[float, float, float], seed: int
 ) -> tuple[PatientDataset, PatientDataset, PatientDataset]:
-    """Disjoint shuffled train/val/test split; floor sizes, remainder to train."""
+    """Disjoint shuffled train/val/test split; floor sizes, remainder to train.
+    Bad ratios or a negative seed raise ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ConfigError("ratios must be three positive numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:
@@ -762,10 +765,6 @@ _RECORD_FIELDS = ("hpi", "label", "age", "sex", "prior_flags")
 
 def _header_path(path: Path) -> Path:
     return path.with_name(path.stem + ".header.json")
-
-
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _record_lines(dataset: PatientDataset) -> list[str]:
@@ -835,15 +834,11 @@ def save_dataset(dataset: PatientDataset, path: str | Path) -> None:
         "genmodel_digest": dataset.genmodel_digest,
         "ontology_digest": dataset.ontology_digest,
     }
-    try:
-        head = _json_line(header)
-    except ValueError:
-        raise NonFinite("dataset holds non-finite values; nothing written") from None
+    head = json_line(header, "dataset")
     lines = _record_lines(dataset)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(_header_path(path), "w", encoding="utf-8") as fh:
+    with writing(_header_path(path)) as fh:
         fh.write(head)
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         fh.writelines(lines)
 
 
@@ -893,11 +888,14 @@ def _parse_record(lineno: int, line: str, m: int, d: int) -> PatientRecord:
     return PatientRecord(rid, age, row["sex"], tuple(flags), hpi.astype(np.int8), label)
 
 
-def _parse_block(block: list[tuple[int, str]], m: int, d: int) -> list[PatientRecord]:
+def _parse_block(
+    block: list[tuple[int, str]], m: int, d: int, ontology: HpiOntology | None
+) -> list[PatientRecord]:
     """The records of ``block``'s ``(lineno, line)`` pairs, the same as
     ``_parse_record`` gives line by line, with the hpi and label checks made
     once over the block. When any check fails, the block is parsed again by
-    ``_parse_record``, which raises the first bad record's error."""
+    ``_parse_record``, which raises the first bad record's error. Then, given
+    an ``ontology``, the block's hpi matrix is checked against its hierarchy."""
     try:
         rows = [json.loads(line) for _, line in block]
         ids = [row.get("id", f"line{lineno}") for (lineno, _), row in zip(block, rows)]
@@ -919,13 +917,18 @@ def _parse_block(block: list[tuple[int, str]], m: int, d: int) -> list[PatientRe
         and hpi.min() >= 0 and hpi.max() <= 2
         and min(labels) >= 0 and max(labels) < d
     )
-    if not ok:
-        return [_parse_record(lineno, line, m, d) for lineno, line in block]
-    return [
-        PatientRecord(rid, age, sex, tuple(fl), h, label)
-        for rid, age, sex, fl, h, label in zip(ids, ages, sexes, flags,
-                                               hpi.astype(np.int8), labels)
-    ]
+    if ok:
+        hpi = hpi.astype(np.int8)
+        records = [
+            PatientRecord(rid, age, sex, tuple(fl), h, label)
+            for rid, age, sex, fl, h, label in zip(ids, ages, sexes, flags, hpi, labels)
+        ]
+    else:
+        records = [_parse_record(lineno, line, m, d) for lineno, line in block]
+        ids, hpi = [r.id for r in records], [r.hpi for r in records]
+    if ontology is not None and records:
+        check_hierarchy(ontology, hpi, "record", ids)
+    return records
 
 
 def _load_dataset(path: Path, ontology: HpiOntology | None) -> PatientDataset:
@@ -958,17 +961,14 @@ def _load_dataset(path: Path, ontology: HpiOntology | None) -> PatientDataset:
                 if line.strip():
                     block.append((lineno, line))
                 if len(block) == LOAD_BLOCK:
-                    records += _parse_block(block, m, d)
+                    records += _parse_block(block, m, d, ontology)
                     block = []
         except (OSError, UnicodeDecodeError):
             # A bad record read before the failed read is reported first, as
             # a line-by-line reader would.
-            _parse_block(block, m, d)
+            _parse_block(block, m, d, None)
             raise
-    records += _parse_block(block, m, d)
-    if ontology is not None and records:
-        check_hierarchy(ontology, np.stack([r.hpi for r in records]), "record",
-                        [r.id for r in records])
+    records += _parse_block(block, m, d, ontology)
     return PatientDataset(
         records=records,
         disease_names=tuple(names),

@@ -140,6 +140,23 @@ def test_report_merges_matching_configs(workspace, tmp_path, capsys):
     assert merged.read_text(encoding="utf-8").startswith("metric,")
 
 
+def test_outputs_go_into_directories_that_do_not_exist_yet(workspace, tmp_path, monkeypatch):
+    root, onto_dir, data, diag, policy = workspace
+    common = ["--ontology", str(onto_dir), "--diag", str(diag), "--baseline", "FixedOrder",
+              "--horizon", "3"]
+    report, traces = tmp_path / "a" / "r.json", tmp_path / "b" / "t.jsonl"
+    assert run(["eval", *common, "--data", str(data), "--out", str(report),
+                "--traces", str(traces)]) == 0
+    assert len(load_traces(traces)) == 120
+    merged = tmp_path / "c" / "m.csv"
+    assert run(["report", "--inputs", str(report), "--out", str(merged)]) == 0
+    assert merged.read_text(encoding="utf-8").startswith("metric,r\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("44\nf\n" + "n\n" * 20))
+    transcript = tmp_path / "d" / "s.jsonl"
+    assert run(["consult", *common, "--transcript", str(transcript)]) == 0
+    assert len(load_traces(transcript)) == 1
+
+
 def test_report_refuses_mismatched_configs(workspace, tmp_path):
     root, onto_dir, data, diag, policy = workspace
     a = tmp_path / "a.json"

@@ -11,6 +11,7 @@ from inquest import consult_env, nncore
 from inquest.consult_env import DisclosureProbs, StepFindings
 from inquest.diagnosis import new_diagnosis_model
 from inquest.errors import (
+    ConfigError,
     DigestMismatch,
     DomainError,
     NoLegalAction,
@@ -249,6 +250,16 @@ def test_reward_params_validation():
     with pytest.raises(DomainError):
         RewardParams(first_level_weight=float("nan")).validate()
     RewardParams().validate()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: new_diagnosis_model(8, 7, ("d0", "d1"), "x", hidden=(4,), seed=-1),
+    lambda: new_inquiry_policy(8, 7, 9, "x", hidden=(4,), seed=-1),
+    lambda: new_value_net(8, 7, "x", hidden=(4,), seed=-1),
+])
+def test_model_builders_reject_negative_seed(build):
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,12 @@ def test_he_uniform_bounds_and_determinism():
     assert not all(np.array_equal(x, y) for x, y in zip(a.weights, c.weights))
 
 
+
+def test_init_dense_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        init_dense((3, 2), seed=-1)
+
+
 def test_adam_single_step_closed_form():
     p = np.array([1.0])
     g = np.array([0.3])

@@ -394,6 +394,8 @@ def test_negative_seeds_raise_config_error(toy):
         benchmark_genmodel(toy_ontology(), seed=-1)
     with pytest.raises(ConfigError, match="non-negative"):
         generate_cohort(toy, 5, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        split_dataset(generate_cohort(toy, 5, seed=0), (0.6, 0.2, 0.2), -1)
 
 
 # ---------------------------------------------------------------------------
