@@ -101,7 +101,10 @@ def apply_config_defaults(parser: argparse.ArgumentParser, values: dict[str, str
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
             defaults[dest] = _parse_bool(raw)
         elif action.type is not None:
-            defaults[dest] = action.type(raw)
+            try:
+                defaults[dest] = action.type(raw)
+            except ValueError:
+                raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
         else:
             defaults[dest] = raw
     parser.set_defaults(**defaults)

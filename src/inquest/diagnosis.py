@@ -78,7 +78,7 @@ def encode_hpi_ternary(obs: np.ndarray) -> np.ndarray:
     if flat.size and (flat.min() < 0 or flat.max() > 2):
         raise DomainError("ternary entries must be 0, 1 or 2")
     n, m = flat.shape
-    out = _ONE_HOT[flat].reshape(n, 3 * m)
+    out = _ONE_HOT.take(flat, axis=0).reshape(n, 3 * m)
     return out if obs.ndim == 2 else out[0]
 
 

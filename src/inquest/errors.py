@@ -2,7 +2,7 @@
 raises them: ``reading`` for loaders, ``writing`` and ``json_line`` for writers."""
 import csv
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 
@@ -84,14 +84,24 @@ def reading(what: str):
 def writing(path, binary: bool = False):
     """Open ``path`` for writing, as UTF-8 text with ``newline=""`` or as bytes,
     after creating its parent directory; any OSError raises IoError. Writers
-    enter it only after every check, so a refused artifact leaves no file."""
+    enter it only after every check, so a refused artifact leaves no file.
+
+    If the body raises, the file is removed. A writer of several files nests
+    one ``writing`` per file, so that a failure on any of them removes all."""
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         fh = open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="")
-        with fh:
-            yield fh
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
+            yield fh
+    except BaseException as exc:
+        with suppress(OSError):
+            Path(path).unlink()
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def json_line(obj, what: str, indent: int | None = None) -> str:

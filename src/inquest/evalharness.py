@@ -11,7 +11,9 @@ for a batch, so each round costs one forward of the policy net over the active
 episodes, and the final ranking one forward of the ranker. Patient i draws
 from stream i of ``patientgen.streams((seed,), ...)``, and every net runs in
 fixed-size blocks (``nncore.forward``). A patient's trace is therefore the
-same bytes whether it is evaluated alone or inside any dataset.
+same bytes whether it is evaluated alone or inside any dataset. A trained
+policy run greedily asks the legal question with the largest float32 logit,
+the lowest id among equal ones.
 """
 from __future__ import annotations
 
@@ -30,13 +32,15 @@ from .errors import (
     ConfigError,
     DigestMismatch,
     EmptyInput,
+    NoLegalAction,
     PairingError,
     ParseError,
+    ShapeError,
     json_line,
     reading,
     writing,
 )
-from .inquiry import InquiryPolicy, masked_softmax
+from .inquiry import InquiryPolicy
 from .ontology import HpiOntology
 from .patientgen import (
     CONFIRMED,
@@ -97,9 +101,14 @@ class EvalReport:
 # row. A trained policy also carries ``history_width`` and ``ontology_digest``.
 
 class GreedyModelPolicy:
-    """Trained policy run greedily: argmax over legal-action probabilities.
+    """Trained policy run greedily: argmax over the legal entries of each row
+    of the net's float32 logits.
 
-    Ties break toward the lowest question id.
+    Ties break toward the lowest question id among equal legal logits. This
+    is the argmax of ``inquiry.masked_softmax`` except where two different
+    logits round to the same float64 probability, as logits 0 and 1e-45 do.
+    A row with no legal question raises NoLegalAction, and masks of another
+    shape than the logits ShapeError.
     """
 
     def __init__(self, policy: InquiryPolicy):
@@ -110,8 +119,13 @@ class GreedyModelPolicy:
     def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
         x = np.concatenate([histories, encode_hpi_ternary(statuses)], axis=1,
                            dtype=self.inner.net.dtype)
-        probs = masked_softmax(nncore.forward(self.inner.net, x), masks)
-        return probs.argmax(axis=1)
+        logits = nncore.forward(self.inner.net, x)
+        masks = np.asarray(masks, dtype=bool)
+        if logits.shape != masks.shape:
+            raise ShapeError(f"logits {logits.shape} and mask {masks.shape} differ")
+        if not masks.any(axis=1).all():
+            raise NoLegalAction("a row has no legal action")
+        return np.where(masks, logits, -np.inf).argmax(axis=1)
 
 
 class RandomLegalPolicy:
@@ -192,13 +206,14 @@ def consult_batch(
         for j, (i, action) in enumerate(zip(rows.tolist(), np.asarray(actions).tolist())):
             rounds[i].append((action, tuple(revealed[bounds[j] : bounds[j + 1]])))
     e_diag = encode_histories(patients, diag_model.history_width)
-    rankings = rank_from_probs(predict_batch(diag_model, e_diag, env.status)) if patients else []
+    rankings = (rank_from_probs(predict_batch(diag_model, e_diag, env.status)).tolist()
+                if patients else [])
     return [
         DialogueTrace(
             patient_id=patient.id,
             rounds=tuple(rounds[i]),
             final_observation=env.status[i].copy(),
-            ranking=tuple(int(d) for d in rankings[i]),
+            ranking=tuple(rankings[i]),
             true_label=patient.label,
             horizon=horizon,
         )
@@ -242,25 +257,32 @@ def recall_at_k(traces, ks) -> dict[int, float]:
 
 
 def rediscovery_metrics(traces, patients) -> RediscoveryMetrics:
-    """Pooled counts of confirmed-vs-recorded positives across all dialogues.
+    """Pooled counts of confirmed-vs-recorded positives across all dialogues,
+    taken over the stacked (N, M) observation and record matrices.
 
     A zero denominator makes the affected metric 0 and sets ``degenerate``.
+    Observations and records not all of one shape raise ShapeError.
     """
     traces = list(traces)
     patients = list(patients)
     if len(traces) != len(patients):
         raise PairingError(f"{len(traces)} traces paired with {len(patients)} patients")
-    tp = fp = fn = 0
     for trace, patient in zip(traces, patients):
         if trace.patient_id != patient.id:
             raise PairingError(
                 f"trace for {trace.patient_id!r} paired with record {patient.id!r}"
             )
-        confirmed = trace.final_observation == CONFIRMED
-        positive = patient.hpi == CONFIRMED
-        tp += int(np.sum(confirmed & positive))
-        fp += int(np.sum(confirmed & ~positive))
-        fn += int(np.sum(~confirmed & positive))
+    shapes = {np.shape(t.final_observation) for t in traces}
+    shapes |= {np.shape(p.hpi) for p in patients}
+    if len(shapes) > 1:
+        raise ShapeError(f"observations and records differ in shape: {sorted(shapes)}")
+    tp = fp = fn = 0
+    if traces:
+        confirmed = np.stack([t.final_observation for t in traces]) == CONFIRMED
+        positive = np.stack([p.hpi for p in patients]) == CONFIRMED
+        tp = int(np.count_nonzero(confirmed & positive))
+        fp = int(np.count_nonzero(confirmed)) - tp
+        fn = int(np.count_nonzero(positive)) - tp
     degenerate = False
     if tp + fp > 0:
         precision = tp / (tp + fp)
@@ -454,7 +476,7 @@ def save_traces(traces, path: str | Path) -> None:
             {
                 "patient_id": t.patient_id,
                 "rounds": [[q, [[e, s] for e, s in revealed]] for q, revealed in t.rounds],
-                "final_observation": [int(v) for v in t.final_observation],
+                "final_observation": t.final_observation.tolist(),
                 "ranking": list(t.ranking),
                 "true_label": t.true_label,
                 "horizon": t.horizon,

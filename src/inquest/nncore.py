@@ -60,7 +60,7 @@ ADAM_BETAS_EPS = (0.9, 0.999, 1e-8)
 
 # Elements per chunk of ``adam_step``: the chunk's slices of the parameters,
 # gradient, moments and two scratch rows stay in cache across the update's
-# fourteen passes.
+# seventeen passes.
 ADAM_CHUNK = 1 << 15
 
 # Element type of the ranker, policy and value nets.

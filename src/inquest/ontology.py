@@ -291,15 +291,15 @@ def _read_questions(path: Path) -> list[Question]:
 
 
 def save_ontology(ontology: HpiOntology, path: str | Path) -> None:
-    """Write the two CSV files; a round trip preserves the content digest."""
+    """Write the two CSV files; a round trip preserves the content digest. A
+    file that cannot be written raises IoError and leaves neither."""
     root = Path(path)
-    with writing(root / HPI_FILENAME) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with writing(root / HPI_FILENAME) as hpi_fh, writing(root / QUESTIONS_FILENAME) as q_fh:
+        writer = csv.writer(hpi_fh, lineterminator="\n")
         writer.writerow(HPI_COLUMNS)
         for e in sorted(ontology.elements, key=lambda e: e.id):
             writer.writerow([e.id, e.level, "" if e.parent is None else e.parent, e.name])
-    with writing(root / QUESTIONS_FILENAME) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(q_fh, lineterminator="\n")
         writer.writerow(QUESTION_COLUMNS)
         for q in sorted(ontology.questions, key=lambda q: q.id):
             writer.writerow([q.id, q.kind, ";".join(str(t) for t in q.targets)])

@@ -825,7 +825,7 @@ def save_dataset(dataset: PatientDataset, path: str | Path) -> None:
     an age, label or flag that is not an integer, a label out of range, an
     unknown sex, an hpi that is not M entries in 0..2) raises
     ValidationError, and a non-finite value NonFinite, before either file is
-    created."""
+    created; a file that cannot be written raises IoError and leaves neither."""
     path = Path(path)
     header = {
         "D": dataset.n_diseases,
@@ -836,9 +836,8 @@ def save_dataset(dataset: PatientDataset, path: str | Path) -> None:
     }
     head = json_line(header, "dataset")
     lines = _record_lines(dataset)
-    with writing(_header_path(path)) as fh:
-        fh.write(head)
-    with writing(path) as fh:
+    with writing(_header_path(path)) as head_fh, writing(path) as fh:
+        head_fh.write(head)
         fh.writelines(lines)
 
 

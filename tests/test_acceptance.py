@@ -357,3 +357,30 @@ def test_cli_checkpoints_load_to_pinned_parameter_bytes(cli_artifacts):
            for a in cli_artifacts if a.name in CLI_PARAMS_GOLDEN}
     assert got == CLI_PARAMS_GOLDEN
     _line(f"{len(got)} checkpoints load to their pinned parameter bytes")
+
+
+# sha256 of the ``--traces`` file of ``eval --horizon 20`` on the CLI
+# pipeline's ontology, cohort and models, for the trained policy run greedily
+# and for RandomLegal. ``CLI_GOLDEN`` pins only horizon 4; at horizon 20 every
+# dialogue runs until no question is legal (5 to 14 rounds). Both digests were
+# taken on the code before greedy picks, one-hots and trace encoding became
+# whole-array numpy calls, a change that must leave every trace byte as it was.
+LONG_HORIZON_TRACES_GOLDEN = {
+    "greedy": "101a9e630c231b57818674a3a2ec0e4ba9a01074a14ad3e1a1e0954610417fee",
+    "RandomLegal": "1ba1e181debac298fe18f7d79cf158334db559368aa2bf10ccf4f4d7becfc955",
+}
+
+
+def test_cli_long_horizon_traces_match_golden_digests(cli_artifacts, tmp_path):
+    root = cli_artifacts[0].parent
+    got = {}
+    for name, choice in (("greedy", ["--policy", str(root / "policy.json")]),
+                         ("RandomLegal", ["--baseline", "RandomLegal"])):
+        traces = tmp_path / f"{name}.jsonl"
+        assert run(["eval", "--ontology", str(root / "onto"),
+                    "--data", str(root / "cohort.jsonl"), "--diag", str(root / "diag.json"),
+                    *choice, "--out", str(tmp_path / f"{name}.json"),
+                    "--traces", str(traces), "--horizon", "20", "--seed", "5"]) == 0
+        got[name] = hashlib.sha256(traces.read_bytes()).hexdigest()
+    assert got == LONG_HORIZON_TRACES_GOLDEN
+    _line(f"{len(got)} horizon-20 trace files match their pinned sha256")

@@ -208,6 +208,26 @@ def test_config_unknown_key_rejected(tmp_path):
         apply_config_defaults(sub.choices["gen-data"], {"no-such-flag": "1"})
 
 
+@pytest.mark.parametrize("command, line", [
+    ("gen-data", "seed = abc"),
+    ("gen-data", "n = 1.5"),
+    ("train-diag", "lr = fast"),
+    ("train-diag", "hidden = 1,x"),
+])
+def test_config_value_of_the_wrong_type_is_an_error(workspace, tmp_path, capsys,
+                                                    command, line):
+    root, onto_dir, data, diag, policy = workspace
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    inputs = {"gen-data": [], "train-diag": ["--data", str(data)]}[command]
+    assert run([command, "--ontology", str(onto_dir), *inputs, "--out", str(out),
+                "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and line.split(" = ")[1] in err
+    assert not out.exists()
+
+
 _PATHS = ["--ontology", "o", "--data", "d", "--diag", "g", "--out", "x"]
 _DIALOGUE_FLAGS = ["--horizon", "7", "--noise", "0.25", "--unmentioned-answer", "unknown",
                    "--p1p", "0.6", "--p1n", "0.2", "--p2p", "0.4", "--p2n", "0.01"]

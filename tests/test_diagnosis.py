@@ -78,6 +78,9 @@ def test_encode_ternary_examples():
         encode_hpi_ternary(np.array([0, 3]))
     with pytest.raises(DomainError):
         encode_hpi_ternary(np.array([-1, 0]))
+    for bad in (3, -1):
+        with pytest.raises(DomainError):
+            encode_hpi_ternary(np.array([[0, 1], [2, bad]], dtype=np.int8))
 
 
 def test_encode_ternary_batch_one_hot():
@@ -86,6 +89,16 @@ def test_encode_ternary_batch_one_hot():
     assert enc.shape == (2, 9)
     assert np.all(enc.sum(axis=1) == 3)
     assert np.array_equal(enc.reshape(2, 3, 3).argmax(axis=2), obs)
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 7), (0, 7), (1, 90), (100, 90)])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_encode_ternary_is_byte_equal_to_eye_indexing(shape, dtype):
+    obs = np.random.default_rng(shape[0]).integers(0, 3, size=shape, dtype=dtype)
+    want = np.eye(3, dtype=np.float32)[obs].reshape(*shape[:-1], 3 * shape[-1])
+    got = encode_hpi_ternary(obs)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

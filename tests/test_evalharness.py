@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from inquest import nncore
 from inquest.consult_env import DisclosureProbs
 from inquest.diagnosis import new_diagnosis_model
 from inquest.errors import (
@@ -11,9 +12,11 @@ from inquest.errors import (
     DigestMismatch,
     EmptyInput,
     IoError,
+    NoLegalAction,
     NonFinite,
     PairingError,
     ParseError,
+    ShapeError,
 )
 from inquest.evalharness import (
     FIXED_ORDER,
@@ -31,7 +34,7 @@ from inquest.evalharness import (
     save_traces,
     simulate_consultation,
 )
-from inquest.inquiry import new_inquiry_policy
+from inquest.inquiry import masked_softmax, new_inquiry_policy
 from inquest.patientgen import (
     PatientDataset,
     PatientRecord,
@@ -183,6 +186,52 @@ def test_greedy_policy_runs_and_stays_legal(toy_setup):
     assert legal_first == sorted(legal_first)
 
 
+def _greedy_on_logits(monkeypatch, logits, masks):
+    """``GreedyModelPolicy.select_batch`` with the policy net's forward
+    replaced by ``logits``."""
+    n, k = np.shape(logits)
+    policy = new_inquiry_policy(2, 3, k, "digest", hidden=(4,))
+    monkeypatch.setattr(nncore, "forward", lambda net, x: logits)
+    return GreedyModelPolicy(policy).select_batch(
+        np.zeros((n, 2), dtype=np.float32), np.zeros((n, 3), dtype=np.int8), masks, None)
+
+
+def test_greedy_picks_equal_masked_softmax_argmax(monkeypatch):
+    rng = np.random.default_rng(14)
+    for trial in range(300):
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+        logits = (rng.standard_normal((n, k)) * rng.choice([1e-3, 1.0, 30.0])).astype(np.float32)
+        masks = rng.random((n, k)) < rng.uniform(0.2, 1.0)
+        masks[np.arange(n), rng.integers(0, k, size=n)] = True
+        if trial % 3 == 0:
+            # Some rows hold one value at every legal entry.
+            tied = rng.random(n) < 0.5
+            logits[tied] = np.float32(rng.standard_normal())
+        if trial % 3 == 1:
+            # The row's maximum sits only on illegal entries.
+            top = logits.max(axis=1, keepdims=True) + np.float32(1.0)
+            logits = np.where(masks, logits, top)
+        want = masked_softmax(logits, masks).argmax(axis=1)
+        got = _greedy_on_logits(monkeypatch, logits, masks)
+        assert got.tolist() == want.tolist()
+
+
+def test_greedy_ties_break_toward_the_lowest_legal_id(monkeypatch):
+    logits = np.array([[5, 2, 2, 2], [2, 2, 2, 2]], dtype=np.float32)
+    masks = np.array([[False, False, True, True], [True, True, True, True]])
+    assert _greedy_on_logits(monkeypatch, logits, masks).tolist() == [2, 0]
+
+
+def test_greedy_refuses_rows_without_a_legal_question_and_misshapen_masks(monkeypatch):
+    logits = np.zeros((2, 4), dtype=np.float32)
+    masks = np.ones((2, 4), dtype=bool)
+    masks[1] = False
+    with pytest.raises(NoLegalAction):
+        _greedy_on_logits(monkeypatch, logits, masks)
+    with pytest.raises(ShapeError):
+        _greedy_on_logits(monkeypatch, logits, np.ones((2, 3), dtype=bool))
+
+
 # ---------------------------------------------------------------------------
 # recall_at_k
 # ---------------------------------------------------------------------------
@@ -272,6 +321,41 @@ def test_rediscovery_pairing_errors():
         rediscovery_metrics([trace], [patient])
     with pytest.raises(PairingError):
         rediscovery_metrics([trace], [])
+
+
+def _reference_counts(traces, patients):
+    tp = fp = fn = 0
+    for trace, patient in zip(traces, patients):
+        for seen, recorded in zip(trace.final_observation.tolist(), patient.hpi.tolist()):
+            tp += seen == 1 and recorded == 1
+            fp += seen == 1 and recorded != 1
+            fn += seen != 1 and recorded == 1
+    return tp, fp, fn
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+def test_rediscovery_counts_equal_a_per_trace_reference(n):
+    rng = np.random.default_rng(n)
+    patients = [flat_patient(f"p{i}", rng.integers(0, 3, size=9)) for i in range(n)]
+    traces = [make_trace((0, 1), 0, rng.integers(0, 3, size=9), pid=f"p{i}")
+              for i in range(n)]
+    m = rediscovery_metrics(traces, patients)
+    assert (m.tp, m.fp, m.fn) == _reference_counts(traces, patients)
+    assert m.degenerate == (m.tp == 0)
+
+
+def test_rediscovery_checks_pairing_before_counting():
+    patients = [flat_patient("p0", [1, 0]), flat_patient("p1", [1, 0])]
+    traces = [make_trace((0, 1), 0, [1, 0], pid="p0"),
+              make_trace((0, 1), 0, [1, 0, 2], pid="p9")]
+    with pytest.raises(PairingError, match="p9"):
+        rediscovery_metrics(traces, patients)
+    with pytest.raises(PairingError, match="2 traces paired with 1"):
+        rediscovery_metrics(traces, patients[:1])
+    with pytest.raises(ShapeError):
+        rediscovery_metrics(traces[:1], [flat_patient("p0", [1, 0, 0])])
+    with pytest.raises(ShapeError):
+        rediscovery_metrics([traces[0], make_trace((0, 1), 0, [1, 0, 2], pid="p1")], patients)
 
 
 def test_noise_free_precision_is_exact_for_any_policy(toy_setup):

@@ -9,7 +9,7 @@ import pytest
 import inquest
 from inquest.cli import parse_config_file
 from inquest.diagnosis import load_diagnosis
-from inquest.errors import IoError
+from inquest.errors import IoError, writing
 from inquest.evalharness import (
     EvalReport,
     RediscoveryMetrics,
@@ -90,6 +90,31 @@ def test_writer_raises_io_error_under_a_regular_file(tmp_path, name):
     with pytest.raises(IoError, match="cannot write"):
         WRITERS[name](blocker / "out")
     assert sorted(tmp_path.iterdir()) == [blocker]
+
+
+def test_failed_dataset_save_leaves_no_header(tmp_path):
+    path = tmp_path / "cohort.jsonl"
+    path.mkdir()
+    with pytest.raises(IoError, match="cannot write"):
+        WRITERS["save_dataset"](path)
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_failed_ontology_save_leaves_neither_csv(tmp_path):
+    questions = tmp_path / "questions.csv"
+    questions.mkdir()
+    with pytest.raises(IoError, match="cannot write"):
+        WRITERS["save_ontology"](tmp_path)
+    assert sorted(tmp_path.iterdir()) == [questions]
+
+
+def test_writing_removes_its_file_when_the_body_raises(tmp_path):
+    path = tmp_path / "out.txt"
+    with pytest.raises(ZeroDivisionError):
+        with writing(path) as fh:
+            fh.write("half")
+            1 / 0
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
