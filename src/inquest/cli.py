@@ -464,7 +464,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
             action = int(policy.select_batch(e_policy[None], status[None], mask, [rng])[0])
             asked[0, action] = True
             for t in ontology.questions[action].targets:
-                if status[t] != 0:
+                if status[t] != consult_env.UNKNOWN:
                     continue
                 name = ontology.elements[t].name
                 yes = _ask(f"round {len(rounds) + 1}: {name}? (y/n) ",
@@ -473,7 +473,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
                 revealed.append((t, int(status[t])))
                 if not yes and ontology.elements[t].level == 1:
                     for child in ontology.children_of(t):
-                        if status[child] == 0:
+                        if status[child] == consult_env.UNKNOWN:
                             status[child] = DENIED
                             revealed.append((child, int(DENIED)))
             rounds.append((action, tuple(revealed)))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, DigestMismatch, DomainError, IllegalAction
 from .ontology import CONFIRMED, DENIED, NOT_MENTIONED, HpiOntology, OntologyIndex, check_hierarchy
-from .patientgen import PatientRecord
+from .patientgen import PatientRecord, full_evidence
 
 UNKNOWN = NOT_MENTIONED
 
@@ -168,7 +168,7 @@ def _answer(
     answered = (index.targets[:, actions].T > 0.0) & (status == UNKNOWN)
     if unmentioned_answer == UNMENTIONED_UNKNOWN:
         answered &= hpi != NOT_MENTIONED
-    revealed = np.where(hpi == CONFIRMED, CONFIRMED, DENIED).astype(np.int8)
+    revealed = full_evidence(hpi)
     if noise > 0.0:
         for i, rng in enumerate(rngs):
             slots = np.flatnonzero(answered[i])

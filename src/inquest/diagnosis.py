@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import nncore
-from .errors import DomainError, EmptyDataset, ParseError, ShapeError
+from .errors import DomainError, EmptyDataset, ParseError, ShapeError, fields
 from .patientgen import PatientDataset, encode_histories, full_evidence
 from .nncore import DenseNet, forward_with_cache, softmax
 
@@ -88,8 +88,8 @@ class ModelSpec:
     writer and its loader. The net reads ``history_width + 3 * n_elements``
     inputs ([history, ternary status]) and ends in ``head`` with
     ``width(meta)`` outputs. ``fields`` maps each meta key, which is also an
-    attribute of ``cls``, to its exact type check (``nncore.checkpoint_meta``);
-    ``what`` names the kind in errors."""
+    attribute of ``cls``, to its kind (``errors.fields``); ``what`` names the
+    kind in errors."""
 
     cls: type
     kind: str
@@ -101,8 +101,7 @@ class ModelSpec:
 
 DIAGNOSIS = ModelSpec(
     DiagnosisModel, "diagnosis", "a diagnosis model",
-    {"history_width": nncore.meta_int, "n_elements": nncore.meta_int,
-     "disease_names": nncore.meta_strs, "ontology_digest": nncore.meta_str},
+    {"history_width": int, "n_elements": int, "disease_names": [str], "ontology_digest": str},
     nncore.HEAD_LOGITS, lambda meta: len(meta["disease_names"]),
 )
 
@@ -284,7 +283,9 @@ def load_model(path: str | Path, spec: ModelSpec):
     the net's input width, output width or head is not what the meta and
     ``spec`` give."""
     net = nncore.load_net(path)
-    meta = nncore.checkpoint_meta(net, spec.kind, spec.what, spec.fields)
+    if net.meta.get("kind") != spec.kind:
+        raise ParseError(f"checkpoint is not {spec.what}")
+    meta = fields(net.meta, spec.fields, f"{spec.kind} checkpoint meta")
     if net.layer_dims[0] != _input_width(meta):
         raise ParseError("checkpoint input width does not match recorded dimensions")
     if net.layer_dims[-1] != spec.width(meta):

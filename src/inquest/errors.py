@@ -1,7 +1,9 @@
 """Exception types shared across the package, and the file boundary that
-raises them: ``reading`` for loaders, ``writing`` and ``json_line`` for writers."""
+raises them: ``reading`` for loaders, ``writing`` and ``json_line`` for writers,
+and ``fields`` for the typed fields of a JSON object a loader reads."""
 import csv
 import json
+import math
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -112,3 +114,48 @@ def json_line(obj, what: str, indent: int | None = None) -> str:
                           separators=None if indent else (",", ":")) + "\n"
     except ValueError:
         raise NonFinite(f"{what} holds non-finite values; nothing written") from None
+
+
+_KIND_NAMES = {int: "integer", float: "finite number", str: "string", bool: "boolean",
+               dict: "object", list: "list"}
+
+
+def _kind_name(kind, plural: bool = False) -> str:
+    if isinstance(kind, list):
+        return ("lists" if plural else "a list") + " of " + _kind_name(kind[0], plural=True)
+    name = _KIND_NAMES[kind]
+    return name + "s" if plural else ("an " if name[0] in "aeio" else "a ") + name
+
+
+def typed(value, kind):
+    """``value`` if it is a JSON value of ``kind``, else TypeError. ``kind`` is
+    ``int`` (not a boolean), ``float`` (a finite int or float, returned as a
+    float), ``str``, ``bool``, ``dict``, ``list``, or ``[kind]``, a list of
+    that kind returned as a tuple."""
+    if isinstance(kind, list) and type(value) is list:
+        with suppress(TypeError):
+            return tuple([typed(v, kind[0]) for v in value])
+    elif kind is float and type(value) in (int, float):
+        with suppress(OverflowError):  # an int too large for a float
+            if math.isfinite(value):
+                return float(value)
+    elif type(value) is kind:
+        return value
+    raise TypeError(f"expected {_kind_name(kind)}, got {value!r:.60}")
+
+
+def fields(obj, spec: dict, what: str) -> dict:
+    """The fields that ``spec`` (``{field: kind}``) declares of the JSON object
+    ``obj``, each ``typed``. Raises ParseError naming ``what`` when ``obj`` is
+    not an object or a field is missing or of another kind."""
+    if type(obj) is not dict:
+        raise ParseError(f"{what} is not a JSON object")
+    out = {}
+    for key, kind in spec.items():
+        if key not in obj:
+            raise ParseError(f"{what} missing field {key!r}")
+        try:
+            out[key] = typed(obj[key], kind)
+        except TypeError as exc:
+            raise ParseError(f"{what} has a malformed {key!r}: {exc}") from None
+    return out

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -36,8 +35,10 @@ from .errors import (
     PairingError,
     ParseError,
     ShapeError,
+    fields,
     json_line,
     reading,
+    typed,
     writing,
 )
 from .inquiry import InquiryPolicy
@@ -434,37 +435,45 @@ def emit_report(report: EvalReport, path: str | Path, format: str = "json") -> N
             fh.write(f"config_digest,{report.config_digest}\n")
 
 
-def _finite(value) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
+# The fields of a report, of its rediscovery block and of a trace line, with
+# their kinds (``errors.fields``).
+_REPORT = {"recall_at_k": dict, "rediscovery": dict, "group_recall": dict,
+           "n_patients": int, "config_digest": str}
+_REDISCOVERY = {"tp": int, "fp": int, "fn": int, "precision": float, "recall": float,
+                "f1": float, "degenerate": bool}
+_TRACE = {"patient_id": str, "rounds": [list], "final_observation": [int], "ranking": [int],
+          "true_label": int, "horizon": int}
 
 
-def _typed(value, kind: type):
-    if type(value) is not kind:
-        raise ValueError(f"expected a {kind.__name__}, got {value!r}")
-    return value
+def _rates(obj: dict, what: str) -> dict:
+    """Every value of the JSON object ``obj``, a number in [0, 1]."""
+    rates = fields(obj, dict.fromkeys(obj, float), what)
+    bad = [k for k, v in rates.items() if not 0.0 <= v <= 1.0]
+    if bad:
+        raise ParseError(f"{what} has a malformed {bad[0]!r}: expected a rate in [0, 1]")
+    return rates
 
 
 def load_report(path: str | Path) -> EvalReport:
     """Read an ``emit_report`` JSON file. Anything else raises IoError or
-    ParseError."""
-    with reading(f"report {path}"):
-        payload = _typed(json.loads(Path(path).read_text(encoding="utf-8")), dict)
-        for key in ("recall_at_k", "rediscovery", "group_recall", "n_patients", "config_digest"):
-            if key not in payload:
-                raise ParseError(f"{path}: report missing field {key!r}")
-        r = payload["rediscovery"]
+    ParseError, as does a recall or rate outside [0, 1], a negative count, no
+    patients, or a recall cut-off that is not a plain decimal >= 1."""
+    what = f"report {path}"
+    with reading(what):
+        payload = fields(json.loads(Path(path).read_text(encoding="utf-8")), _REPORT, what)
+        r = fields(payload["rediscovery"], _REDISCOVERY, f"{what} rediscovery")
+        _rates({k: r[k] for k in ("precision", "recall", "f1")}, f"{what} rediscovery")
+        if min(r["tp"], r["fp"], r["fn"]) < 0 or payload["n_patients"] < 1:
+            raise ParseError(f"{what} holds a negative count or fewer than one patient")
+        recall_at_k = _rates(payload["recall_at_k"], f"{what} recall_at_k")
+        if not all(k.isascii() and k.isdigit() and k[0] != "0" for k in recall_at_k):
+            raise ParseError(f"{what} has a recall_at_k key that is not a cut-off >= 1")
         return EvalReport(
-            recall_at_k={int(k): _finite(v) for k, v in payload["recall_at_k"].items()},
-            rediscovery=RediscoveryMetrics(
-                _typed(r["tp"], int), _typed(r["fp"], int), _typed(r["fn"], int),
-                _finite(r["precision"]), _finite(r["recall"]), _finite(r["f1"]),
-                _typed(r["degenerate"], bool),
-            ),
-            group_recall={k: _finite(v) for k, v in payload["group_recall"].items()},
-            n_patients=_typed(payload["n_patients"], int),
-            config_digest=_typed(payload["config_digest"], str),
+            recall_at_k={int(k): v for k, v in recall_at_k.items()},
+            rediscovery=RediscoveryMetrics(**r),
+            group_recall=_rates(payload["group_recall"], f"{what} group_recall"),
+            n_patients=payload["n_patients"],
+            config_digest=payload["config_digest"],
         )
 
 
@@ -497,21 +506,18 @@ def load_traces(path: str | Path) -> list[DialogueTrace]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            with reading(f"trace on line {lineno} of {path}"):
-                row = json.loads(line)
-                final = [_typed(v, int) for v in row["final_observation"]]
+            what = f"trace on line {lineno} of {path}"
+            with reading(what):
+                row = fields(json.loads(line), _TRACE, what)
+                final = row["final_observation"]
                 if any(not 0 <= v <= 2 for v in final):
                     raise ParseError(f"line {lineno}: observation entries must be 0, 1 or 2")
-                traces.append(DialogueTrace(
-                    patient_id=_typed(row["patient_id"], str),
-                    rounds=tuple(
-                        (_typed(q, int),
-                         tuple((_typed(e, int), _typed(s, int)) for e, s in revealed))
+                traces.append(DialogueTrace(**{
+                    **row,
+                    "rounds": tuple(
+                        (typed(q, int), tuple((e, s) for e, s in typed(revealed, [[int]])))
                         for q, revealed in row["rounds"]
                     ),
-                    final_observation=np.array(final, dtype=np.int8),
-                    ranking=tuple(_typed(d, int) for d in row["ranking"]),
-                    true_label=_typed(row["true_label"], int),
-                    horizon=_typed(row["horizon"], int),
-                ))
+                    "final_observation": np.array(final, dtype=np.int8),
+                }))
     return traces

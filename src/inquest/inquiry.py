@@ -64,14 +64,12 @@ class ValueNet:
 
 POLICY = ModelSpec(
     InquiryPolicy, "inquiry-policy", "an inquiry policy",
-    {"history_width": nncore.meta_int, "n_elements": nncore.meta_int,
-     "n_questions": nncore.meta_int, "ontology_digest": nncore.meta_str},
+    {"history_width": int, "n_elements": int, "n_questions": int, "ontology_digest": str},
     nncore.HEAD_LOGITS, lambda meta: meta["n_questions"],
 )
 VALUE = ModelSpec(
     ValueNet, "inquiry-value", "a value net",
-    {"history_width": nncore.meta_int, "n_elements": nncore.meta_int,
-     "ontology_digest": nncore.meta_str},
+    {"history_width": int, "n_elements": int, "ontology_digest": str},
     nncore.HEAD_SCALAR, lambda meta: 1,
 )
 

@@ -19,12 +19,9 @@ are cast to it on entry. The model nets (ranker, policy, value) are built in
 ``NET_DTYPE``; ``init_dense`` defaults to float64, which finite differences
 need.
 
-Checkpoints: ``save_net`` writes one JSON header line and then the body, the
-raw little-endian bytes of ``net.params``. The header's fields are
-``kind`` (always ``"dense-net"``), ``meta`` (the caller's JSON object),
-``layer_dims``, ``hidden_activation``, ``output_head``, ``dtype`` (``"<f4"``
-or ``"<f8"``), ``nbytes`` and the ``sha256`` of the body; ``load_net`` checks
-every one and keeps the file's dtype.
+Checkpoints: ``save_net`` writes one JSON header line, the fields of
+``HEADER``, and then the body, the raw little-endian bytes of ``net.params``;
+``load_net`` checks every field and keeps the file's dtype.
 """
 from __future__ import annotations
 
@@ -36,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NonFinite, ParseError, ShapeError, json_line, reading, writing
+from .errors import (ConfigError, NonFinite, ParseError, ShapeError, fields, json_line, reading,
+                     writing)
 
 RELU = "relu"
 HEAD_LOGITS = "logits"
@@ -66,13 +64,14 @@ ADAM_CHUNK = 1 << 15
 # Element type of the ranker, policy and value nets.
 NET_DTYPE = np.float32
 
-# Checkpoint header: ``kind`` names the file type, ``dtype`` the body's
-# element type, one of ``DTYPES``'s keys; a net's buffer has the matching
-# native type.
+# Checkpoint header fields and their kinds (``errors.fields``): ``kind`` is
+# always ``CHECKPOINT_KIND``, ``meta`` the caller's object, ``dtype`` the
+# body's element type, one of ``DTYPES``'s keys (a net's buffer has the
+# matching native type), and ``nbytes`` and ``sha256`` describe the body.
 CHECKPOINT_KIND = "dense-net"
 DTYPES = {"<f4": np.float32, "<f8": np.float64}
-HEADER_FIELDS = ("kind", "meta", "layer_dims", "hidden_activation", "output_head",
-                 "dtype", "nbytes", "sha256")
+HEADER = {"kind": str, "meta": dict, "layer_dims": [int], "hidden_activation": str,
+          "output_head": str, "dtype": str, "nbytes": int, "sha256": str}
 
 
 def n_params(layer_dims) -> int:
@@ -433,46 +432,6 @@ def save_net(net: DenseNet, path: str | Path, meta: dict | None = None) -> None:
         fh.write(body)
 
 
-def meta_int(value) -> int:
-    """A checkpoint meta integer: JSON booleans and floats are not ones."""
-    if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
-    return value
-
-
-def meta_str(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{value!r} is not a string")
-    return value
-
-
-def meta_strs(value) -> tuple[str, ...]:
-    """A checkpoint meta list of strings, as a tuple; a bare string is not one."""
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise TypeError(f"{value!r} is not a list of strings")
-    return tuple(value)
-
-
-def checkpoint_meta(net: DenseNet, kind: str, what: str, fields: dict) -> dict:
-    """Typed meta of a loaded checkpoint: ``fields`` maps each required key to
-    its check (``meta_int``, ``meta_str``, ``meta_strs``), which returns the
-    value or raises on one of another type. Raises ParseError, naming ``what``
-    the checkpoint should hold, when the kind differs or a key is missing or
-    malformed. ``diagnosis.load_model`` calls it with a kind's ``ModelSpec``
-    and then checks the net's head and widths against the typed meta."""
-    if net.meta.get("kind") != kind:
-        raise ParseError(f"checkpoint is not {what}")
-    out = {}
-    for key, check in fields.items():
-        if key not in net.meta:
-            raise ParseError(f"{kind} checkpoint meta lacks {key!r}")
-        try:
-            out[key] = check(net.meta[key])
-        except TypeError:
-            raise ParseError(f"{kind} checkpoint meta has a malformed {key!r}") from None
-    return out
-
-
 def load_net(path: str | Path) -> DenseNet:
     """Read a ``save_net`` checkpoint. A file that is not one (a header that
     is not a JSON object with every field, another kind, layer_dims that are
@@ -485,29 +444,17 @@ def load_net(path: str | Path) -> DenseNet:
     end = blob.find(b"\n")
     if end < 0:
         raise ParseError("malformed checkpoint: no header line")
-    try:
-        header = json.loads(blob[:end])
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; deep nesting
-        raise ParseError(f"malformed checkpoint header: {exc}") from None
-    if not isinstance(header, dict):
-        raise ParseError("malformed checkpoint: header is not a JSON object")
-    for key in HEADER_FIELDS:
-        if key not in header:
-            raise ParseError(f"checkpoint header missing field {key!r}")
+    with reading("checkpoint header"):  # bad JSON or UTF-8; deep nesting
+        header = fields(json.loads(blob[:end]), HEADER, "checkpoint header")
     if header["kind"] != CHECKPOINT_KIND:
         raise ParseError(f"checkpoint kind is not {CHECKPOINT_KIND!r}")
     dims = header["layer_dims"]
-    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
-        raise ParseError("checkpoint layer_dims must be a list of integers")
-    dims = tuple(dims)
     problem = _spec_problem(dims, header["hidden_activation"], header["output_head"])
     if problem:
         raise ParseError(f"checkpoint: {problem}")
     code = header["dtype"]
-    if not (isinstance(code, str) and code in DTYPES):
+    if code not in DTYPES:
         raise ParseError(f"checkpoint dtype must be one of {sorted(DTYPES)}")
-    if not isinstance(header["meta"], dict):
-        raise ParseError("checkpoint meta must be a JSON object")
     body = memoryview(blob)[end + 1 :]
     if not len(body) == header["nbytes"] == np.dtype(code).itemsize * n_params(dims):
         raise ParseError(f"checkpoint body of {len(body)} bytes does not match the layer shapes")

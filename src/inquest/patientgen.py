@@ -30,6 +30,7 @@ from .errors import (
     NonFinite,
     ParseError,
     ValidationError,
+    fields,
     json_line,
     reading,
     writing,
@@ -699,7 +700,7 @@ def split_dataset(
     Bad ratios or a negative seed raise ConfigError."""
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or any(not r > 0 for r in ratios):  # NaN is not > 0
         raise ConfigError("ratios must be three positive numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("ratios must sum to 1")
@@ -761,6 +762,10 @@ def encode_history(record: PatientRecord, width: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _RECORD_FIELDS = ("hpi", "label", "age", "sex", "prior_flags")
+
+# The dataset header's fields and their kinds (``errors.fields``); the
+# optional ``genmodel_digest`` is a string or null.
+_HEADER = {"D": int, "M": int, "disease_names": [str], "ontology_digest": str}
 
 
 def _header_path(path: Path) -> Path:
@@ -931,21 +936,14 @@ def _parse_block(
 
 
 def _load_dataset(path: Path, ontology: HpiOntology | None) -> PatientDataset:
-    header = json.loads(_header_path(path).read_text(encoding="utf-8"))
-    if not isinstance(header, dict):
-        raise ParseError("malformed header: not a JSON object")
-    for key in ("D", "M", "disease_names", "ontology_digest"):
-        if key not in header:
-            raise ParseError(f"header missing field {key!r}")
+    raw = json.loads(_header_path(path).read_text(encoding="utf-8"))
+    header = fields(raw, _HEADER, "header")
+    genmodel_digest = raw.get("genmodel_digest")
+    if genmodel_digest is not None:
+        fields(raw, {"genmodel_digest": str}, "header")
     m, d, names = header["M"], header["D"], header["disease_names"]
-    if type(m) is not int or type(d) is not int or m < 0 or d < 0:
-        raise ParseError("header M and D must be non-negative integers")
-    if not (isinstance(names, list) and len(names) == d and all(isinstance(n, str) for n in names)):
-        raise ParseError("header disease_names must be D strings")
-    if not isinstance(header["ontology_digest"], str) or not isinstance(
-        header.get("genmodel_digest", ""), (str, type(None))
-    ):
-        raise ParseError("header digests must be strings")
+    if m < 0 or len(names) != d:  # so D >= 0 too
+        raise ParseError("header M must be non-negative and disease_names D strings")
     if ontology is not None:
         if ontology.content_digest != header["ontology_digest"]:
             raise DigestMismatch("dataset was built against a different ontology")
@@ -970,8 +968,8 @@ def _load_dataset(path: Path, ontology: HpiOntology | None) -> PatientDataset:
     records += _parse_block(block, m, d, ontology)
     return PatientDataset(
         records=records,
-        disease_names=tuple(names),
+        disease_names=names,
         m=m,
         ontology_digest=header["ontology_digest"],
-        genmodel_digest=header.get("genmodel_digest"),
+        genmodel_digest=genmodel_digest,
     )

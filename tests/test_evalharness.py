@@ -1,5 +1,6 @@
 """Tests for consultation evaluation: traces, recall, rediscovery, reports."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from inquest.evalharness import (
     FIXED_ORDER,
     RANDOM_LEGAL,
     DialogueTrace,
+    EvalReport,
     GreedyModelPolicy,
+    RediscoveryMetrics,
     baseline_policy,
     bootstrap_mean_diff,
     emit_report,
@@ -505,6 +508,45 @@ def test_report_parse_guards(tmp_path):
     with pytest.raises(ParseError):
         load_report(path)
     path.write_text('{"recall_at_k": {}}', encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_report(path)
+
+
+def _set(*keys, value):
+    def edit(payload):
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set("recall_at_k", value={"1_0": 0.5}),  # int() reads it as 10
+    _set("recall_at_k", value={" 1": 0.5}),
+    _set("recall_at_k", value={"-1": 0.5}),
+    _set("recall_at_k", value={"0": 0.5}),
+    _set("recall_at_k", value={"1": 0.5, "01": 0.9}),  # would collapse to {1: 0.9}
+    _set("recall_at_k", "1", value=1.5),
+    _set("group_recall", "g", value=-0.25),
+    _set("rediscovery", "tp", value=-3),
+    _set("rediscovery", "fn", value=-1),
+    _set("rediscovery", "precision", value=7.5),
+    _set("rediscovery", "f1", value=-0.5),
+    _set("n_patients", value=-4),
+    _set("n_patients", value=0),
+], ids=["key-1_0", "key-space-1", "key-minus-1", "key-0", "keys-1-and-01", "recall-1.5",
+        "group-recall-negative", "tp-negative", "fn-negative", "precision-7.5", "f1-negative",
+        "n-patients-negative", "n-patients-0"])
+def test_report_values_out_of_their_range_are_refused(tmp_path, edit):
+    report = EvalReport({1: 0.5, 10: 0.75}, RediscoveryMetrics(1, 1, 1, 0.5, 0.5, 0.5, False),
+                        {"g": 0.5}, 2, "digest")
+    path = tmp_path / "report.json"
+    emit_report(report, path, "json")
+    assert load_report(path) == report
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ParseError):
         load_report(path)
 

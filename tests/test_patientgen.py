@@ -551,6 +551,9 @@ def test_split_rejects_bad_ratios(toy):
         split_dataset(ds, (0.6, 0.1, 0.2), seed=0)
     with pytest.raises(ConfigError):
         split_dataset(ds, (0.7, 0.0, 0.3), seed=0)
+    for ratios in [(float("nan"), 0.5, 0.5), (0.5, 0.5, float("nan"))]:
+        with pytest.raises(ConfigError):
+            split_dataset(ds, ratios, seed=0)
 
 
 # ---------------------------------------------------------------------------
