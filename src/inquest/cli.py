@@ -170,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=SlTrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=SlTrainConfig.lr)
     p.add_argument("--hidden", type=_int_list, default=SlTrainConfig.hidden)
-    p.add_argument("--history-width", type=int, default=SlTrainConfig.history_width)
     p.add_argument("--no-augment", action="store_true",
                    help="train on full observations only")
     p.add_argument("--hide-lo", type=float, default=SlTrainConfig.hide_lo)

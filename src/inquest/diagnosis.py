@@ -16,14 +16,14 @@ import numpy as np
 
 from . import nncore
 from .errors import DomainError, EmptyDataset, ParseError, ShapeError, fields
-from .patientgen import PatientDataset, encode_histories, full_evidence
+from .patientgen import PatientDataset, encode_histories, full_evidence, history_width
 from .nncore import DenseNet, forward_with_cache, softmax
 
 _TAG_SL = (1 << 40) + 3
 
-# Row v is the triple one-hot of ternary status v, in the nets' dtype so that
-# the input matrices built from it need no cast.
-_ONE_HOT = np.eye(3, dtype=nncore.NET_DTYPE)
+# Row v holds the input slots [confirmed, denied] of ternary status v (unknown
+# is [0, 0]), in the nets' dtype so the input matrices built from it need no cast.
+_ONE_HOT = np.eye(3, dtype=nncore.NET_DTYPE)[:, 1:]
 
 
 @dataclass
@@ -51,7 +51,6 @@ class SlTrainConfig:
     hide_lo: float = 0.0
     hide_hi: float = 0.8
     hidden: tuple[int, ...] = (256, 256)
-    history_width: int = 64
 
     def validate(self) -> None:
         if not (0.0 <= self.hide_lo <= self.hide_hi <= 1.0):
@@ -72,21 +71,21 @@ class SlEpochMetrics:
 
 
 def encode_hpi_ternary(obs: np.ndarray) -> np.ndarray:
-    """Triple one-hot per element: [unknown, confirmed, denied] at slots 3i..3i+2."""
+    """Two slots per element, [confirmed, denied] at 2i..2i+1; unknown is [0, 0]."""
     obs = np.asarray(obs)
     flat = obs.reshape(-1, obs.shape[-1]) if obs.ndim == 2 else obs.reshape(1, -1)
     if flat.size and (flat.min() < 0 or flat.max() > 2):
         raise DomainError("ternary entries must be 0, 1 or 2")
     n, m = flat.shape
-    out = _ONE_HOT.take(flat, axis=0).reshape(n, 3 * m)
+    out = _ONE_HOT.take(flat, axis=0).reshape(n, 2 * m)
     return out if obs.ndim == 2 else out[0]
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """One model kind's contract, shared by its constructor, its checkpoint
-    writer and its loader. The net reads ``history_width + 3 * n_elements``
-    inputs ([history, ternary status]) and ends in ``head`` with
+    writer and its loader. The net reads ``history_width + 2 * n_elements``
+    inputs ([history, ``encode_hpi_ternary`` status]) and ends in ``head`` with
     ``width(meta)`` outputs. ``fields`` maps each meta key, which is also an
     attribute of ``cls``, to its kind (``errors.fields``); ``what`` names the
     kind in errors."""
@@ -107,7 +106,7 @@ DIAGNOSIS = ModelSpec(
 
 
 def _input_width(meta: dict) -> int:
-    return meta["history_width"] + 3 * meta["n_elements"]
+    return meta["history_width"] + 2 * meta["n_elements"]
 
 
 def new_model(spec: ModelSpec, hidden: tuple[int, ...], seed: int, **meta):
@@ -226,12 +225,12 @@ def train_diagnosis(
     val: PatientDataset | None = None,
     log=None,
 ) -> tuple[DiagnosisModel, list[SlEpochMetrics]]:
-    """Full supervised run: fresh model, cfg.epochs passes, optional val log."""
+    """Full supervised run: fresh model sized to the data, cfg.epochs passes, optional val log."""
     cfg.validate()
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     model = new_diagnosis_model(
-        cfg.history_width, dataset.m, dataset.disease_names, dataset.ontology_digest,
+        history_width(dataset.records), dataset.m, dataset.disease_names, dataset.ontology_digest,
         hidden=cfg.hidden, seed=cfg.seed,
     )
     adam = nncore.init_adam(model.net.params)
@@ -250,15 +249,8 @@ def train_diagnosis(
     return model, history
 
 
-def eval_loss(model: DiagnosisModel, dataset: PatientDataset) -> float:
-    """Mean cross-entropy on fully-observed records, no augmentation."""
-    if len(dataset) == 0:
-        raise EmptyDataset("cannot evaluate on an empty dataset")
-    return _loss(model, _dataset_arrays(dataset, model.history_width))
-
-
 def _loss(model: DiagnosisModel, arrays) -> float:
-    """``eval_loss`` on the arrays of ``_dataset_arrays``."""
+    """Mean cross-entropy on the arrays of ``_dataset_arrays``, no augmentation."""
     hist, hpi, labels = arrays
     logits = nncore.forward(model.net, np.hstack([hist, encode_hpi_ternary(hpi)]))
     return nncore.cross_entropy(logits, labels)

@@ -498,9 +498,33 @@ def save_traces(traces, path: str | Path) -> None:
         fh.writelines(lines)
 
 
+def _trace_problem(row: dict, rounds: tuple) -> str | None:
+    """What in a trace line no ``save_traces`` call writes, or None. A slot
+    changes only from unknown, so each revealed status is the final one."""
+    final, ranking, label = row["final_observation"], row["ranking"], row["true_label"]
+    if any(not 0 <= v <= 2 for v in final):
+        return "observation entries must be 0, 1 or 2"
+    if sorted(ranking) != list(range(len(ranking))):
+        return f"ranking is not a permutation of 0..{len(ranking) - 1}"
+    if not -1 <= label < len(ranking):
+        return f"true_label {label} is outside [-1, {len(ranking)})"
+    if not 0 <= len(rounds) <= row["horizon"]:
+        return f"{len(rounds)} rounds do not fit horizon {row['horizon']}"
+    for q, revealed in rounds:
+        if q < 0:
+            return f"question id {q} is negative"
+        for e, s in revealed:
+            if not 0 <= e < len(final):
+                return f"revealed element {e} is outside [0, {len(final)})"
+            if s not in (1, 2) or final[e] != s:
+                return f"revealed status {s} of element {e} is not its final status {final[e]}"
+    return None
+
+
 def load_traces(path: str | Path) -> list[DialogueTrace]:
     """Read a ``save_traces`` JSON-lines file. Anything else raises IoError or
-    ParseError."""
+    ParseError, as does a line that no ``save_traces`` call writes
+    (``_trace_problem``)."""
     traces = []
     with reading(f"traces {path}"), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -509,15 +533,16 @@ def load_traces(path: str | Path) -> list[DialogueTrace]:
             what = f"trace on line {lineno} of {path}"
             with reading(what):
                 row = fields(json.loads(line), _TRACE, what)
-                final = row["final_observation"]
-                if any(not 0 <= v <= 2 for v in final):
-                    raise ParseError(f"line {lineno}: observation entries must be 0, 1 or 2")
+                rounds = tuple(
+                    (typed(q, int), tuple((e, s) for e, s in typed(revealed, [[int]])))
+                    for q, revealed in row["rounds"]
+                )
+                problem = _trace_problem(row, rounds)
+                if problem:
+                    raise ParseError(f"{what}: {problem}")
                 traces.append(DialogueTrace(**{
                     **row,
-                    "rounds": tuple(
-                        (typed(q, int), tuple((e, s) for e, s in typed(revealed, [[int]])))
-                        for q, revealed in row["rounds"]
-                    ),
-                    "final_observation": np.array(final, dtype=np.int8),
+                    "rounds": rounds,
+                    "final_observation": np.array(row["final_observation"], dtype=np.int8),
                 }))
     return traces

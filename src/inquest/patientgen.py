@@ -729,26 +729,34 @@ def split_dataset(
 # History encoding
 # ---------------------------------------------------------------------------
 
+_FLAGS_AT = 1 + len(SEXES)  # a history row is [age, sex one-hot, flags]
+
+
+def history_width(records: list[PatientRecord]) -> int:
+    """Age, the sex one-hot and the most flags any of ``records`` carries."""
+    return _FLAGS_AT + max((len(r.prior_flags) for r in records), default=0)
+
+
 def encode_histories(records: list[PatientRecord], width: int) -> np.ndarray:
     """Deterministic structured history rows, one per record, in float64:
     [age, sex one-hot, flags, 0...].
 
-    Age is min-max normalized to [0, 1] against [AGE_MIN, AGE_MAX]; surplus
-    slots stay zero, so one width serves records with differing flag counts.
+    Age is min-max normalized to [0, 1] against [AGE_MIN, AGE_MAX]. A width
+    below ``history_width(records)`` raises ConfigError; a record with fewer
+    flags leaves its last slots zero.
     """
-    n_flags = [len(r.prior_flags) for r in records]
-    for r, k in zip(records, n_flags):
-        needed = 1 + len(SEXES) + k
-        if width < needed:
-            raise ConfigError(f"history width {width} below required {needed}")
+    needed = history_width(records)
+    if width < needed:
+        raise ConfigError(f"history width {width} below required {needed}")
+    for r in records:
         if r.sex not in SEXES:
             raise ConfigError(f"unknown sex {r.sex!r}")
     out = np.zeros((len(records), width))
     out[:, 0] = [min(max((r.age - AGE_MIN) / (AGE_MAX - AGE_MIN), 0.0), 1.0) for r in records]
     for j, sex in enumerate(SEXES):
         out[:, 1 + j] = [r.sex == sex for r in records]
-    for row, r, k in zip(out, records, n_flags):
-        row[3 : 3 + k] = r.prior_flags
+    for row, r in zip(out, records):
+        row[_FLAGS_AT : _FLAGS_AT + len(r.prior_flags)] = r.prior_flags
     return out
 
 

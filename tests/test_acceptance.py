@@ -112,7 +112,7 @@ def test_supervised_model_attains_exact_posterior_accuracy():
     ds = generate_cohort(toy, 8000, seed=1)
     train, _, test = split_dataset(ds, (0.6, 0.1, 0.3), seed=1)
     cfg = SlTrainConfig(epochs=30, batch_size=64, lr=1e-3, seed=0, augment=False,
-                        hidden=(64, 64), history_width=8)
+                        hidden=(64, 64))
     model, _ = train_diagnosis(train, cfg)
     rate = enumerate_bayes_rate(toy)
     acc = top1_accuracy(model, test)
@@ -291,7 +291,7 @@ def _cli_pipeline(root):
                 "--seed", "11"]) == 0
     assert run(["train-diag", "--ontology", str(onto), "--data", str(data),
                 "--out", str(diag), "--epochs", "3", "--batch-size", "32",
-                "--hidden", "16,16", "--history-width", "8", "--seed", "3",
+                "--hidden", "16,16", "--seed", "3",
                 "--quiet"]) == 0
     assert run(["train-inquiry", "--ontology", str(onto), "--data", str(data),
                 "--diag", str(diag), "--out", str(policy),
@@ -321,21 +321,21 @@ def test_cli_pipeline_is_byte_identical_across_runs(tmp_path):
 CLI_GOLDEN = {
     "cohort.jsonl": "cc4840ef115a8832b6fa1e9c382b881e48de5aed0bdb3d2d1b5eaf177e445992",
     "cohort.header.json": "064e4e8424d9521be0052ca80335b522e972384914f784d4f0ba520ec89f4b90",
-    "diag.json": "2c9e140b1246653ccc0c3d261a637cb37297a8d4ff43ef85a9a2d667a05359a3",
-    "policy.json": "d7cf60163c32354156d669f5951e1beca9060129133b6aa735ac46d9f0cc00d4",
-    "value.json": "3caba695ea615cd21ef095778f7c0a230b61459d15f7623796c90cdb3e2526f5",
-    "train.csv": "91710ff3cbb881328497cd04cde58f460360164b3bda9a29fdd8936c262cf4ea",
-    "report.json": "dc81847b2a3ad5f8cb2186d39842c4554017c667221bea6d6891eaa62f5ab836",
-    "traces.jsonl": "deff80957ae71126bd48a5ee8320de828c418736c76c3ecdb7790c83ff7dc1a6",
+    "diag.json": "6fd5621d2de35b0017349d9c275364708de868c7ff6f2edc0dd51f046bb5e042",
+    "policy.json": "a3205fc9c38d57f3e495abcb589f8ab3b320eed3cda99f4aff0da0734b54447a",
+    "value.json": "332d253b0be0d4abbe7e2c340bbb71b4aba00f12a09e523317bb10dca14320e5",
+    "train.csv": "b576b82845aee77f91ca491210dfcf00bd9a608e9d0f22eab6ed9e41185b86c5",
+    "report.json": "2c501a422a94f41098901c614821cd69e81a68a2de503013ccf652b6ecb9d246",
+    "traces.jsonl": "ca94030d637a8deeb035562b35a9e49192f0d16d1308f6c3417b0ee0121d499c",
 }
 
 # sha256 of ``load_net(p).params.tobytes()`` for the three checkpoints: the
 # trained float32 parameters, pinned apart from the file format so that a
 # change of format alone cannot move them.
 CLI_PARAMS_GOLDEN = {
-    "diag.json": "79c3ac994970c5193e5f8a5716f531a5701cca93650e1b01c13d763b1b5bbb54",
-    "policy.json": "58bf7da694844b44b0a1511f4c8446d31e023ab41a6c1f7cfc7843f0cf231790",
-    "value.json": "237766bf2feca84c719e959bb509c2135b59565a5fca5242e82472accd0dc994",
+    "diag.json": "f8bce34af8c3a2937b3ecf9ac1a1809dd2e33adcc2fb9023f2352290289f20d1",
+    "policy.json": "dc070bb913446afd67563d37ba4d0aebda398e670a575459c3c73e390790578c",
+    "value.json": "95e0d0cb5a135faf984d989fb8f40283eb8c9e1842ca6938b87636551732040b",
 }
 
 
@@ -363,11 +363,11 @@ def test_cli_checkpoints_load_to_pinned_parameter_bytes(cli_artifacts):
 # pipeline's ontology, cohort and models, for the trained policy run greedily
 # and for RandomLegal. ``CLI_GOLDEN`` pins only horizon 4; at horizon 20 every
 # dialogue runs until no question is legal (5 to 14 rounds). Both digests were
-# taken on the code before greedy picks, one-hots and trace encoding became
-# whole-array numpy calls, a change that must leave every trace byte as it was.
+# re-pinned when each finding went from three net inputs to two; the
+# RandomLegal traces move too because they carry the ranker's ranking.
 LONG_HORIZON_TRACES_GOLDEN = {
-    "greedy": "101a9e630c231b57818674a3a2ec0e4ba9a01074a14ad3e1a1e0954610417fee",
-    "RandomLegal": "1ba1e181debac298fe18f7d79cf158334db559368aa2bf10ccf4f4d7becfc955",
+    "greedy": "9f4c092964fbf484af2b4429e17613e78fd8f06084aa5f15935621cb7f65e36d",
+    "RandomLegal": "64abb2902331e2a013d53f5e1c483986d8ec7b806e1f0a8da3d3fb8285215030",
 }
 
 

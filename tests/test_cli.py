@@ -50,7 +50,7 @@ def workspace(tmp_path_factory):
                 "--seed", "5"]) == 0
     assert run(["train-diag", "--ontology", str(onto_dir), "--data", str(data),
                 "--out", str(diag), "--epochs", "2", "--batch-size", "32",
-                "--hidden", "16,16", "--history-width", "8", "--quiet"]) == 0
+                "--hidden", "16,16", "--quiet"]) == 0
     assert run(["train-inquiry", "--ontology", str(onto_dir), "--data", str(data),
                 "--diag", str(diag), "--out", str(policy),
                 "--iterations", "2", "--episodes", "4", "--minibatch", "32",
@@ -65,6 +65,15 @@ def workspace(tmp_path_factory):
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
     assert run([]) == 2
+
+
+def test_train_diag_has_no_history_width_flag(workspace, tmp_path, capsys):
+    # The ranker's history width comes from the training data, not a flag.
+    root, onto_dir, data, diag, policy = workspace
+    assert run(["train-diag", "--ontology", str(onto_dir), "--data", str(data),
+                "--out", str(tmp_path / "d.json"), "--history-width", "8"]) == 2
+    assert "--history-width" in capsys.readouterr().err
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_validation_failure_exits_1(tmp_path):
@@ -484,7 +493,7 @@ def test_consult_refuses_models_of_another_ontology(workspace, tmp_path, monkeyp
                 "--n", "40", "--n-diseases", "3", "--n-flags", "2"]) == 0
     assert run(["train-diag", "--ontology", str(other), "--data", str(other_data),
                 "--out", str(other_diag), "--epochs", "1", "--hidden", "16,16",
-                "--history-width", "8", "--quiet"]) == 0
+                "--quiet"]) == 0
     assert (load_ontology(other).n_elements, load_ontology(other).n_questions) == \
         (load_ontology(onto_dir).n_elements, load_ontology(onto_dir).n_questions)
     capsys.readouterr()

@@ -7,7 +7,6 @@ import inquest.nncore as nncore
 from inquest.diagnosis import (
     SlTrainConfig,
     encode_hpi_ternary,
-    eval_loss,
     load_diagnosis,
     new_diagnosis_model,
     predict,
@@ -31,6 +30,8 @@ from inquest.inquiry import (
 from inquest.patientgen import (
     PatientDataset,
     bayes_posterior,
+    benchmark_genmodel,
+    benchmark_ontology,
     encode_history,
     enumerate_bayes_rate,
     full_evidence,
@@ -39,7 +40,7 @@ from inquest.patientgen import (
     toy_genmodel,
 )
 
-E = 8  # history width used throughout; toy records need 5 slots
+E = 5  # history width of the toy records: age, two sex slots, two flags
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +58,14 @@ def splits(toy):
 def trained(toy, splits):
     train, _, _ = splits
     cfg = SlTrainConfig(epochs=30, batch_size=64, lr=1e-3, seed=0, augment=False,
-                        hidden=(64, 64), history_width=E)
+                        hidden=(64, 64))
     model, history = train_diagnosis(train, cfg)
     return model, history
+
+
+def full_view_loss(model, dataset):
+    """Mean cross-entropy on full records, the ``val_loss`` of the training log."""
+    return diagnosis._loss(model, diagnosis._dataset_arrays(dataset, model.history_width))
 
 
 def fresh_model(toy, seed=0):
@@ -72,8 +78,8 @@ def fresh_model(toy, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_encode_ternary_examples():
-    assert np.array_equal(encode_hpi_ternary(np.array([0, 0])), [1, 0, 0, 1, 0, 0])
-    assert np.array_equal(encode_hpi_ternary(np.array([1, 2])), [0, 1, 0, 0, 0, 1])
+    assert np.array_equal(encode_hpi_ternary(np.array([0, 0])), [0, 0, 0, 0])
+    assert np.array_equal(encode_hpi_ternary(np.array([1, 2])), [1, 0, 0, 1])
     with pytest.raises(DomainError):
         encode_hpi_ternary(np.array([0, 3]))
     with pytest.raises(DomainError):
@@ -83,22 +89,49 @@ def test_encode_ternary_examples():
             encode_hpi_ternary(np.array([[0, 1], [2, bad]], dtype=np.int8))
 
 
-def test_encode_ternary_batch_one_hot():
+def test_encode_ternary_batch_two_slots():
     obs = np.array([[0, 1, 2], [2, 2, 0]])
     enc = encode_hpi_ternary(obs)
-    assert enc.shape == (2, 9)
-    assert np.all(enc.sum(axis=1) == 3)
-    assert np.array_equal(enc.reshape(2, 3, 3).argmax(axis=2), obs)
+    assert enc.shape == (2, 6)
+    slots = enc.reshape(2, 3, 2)
+    assert np.array_equal(slots.sum(axis=2), obs != 0)
+    assert np.array_equal(slots[:, :, 0] + 2 * slots[:, :, 1], obs)
 
 
 @pytest.mark.parametrize("shape", [(7,), (5, 7), (0, 7), (1, 90), (100, 90)])
 @pytest.mark.parametrize("dtype", [np.int8, np.int64])
 def test_encode_ternary_is_byte_equal_to_eye_indexing(shape, dtype):
     obs = np.random.default_rng(shape[0]).integers(0, 3, size=shape, dtype=dtype)
-    want = np.eye(3, dtype=np.float32)[obs].reshape(*shape[:-1], 3 * shape[-1])
+    want = np.eye(3, dtype=np.float32)[obs][..., 1:].reshape(*shape[:-1], 2 * shape[-1])
     got = encode_hpi_ternary(obs)
     assert got.dtype == np.float32 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_two_slot_layer_zero_is_an_exact_reparametrization():
+    # A net on the three-slot encoding [unknown, confirmed, denied] and the
+    # same net with b' = b + sum of W_unknown and W'_c = W_c - W_unknown on
+    # the two-slot encoding give the same logits on every ternary row.
+    rng = np.random.default_rng(9)
+    m, width = 12, 4
+    three = nncore.init_dense((width + 3 * m, 16, 8, 5), seed=1, dtype=np.float64,
+                              zero_output=False)
+    for w, b in zip(three.weights, three.biases):
+        w += rng.standard_normal(w.shape)
+        b += rng.standard_normal(b.shape)
+    two = nncore.init_dense((width + 2 * m, 16, 8, 5), seed=1, dtype=np.float64)
+    for i in range(1, three.n_layers):
+        two.weights[i][...] = three.weights[i]
+        two.biases[i][...] = three.biases[i]
+    w_hist, w_hpi = three.weights[0][:width], three.weights[0][width:].reshape(m, 3, -1)
+    two.weights[0][...] = np.vstack([w_hist, (w_hpi[:, 1:] - w_hpi[:, :1]).reshape(2 * m, -1)])
+    two.biases[0][...] = three.biases[0] + w_hpi[:, 0].sum(axis=0)
+
+    hist = rng.random((200, width))
+    obs = rng.integers(0, 3, size=(200, m))
+    want = nncore.forward(three, np.hstack([hist, np.eye(3)[obs].reshape(200, 3 * m)]))
+    got = nncore.forward(two, np.hstack([hist, encode_hpi_ternary(obs)]))
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +194,7 @@ def test_memorizes_single_record(toy):
     record = generate_cohort(toy, 1, seed=3).records[0]
     ds = PatientDataset([record] * 8, toy.disease_names, 7, toy.ontology_digest)
     cfg = SlTrainConfig(epochs=50, batch_size=1, lr=0.05, seed=0, augment=False,
-                        hidden=(16, 16), history_width=E)
+                        hidden=(16, 16))
     model, history = train_diagnosis(ds, cfg)
     assert history[-1].mean_loss < 0.01
     assert history[-1].accuracy == 1.0
@@ -171,8 +204,7 @@ def test_zero_lr_keeps_parameters(toy, splits):
     train, _, _ = splits
     model = fresh_model(toy)
     before = [w.copy() for w in model.net.weights]
-    cfg = SlTrainConfig(epochs=1, batch_size=64, lr=0.0, seed=0, augment=False,
-                        history_width=E)
+    cfg = SlTrainConfig(epochs=1, batch_size=64, lr=0.0, seed=0, augment=False)
     m1 = train_epoch(model, train, cfg, epoch=0)
     m2 = train_epoch(model, train, cfg, epoch=0)
     assert all(np.array_equal(a, b) for a, b in zip(before, model.net.weights))
@@ -183,8 +215,7 @@ def test_training_is_deterministic(toy, splits):
     train, _, _ = splits
     small = PatientDataset(train.records[:500], train.disease_names, train.m,
                            train.ontology_digest, train.genmodel_digest)
-    cfg = SlTrainConfig(epochs=3, batch_size=32, lr=1e-3, seed=4, hidden=(16, 16),
-                        history_width=E)
+    cfg = SlTrainConfig(epochs=3, batch_size=32, lr=1e-3, seed=4, hidden=(16, 16))
     a, hist_a = train_diagnosis(small, cfg)
     b, hist_b = train_diagnosis(small, cfg)
     assert all(np.array_equal(x, y) for x, y in zip(a.net.weights, b.net.weights))
@@ -195,7 +226,7 @@ def test_logged_run_builds_validation_arrays_once(toy, splits, monkeypatch):
     train, val, _ = splits
     small = PatientDataset(train.records[:300], train.disease_names, train.m,
                            train.ontology_digest, train.genmodel_digest)
-    cfg = SlTrainConfig(epochs=3, batch_size=32, seed=4, hidden=(16, 16), history_width=E)
+    cfg = SlTrainConfig(epochs=3, batch_size=32, seed=4, hidden=(16, 16))
     built = []
     real = diagnosis._dataset_arrays
 
@@ -208,7 +239,7 @@ def test_logged_run_builds_validation_arrays_once(toy, splits, monkeypatch):
     model, _ = train_diagnosis(small, cfg, val=val, log=lines.append)
     assert built == [len(small), len(val)]  # once for training, once for validation
     assert len(lines) == 3
-    assert lines[-1].endswith(f" val_loss {eval_loss(model, val):.4f}")
+    assert lines[-1].endswith(f" val_loss {full_view_loss(model, val):.4f}")
 
 
 def test_heldout_loss_decreases_over_first_epochs(toy, splits):
@@ -218,14 +249,14 @@ def test_heldout_loss_decreases_over_first_epochs(toy, splits):
     # Full observations fit fast; lr is kept low so the first five epochs
     # sit on the steep part of the curve and the decrease stays strict.
     cfg = SlTrainConfig(epochs=5, batch_size=64, lr=3e-4, seed=0, augment=False,
-                        hidden=(64, 64), history_width=E)
+                        hidden=(64, 64))
     model = new_diagnosis_model(E, 7, train.disease_names, train.ontology_digest,
                                 hidden=(64, 64), seed=0)
     adam = nncore.init_adam(model.net.params)
     losses = []
     for epoch in range(cfg.epochs):
         train_epoch(model, small, cfg, epoch=epoch, adam=adam)
-        losses.append(eval_loss(model, val))
+        losses.append(full_view_loss(model, val))
     assert all(a > b for a, b in zip(losses, losses[1:])), losses
 
 
@@ -251,7 +282,7 @@ def test_converges_to_oracle_on_toy(toy, splits, trained):
 def test_augmented_model_beats_uniform_on_partial_views(toy, splits):
     train, _, test = splits
     cfg = SlTrainConfig(epochs=10, batch_size=64, lr=1e-3, seed=0, augment=True,
-                        hide_lo=0.0, hide_hi=0.8, hidden=(64, 64), history_width=E)
+                        hide_lo=0.0, hide_hi=0.8, hidden=(64, 64))
     model, _ = train_diagnosis(train, cfg)
     rng = np.random.default_rng(17)
     sample = test.records[:2000]
@@ -264,9 +295,20 @@ def test_augmented_model_beats_uniform_on_partial_views(toy, splits):
     assert true_p.mean() > 1.0 / 3.0 + 3.0 * se
 
 
+def test_history_width_is_derived_from_the_training_set(toy):
+    # Age, two sex slots and the flags: 2 on the toy model, 8 on the desk's.
+    desk = benchmark_genmodel(benchmark_ontology())
+    cfg = SlTrainConfig(epochs=1, hidden=(8,))
+    for gm, width in ((toy, 5), (desk, 11)):
+        ds = generate_cohort(gm, 40, seed=0)
+        model, _ = train_diagnosis(ds, cfg)
+        assert model.history_width == width
+        assert model.net.layer_dims[0] == width + 2 * ds.m
+
+
 def test_rejects_empty_and_mismatched_data(toy):
     empty = PatientDataset([], toy.disease_names, 7, toy.ontology_digest)
-    cfg = SlTrainConfig(history_width=E)
+    cfg = SlTrainConfig()
     with pytest.raises(EmptyDataset):
         train_diagnosis(empty, cfg)
     model = fresh_model(toy)
@@ -331,7 +373,7 @@ def test_checkpoint_kind_guard(tmp_path, toy, kind, case):
     head, width, changes = _BAD_NETS[kind, case]
     save(models[kind], path)
     meta = {**nncore.load_net(path).meta, **changes}
-    nncore.save_net(nncore.init_dense((E + 3 * 7, 4, width), output_head=head), path, meta)
+    nncore.save_net(nncore.init_dense((E + 2 * 7, 4, width), output_head=head), path, meta)
     with pytest.raises(ParseError, match=f"output {case}"):
         load(path)
 
@@ -344,6 +386,12 @@ def test_checkpoint_width_guard(tmp_path, toy):
     path.write_bytes(head.replace(b'"n_elements":7', b'"n_elements":8') + b"\n" + body)
     with pytest.raises(ParseError, match="width"):
         load_diagnosis(path)
+    # The layout with three slots per finding: layer 0 reads E + 3 * 7 inputs.
+    old = tmp_path / "three-slot.json"
+    meta = nncore.load_net(tmp_path / "diag.json").meta
+    nncore.save_net(nncore.init_dense((E + 3 * 7, 16, 16, 3)), old, meta)
+    with pytest.raises(ParseError, match="width"):
+        load_diagnosis(old)
 
 
 @pytest.mark.parametrize("key", ["history_width", "n_elements", "disease_names",
@@ -368,7 +416,7 @@ def test_checkpoint_meta_of_another_type_raises_parse_error(tmp_path, key, value
     # diseases), so only an exact type check refuses it.
     meta = {"kind": "diagnosis", "history_width": 2, "n_elements": 1,
             "disease_names": ["a", "b", "c"], "ontology_digest": "d"}
-    net = nncore.init_dense((2 + 3 * 1, 4, 3), output_head=nncore.HEAD_LOGITS)
+    net = nncore.init_dense((2 + 2 * 1, 4, 3), output_head=nncore.HEAD_LOGITS)
     path = tmp_path / "diag.ckpt"
     nncore.save_net(net, path, meta)
     assert load_diagnosis(path).disease_names == ("a", "b", "c")

@@ -570,6 +570,36 @@ def test_trace_jsonl_round_trip(tmp_path, toy_setup):
         load_traces(path)
 
 
+# One edit each to a valid trace line (3 diseases, 3 elements, horizon 5),
+# giving a line that no ``save_traces`` call writes.
+_BAD_TRACE_EDITS = [
+    ("ranking", [7, 7, -1], "not a permutation"),
+    ("ranking", [0, 1, 1], "not a permutation"),
+    ("true_label", -5, "true_label -5"),
+    ("true_label", 3, "true_label 3"),
+    ("horizon", -2, "horizon -2"),
+    ("horizon", 0, "1 rounds do not fit horizon 0"),
+    ("rounds", [[-1, [[1, 1]]]], "question id -1"),
+    ("rounds", [[0, [[50, 9]]]], "element 50"),
+    ("rounds", [[0, [[1, 9]]]], "status 9"),
+    ("rounds", [[0, [[1, 2]]]], "status 2 of element 1"),
+]
+
+
+@pytest.mark.parametrize("key, value, match", _BAD_TRACE_EDITS,
+                         ids=[f"{key}={value}" for key, value, _ in _BAD_TRACE_EDITS])
+def test_load_traces_refuses_lines_no_writer_makes(tmp_path, key, value, match):
+    trace = DialogueTrace("p0", ((4, ((1, 1), (2, 2))),), np.array([0, 1, 2], dtype=np.int8),
+                          (2, 0, 1), -1, 5)
+    path = tmp_path / "traces.jsonl"
+    save_traces([trace], path)
+    assert load_traces(path)[0].rounds == trace.rounds  # -1, a human transcript's label
+    row = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**row, key: value}) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"line 1 of .*{match}"):
+        load_traces(path)
+
+
 def test_save_traces_refuses_non_finite_values(tmp_path, toy_setup):
     onto, ds, diag = toy_setup
     _, traces = evaluate(baseline_policy(RANDOM_LEGAL), diag, ds, onto, seed=3)

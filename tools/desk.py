@@ -1,0 +1,74 @@
+"""Run the desk pipeline of ``tests/test_acceptance.py`` once and print one
+JSON line: the seconds of each stage and the quality numbers it is graded on.
+
+    python tools/desk.py --seed S
+
+The cohort, the split, the ranker and the PPO run take seed S; every
+evaluation keeps seed 1, as in the acceptance fixture. The sizes are the
+fixture's own (``DESK_SL``, ``DESK_PPO``, ``DESK_HORIZON``, ``DESK_EVAL_N``).
+"""
+import argparse
+import dataclasses
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from inquest.diagnosis import top1_accuracy, train_diagnosis  # noqa: E402
+from inquest.evalharness import GreedyModelPolicy, baseline_policy, evaluate  # noqa: E402
+from inquest.inquiry import train_inquiry  # noqa: E402
+from inquest.patientgen import (  # noqa: E402
+    PatientDataset,
+    benchmark_genmodel,
+    benchmark_ontology,
+    generate_cohort,
+    split_dataset,
+)
+from tests.test_acceptance import DESK_EVAL_N, DESK_HORIZON, DESK_PPO, DESK_SL  # noqa: E402
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    seed = parser.parse_args().seed
+    seconds = {}
+
+    def timed(stage, fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        seconds[stage] = round(time.perf_counter() - t0, 3)
+        return out
+
+    onto = benchmark_ontology()
+    cohort = timed("cohort", generate_cohort, benchmark_genmodel(onto), 20_000, seed=seed)
+    train, _, test = split_dataset(cohort, (0.6, 0.1, 0.3), seed=seed)
+    diag, _ = timed("ranker", train_diagnosis, train, dataclasses.replace(DESK_SL, seed=seed))
+    policy, _, _ = timed("ppo", train_inquiry, train, diag, onto,
+                         dataclasses.replace(DESK_PPO, seed=seed), horizon=DESK_HORIZON)
+    sub = PatientDataset(test.records[:DESK_EVAL_N], test.disease_names, test.m,
+                         test.ontology_digest, test.genmodel_digest)
+    reports = {}
+    for name, chosen, horizon in (("trained_h10", GreedyModelPolicy(policy), DESK_HORIZON),
+                                  ("random_h10", baseline_policy("RandomLegal"), DESK_HORIZON),
+                                  ("trained_h20", GreedyModelPolicy(policy), 2 * DESK_HORIZON)):
+        reports[name], _ = timed(f"eval_{name}", evaluate, chosen, diag, sub, onto,
+                                 horizon=horizon, seed=1)
+    print(json.dumps({
+        "seed": seed,
+        "seconds": seconds,
+        "top1_trained": reports["trained_h10"].recall_at_k[1],
+        "top1_random": reports["random_h10"].recall_at_k[1],
+        "rediscovery_recall_trained": reports["trained_h10"].rediscovery.recall,
+        "rediscovery_recall_random": reports["random_h10"].rediscovery.recall,
+        "top1_trained_h20": reports["trained_h20"].recall_at_k[1],
+        "ranker_top1_full_hpi": top1_accuracy(diag, sub),
+        "history_width": diag.history_width,
+        "ranker_inputs": diag.net.layer_dims[0],
+    }))
+
+
+if __name__ == "__main__":
+    main()
