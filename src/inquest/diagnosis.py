@@ -21,9 +21,9 @@ from .nncore import DenseNet, forward_with_cache, softmax
 
 _TAG_SL = (1 << 40) + 3
 
-# Row v holds the input slots [confirmed, denied] of ternary status v (unknown
-# is [0, 0]), in the nets' dtype so the input matrices built from it need no cast.
-_ONE_HOT = np.eye(3, dtype=nncore.NET_DTYPE)[:, 1:]
+# Row v is the triple one-hot of ternary status v, in the nets' dtype so that
+# the input matrices built from it need no cast.
+_ONE_HOT = np.eye(3, dtype=nncore.NET_DTYPE)
 
 
 @dataclass
@@ -71,21 +71,21 @@ class SlEpochMetrics:
 
 
 def encode_hpi_ternary(obs: np.ndarray) -> np.ndarray:
-    """Two slots per element, [confirmed, denied] at 2i..2i+1; unknown is [0, 0]."""
+    """Triple one-hot per element: [unknown, confirmed, denied] at slots 3i..3i+2."""
     obs = np.asarray(obs)
     flat = obs.reshape(-1, obs.shape[-1]) if obs.ndim == 2 else obs.reshape(1, -1)
     if flat.size and (flat.min() < 0 or flat.max() > 2):
         raise DomainError("ternary entries must be 0, 1 or 2")
     n, m = flat.shape
-    out = _ONE_HOT.take(flat, axis=0).reshape(n, 2 * m)
+    out = _ONE_HOT.take(flat, axis=0).reshape(n, 3 * m)
     return out if obs.ndim == 2 else out[0]
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """One model kind's contract, shared by its constructor, its checkpoint
-    writer and its loader. The net reads ``history_width + 2 * n_elements``
-    inputs ([history, ``encode_hpi_ternary`` status]) and ends in ``head`` with
+    writer and its loader. The net reads ``history_width + 3 * n_elements``
+    inputs ([history, ternary status]) and ends in ``head`` with
     ``width(meta)`` outputs. ``fields`` maps each meta key, which is also an
     attribute of ``cls``, to its kind (``errors.fields``); ``what`` names the
     kind in errors."""
@@ -106,7 +106,7 @@ DIAGNOSIS = ModelSpec(
 
 
 def _input_width(meta: dict) -> int:
-    return meta["history_width"] + 2 * meta["n_elements"]
+    return meta["history_width"] + 3 * meta["n_elements"]
 
 
 def new_model(spec: ModelSpec, hidden: tuple[int, ...], seed: int, **meta):

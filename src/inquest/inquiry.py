@@ -138,7 +138,7 @@ class PpoConfig:
 class TrajectoryBatch:
     """Flat transition arrays; episodes are contiguous, one done flag each."""
 
-    inputs: np.ndarray  # (n, E + 2M), in the policy net's dtype
+    inputs: np.ndarray  # (n, E + 3M), in the policy net's dtype
     actions: np.ndarray  # (n,) int
     logps: np.ndarray  # (n,) log-probability at collection time
     rewards: np.ndarray  # (n,)

@@ -321,21 +321,21 @@ def test_cli_pipeline_is_byte_identical_across_runs(tmp_path):
 CLI_GOLDEN = {
     "cohort.jsonl": "cc4840ef115a8832b6fa1e9c382b881e48de5aed0bdb3d2d1b5eaf177e445992",
     "cohort.header.json": "064e4e8424d9521be0052ca80335b522e972384914f784d4f0ba520ec89f4b90",
-    "diag.json": "6fd5621d2de35b0017349d9c275364708de868c7ff6f2edc0dd51f046bb5e042",
-    "policy.json": "a3205fc9c38d57f3e495abcb589f8ab3b320eed3cda99f4aff0da0734b54447a",
-    "value.json": "332d253b0be0d4abbe7e2c340bbb71b4aba00f12a09e523317bb10dca14320e5",
-    "train.csv": "b576b82845aee77f91ca491210dfcf00bd9a608e9d0f22eab6ed9e41185b86c5",
-    "report.json": "2c501a422a94f41098901c614821cd69e81a68a2de503013ccf652b6ecb9d246",
-    "traces.jsonl": "ca94030d637a8deeb035562b35a9e49192f0d16d1308f6c3417b0ee0121d499c",
+    "diag.json": "595222d6dc9ed3e9ebcfe2f08d56695dd91b910680c261e00d800fb860e917f3",
+    "policy.json": "46fa670415ee9cdabff0113a8aa6fcac954f0eb8c8cc79be10a50e674fe81012",
+    "value.json": "c932830fabfb3fa3288b1ce31468f9a78781e093ede1e8d8871408c164b51f0d",
+    "train.csv": "742cac0bfcdce037ef598c1ef70281589ab47f569680818ad18f0f372e1bae34",
+    "report.json": "e784acb0a032c928cdd1606d62ada463672315cf0f3d9fc2165458f860ae5e7c",
+    "traces.jsonl": "dffe0bdb09229d1c748b0a73cfff3e47a1c52a5c50c193789b099bb91e798bb9",
 }
 
 # sha256 of ``load_net(p).params.tobytes()`` for the three checkpoints: the
 # trained float32 parameters, pinned apart from the file format so that a
 # change of format alone cannot move them.
 CLI_PARAMS_GOLDEN = {
-    "diag.json": "f8bce34af8c3a2937b3ecf9ac1a1809dd2e33adcc2fb9023f2352290289f20d1",
-    "policy.json": "dc070bb913446afd67563d37ba4d0aebda398e670a575459c3c73e390790578c",
-    "value.json": "95e0d0cb5a135faf984d989fb8f40283eb8c9e1842ca6938b87636551732040b",
+    "diag.json": "050c454e37a4eeec6619d8b3670bf4057b90eaa0687d4126b643c56dae9d93bf",
+    "policy.json": "102a44ddc5104b3a4a01b16001a862c127354092d743b1484099c70243d95a18",
+    "value.json": "5f27dc968276d8d6cc9e062033746fa89a864955b6b8aa8c4505f1bb3ed051a4",
 }
 
 
@@ -363,11 +363,12 @@ def test_cli_checkpoints_load_to_pinned_parameter_bytes(cli_artifacts):
 # pipeline's ontology, cohort and models, for the trained policy run greedily
 # and for RandomLegal. ``CLI_GOLDEN`` pins only horizon 4; at horizon 20 every
 # dialogue runs until no question is legal (5 to 14 rounds). Both digests were
-# re-pinned when each finding went from three net inputs to two; the
-# RandomLegal traces move too because they carry the ranker's ranking.
+# re-pinned when the ranker's history width came to be derived from the
+# training data; the RandomLegal traces move too because they carry the
+# ranker's ranking.
 LONG_HORIZON_TRACES_GOLDEN = {
-    "greedy": "9f4c092964fbf484af2b4429e17613e78fd8f06084aa5f15935621cb7f65e36d",
-    "RandomLegal": "64abb2902331e2a013d53f5e1c483986d8ec7b806e1f0a8da3d3fb8285215030",
+    "greedy": "fd7e95c0ddd7a1a772cf960671526a10444cfbc8d2d62fefc7418566fabb8a97",
+    "RandomLegal": "04a6edbd2b2c3371dea4c2df21ba9a932427cb880e3c1770f53d66e5d21d64ba",
 }
 
 

@@ -78,8 +78,8 @@ def fresh_model(toy, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_encode_ternary_examples():
-    assert np.array_equal(encode_hpi_ternary(np.array([0, 0])), [0, 0, 0, 0])
-    assert np.array_equal(encode_hpi_ternary(np.array([1, 2])), [1, 0, 0, 1])
+    assert np.array_equal(encode_hpi_ternary(np.array([0, 0])), [1, 0, 0, 1, 0, 0])
+    assert np.array_equal(encode_hpi_ternary(np.array([1, 2])), [0, 1, 0, 0, 0, 1])
     with pytest.raises(DomainError):
         encode_hpi_ternary(np.array([0, 3]))
     with pytest.raises(DomainError):
@@ -89,49 +89,22 @@ def test_encode_ternary_examples():
             encode_hpi_ternary(np.array([[0, 1], [2, bad]], dtype=np.int8))
 
 
-def test_encode_ternary_batch_two_slots():
+def test_encode_ternary_batch_one_hot():
     obs = np.array([[0, 1, 2], [2, 2, 0]])
     enc = encode_hpi_ternary(obs)
-    assert enc.shape == (2, 6)
-    slots = enc.reshape(2, 3, 2)
-    assert np.array_equal(slots.sum(axis=2), obs != 0)
-    assert np.array_equal(slots[:, :, 0] + 2 * slots[:, :, 1], obs)
+    assert enc.shape == (2, 9)
+    assert np.all(enc.sum(axis=1) == 3)
+    assert np.array_equal(enc.reshape(2, 3, 3).argmax(axis=2), obs)
 
 
 @pytest.mark.parametrize("shape", [(7,), (5, 7), (0, 7), (1, 90), (100, 90)])
 @pytest.mark.parametrize("dtype", [np.int8, np.int64])
 def test_encode_ternary_is_byte_equal_to_eye_indexing(shape, dtype):
     obs = np.random.default_rng(shape[0]).integers(0, 3, size=shape, dtype=dtype)
-    want = np.eye(3, dtype=np.float32)[obs][..., 1:].reshape(*shape[:-1], 2 * shape[-1])
+    want = np.eye(3, dtype=np.float32)[obs].reshape(*shape[:-1], 3 * shape[-1])
     got = encode_hpi_ternary(obs)
     assert got.dtype == np.float32 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-
-
-def test_two_slot_layer_zero_is_an_exact_reparametrization():
-    # A net on the three-slot encoding [unknown, confirmed, denied] and the
-    # same net with b' = b + sum of W_unknown and W'_c = W_c - W_unknown on
-    # the two-slot encoding give the same logits on every ternary row.
-    rng = np.random.default_rng(9)
-    m, width = 12, 4
-    three = nncore.init_dense((width + 3 * m, 16, 8, 5), seed=1, dtype=np.float64,
-                              zero_output=False)
-    for w, b in zip(three.weights, three.biases):
-        w += rng.standard_normal(w.shape)
-        b += rng.standard_normal(b.shape)
-    two = nncore.init_dense((width + 2 * m, 16, 8, 5), seed=1, dtype=np.float64)
-    for i in range(1, three.n_layers):
-        two.weights[i][...] = three.weights[i]
-        two.biases[i][...] = three.biases[i]
-    w_hist, w_hpi = three.weights[0][:width], three.weights[0][width:].reshape(m, 3, -1)
-    two.weights[0][...] = np.vstack([w_hist, (w_hpi[:, 1:] - w_hpi[:, :1]).reshape(2 * m, -1)])
-    two.biases[0][...] = three.biases[0] + w_hpi[:, 0].sum(axis=0)
-
-    hist = rng.random((200, width))
-    obs = rng.integers(0, 3, size=(200, m))
-    want = nncore.forward(three, np.hstack([hist, np.eye(3)[obs].reshape(200, 3 * m)]))
-    got = nncore.forward(two, np.hstack([hist, encode_hpi_ternary(obs)]))
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +276,7 @@ def test_history_width_is_derived_from_the_training_set(toy):
         ds = generate_cohort(gm, 40, seed=0)
         model, _ = train_diagnosis(ds, cfg)
         assert model.history_width == width
-        assert model.net.layer_dims[0] == width + 2 * ds.m
+        assert model.net.layer_dims[0] == width + 3 * ds.m
 
 
 def test_rejects_empty_and_mismatched_data(toy):
@@ -373,7 +346,7 @@ def test_checkpoint_kind_guard(tmp_path, toy, kind, case):
     head, width, changes = _BAD_NETS[kind, case]
     save(models[kind], path)
     meta = {**nncore.load_net(path).meta, **changes}
-    nncore.save_net(nncore.init_dense((E + 2 * 7, 4, width), output_head=head), path, meta)
+    nncore.save_net(nncore.init_dense((E + 3 * 7, 4, width), output_head=head), path, meta)
     with pytest.raises(ParseError, match=f"output {case}"):
         load(path)
 
@@ -386,12 +359,13 @@ def test_checkpoint_width_guard(tmp_path, toy):
     path.write_bytes(head.replace(b'"n_elements":7', b'"n_elements":8') + b"\n" + body)
     with pytest.raises(ParseError, match="width"):
         load_diagnosis(path)
-    # The layout with three slots per finding: layer 0 reads E + 3 * 7 inputs.
-    old = tmp_path / "three-slot.json"
+    # A layer 0 sized for the old fixed history width of 64 under a meta that
+    # records the derived width E.
+    padded = tmp_path / "padded.json"
     meta = nncore.load_net(tmp_path / "diag.json").meta
-    nncore.save_net(nncore.init_dense((E + 3 * 7, 16, 16, 3)), old, meta)
+    nncore.save_net(nncore.init_dense((64 + 3 * 7, 16, 16, 3)), padded, meta)
     with pytest.raises(ParseError, match="width"):
-        load_diagnosis(old)
+        load_diagnosis(padded)
 
 
 @pytest.mark.parametrize("key", ["history_width", "n_elements", "disease_names",
@@ -416,7 +390,7 @@ def test_checkpoint_meta_of_another_type_raises_parse_error(tmp_path, key, value
     # diseases), so only an exact type check refuses it.
     meta = {"kind": "diagnosis", "history_width": 2, "n_elements": 1,
             "disease_names": ["a", "b", "c"], "ontology_digest": "d"}
-    net = nncore.init_dense((2 + 2 * 1, 4, 3), output_head=nncore.HEAD_LOGITS)
+    net = nncore.init_dense((2 + 3 * 1, 4, 3), output_head=nncore.HEAD_LOGITS)
     path = tmp_path / "diag.ckpt"
     nncore.save_net(net, path, meta)
     assert load_diagnosis(path).disease_names == ("a", "b", "c")

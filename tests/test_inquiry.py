@@ -70,11 +70,8 @@ def manual_masked_softmax(logits, mask):
 
 
 def manual_ternary(status):
-    # [confirmed, denied] per element; an unknown one leaves both slots zero
-    out = np.zeros(2 * len(status))
-    for i, v in enumerate(status):
-        if v:
-            out[2 * i + int(v) - 1] = 1.0
+    out = np.zeros(3 * len(status))
+    out[3 * np.arange(len(status)) + np.asarray(status, dtype=int)] = 1.0
     return out
 
 
@@ -637,7 +634,7 @@ def test_policy_checkpoint_round_trip(tmp_path, flat):
     assert loaded.ontology_digest == onto.content_digest
     assert loaded.net.meta["reward_params"]["first_level_weight"] == 2.0
     assert loaded.net.meta["disclosure_probs"]["p1p"] == 0.5
-    x = np.zeros((1, 8 + 2 * 12))
+    x = np.zeros((1, 8 + 36))
     assert np.array_equal(nncore.forward(policy.net, x), nncore.forward(loaded.net, x))
 
 
@@ -665,7 +662,7 @@ def test_checkpoint_kind_guards(tmp_path, flat):
 
 def test_checkpoint_dimension_guard(tmp_path, flat):
     onto, ds, diag, policy, value = flat
-    net = nncore.init_dense((8 + 2 * 12, 4, onto.n_questions))
+    net = nncore.init_dense((8 + 36, 4, onto.n_questions))
     path = tmp_path / "bad.json"
     nncore.save_net(net, path, {
         "kind": "inquiry-policy",
