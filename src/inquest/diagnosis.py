@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import nncore
-from .errors import DomainError, EmptyDataset, ParseError, ShapeError, fields
+from .errors import DigestMismatch, DomainError, EmptyDataset, ParseError, ShapeError, fields
 from .patientgen import PatientDataset, encode_histories, full_evidence, history_width
 from .nncore import DenseNet, forward_with_cache, softmax
 
@@ -81,6 +81,12 @@ def encode_hpi_ternary(obs: np.ndarray) -> np.ndarray:
     return out if obs.ndim == 2 else out[0]
 
 
+def net_input(history: np.ndarray, obs: np.ndarray, dtype) -> np.ndarray:
+    """The nets' (n, E + 3M) input rows in ``dtype``: each (n, E) history row,
+    then the ``encode_hpi_ternary`` of its (n, M) observation row."""
+    return np.hstack([history, encode_hpi_ternary(obs)], dtype=dtype)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """One model kind's contract, shared by its constructor, its checkpoint
@@ -127,19 +133,6 @@ def new_diagnosis_model(
                      disease_names=tuple(disease_names), ontology_digest=ontology_digest)
 
 
-def _input_matrix(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    history = np.atleast_2d(np.asarray(history, dtype=float))
-    obs = np.asarray(obs)
-    obs2 = obs.reshape(1, -1) if obs.ndim == 1 else obs
-    if history.shape[1] != model.history_width:
-        raise ShapeError(f"history width {history.shape[1]} != {model.history_width}")
-    if obs2.shape[1] != model.n_elements:
-        raise ShapeError(f"observation length {obs2.shape[1]} != {model.n_elements}")
-    if history.shape[0] != obs2.shape[0]:
-        raise ShapeError("history and observation batch sizes differ")
-    return np.hstack([history, encode_hpi_ternary(obs2)], dtype=model.net.dtype)
-
-
 def predict(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Disease distribution for one (history, observation) pair."""
     return predict_batch(model, history, obs)[0]
@@ -148,7 +141,15 @@ def predict(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -> np.n
 def predict_batch(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Disease distributions, one row per pair; a row's bytes do not depend on
     the other rows (``nncore.forward``)."""
-    return softmax(nncore.forward(model.net, _input_matrix(model, history, obs)))
+    history = np.atleast_2d(np.asarray(history, dtype=float))
+    obs = np.atleast_2d(obs)
+    if history.shape[1] != model.history_width:
+        raise ShapeError(f"history width {history.shape[1]} != {model.history_width}")
+    if obs.shape[1] != model.n_elements:
+        raise ShapeError(f"observation length {obs.shape[1]} != {model.n_elements}")
+    if history.shape[0] != obs.shape[0]:
+        raise ShapeError("history and observation batch sizes differ")
+    return softmax(nncore.forward(model.net, net_input(history, obs, model.net.dtype)))
 
 
 def rank_from_probs(probs: np.ndarray) -> np.ndarray:
@@ -208,12 +209,12 @@ def _train_epoch(model, arrays, cfg: SlTrainConfig, epoch: int, adam) -> SlEpoch
             rates = rng.uniform(cfg.hide_lo, cfg.hide_hi, size=len(idx))
             hide = rng.random(obs.shape) < rates[:, None]
             obs = np.where(hide & (obs != 0), 0, obs)
-        x = np.hstack([hist[idx], encode_hpi_ternary(obs)], dtype=model.net.dtype)
         y = labels[idx]
-        logits, cache = forward_with_cache(model.net, x)
-        total_loss += nncore.cross_entropy(logits, y) * len(idx)
+        logits, cache = forward_with_cache(model.net, net_input(hist[idx], obs, model.net.dtype))
+        loss, grad = nncore.cross_entropy(logits, y)
+        total_loss += loss * len(idx)
         hits += int((logits.argmax(axis=1) == y).sum())
-        nncore.backward(model.net, cache, nncore.cross_entropy_grad(logits, y), adam.grad)
+        nncore.backward(model.net, cache, grad, adam.grad)
         nncore.adam_step(model.net.params, adam.grad, adam, cfg.lr)
     n = len(labels)
     return SlEpochMetrics(total_loss / n, hits / n)
@@ -225,7 +226,8 @@ def train_diagnosis(
     val: PatientDataset | None = None,
     log=None,
 ) -> tuple[DiagnosisModel, list[SlEpochMetrics]]:
-    """Full supervised run: fresh model sized to the data, cfg.epochs passes, optional val log."""
+    """Full supervised run: fresh model sized to the data, cfg.epochs passes, optional val
+    log. A ``val`` of other findings or diseases raises DigestMismatch before training."""
     cfg.validate()
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -233,6 +235,8 @@ def train_diagnosis(
         history_width(dataset.records), dataset.m, dataset.disease_names, dataset.ontology_digest,
         hidden=cfg.hidden, seed=cfg.seed,
     )
+    if val is not None:
+        check_dataset(model, val, "validation set")
     adam = nncore.init_adam(model.net.params)
     arrays = _dataset_arrays(dataset, model.history_width)
     logs_val = log is not None and val is not None and len(val)
@@ -252,11 +256,20 @@ def train_diagnosis(
 def _loss(model: DiagnosisModel, arrays) -> float:
     """Mean cross-entropy on the arrays of ``_dataset_arrays``, no augmentation."""
     hist, hpi, labels = arrays
-    logits = nncore.forward(model.net, np.hstack([hist, encode_hpi_ternary(hpi)]))
-    return nncore.cross_entropy(logits, labels)
+    logits = nncore.forward(model.net, net_input(hist, hpi, model.net.dtype))
+    return nncore.cross_entropy(logits, labels)[0]
+
+
+def check_dataset(model: DiagnosisModel, dataset: PatientDataset, what: str) -> None:
+    """Raise DigestMismatch, naming ``dataset`` by ``what``, unless it has the
+    findings and the diseases, in order, that ``model`` was built for."""
+    if dataset.m != model.n_elements or dataset.disease_names != model.disease_names:
+        raise DigestMismatch(f"{what} has other findings or diseases than the diagnosis model")
 
 
 def top1_accuracy(model: DiagnosisModel, dataset: PatientDataset) -> float:
+    """Share of ``dataset``'s full records whose label the ranker ranks first."""
+    check_dataset(model, dataset, "dataset")
     hist, hpi, labels = _dataset_arrays(dataset, model.history_width)
     probs = predict_batch(model, hist, hpi)
     return float((probs.argmax(axis=1) == labels).mean())

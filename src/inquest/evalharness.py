@@ -26,7 +26,7 @@ import numpy as np
 
 from . import consult_env, nncore
 from .consult_env import DisclosureProbs, UNMENTIONED_DENIED
-from .diagnosis import DiagnosisModel, encode_hpi_ternary, predict_batch, rank_from_probs
+from .diagnosis import DiagnosisModel, check_dataset, net_input, predict_batch, rank_from_probs
 from .errors import (
     ConfigError,
     DigestMismatch,
@@ -118,8 +118,7 @@ class GreedyModelPolicy:
         self.history_width = policy.history_width
 
     def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
-        x = np.concatenate([histories, encode_hpi_ternary(statuses)], axis=1,
-                           dtype=self.inner.net.dtype)
+        x = net_input(histories, statuses, self.inner.net.dtype)
         logits = nncore.forward(self.inner.net, x)
         masks = np.asarray(masks, dtype=bool)
         if logits.shape != masks.shape:
@@ -324,10 +323,11 @@ def evaluate(
     group_k: int = 1,
 ) -> tuple[EvalReport, list[DialogueTrace]]:
     """Consult every patient in the dataset once; patient i draws from stream
-    i of ``patientgen.streams((seed,), ...)``, and a negative seed raises
-    ConfigError."""
+    i of ``patientgen.streams((seed,), ...)``. A negative seed raises
+    ConfigError, and a dataset the ranker does not fit DigestMismatch."""
     if len(dataset) == 0:
         raise EmptyInput("empty evaluation dataset")
+    check_dataset(diag_model, dataset, "evaluation dataset")
     disclosure = disclosure if disclosure is not None else DisclosureProbs()
     for k in (*ks, group_k):
         if int(k) < 1:

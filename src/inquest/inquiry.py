@@ -9,7 +9,7 @@ scheduling.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,8 @@ from .consult_env import DisclosureProbs, UNMENTIONED_DENIED
 from .diagnosis import (
     DiagnosisModel,
     ModelSpec,
-    encode_hpi_ternary,
     load_model,
+    net_input,
     new_model,
     predict_batch,
     save_model,
@@ -114,8 +114,9 @@ class PpoConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.iterations < 1:
-            raise DomainError("iterations must be >= 1")
+        for name in ("iterations", "episodes_per_iter", "update_epochs", "minibatch_size"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
         if not (np.isfinite(self.clip_eps) and self.clip_eps > 0):
@@ -124,8 +125,6 @@ class PpoConfig:
             raise DomainError("gamma must lie in (0, 1]")
         if not 0.0 <= self.lam_gae <= 1.0:
             raise DomainError("lam_gae must lie in [0, 1]")
-        if self.minibatch_size < 1 or self.update_epochs < 1:
-            raise DomainError("minibatch_size and update_epochs must be >= 1")
         for name in ("policy_lr", "value_lr"):
             lr = getattr(self, name)
             if not (np.isfinite(lr) and lr >= 0.0):
@@ -160,15 +159,10 @@ class TrajectoryBatch:
 
 
 @dataclass
-class PpoStats:
-    policy_loss: float
-    value_loss: float
-    clip_frac: float
-    entropy: float
-
-
-@dataclass
 class IterStats:
+    """One PPO iteration's batch means, then its update's minibatch means;
+    ``write_training_log`` writes a column per field."""
+
     iteration: int
     mean_reward: float
     mean_len: float
@@ -213,11 +207,7 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise ShapeError(f"logits {logits.shape} and mask {mask.shape} differ")
     if not mask.any(axis=1).all():
         raise NoLegalAction("a row has no legal action")
-    z = np.where(mask, logits, -np.inf)
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
+    return nncore.softmax(np.where(mask, logits, -np.inf))
 
 
 def _sample_actions(probs: np.ndarray, rngs) -> np.ndarray:
@@ -317,8 +307,7 @@ def collect_rollouts(
         rows, mask = env.pending()
         if not len(rows):
             break
-        x = np.hstack([e_pol[rows], encode_hpi_ternary(env.status[rows])],
-                      dtype=policy.net.dtype)
+        x = net_input(e_pol[rows], env.status[rows], policy.net.dtype)
         probs = masked_softmax(nncore.forward(policy.net, x), mask)
         actions = _sample_actions(probs, [rngs[i] for i in rows])
         findings = env.step(actions)
@@ -452,8 +441,8 @@ def ppo_update(
     adam_policy: nncore.AdamState | None = None,
     adam_value: nncore.AdamState | None = None,
     iteration: int = 0,
-) -> PpoStats:
-    """Shuffled-minibatch PPO epochs over one collected batch.
+) -> IterStats:
+    """Shuffled-minibatch PPO epochs over one collected batch; returns its ``IterStats``.
 
     Advantages are normalized once per batch (guarding std >= 1e-8); legality
     masks recorded at collection are reused for every re-evaluation.
@@ -470,7 +459,7 @@ def ppo_update(
     adv = (adv - adv.mean()) / max(float(adv.std()), 1e-8)
 
     rng = np.random.default_rng([cfg.seed, _TAG_PPO, iteration])
-    sums = {"policy_loss": 0.0, "value_loss": 0.0, "clip_frac": 0.0, "entropy": 0.0}
+    sums = np.zeros(4)  # policy loss, value loss, clip fraction, entropy
     n_minibatches = 0
     for _ in range(cfg.update_epochs):
         order = rng.permutation(len(batch))
@@ -490,23 +479,14 @@ def ppo_update(
             nncore.adam_step(policy.net.params, adam_policy.grad, adam_policy, cfg.policy_lr)
 
             pred, vcache = nncore.forward_with_cache(value.net, batch.inputs[mb])
-            v_loss = nncore.squared_error(pred, returns[mb])
-            nncore.backward(
-                value.net, vcache, nncore.squared_error_grad(pred, returns[mb]), adam_value.grad
-            )
+            v_loss, v_grad = nncore.squared_error(pred, returns[mb])
+            nncore.backward(value.net, vcache, v_grad, adam_value.grad)
             nncore.adam_step(value.net.params, adam_value.grad, adam_value, cfg.value_lr)
 
-            sums["policy_loss"] += loss
-            sums["value_loss"] += v_loss
-            sums["clip_frac"] += stats["clip_frac"]
-            sums["entropy"] += stats["entropy"]
+            sums += (loss, v_loss, stats["clip_frac"], stats["entropy"])
             n_minibatches += 1
-    return PpoStats(
-        policy_loss=sums["policy_loss"] / n_minibatches,
-        value_loss=sums["value_loss"] / n_minibatches,
-        clip_frac=sums["clip_frac"] / n_minibatches,
-        entropy=sums["entropy"] / n_minibatches,
-    )
+    return IterStats(iteration, batch.mean_episode_reward, batch.mean_episode_len,
+                     *(sums / n_minibatches).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -549,16 +529,7 @@ def train_inquiry(
             cfg.episodes_per_iter, horizon, cfg.seed, iteration=it,
             noise=noise, unmentioned_answer=unmentioned_answer,
         )
-        stats = ppo_update(policy, value, batch, cfg, adam_policy, adam_value, iteration=it)
-        row = IterStats(
-            iteration=it,
-            mean_reward=batch.mean_episode_reward,
-            mean_len=batch.mean_episode_len,
-            policy_loss=stats.policy_loss,
-            value_loss=stats.value_loss,
-            clip_frac=stats.clip_frac,
-            entropy=stats.entropy,
-        )
+        row = ppo_update(policy, value, batch, cfg, adam_policy, adam_value, iteration=it)
         history.append(row)
         if log is not None:
             log(
@@ -569,19 +540,16 @@ def train_inquiry(
 
 
 def write_training_log(rows: list[IterStats], path: str | Path) -> None:
-    """CSV log, one row per iteration. A non-finite value raises NonFinite
-    before the file is created."""
-    stats = [(r.mean_reward, r.mean_len, r.policy_loss, r.value_loss, r.clip_frac, r.entropy)
-             for r in rows]
+    """CSV log, one row per iteration and a column per ``IterStats`` field. A
+    non-finite value raises NonFinite before the file is created."""
+    stats = [astuple(r) for r in rows]
     if not np.isfinite(np.array(stats, dtype=float)).all():
         raise NonFinite("training log holds non-finite values; nothing written")
     with writing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["iter", "mean_reward", "mean_len", "policy_loss", "value_loss", "clip_frac", "entropy"]
-        )
-        for r, values in zip(rows, stats):
-            writer.writerow([r.iteration] + [f"{v:.6f}" for v in values])
+        writer.writerow(["iter"] + [f.name for f in fields(IterStats)][1:])
+        for it, *values in stats:
+            writer.writerow([it] + [f"{v:.6f}" for v in values])
 
 
 # ---------------------------------------------------------------------------

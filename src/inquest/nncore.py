@@ -1,8 +1,9 @@
 """Minimal dense-network engine: float32 or float64 numpy, manual backprop, Adam.
 
 Everything is deterministic given (seed, data): no threads, no global state,
-no framework. Gradients have a second, independent route through central
-finite differences (``numeric_gradients``) so analytic backprop is testable.
+no framework. Each loss returns its value and gradient from one pass.
+Gradients have a second, independent route through central finite
+differences (``numeric_gradients``) so analytic backprop is testable.
 
 Buffers: a ``DenseNet`` owns one contiguous buffer, ``net.params``, whose
 element type is the net's dtype (float32 or float64). It is laid out layer by
@@ -55,11 +56,6 @@ BLOCK_ROWS = 8
 
 # Adam's (beta1, beta2, eps), as in Kingma and Ba (2015).
 ADAM_BETAS_EPS = (0.9, 0.999, 1e-8)
-
-# Elements per chunk of ``adam_step``: the chunk's slices of the parameters,
-# gradient, moments and two scratch rows stay in cache across the update's
-# seventeen passes.
-ADAM_CHUNK = 1 << 15
 
 # Element type of the ranker, policy and value nets.
 NET_DTYPE = np.float32
@@ -250,9 +246,9 @@ def _all_finite(a: np.ndarray) -> bool:
 
 @dataclass
 class AdamState:
-    """Adam moments of one flat parameter buffer, plus the training run's
-    gradient buffer ``grad`` and ``adam_step``'s (2, chunk) scratch, all in
-    the parameters' dtype."""
+    """Adam moments of one flat parameter buffer of n elements, plus the
+    training run's gradient buffer ``grad`` and ``adam_step``'s (2, n)
+    scratch, all in the parameters' dtype."""
 
     m: np.ndarray
     v: np.ndarray
@@ -264,7 +260,7 @@ class AdamState:
 def init_adam(params: np.ndarray) -> AdamState:
     return AdamState(
         np.zeros_like(params), np.zeros_like(params), np.zeros_like(params),
-        np.empty((2, min(params.size, ADAM_CHUNK)), params.dtype),
+        np.empty((2, params.size), params.dtype),
     )
 
 
@@ -273,8 +269,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
 
     The whole gradient is checked before anything is written, so a
     non-finite gradient leaves parameters, moments and step count as they
-    were. The update runs chunk by chunk with no allocation, in the
-    arithmetic order m = b1*m + (1-b1)*g, m = 0 where |m| < tiny,
+    were. Each ufunc makes one pass over the whole buffer, with no
+    allocation, in the arithmetic order m = b1*m + (1-b1)*g, m = 0 where |m| < tiny,
     v = b2*v + ((1-b2)*g)*g, p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), with
     (b1, b2, eps) = ``ADAM_BETAS_EPS``, which fixes its bytes. ``tiny`` is the
     dtype's smallest normal number: a unit whose gradient stays zero decays
@@ -291,28 +287,25 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
     tiny = np.finfo(params.dtype).tiny
-    chunk = state.scratch.shape[1]
-    for start in range(0, params.size, chunk):
-        s = slice(start, start + chunk)
-        p, g, m, v = params[s], grads[s], state.m[s], state.v[s]
-        a, b = state.scratch[:, : len(p)]
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=a)
-        m += a
-        np.abs(m, out=a)
-        np.greater_equal(a, tiny, out=a)
-        m *= a
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=a)
-        a *= g
-        v += a
-        np.divide(m, c1, out=a)
-        a *= lr
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        b += eps
-        a /= b
-        p -= a
+    m, v = state.m, state.v
+    a, b = state.scratch
+    m *= beta1
+    np.multiply(grads, 1.0 - beta1, out=a)
+    m += a
+    np.abs(m, out=a)
+    np.greater_equal(a, tiny, out=a)
+    m *= a
+    v *= beta2
+    np.multiply(grads, 1.0 - beta2, out=a)
+    a *= grads
+    v += a
+    np.divide(m, c1, out=a)
+    a *= lr
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    params -= a
 
 
 # ---------------------------------------------------------------------------
@@ -327,38 +320,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of integer ``labels`` under the logits."""
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of integer ``labels`` under the logits and
+    its gradient, (softmax - onehot) / n, from one float64 softmax."""
     logits = np.asarray(logits, dtype=float)
-    labels = np.asarray(labels)
-    nll = -log_softmax(logits)[np.arange(len(labels)), labels]
-    value = float(nll.mean())
+    rows = np.arange(len(labels))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    value = float((np.log(total[:, 0]) - z[rows, labels]).mean())
     if not np.isfinite(value):
         raise NonFinite("cross entropy is not finite")
-    return value
+    grad = e / total
+    grad[rows, labels] -= 1.0
+    return value, grad / len(labels)
 
 
-def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(mean NLL)/d(logits): (softmax - onehot) / n."""
-    n = len(labels)
-    g = softmax(np.asarray(logits, dtype=float))
-    g[np.arange(n), labels] -= 1.0
-    return g / n
-
-
-def squared_error(pred: np.ndarray, target: np.ndarray) -> float:
+def squared_error(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Half the mean squared difference and its gradient with respect to ``pred``."""
     d = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
-    return float(0.5 * np.mean(d * d))
-
-
-def squared_error_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    d = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
-    return d / d.size
+    return float(0.5 * np.mean(d * d)), d / d.size
 
 
 # ---------------------------------------------------------------------------

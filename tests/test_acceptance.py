@@ -85,14 +85,14 @@ def test_backprop_matches_finite_differences_on_random_nets():
         x = rng.standard_normal((3, d_in))
         if head == nncore.HEAD_LOGITS:
             labels = rng.integers(0, d_out, size=3)
-            loss_of_net = lambda n: nncore.cross_entropy(nncore.forward(n, x), labels)
+            loss_of_net = lambda n: nncore.cross_entropy(nncore.forward(n, x), labels)[0]
             out, cache = nncore.forward_with_cache(net, x)
-            grad_out = nncore.cross_entropy_grad(out, labels)
+            _, grad_out = nncore.cross_entropy(out, labels)
         else:
             target = rng.standard_normal(3)
-            loss_of_net = lambda n: nncore.squared_error(nncore.forward(n, x), target)
+            loss_of_net = lambda n: nncore.squared_error(nncore.forward(n, x), target)[0]
             out, cache = nncore.forward_with_cache(net, x)
-            grad_out = nncore.squared_error_grad(out, target)
+            _, grad_out = nncore.squared_error(out, target)
         gw, gb = nncore.backward(net, cache, grad_out)
         nw, nb = nncore.numeric_gradients(net, loss_of_net)
         worst = max(worst, nncore.relative_error(gw, nw), nncore.relative_error(gb, nb))

@@ -559,6 +559,41 @@ def test_train_diag_on_record_missing_label_exits_1(workspace, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def five_diseases(workspace):
+    """A cohort on the workspace's ontology with five diseases; its ranker has three."""
+    root, onto_dir, data, diag, policy = workspace
+    path = root / "five.jsonl"
+    assert run(["gen-data", "--ontology", str(onto_dir), "--out", str(path),
+                "--n", "60", "--n-diseases", "5", "--n-flags", "2", "--seed", "5"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("quiet", [[], ["--quiet"]])
+def test_train_diag_refuses_a_validation_set_of_other_diseases(workspace, five_diseases,
+                                                               tmp_path, capsys, quiet):
+    root, onto_dir, data, diag, policy = workspace
+    out = tmp_path / "d.json"
+    capsys.readouterr()
+    assert run(["train-diag", "--ontology", str(onto_dir), "--data", str(data),
+                "--val-data", str(five_diseases), "--out", str(out), "--epochs", "1",
+                "--hidden", "16,16", *quiet]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "validation set" in captured.err
+    assert "Traceback" not in captured.err and "epoch" not in captured.out
+    assert not out.exists()
+
+
+def test_eval_refuses_a_dataset_of_other_diseases(workspace, five_diseases, tmp_path, capsys):
+    root, onto_dir, data, diag, policy = workspace
+    out = tmp_path / "r.json"
+    assert run(["eval", "--ontology", str(onto_dir), "--data", str(five_diseases),
+                "--diag", str(diag), "--policy", str(policy), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "evaluation dataset" in err
+    assert not out.exists()
+
+
 def test_eval_with_policy_lacking_meta_exits_1(workspace, tmp_path, capsys):
     root, onto_dir, data, diag, policy = workspace
     broken = tmp_path / "policy.json"

@@ -18,7 +18,7 @@ from inquest.diagnosis import (
     train_diagnosis,
     train_epoch,
 )
-from inquest.errors import DomainError, EmptyDataset, ParseError, ShapeError
+from inquest.errors import DigestMismatch, DomainError, EmptyDataset, ParseError, ShapeError
 from inquest.inquiry import (
     load_policy,
     load_value,
@@ -38,6 +38,7 @@ from inquest.patientgen import (
     generate_cohort,
     split_dataset,
     toy_genmodel,
+    toy_ontology,
 )
 
 E = 5  # history width of the toy records: age, two sex slots, two flags
@@ -61,6 +62,13 @@ def trained(toy, splits):
                         hidden=(64, 64))
     model, history = train_diagnosis(train, cfg)
     return model, history
+
+
+@pytest.fixture(scope="module")
+def five_diseases():
+    """A cohort on the toy ontology with five diseases; the toy model has three."""
+    return generate_cohort(benchmark_genmodel(toy_ontology(), n_diseases=5, n_flags=2), 60,
+                           seed=2)
 
 
 def full_view_loss(model, dataset):
@@ -213,6 +221,22 @@ def test_logged_run_builds_validation_arrays_once(toy, splits, monkeypatch):
     assert built == [len(small), len(val)]  # once for training, once for validation
     assert len(lines) == 3
     assert lines[-1].endswith(f" val_loss {full_view_loss(model, val):.4f}")
+
+
+@pytest.mark.parametrize("logged", [False, True])
+def test_validation_set_of_other_diseases_is_refused_before_the_first_epoch(
+        splits, five_diseases, logged):
+    train, _, _ = splits
+    lines = []
+    with pytest.raises(DigestMismatch, match="validation set"):
+        train_diagnosis(train, SlTrainConfig(epochs=1, hidden=(16, 16)), val=five_diseases,
+                        log=lines.append if logged else None)
+    assert lines == []
+
+
+def test_top1_accuracy_refuses_a_dataset_of_other_diseases(toy, five_diseases):
+    with pytest.raises(DigestMismatch):
+        top1_accuracy(fresh_model(toy), five_diseases)
 
 
 def test_heldout_loss_decreases_over_first_epochs(toy, splits):

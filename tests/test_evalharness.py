@@ -41,6 +41,7 @@ from inquest.inquiry import masked_softmax, new_inquiry_policy
 from inquest.patientgen import (
     PatientDataset,
     PatientRecord,
+    benchmark_genmodel,
     full_evidence,
     generate_cohort,
     generate_ontology,
@@ -440,6 +441,13 @@ def test_evaluate_end_to_end(toy_setup):
     again, _ = evaluate(baseline_policy(RANDOM_LEGAL), diag, ds, onto, horizon=10, seed=2)
     assert again.recall_at_k == report.recall_at_k
     assert again.config_digest == report.config_digest
+
+
+def test_evaluate_refuses_a_dataset_of_other_diseases(toy_setup):
+    onto, ds, diag = toy_setup
+    five = generate_cohort(benchmark_genmodel(onto, n_diseases=5, n_flags=2), 60, seed=2)
+    with pytest.raises(DigestMismatch, match="evaluation dataset"):
+        evaluate(baseline_policy(RANDOM_LEGAL), diag, five, onto)
 
 
 def test_evaluate_group_map(toy_setup):

@@ -696,6 +696,7 @@ def test_checkpoint_missing_meta_raises_parse_error(flat, tmp_path, key, kind):
     ("entropy_coef", float("nan")), ("entropy_coef", -0.01), ("entropy_coef", float("inf")),
     ("clip_eps", float("nan")), ("clip_eps", float("inf")), ("clip_eps", 0.0),
     ("iterations", 0), ("iterations", -3), ("seed", -1),
+    ("episodes_per_iter", 0), ("episodes_per_iter", -3),
 ])
 def test_ppo_config_rejects_bad_numeric_settings(field, bad):
     with pytest.raises(DomainError, match=field):

@@ -5,22 +5,33 @@ or deleting a traced function breaks ``perfbench/run.py --trace 1``. This
 reads ``TARGETS`` from the tracer's source without running the tracer.
 ``perfbench/workloads.py`` drives the package through module attributes
 (``consult_env.legal_actions``); those are read from its syntax tree, so a
-deleted name fails here rather than inside a benchmark run.
+deleted name fails here rather than inside a benchmark run. The tracer's
+flop hooks also read the layout of ``nncore.forward_with_cache``'s cache.
 """
 import ast
 import importlib
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
+
+from inquest import nncore
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
 
-def _targets():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _targets():
+    tracer = _tracer()
     return tracer.PACKAGE, tracer.TARGETS
 
 
@@ -50,3 +61,23 @@ def test_every_name_the_workloads_read_resolves_in_the_package():
     missing = [f"{module_name}.{attr}" for module_name, attr in used
                if not hasattr(importlib.import_module(f"inquest.{module_name}"), attr)]
     assert modules and used and not missing, missing
+
+
+def test_flop_hooks_count_the_batch_rows_of_a_real_forward_and_backward():
+    # ``_hook_backward`` takes the row count from ``cache[0][0]``, the input
+    # batch at the head of the cache's activations; rows != d_in tells it
+    # apart from a row of that batch.
+    tracer = _tracer()
+    net = nncore.init_dense((4, 6, 3), seed=0)
+    rows = 5
+    x = np.random.default_rng(0).normal(size=(rows, 4))
+    out, cache = nncore.forward_with_cache(net, x)
+    grad_out = np.ones_like(out)
+    grads = nncore.backward(net, cache, grad_out)
+    forward_stats, backward_stats = defaultdict(float), defaultdict(float)
+    tracer._hook_forward(forward_stats, (net, x), {}, (out, cache))
+    tracer._hook_backward(backward_stats, (net, cache, grad_out), {}, grads)
+    per_row = tracer._matmul_flop(net.layer_dims, 1)
+    assert forward_stats["nncore.forward_with_cache.rows"] == rows
+    assert forward_stats["nncore.flop"] == rows * per_row
+    assert backward_stats["nncore.flop"] == 2 * rows * per_row

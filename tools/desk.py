@@ -1,5 +1,6 @@
 """Run the desk pipeline of ``tests/test_acceptance.py`` once and print one
-JSON line: the seconds of each stage and the quality numbers it is graded on.
+JSON line: the seconds of each stage, the quality numbers it is graded on, and
+the sha256 of the trained ranker's and policy's parameter bytes.
 
     python tools/desk.py --seed S
 
@@ -9,6 +10,7 @@ fixture's own (``DESK_SL``, ``DESK_PPO``, ``DESK_HORIZON``, ``DESK_EVAL_N``).
 """
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 import time
@@ -67,6 +69,8 @@ def main() -> None:
         "ranker_top1_full_hpi": top1_accuracy(diag, sub),
         "history_width": diag.history_width,
         "ranker_inputs": diag.net.layer_dims[0],
+        "ranker_params_sha256": hashlib.sha256(diag.net.params.tobytes()).hexdigest(),
+        "policy_params_sha256": hashlib.sha256(policy.net.params.tobytes()).hexdigest(),
     }))
 
 
