@@ -183,13 +183,13 @@ def train_epoch(
     """One shuffled minibatch pass; returns mean loss and top-1 accuracy.
 
     Reproducible from (cfg.seed, epoch) alone: the shuffle and every
-    augmentation draw come from an RNG keyed on that pair.
+    augmentation draw come from an RNG keyed on that pair. A dataset without
+    the model's findings and diseases, in order, raises DigestMismatch.
     """
     cfg.validate()
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
-    if dataset.m != model.n_elements or dataset.n_diseases != model.n_diseases:
-        raise ShapeError("dataset dimensions do not match model")
+    check_dataset(model, dataset, "dataset")
     if adam is None:
         adam = nncore.init_adam(model.net.params)
     return _train_epoch(model, _dataset_arrays(dataset, model.history_width), cfg, epoch, adam)

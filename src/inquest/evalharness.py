@@ -29,7 +29,6 @@ from .consult_env import DisclosureProbs, UNMENTIONED_DENIED
 from .diagnosis import DiagnosisModel, check_dataset, net_input, predict_batch, rank_from_probs
 from .errors import (
     ConfigError,
-    DigestMismatch,
     EmptyInput,
     NoLegalAction,
     PairingError,
@@ -42,7 +41,7 @@ from .errors import (
     writing,
 )
 from .inquiry import InquiryPolicy
-from .ontology import HpiOntology
+from .ontology import HpiOntology, check_built_against
 from .patientgen import (
     CONFIRMED,
     PatientDataset,
@@ -160,11 +159,10 @@ def baseline_policy(kind: str):
 def check_models(policy, diag_model: DiagnosisModel, ontology: HpiOntology) -> None:
     """Raise DigestMismatch unless the ranker, and the policy if it is a
     trained one, were built against ``ontology``."""
-    if diag_model.ontology_digest != ontology.content_digest:
-        raise DigestMismatch("diagnosis model was built against a different ontology")
-    policy_digest = getattr(policy, "ontology_digest", None)
-    if policy_digest is not None and policy_digest != ontology.content_digest:
-        raise DigestMismatch("policy was built against a different ontology")
+    pairs = [("diagnosis model", diag_model.ontology_digest)]
+    if getattr(policy, "ontology_digest", None) is not None:
+        pairs.append(("policy", policy.ontology_digest))
+    check_built_against(ontology, pairs)
 
 
 def consult_batch(

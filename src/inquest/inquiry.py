@@ -27,7 +27,6 @@ from .diagnosis import (
 )
 from .errors import (
     ConfigError,
-    DigestMismatch,
     DomainError,
     EmptyDataset,
     NoLegalAction,
@@ -35,7 +34,7 @@ from .errors import (
     ShapeError,
     writing,
 )
-from .ontology import HpiOntology
+from .ontology import HpiOntology, check_built_against
 from .patientgen import PatientDataset, encode_histories, streams
 
 _TAG_PPO = (1 << 40) + 4
@@ -284,14 +283,12 @@ def collect_rollouts(
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot roll out against an empty dataset")
-    for name, digest in (
+    check_built_against(ontology, (
         ("policy", policy.ontology_digest),
         ("value net", value.ontology_digest),
         ("diagnosis model", diag_model.ontology_digest),
         ("dataset", dataset.ontology_digest),
-    ):
-        if digest != ontology.content_digest:
-            raise DigestMismatch(f"{name} was built against a different ontology")
+    ))
 
     rngs = streams((seed, iteration), range(n_episodes))
     patients = [dataset.records[int(rng.integers(len(dataset)))] for rng in rngs]

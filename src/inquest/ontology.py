@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, reading, writing
+from .errors import DigestMismatch, ParseError, ValidationError, reading, writing
 
 FIRST = 1
 SECOND = 2
@@ -229,6 +229,14 @@ def check_hierarchy(ontology: HpiOntology, hpi: np.ndarray, what: str, ids) -> N
         raise ValidationError(
             f"{what} {ids[row]}: element {e} confirmed under non-confirmed parent"
         )
+
+
+def check_built_against(ontology: HpiOntology, artifacts) -> None:
+    """Raise DigestMismatch naming the first of ``artifacts``, ``(name,
+    ontology digest)`` pairs, that was not built against ``ontology``."""
+    for name, digest in artifacts:
+        if digest != ontology.content_digest:
+            raise DigestMismatch(f"{name} was built against a different ontology")
 
 
 def _parse_int(text: str, what: str, row: int) -> int:

@@ -46,6 +46,7 @@ from .ontology import (
     HpiElement,
     HpiOntology,
     Question,
+    check_built_against,
     check_hierarchy,
 )
 from .ontology import validate as validate_ontology
@@ -62,10 +63,10 @@ N_SIGNATURES = 3
 # uniforms take about 0.4 MB.
 SAMPLE_BLOCK = 256
 
-# Dataset lines parsed and checked together by load_dataset. At the desk
-# shape a block's parsed rows and stacked int64 HPI matrix take about 0.1 MB;
-# blocks of SAMPLE_BLOCK lines raised peak RSS by about 0.25 MB and loaded
-# no faster.
+# Dataset lines that load_dataset parses and then checks together, by the
+# record rule save_dataset applies too. At the desk shape a block's parsed
+# rows and stacked int64 HPI matrix take about 0.1 MB; blocks of SAMPLE_BLOCK
+# lines raised peak RSS by about 0.25 MB and loaded no faster.
 LOAD_BLOCK = 64
 
 # Disjoint RNG stream tags; record streams use plain (seed, index), so tags
@@ -780,44 +781,63 @@ def _header_path(path: Path) -> Path:
     return path.with_name(path.stem + ".header.json")
 
 
-def _record_lines(dataset: PatientDataset) -> list[str]:
-    """The records' JSON lines: the bytes of ``json.dumps`` with sorted keys
-    and no spaces, without a per-record ``json.dumps``. A record that
-    ``load_dataset`` would reject raises before any line is built."""
-    records, m = dataset.records, dataset.m
-    hpis = []
-    for r in records:
-        if not isinstance(r.id, str):
-            raise ValidationError(f"record id {r.id!r} is not a string")
+def _check_records(
+    records: list[PatientRecord], m: int, d: int
+) -> np.ndarray | tuple[int, str, str]:
+    """The record rule of dataset files, which ``save_dataset`` applies before
+    it writes and ``load_dataset`` after it reads: the records' hpi stacked as
+    an (N, M) int8 matrix, or ``(index, rule, message)`` for the first record
+    that breaks a rule and the first rule it breaks, the message naming it.
+
+    The rules, in order: "id", a string; "integers", age, label and each flag
+    exact ints (a bool is not one) and the flags a tuple; "hpi", M entries,
+    each 0, 1 or 2 (a row of booleans alone is refused, one mixing booleans
+    and integers reads as integers); "label", in [0, d); "sex", one of SEXES.
+    A float NaN or infinity breaks "non-finite" in place of "integers" or
+    "hpi". The hpi rule is checked once over the stacked matrix, and on a row
+    alone only when that check fails or the row opens with a boolean.
+    """
+    try:
+        hpi = np.array([r.hpi for r in records])
+        stacked = (hpi.shape == (len(records), m) and hpi.dtype.kind in "iu"
+                   and not ((hpi < 0) | (hpi > 2)).any())
+    except ValueError:
+        stacked = False
+    for i, r in enumerate(records):
         age, label, flags = r.age, r.label, r.prior_flags
-        # Exact ints, as load_dataset reads them: a bool is not one.
+        if type(r.id) is not str:
+            return i, "id", f"record id {r.id!r} is not a string"
         if not (type(age) is int and type(label) is int and type(flags) is tuple
                 and all(type(v) is int for v in flags)):
-            values = (age, label, *flags) if isinstance(flags, tuple) else (age, label)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise NonFinite(f"record {r.id}: non-finite age, label or flag; nothing written")
-            raise ValidationError(f"record {r.id}: age, label and prior_flags must be integers")
-        if not 0 <= label < dataset.n_diseases:
-            raise ValidationError(f"record {r.id}: label {label} out of range")
+            values = (age, label, *flags) if type(flags) is tuple else (age, label)
+            nan = any(isinstance(v, float) and not math.isfinite(v) for v in values)
+            return (i, "non-finite" if nan else "integers",
+                    f"record {r.id}: label, age and prior_flags must be integers")
+        if not stacked or m and type(r.hpi[0]) in (bool, np.bool_):
+            try:
+                h = np.asarray(r.hpi)
+            except ValueError:
+                return i, "hpi", f"record {r.id}: malformed hpi"
+            if h.shape != (m,):
+                return i, "hpi", f"record {r.id}: hpi of shape {h.shape} is not of length M={m}"
+            if h.dtype.kind not in "iu" or ((h < 0) | (h > 2)).any():
+                nan = h.dtype.kind == "f" and not np.isfinite(h).all()
+                return (i, "non-finite" if nan else "hpi",
+                        f"record {r.id}: hpi entries must be 0, 1 or 2")
+        if not 0 <= label < d:
+            return i, "label", f"record {r.id}: label {label} out of range"
         if r.sex not in SEXES:
-            raise ValidationError(f"record {r.id}: unknown sex {r.sex!r}")
-        h = np.asarray(r.hpi)
-        if h.shape != (m,):
-            raise ValidationError(f"record {r.id}: hpi shape {h.shape} != ({m},)")
-        if h.dtype.kind not in "iu":
-            if h.dtype.kind == "f" and not np.isfinite(h).all():
-                raise NonFinite(f"record {r.id}: hpi holds a NaN or infinity; nothing written")
-            raise ValidationError(f"record {r.id}: hpi entries must be integers, "
-                                  f"got dtype {h.dtype}")
-        hpis.append(h)
-    hpi = np.stack(hpis) if hpis else np.zeros((0, m), dtype=np.int8)
-    bad = ((hpi < 0) | (hpi > 2)).any(axis=1)
-    if bad.any():
-        raise ValidationError(f"record {records[bad.argmax()].id}: hpi entries must be "
-                              f"0, 1 or 2")
+            return i, "sex", f"record {r.id}: unknown sex {r.sex!r}"
+    # No record broke a rule, so ``hpi`` holds M integers a row, or is empty.
+    return hpi.reshape(len(records), m).astype(np.int8)
 
+
+def _record_lines(records: list[PatientRecord], hpi: np.ndarray) -> list[str]:
+    """The JSON lines of ``records``, whose stacked hpi is ``hpi``: the bytes
+    of ``json.dumps`` with sorted keys and no spaces, without a per-record
+    ``json.dumps``."""
     # Row i of ``digits`` is record i's hpi as ASCII "d,d,...,d,".
-    width = 2 * m
+    width = 2 * hpi.shape[1]
     digits = np.full((len(records), width), ord(","), dtype=np.uint8)
     digits[:, 0::2] = hpi + ord("0")
     hpi_text = digits.tobytes().decode("ascii")
@@ -834,11 +854,11 @@ def _record_lines(dataset: PatientDataset) -> list[str]:
 def save_dataset(dataset: PatientDataset, path: str | Path) -> None:
     """Write records as JSON-lines plus a ``*.header.json`` sidecar; lossless.
 
-    A record that ``load_dataset`` would reject (an id that is not a string,
-    an age, label or flag that is not an integer, a label out of range, an
-    unknown sex, an hpi that is not M entries in 0..2) raises
-    ValidationError, and a non-finite value NonFinite, before either file is
-    created; a file that cannot be written raises IoError and leaves neither."""
+    The records are checked by the one record rule the loader applies too
+    (``_check_records``). The first bad record raises ValidationError naming
+    it and the first rule it breaks, or NonFinite for a NaN or infinity, before
+    either file is created; a file that cannot be written raises IoError and
+    leaves neither."""
     path = Path(path)
     header = {
         "D": dataset.n_diseases,
@@ -848,136 +868,93 @@ def save_dataset(dataset: PatientDataset, path: str | Path) -> None:
         "ontology_digest": dataset.ontology_digest,
     }
     head = json_line(header, "dataset")
-    lines = _record_lines(dataset)
+    hpi = _check_records(dataset.records, dataset.m, dataset.n_diseases)
+    if isinstance(hpi, tuple):
+        _, rule, message = hpi
+        raise (NonFinite if rule == "non-finite" else ValidationError)(message)
+    lines = _record_lines(dataset.records, hpi)
     with writing(_header_path(path)) as head_fh, writing(path) as fh:
         head_fh.write(head)
         fh.writelines(lines)
 
 
-def load_dataset(path: str | Path, ontology: HpiOntology | None = None) -> PatientDataset:
-    """Read a dataset back; verifies the header digest against ``ontology``
-    when given, plus per-record shape and hierarchy consistency. A file that
-    cannot be read raises IoError, malformed content ParseError."""
-    path = Path(path)
-    with reading(f"dataset {path}"):
-        return _load_dataset(path, ontology)
-
-
-def _parse_record(lineno: int, line: str, m: int, d: int) -> PatientRecord:
-    """One JSON line's record, checked field by field; the first failed check
-    raises."""
-    try:
-        row = json.loads(line)
-    except json.JSONDecodeError:
-        raise ParseError(f"line {lineno}: malformed record") from None
-    if not isinstance(row, dict):
-        raise ParseError(f"line {lineno}: malformed record")
-    rid = row.get("id", f"line{lineno}")
-    if not isinstance(rid, str):
-        raise ParseError(f"line {lineno}: record id must be a string")
-    missing = [k for k in _RECORD_FIELDS if k not in row]
-    if missing:
-        raise ParseError(f"record {rid}: missing field {missing[0]!r}")
-    # Integers only: a float, bool or string would otherwise be
-    # truncated or coerced into a silently different record.
-    label, age, flags = row["label"], row["age"], row["prior_flags"]
-    if type(label) is not int or type(age) is not int or not (
-        isinstance(flags, list) and all(type(v) is int for v in flags)
-    ):
-        raise ParseError(f"record {rid}: label, age and prior_flags must be integers")
-    try:
-        hpi = np.array(row["hpi"])
-    except ValueError:
-        raise ParseError(f"record {rid}: malformed hpi") from None
-    if hpi.shape != (m,):
-        raise ParseError(f"record {rid}: hpi length {hpi.size} != M={m}")
-    if hpi.dtype.kind != "i" or np.any((hpi < 0) | (hpi > 2)):
-        raise ParseError(f"record {rid}: hpi entries must be 0, 1 or 2")
-    if not 0 <= label < d:
-        raise ValidationError(f"record {rid}: label {label} out of range")
-    if row["sex"] not in SEXES:
-        raise ParseError(f"record {rid}: unknown sex {row['sex']!r}")
-    return PatientRecord(rid, age, row["sex"], tuple(flags), hpi.astype(np.int8), label)
-
-
-def _parse_block(
+def _load_block(
     block: list[tuple[int, str]], m: int, d: int, ontology: HpiOntology | None
 ) -> list[PatientRecord]:
-    """The records of ``block``'s ``(lineno, line)`` pairs, the same as
-    ``_parse_record`` gives line by line, with the hpi and label checks made
-    once over the block. When any check fails, the block is parsed again by
-    ``_parse_record``, which raises the first bad record's error. Then, given
-    an ``ontology``, the block's hpi matrix is checked against its hierarchy."""
-    try:
-        rows = [json.loads(line) for _, line in block]
-        ids = [row.get("id", f"line{lineno}") for (lineno, _), row in zip(block, rows)]
-        hpis, labels, ages, sexes, flags = (
-            [row[k] for row in rows] for k in ("hpi", "label", "age", "sex", "prior_flags")
-        )
-        hpi = np.array(hpis)
-    except (ValueError, TypeError, KeyError, AttributeError, RecursionError):
-        hpi = None
-    ok = (
-        hpi is not None and hpi.shape == (len(block), m) and hpi.dtype.kind == "i"
-        # A row of booleans alone is rejected, but stacks among integer rows
-        # as integers.
-        and all(type(h[0]) is not bool for h in hpis)
-        and all(type(i) is str for i in ids)
-        and all(type(v) is int for v in labels + ages)
-        and all(type(fl) is list and all(type(v) is int for v in fl) for fl in flags)
-        and all(sex in SEXES for sex in sexes)
-        and hpi.min() >= 0 and hpi.max() <= 2
-        and min(labels) >= 0 and max(labels) < d
-    )
-    if ok:
-        hpi = hpi.astype(np.int8)
-        records = [
-            PatientRecord(rid, age, sex, tuple(fl), h, label)
-            for rid, age, sex, fl, h, label in zip(ids, ages, sexes, flags, hpi, labels)
-        ]
-    else:
-        records = [_parse_record(lineno, line, m, d) for lineno, line in block]
-        ids, hpi = [r.id for r in records], [r.hpi for r in records]
+    """The records of ``block``'s ``(lineno, line)`` pairs, each line parsed
+    once. The records before the first line that is not a JSON object or
+    lacks a field are checked by ``_check_records`` and, given an
+    ``ontology``, against its hierarchy; then that line raises ParseError."""
+    records: list[PatientRecord] = []
+    for lineno, line in block:
+        try:
+            row = json.loads(line)
+        except (ValueError, RecursionError):
+            row = None
+        if type(row) is not dict or any(k not in row for k in _RECORD_FIELDS):
+            break
+        flags = row["prior_flags"]
+        records.append(PatientRecord(
+            row.get("id", f"line{lineno}"), row["age"], row["sex"],
+            tuple(flags) if type(flags) is list else flags, row["hpi"], row["label"],
+        ))
+    hpi = _check_records(records, m, d)
+    if isinstance(hpi, tuple):
+        i, rule, message = hpi
+        raise (ValidationError if rule == "label" else ParseError)(f"line {block[i][0]}: {message}")
+    for r, h in zip(records, hpi):
+        r.hpi = h
     if ontology is not None and records:
-        check_hierarchy(ontology, hpi, "record", ids)
+        check_hierarchy(ontology, hpi, "record", [r.id for r in records])
+    if len(records) < len(block):  # the loop stopped at ``row``, read from line ``lineno``
+        missing = [k for k in _RECORD_FIELDS if k not in row] if type(row) is dict else []
+        raise ParseError(f"line {lineno}: "
+                         + (f"missing field {missing[0]!r}" if missing else "malformed record"))
     return records
 
 
-def _load_dataset(path: Path, ontology: HpiOntology | None) -> PatientDataset:
-    raw = json.loads(_header_path(path).read_text(encoding="utf-8"))
-    header = fields(raw, _HEADER, "header")
-    genmodel_digest = raw.get("genmodel_digest")
-    if genmodel_digest is not None:
-        fields(raw, {"genmodel_digest": str}, "header")
-    m, d, names = header["M"], header["D"], header["disease_names"]
-    if m < 0 or len(names) != d:  # so D >= 0 too
-        raise ParseError("header M must be non-negative and disease_names D strings")
-    if ontology is not None:
-        if ontology.content_digest != header["ontology_digest"]:
-            raise DigestMismatch("dataset was built against a different ontology")
-        if ontology.n_elements != m:
-            raise DigestMismatch("header element count does not match ontology")
+def load_dataset(path: str | Path, ontology: HpiOntology | None = None) -> PatientDataset:
+    """Read a dataset back. Each record is checked by the one record rule the
+    writer applies too (``_check_records``), and, given ``ontology``, against
+    its digest and hierarchy. A file that cannot be read raises IoError; the
+    first bad record in file order raises ParseError, or ValidationError for a
+    label out of range or a hierarchy broken, naming its line and the first
+    rule it breaks."""
+    path = Path(path)
+    with reading(f"dataset {path}"):
+        raw = json.loads(_header_path(path).read_text(encoding="utf-8"))
+        header = fields(raw, _HEADER, "header")
+        genmodel_digest = raw.get("genmodel_digest")
+        if genmodel_digest is not None:
+            fields(raw, {"genmodel_digest": str}, "header")
+        m, d, names = header["M"], header["D"], header["disease_names"]
+        if m < 0 or len(names) != d:  # so D >= 0 too
+            raise ParseError("header M must be non-negative and disease_names D strings")
+        if ontology is not None:
+            check_built_against(ontology, [("dataset", header["ontology_digest"])])
+            if ontology.n_elements != m:
+                raise DigestMismatch("header element count does not match ontology")
 
-    records: list[PatientRecord] = []
-    block: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if line.strip():
-                    block.append((lineno, line))
-                if len(block) == LOAD_BLOCK:
-                    records += _parse_block(block, m, d, ontology)
-                    block = []
-        except (OSError, UnicodeDecodeError):
-            # A bad record read before the failed read is reported first, as
-            # a line-by-line reader would.
-            _parse_block(block, m, d, None)
-            raise
-    records += _parse_block(block, m, d, ontology)
-    return PatientDataset(
-        records=records,
-        disease_names=names,
-        m=m,
-        ontology_digest=header["ontology_digest"],
-        genmodel_digest=genmodel_digest,
-    )
+        records: list[PatientRecord] = []
+        block: list[tuple[int, str]] = []
+        with open(path, encoding="utf-8") as fh:
+            try:
+                for lineno, line in enumerate(fh, start=1):
+                    if line.strip():
+                        block.append((lineno, line))
+                    if len(block) == LOAD_BLOCK:
+                        records += _load_block(block, m, d, ontology)
+                        block = []
+            except (OSError, UnicodeDecodeError):
+                # A bad record read before the failed read is reported first, as
+                # a line-by-line reader would.
+                _load_block(block, m, d, None)
+                raise
+        records += _load_block(block, m, d, ontology)
+        return PatientDataset(
+            records=records,
+            disease_names=names,
+            m=m,
+            ontology_digest=header["ontology_digest"],
+            genmodel_digest=genmodel_digest,
+        )

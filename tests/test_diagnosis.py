@@ -311,8 +311,12 @@ def test_rejects_empty_and_mismatched_data(toy):
     model = fresh_model(toy)
     wrong_m = generate_cohort(toy, 4, seed=0)
     wrong_m.m = 9
-    with pytest.raises(ShapeError):
+    with pytest.raises(DigestMismatch):
         train_epoch(model, wrong_m, cfg)
+    reversed_names = generate_cohort(toy, 4, seed=0)
+    reversed_names.disease_names = reversed_names.disease_names[::-1]
+    with pytest.raises(DigestMismatch):
+        train_epoch(model, reversed_names, cfg)
     with pytest.raises(DomainError):
         SlTrainConfig(hide_lo=0.9, hide_hi=0.2).validate()
 

@@ -648,6 +648,44 @@ def test_save_dataset_refuses_what_the_loader_rejects(tmp_path, toy, field, valu
     assert not path.exists() and not (tmp_path / "cohort.header.json").exists()
 
 
+# JSON values that replace one field of a valid record: wrong types, values
+# out of range, booleans, strings, None, and hpi lists short, long or of floats.
+_FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2**70), st.text(max_size=3),
+    st.sampled_from(SEXES), st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(-1, 3) | st.booleans(), max_size=9),
+    st.lists(st.sampled_from([0, 1, 2, 0.0, 1.0, 2.0]), min_size=6, max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(["id", "age", "sex", "prior_flags", "hpi", "label"]),
+       value=_FIELD_VALUES)
+def test_save_refuses_a_record_exactly_when_load_refuses_its_line(
+    tmp_path_factory, toy, field, value
+):
+    ds = generate_cohort(toy, 3, seed=0)
+    r = ds.records[1]
+    row = {"id": r.id, "age": r.age, "sex": r.sex, "prior_flags": list(r.prior_flags),
+           "hpi": r.hpi.tolist(), "label": r.label, field: value}
+    # A record holds its flags as a tuple, which a JSON list becomes on load.
+    flags = row["prior_flags"]
+    ds.records[1] = dataclasses.replace(
+        r, **{field: tuple(flags) if field == "prior_flags" and type(flags) is list else value})
+    tmp = tmp_path_factory.mktemp("rule")
+    try:
+        save_dataset(ds, tmp / "saved.jsonl")
+        saved = True
+    except (ValidationError, NonFinite):
+        saved = False
+    try:
+        load_dataset(_write_rows(tmp / "line", [row]))
+        loaded = True
+    except (ParseError, ValidationError):
+        loaded = False
+    assert saved == loaded
+
+
 def reference_save(dataset, path):
     """The per-record ``json.dumps`` writer, kept as the byte-for-byte reference."""
     lines = [
@@ -790,6 +828,10 @@ def _write_lines(tmp_path, lines):
     ({LOAD_BLOCK - 1: {"sex": None}, LOAD_BLOCK: {"hpi": [3] * 7}},
      ParseError, f"record p{LOAD_BLOCK - 1}: unknown sex"),
     ({2 * LOAD_BLOCK + 2: "[1, 2]"}, ParseError, f"line {2 * LOAD_BLOCK + 3}: malformed"),
+    # A float hpi entry in a block of integers, before a bad label.
+    ({5: {"hpi": [1, 0, 0, 1.0, 0, 0, 0]}, 7: {"label": 9}}, ParseError, "record p5: hpi entries"),
+    # An unknown sex, then a line of the same block that lacks a field.
+    ({5: {"sex": "other"}, 7: '{"id": "p7", "age": 40}'}, ParseError, "record p5: unknown sex"),
 ])
 def test_load_reports_the_first_bad_record_in_file_order(tmp_path, edits, error, message):
     lines = []

@@ -1,6 +1,8 @@
 """Run the desk pipeline of ``tests/test_acceptance.py`` once and print one
 JSON line: the seconds of each stage, the quality numbers it is graded on, and
-the sha256 of the trained ranker's and policy's parameter bytes.
+the sha256 of the trained ranker's and policy's parameter bytes. The stages
+include a save and a load of the cohort, in a temporary directory; the script
+fails unless the loaded cohort equals the sampled one.
 
     python tools/desk.py --seed S
 
@@ -13,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -27,6 +30,8 @@ from inquest.patientgen import (  # noqa: E402
     benchmark_genmodel,
     benchmark_ontology,
     generate_cohort,
+    load_dataset,
+    save_dataset,
     split_dataset,
 )
 from tests.test_acceptance import DESK_EVAL_N, DESK_HORIZON, DESK_PPO, DESK_SL  # noqa: E402
@@ -46,6 +51,11 @@ def main() -> None:
 
     onto = benchmark_ontology()
     cohort = timed("cohort", generate_cohort, benchmark_genmodel(onto), 20_000, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.jsonl"
+        timed("save_dataset", save_dataset, cohort, path)
+        if timed("load_dataset", load_dataset, path, ontology=onto) != cohort:
+            raise SystemExit("load_dataset(save_dataset(cohort)) differs from the cohort")
     train, _, test = split_dataset(cohort, (0.6, 0.1, 0.3), seed=seed)
     diag, _ = timed("ranker", train_diagnosis, train, dataclasses.replace(DESK_SL, seed=seed))
     policy, _, _ = timed("ppo", train_inquiry, train, diag, onto,
