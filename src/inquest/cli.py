@@ -117,6 +117,30 @@ def _int_list(raw: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from None
 
 
+# Settings fields whose flag is not named after the field; the flag's dest,
+# which is also its config-file key, is the name given here.
+_FLAG_NAMES = {"episodes_per_iter": "episodes", "minibatch_size": "minibatch"}
+_FLAG_TYPES = {int: int, float: float, tuple: _int_list}
+
+
+def _add_settings(parser, cls) -> None:
+    """A flag for each field of the settings dataclass ``cls``, defaulting to
+    the field's default. ``seed`` (in ``common``) and boolean fields, such as
+    ``augment`` behind ``--no-augment``, are declared by hand."""
+    for f in dataclasses.fields(cls):
+        if f.name != "seed" and type(f.default) in _FLAG_TYPES:
+            name = _FLAG_NAMES.get(f.name, f.name)
+            parser.add_argument("--" + name.replace("_", "-"),
+                                type=_FLAG_TYPES[type(f.default)], default=f.default)
+
+
+def _settings(cls, args, **given):
+    """A ``cls`` settings dataclass: each field not in ``given`` comes from the
+    parsed flag ``_add_settings`` declared for it, or from ``--seed``."""
+    return cls(**{f.name: getattr(args, _FLAG_NAMES.get(f.name, f.name))
+                  for f in dataclasses.fields(cls) if f.name not in given}, **given)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand parser
 # ---------------------------------------------------------------------------
@@ -140,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     dialogue.add_argument("--noise", type=float, default=0.0)
     dialogue.add_argument("--unmentioned-answer", default=UNMENTIONED_DENIED,
                           choices=(UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN))
-    for f in dataclasses.fields(DisclosureProbs):
-        dialogue.add_argument(f"--{f.name}", type=float, default=f.default)
+    _add_settings(dialogue, DisclosureProbs)
 
     p = sub.add_parser("gen-ontology", help="write a synthetic two-level element tree")
     common(p, seeded=False)
@@ -166,14 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--val-data", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=SlTrainConfig.epochs)
-    p.add_argument("--batch-size", type=int, default=SlTrainConfig.batch_size)
-    p.add_argument("--lr", type=float, default=SlTrainConfig.lr)
-    p.add_argument("--hidden", type=_int_list, default=SlTrainConfig.hidden)
+    _add_settings(p, SlTrainConfig)
     p.add_argument("--no-augment", action="store_true",
                    help="train on full observations only")
-    p.add_argument("--hide-lo", type=float, default=SlTrainConfig.hide_lo)
-    p.add_argument("--hide-hi", type=float, default=SlTrainConfig.hide_hi)
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("train-inquiry", parents=[dialogue],
@@ -185,20 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--value-out", default=None)
     p.add_argument("--log", default=None, help="CSV iteration log path")
-    p.add_argument("--iterations", type=int, default=PpoConfig.iterations)
-    p.add_argument("--episodes", type=int, default=PpoConfig.episodes_per_iter)
-    p.add_argument("--minibatch", type=int, default=PpoConfig.minibatch_size)
-    p.add_argument("--clip-eps", type=float, default=PpoConfig.clip_eps)
-    p.add_argument("--update-epochs", type=int, default=PpoConfig.update_epochs)
-    p.add_argument("--gamma", type=float, default=PpoConfig.gamma)
-    p.add_argument("--lam-gae", type=float, default=PpoConfig.lam_gae)
-    p.add_argument("--policy-lr", type=float, default=PpoConfig.policy_lr)
-    p.add_argument("--value-lr", type=float, default=PpoConfig.value_lr)
-    p.add_argument("--entropy-coef", type=float, default=PpoConfig.entropy_coef)
-    p.add_argument("--hidden", type=_int_list, default=PpoConfig.hidden)
-    p.add_argument("--time-penalty", type=float, default=RewardParams.time_penalty)
-    p.add_argument("--first-level-weight", type=float, default=RewardParams.first_level_weight)
-    p.add_argument("--negative-discount", type=float, default=RewardParams.negative_discount)
+    _add_settings(p, PpoConfig)
+    _add_settings(p, RewardParams)
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("eval", parents=[dialogue],
@@ -243,19 +249,6 @@ def _load_pair(args):
     return onto, ds
 
 
-def _settings(cls, args, **given):
-    """A ``cls`` settings dataclass: each field not in ``given`` comes from the
-    parsed flag of the same name."""
-    return cls(**{f.name: getattr(args, f.name)
-                  for f in dataclasses.fields(cls) if f.name not in given}, **given)
-
-
-def _disclosure(args) -> DisclosureProbs:
-    probs = _settings(DisclosureProbs, args)
-    probs.validate()
-    return probs
-
-
 def _select_policy(args):
     if (args.policy is None) == (args.baseline is None):
         raise ConfigError("pass exactly one of --policy or --baseline")
@@ -288,9 +281,9 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_diag(args) -> int:
+    cfg = _settings(SlTrainConfig, args, augment=not args.no_augment)
     onto, ds = _load_pair(args)
     val = load_dataset(args.val_data, ontology=onto) if args.val_data else None
-    cfg = _settings(SlTrainConfig, args, augment=not args.no_augment)
     log = None if args.quiet else print
     model, history = train_diagnosis(ds, cfg, val=val, log=log)
     save_diagnosis(model, args.out)
@@ -300,12 +293,11 @@ def cmd_train_diag(args) -> int:
 
 
 def cmd_train_inquiry(args) -> int:
+    cfg = _settings(PpoConfig, args)
+    reward = _settings(RewardParams, args)
+    disclosure = _settings(DisclosureProbs, args)
     onto, ds = _load_pair(args)
     diag = load_diagnosis(args.diag)
-    cfg = _settings(PpoConfig, args, episodes_per_iter=args.episodes,
-                    minibatch_size=args.minibatch)
-    reward = _settings(RewardParams, args)
-    disclosure = _disclosure(args)
     log = None if args.quiet else print
     policy, value, history = train_inquiry(
         ds, diag, onto, cfg, reward_params=reward, disclosure=disclosure,
@@ -323,12 +315,13 @@ def cmd_train_inquiry(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    disclosure = _settings(DisclosureProbs, args)
     onto, ds = _load_pair(args)
     diag = load_diagnosis(args.diag)
     policy = _select_policy(args)
     report, traces = evaluate(
         policy, diag, ds, onto,
-        disclosure=_disclosure(args),
+        disclosure=disclosure,
         horizon=args.horizon,
         seed=args.seed,
         ks=args.k,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DigestMismatch, DomainError, IllegalAction
+from .errors import ConfigError, DigestMismatch, DomainError, IllegalAction, check_settings, setting
 from .ontology import CONFIRMED, DENIED, NOT_MENTIONED, HpiOntology, OntologyIndex, check_hierarchy
 from .patientgen import PatientRecord, full_evidence
 
@@ -55,16 +55,13 @@ class DisclosureProbs:
     negatives are not gated.
     """
 
-    p1p: float = 0.5
-    p1n: float = 0.1
-    p2p: float = 0.3
-    p2n: float = 0.05
+    p1p: float = setting(0.5, "rate")
+    p1n: float = setting(0.1, "rate")
+    p2p: float = setting(0.3, "rate")
+    p2n: float = setting(0.05, "rate")
 
-    def validate(self) -> None:
-        for name in ("p1p", "p1n", "p2p", "p2n"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {v}")
+    def __post_init__(self) -> None:
+        check_settings(self)
 
 
 @dataclass(frozen=True)
@@ -212,7 +209,6 @@ class Lockstep:
         noise: float = 0.0,
         unmentioned_answer: str = UNMENTIONED_DENIED,
     ):
-        probs.validate()
         _check_answering(noise, unmentioned_answer)
         if len(patients) != len(rngs):
             raise ConfigError("need one RNG per episode")

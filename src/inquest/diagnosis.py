@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from . import nncore
-from .errors import DigestMismatch, DomainError, EmptyDataset, ParseError, ShapeError, fields
+from .errors import (DigestMismatch, DomainError, EmptyDataset, ParseError, ShapeError,
+                     check_settings, fields, setting)
 from .patientgen import PatientDataset, encode_histories, full_evidence, history_width
 from .nncore import DenseNet, forward_with_cache, softmax
 
@@ -41,27 +42,21 @@ class DiagnosisModel:
         return len(self.disease_names)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlTrainConfig:
-    epochs: int = 30
-    batch_size: int = 64
-    lr: float = 1e-3
-    seed: int = 0
+    epochs: int = setting(30, "count")
+    batch_size: int = setting(64, "count")
+    lr: float = setting(1e-3, "non-negative")  # 0 trains nothing: the parameters stay frozen
+    seed: int = setting(0, "non-negative")
     augment: bool = True
-    hide_lo: float = 0.0
-    hide_hi: float = 0.8
+    hide_lo: float = setting(0.0, "rate")
+    hide_hi: float = setting(0.8, "rate")
     hidden: tuple[int, ...] = (256, 256)
 
-    def validate(self) -> None:
-        if not (0.0 <= self.hide_lo <= self.hide_hi <= 1.0):
+    def __post_init__(self) -> None:
+        check_settings(self)
+        if self.hide_lo > self.hide_hi:
             raise DomainError("hide-rate range must satisfy 0 <= lo <= hi <= 1")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise DomainError("epochs and batch_size must be >= 1")
-        if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
-        # lr = 0 is allowed: it trains nothing, which freezes the parameters.
-        if not (np.isfinite(self.lr) and self.lr >= 0.0):
-            raise DomainError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
@@ -186,7 +181,6 @@ def train_epoch(
     augmentation draw come from an RNG keyed on that pair. A dataset without
     the model's findings and diseases, in order, raises DigestMismatch.
     """
-    cfg.validate()
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     check_dataset(model, dataset, "dataset")
@@ -228,7 +222,6 @@ def train_diagnosis(
 ) -> tuple[DiagnosisModel, list[SlEpochMetrics]]:
     """Full supervised run: fresh model sized to the data, cfg.epochs passes, optional val
     log. A ``val`` of other findings or diseases raises DigestMismatch before training."""
-    cfg.validate()
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     model = new_diagnosis_model(

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the file boundary that
-raises them: ``reading`` for loaders, ``writing`` and ``json_line`` for writers,
-and ``fields`` for the typed fields of a JSON object a loader reads."""
+"""Exception types shared across the package, and the boundaries that raise
+them: ``reading`` and ``fields`` (a JSON object's typed fields) for loaders,
+``writing`` and ``json_line`` for writers, ``check_settings`` for settings."""
 import csv
+import dataclasses
 import json
 import math
+import numbers
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -159,3 +161,34 @@ def fields(obj, spec: dict, what: str) -> dict:
         except TypeError as exc:
             raise ParseError(f"{what} has a malformed {key!r}: {exc}") from None
     return out
+
+
+# Each rule a settings field can declare: what it requires, and the test that
+# a finite value of the field's kind must pass.
+SETTING_RULES = {
+    "count": ("an integer >= 1", lambda v: v >= 1),
+    "non-negative": ("non-negative", lambda v: v >= 0),
+    "positive": ("positive", lambda v: v > 0),
+    "rate": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "discount": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "finite": ("finite", lambda v: True),
+}
+
+
+def setting(default, rule: str):
+    """A settings dataclass field with ``default`` and one of ``SETTING_RULES``,
+    which the class's ``__post_init__`` applies through ``check_settings``."""
+    return dataclasses.field(default=default, metadata={"rule": rule})
+
+
+def check_settings(obj) -> None:
+    """Raise DomainError naming the first field of the settings dataclass
+    ``obj`` that breaks its rule. Every rule asks for a finite number, an
+    integer where the default is one, so NaN and infinity break them all."""
+    for f in dataclasses.fields(obj):
+        if "rule" in f.metadata:
+            value = getattr(obj, f.name)
+            kind = numbers.Integral if isinstance(f.default, int) else numbers.Real
+            says, holds = SETTING_RULES[f.metadata["rule"]]
+            if not (isinstance(value, kind) and math.isfinite(value) and holds(value)):
+                raise DomainError(f"{f.name} must be {says}, got {value!r}")

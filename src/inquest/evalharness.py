@@ -311,7 +311,7 @@ def evaluate(
     diag_model: DiagnosisModel,
     dataset: PatientDataset,
     ontology: HpiOntology,
-    disclosure: DisclosureProbs | None = None,
+    disclosure: DisclosureProbs = DisclosureProbs(),
     horizon: int = 10,
     seed: int = 0,
     ks=(1, 3, 5),
@@ -326,7 +326,6 @@ def evaluate(
     if len(dataset) == 0:
         raise EmptyInput("empty evaluation dataset")
     check_dataset(diag_model, dataset, "evaluation dataset")
-    disclosure = disclosure if disclosure is not None else DisclosureProbs()
     for k in (*ks, group_k):
         if int(k) < 1:
             raise ConfigError(f"recall cut-offs must be >= 1, got {k}")

@@ -26,12 +26,12 @@ from .diagnosis import (
     save_model,
 )
 from .errors import (
-    ConfigError,
-    DomainError,
     EmptyDataset,
     NoLegalAction,
     NonFinite,
     ShapeError,
+    check_settings,
+    setting,
     writing,
 )
 from .ontology import HpiOntology, check_built_against
@@ -83,53 +83,31 @@ class RewardParams:
     distributions) enters unweighted and unnormalized.
     """
 
-    time_penalty: float = 0.5
-    first_level_weight: float = 2.0
-    negative_discount: float = 0.5
+    time_penalty: float = setting(0.5, "non-negative")
+    first_level_weight: float = setting(2.0, "finite")
+    negative_discount: float = setting(0.5, "rate")
 
-    def validate(self) -> None:
-        for name in ("time_penalty", "first_level_weight", "negative_discount"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-        if self.time_penalty < 0:
-            raise DomainError("time_penalty must be >= 0")
-        if not 0.0 <= self.negative_discount <= 1.0:
-            raise DomainError("negative_discount must lie in [0, 1]")
+    def __post_init__(self) -> None:
+        check_settings(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PpoConfig:
-    iterations: int = 30
-    episodes_per_iter: int = 32
-    clip_eps: float = 0.2
-    update_epochs: int = 4
-    minibatch_size: int = 64
-    gamma: float = 0.99
-    lam_gae: float = 0.95
-    policy_lr: float = 1e-3
-    value_lr: float = 1e-3
-    entropy_coef: float = 0.01
+    iterations: int = setting(30, "count")
+    episodes_per_iter: int = setting(32, "count")
+    clip_eps: float = setting(0.2, "positive")
+    update_epochs: int = setting(4, "count")
+    minibatch_size: int = setting(64, "count")
+    gamma: float = setting(0.99, "discount")
+    lam_gae: float = setting(0.95, "rate")
+    policy_lr: float = setting(1e-3, "non-negative")
+    value_lr: float = setting(1e-3, "non-negative")
+    entropy_coef: float = setting(0.01, "non-negative")
     hidden: tuple[int, ...] = (128, 128)
-    seed: int = 0
+    seed: int = setting(0, "non-negative")
 
-    def validate(self) -> None:
-        for name in ("iterations", "episodes_per_iter", "update_epochs", "minibatch_size"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
-        if not (np.isfinite(self.clip_eps) and self.clip_eps > 0):
-            raise DomainError(f"clip_eps must be finite and positive, got {self.clip_eps}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise DomainError("gamma must lie in (0, 1]")
-        if not 0.0 <= self.lam_gae <= 1.0:
-            raise DomainError("lam_gae must lie in [0, 1]")
-        for name in ("policy_lr", "value_lr"):
-            lr = getattr(self, name)
-            if not (np.isfinite(lr) and lr >= 0.0):
-                raise DomainError(f"{name} must be finite and >= 0, got {lr}")
-        if not (np.isfinite(self.entropy_coef) and self.entropy_coef >= 0.0):
-            raise DomainError(f"entropy_coef must be finite and >= 0, got {self.entropy_coef}")
+    def __post_init__(self) -> None:
+        check_settings(self)
 
 
 @dataclass
@@ -444,7 +422,6 @@ def ppo_update(
     Advantages are normalized once per batch (guarding std >= 1e-8); legality
     masks recorded at collection are reused for every re-evaluation.
     """
-    cfg.validate()
     if len(batch) == 0:
         raise ShapeError("empty trajectory batch")
     if adam_policy is None:
@@ -495,8 +472,8 @@ def train_inquiry(
     diag_model: DiagnosisModel,
     ontology: HpiOntology,
     cfg: PpoConfig,
-    reward_params: RewardParams | None = None,
-    disclosure: DisclosureProbs | None = None,
+    reward_params: RewardParams = RewardParams(),
+    disclosure: DisclosureProbs = DisclosureProbs(),
     horizon: int = 10,
     noise: float = 0.0,
     unmentioned_answer: str = UNMENTIONED_DENIED,
@@ -504,11 +481,6 @@ def train_inquiry(
 ) -> tuple[InquiryPolicy, ValueNet, list[IterStats]]:
     """Full PPO run from fresh nets, which read histories as wide as the
     ranker's; returns the nets plus per-iteration stats."""
-    cfg.validate()
-    reward_params = reward_params if reward_params is not None else RewardParams()
-    disclosure = disclosure if disclosure is not None else DisclosureProbs()
-    reward_params.validate()
-    disclosure.validate()
     width = diag_model.history_width
     policy = new_inquiry_policy(
         width, dataset.m, ontology.n_questions, ontology.content_digest,

@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -114,42 +115,35 @@ class HpiOntology:
         return self.elements[element_id].parent
 
     def children_of(self, element_id: int) -> tuple[int, ...]:
-        return self._children_map().get(element_id, ())
+        return self._children_map.get(element_id, ())
 
     def first_level_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.elements if e.level == FIRST)
 
-    @property
+    @cached_property
     def index(self) -> OntologyIndex:
         """The array index, built on first use and cached."""
-        cached = getattr(self, "_index_cache", None)
-        if cached is None:
-            m, k = self.n_elements, self.n_questions
-            up = np.arange(m)
-            for e in self.elements:
-                if e.parent is not None:
-                    up[e.id] = e.parent
-            targets = np.zeros((m, k))
-            gates = np.zeros((m, k))
-            for q in self.questions:
-                targets[list(q.targets), q.id] = 1.0
-                for t in q.targets:
-                    if up[t] != t:
-                        gates[up[t], q.id] = 1.0
-            cached = OntologyIndex(up, up != np.arange(m), targets, gates)
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+        m, k = self.n_elements, self.n_questions
+        up = np.arange(m)
+        for e in self.elements:
+            if e.parent is not None:
+                up[e.id] = e.parent
+        targets = np.zeros((m, k))
+        gates = np.zeros((m, k))
+        for q in self.questions:
+            targets[list(q.targets), q.id] = 1.0
+            for t in q.targets:
+                if up[t] != t:
+                    gates[up[t], q.id] = 1.0
+        return OntologyIndex(up, up != np.arange(m), targets, gates)
 
+    @cached_property
     def _children_map(self) -> dict[int, tuple[int, ...]]:
-        cached = getattr(self, "_children_cache", None)
-        if cached is None:
-            out: dict[int, list[int]] = {}
-            for e in self.elements:
-                if e.level == SECOND and e.parent is not None:
-                    out.setdefault(e.parent, []).append(e.id)
-            cached = {k: tuple(sorted(v)) for k, v in out.items()}
-            object.__setattr__(self, "_children_cache", cached)
-        return cached
+        out: dict[int, list[int]] = {}
+        for e in self.elements:
+            if e.level == SECOND and e.parent is not None:
+                out.setdefault(e.parent, []).append(e.id)
+        return {k: tuple(sorted(v)) for k, v in out.items()}
 
 
 def _digest(elements, questions) -> str:

@@ -263,6 +263,9 @@ def generate_ontology(m1: int, m2: int, n_open: int = 0, n_closed: int | None = 
     """
     if m1 < 1:
         raise ConfigError("need at least one first-level element")
+    for name, count in (("m2", m2), ("n_open", n_open)):
+        if count < 0:
+            raise ConfigError(f"{name} must be non-negative, got {count}")
     m = m1 + m2
     if n_closed is None:
         n_closed = m
@@ -792,14 +795,15 @@ def _check_records(
     The rules, in order: "id", a string; "integers", age, label and each flag
     exact ints (a bool is not one) and the flags a tuple; "hpi", M entries,
     each 0, 1 or 2 (a row of booleans alone is refused, one mixing booleans
-    and integers reads as integers); "label", in [0, d); "sex", one of SEXES.
+    and integers reads as integers, and an empty row, as JSON ``[]`` loads, is
+    of no kind); "label", in [0, d); "sex", one of SEXES.
     A float NaN or infinity breaks "non-finite" in place of "integers" or
     "hpi". The hpi rule is checked once over the stacked matrix, and on a row
     alone only when that check fails or the row opens with a boolean.
     """
     try:
         hpi = np.array([r.hpi for r in records])
-        stacked = (hpi.shape == (len(records), m) and hpi.dtype.kind in "iu"
+        stacked = (hpi.shape == (len(records), m) and (hpi.dtype.kind in "iu" or not hpi.size)
                    and not ((hpi < 0) | (hpi > 2)).any())
     except ValueError:
         stacked = False
@@ -820,7 +824,7 @@ def _check_records(
                 return i, "hpi", f"record {r.id}: malformed hpi"
             if h.shape != (m,):
                 return i, "hpi", f"record {r.id}: hpi of shape {h.shape} is not of length M={m}"
-            if h.dtype.kind not in "iu" or ((h < 0) | (h > 2)).any():
+            if h.size and (h.dtype.kind not in "iu" or ((h < 0) | (h > 2)).any()):
                 nan = h.dtype.kind == "f" and not np.isfinite(h).all()
                 return (i, "non-finite" if nan else "hpi",
                         f"record {r.id}: hpi entries must be 0, 1 or 2")

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line surface and the consultation REPL."""
+import dataclasses
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,10 +17,10 @@ from inquest.cli import (
 )
 from inquest.consult_env import DisclosureProbs
 from inquest.diagnosis import SlTrainConfig, new_diagnosis_model, predict, rank_from_probs
-from inquest.errors import ConfigError, ParseError
+from inquest.errors import ConfigError, DomainError, ParseError
 from inquest.evalharness import FIXED_ORDER, baseline_policy, load_report, load_traces
 from inquest.inquiry import PpoConfig, RewardParams
-from inquest.patientgen import encode_history, load_dataset, toy_ontology
+from inquest.patientgen import encode_history, generate_ontology, load_dataset, toy_ontology
 from inquest.ontology import load_ontology
 
 
@@ -272,6 +274,28 @@ def test_shared_dialogue_flags_parse_as_before(argv, want):
     assert vars(build_parser().parse_args(argv)) == want
 
 
+_TRAIN_DIAG_DEFAULTS = {
+    "command": "train-diag", "config": None, "seed": 0, "ontology": "o", "data": "d",
+    "val_data": None, "out": "x", "epochs": 30, "batch_size": 64, "lr": 0.001,
+    "hidden": (256, 256), "no_augment": False, "hide_lo": 0.0, "hide_hi": 0.8, "quiet": False,
+}
+
+
+# The expected namespaces are those that the parser gave when train-diag declared
+# each flag by hand; the types are pinned along with the values.
+@pytest.mark.parametrize("flags, changed", [
+    ([], {}),
+    (["--hidden", "8,4", "--no-augment", "--hide-lo", "0.1", "--lr", "0.01"],
+     {"hidden": (8, 4), "no_augment": True, "hide_lo": 0.1, "lr": 0.01}),
+])
+def test_train_diag_flags_parse_as_before(flags, changed):
+    args = build_parser().parse_args(["train-diag", "--ontology", "o", "--data", "d",
+                                      "--out", "x", *flags])
+    want = {**_TRAIN_DIAG_DEFAULTS, **changed}
+    assert {k: (v, type(v)) for k, v in vars(args).items()} == {
+        k: (v, type(v)) for k, v in want.items()}
+
+
 def test_config_presets_reach_the_shared_dialogue_flags(tmp_path):
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a.choices, dict)).choices
@@ -329,6 +353,30 @@ def test_non_default_flags_land_in_their_fields(workspace, monkeypatch):
     assert sl_cfg == SlTrainConfig(augment=False)
     assert ppo_cfg == PpoConfig(episodes_per_iter=7, minibatch_size=9)
     assert disclosure == eval_disclosure == DisclosureProbs(p2n=0.2)
+
+
+# For each rule, a value just outside its range (none for "finite"), and its edge,
+# which is inside; an integer field takes the floor of each.
+_RULE_VALUES = {"count": (0, 1), "non-negative": (-1e-9, 0), "positive": (0, 1e-9),
+                "rate": (1 + 1e-9, 0), "discount": (0, 1), "finite": (None, -1e9)}
+
+
+@pytest.mark.parametrize("cls, field", [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+    for cls in (SlTrainConfig, PpoConfig, RewardParams, DisclosureProbs)
+    for f in dataclasses.fields(cls) if type(f.default) in (int, float)
+])
+def test_every_numeric_setting_is_checked_by_its_rule(cls, field):
+    assert field.metadata["rule"] in _RULE_VALUES
+    outside, edge = _RULE_VALUES[field.metadata["rule"]]
+    kind = math.floor if type(field.default) is int else float
+    bad = [float("nan"), float("inf"), float("-inf")] + ([] if outside is None else [kind(outside)])
+    for value in bad:
+        with pytest.raises(DomainError, match=field.name):
+            cls(**{field.name: value})
+        with pytest.raises(DomainError, match=field.name):
+            dataclasses.replace(cls(), **{field.name: value})
+    assert getattr(dataclasses.replace(cls(), **{field.name: kind(edge)}), field.name) == edge
 
 
 @pytest.mark.parametrize("command, takes_seed", [
@@ -522,6 +570,23 @@ def test_gen_data_rejects_bad_counts(workspace, tmp_path, capsys, flag, value):
     assert err.startswith("error:") and "n_diseases >= 1 and n_flags >= 0" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--m2", "-5"), ("--n-open", "-2")])
+def test_gen_ontology_rejects_negative_counts(tmp_path, capsys, flag, value):
+    out = tmp_path / "onto"
+    assert run(["gen-ontology", "--m1", "3", "--m2", "4", "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{flag[2:].replace('-', '_')} must be non-negative" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m2, n_open, name", [(-5, 0, "m2"), (4, -2, "n_open")])
+def test_generate_ontology_rejects_negative_counts(m2, n_open, name):
+    with pytest.raises(ConfigError, match=f"{name} must be non-negative"):
+        generate_ontology(3, m2, n_open=n_open)
+
 
 @pytest.mark.parametrize("command, flag", [
     ("gen-data", "--seed"), ("gen-data", "--genmodel-seed"), ("train-diag", "--seed"),

@@ -118,9 +118,9 @@ def test_reset_rejects_inconsistent_patient(onto):
 
 def test_probs_validate():
     with pytest.raises(DomainError):
-        DisclosureProbs(p1p=1.2).validate()
+        DisclosureProbs(p1p=1.2)
     with pytest.raises(DomainError):
-        DisclosureProbs(p2n=-0.1).validate()
+        DisclosureProbs(p2n=-0.1)
 
 
 # ---------------------------------------------------------------------------

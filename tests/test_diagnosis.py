@@ -318,7 +318,7 @@ def test_rejects_empty_and_mismatched_data(toy):
     with pytest.raises(DigestMismatch):
         train_epoch(model, reversed_names, cfg)
     with pytest.raises(DomainError):
-        SlTrainConfig(hide_lo=0.9, hide_hi=0.2).validate()
+        SlTrainConfig(hide_lo=0.9, hide_hi=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +430,15 @@ def test_checkpoint_meta_of_another_type_raises_parse_error(tmp_path, key, value
 @pytest.mark.parametrize("epochs", [0, -3])
 def test_sl_config_rejects_epochs_below_one(epochs):
     with pytest.raises(DomainError, match="epochs"):
-        SlTrainConfig(epochs=epochs).validate()
+        SlTrainConfig(epochs=epochs)
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])
 def test_sl_config_rejects_bad_learning_rate(lr):
     with pytest.raises(DomainError, match="lr"):
-        SlTrainConfig(lr=lr).validate()
+        SlTrainConfig(lr=lr)
 
 
 def test_sl_config_rejects_negative_seed():
     with pytest.raises(DomainError, match="seed must be non-negative"):
-        SlTrainConfig(seed=-1).validate()
+        SlTrainConfig(seed=-1)

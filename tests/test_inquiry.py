@@ -244,12 +244,12 @@ def test_reward_shape_error():
 
 def test_reward_params_validation():
     with pytest.raises(DomainError):
-        RewardParams(time_penalty=-0.1).validate()
+        RewardParams(time_penalty=-0.1)
     with pytest.raises(DomainError):
-        RewardParams(negative_discount=1.5).validate()
+        RewardParams(negative_discount=1.5)
     with pytest.raises(DomainError):
-        RewardParams(first_level_weight=float("nan")).validate()
-    RewardParams().validate()
+        RewardParams(first_level_weight=float("nan"))
+    RewardParams()
 
 
 @pytest.mark.parametrize("build", [
@@ -545,14 +545,14 @@ def test_ppo_update_rejects_empty_batch(flat):
 
 def test_ppo_config_validation():
     with pytest.raises(DomainError):
-        PpoConfig(clip_eps=0.0).validate()
+        PpoConfig(clip_eps=0.0)
     with pytest.raises(DomainError):
-        PpoConfig(gamma=1.0001).validate()
+        PpoConfig(gamma=1.0001)
     with pytest.raises(DomainError):
-        PpoConfig(lam_gae=-0.1).validate()
+        PpoConfig(lam_gae=-0.1)
     with pytest.raises(DomainError):
-        PpoConfig(minibatch_size=0).validate()
-    PpoConfig().validate()
+        PpoConfig(minibatch_size=0)
+    PpoConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -700,4 +700,4 @@ def test_checkpoint_missing_meta_raises_parse_error(flat, tmp_path, key, kind):
 ])
 def test_ppo_config_rejects_bad_numeric_settings(field, bad):
     with pytest.raises(DomainError, match=field):
-        PpoConfig(**{field: bad}).validate()
+        PpoConfig(**{field: bad})

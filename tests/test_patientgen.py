@@ -616,6 +616,12 @@ def test_save_load_round_trip(tmp_path, toy):
     save_dataset(again, tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
+    # With M = 0, JSON ``[]`` loads as a float row, which holds no entries.
+    no_findings = PatientDataset(
+        [PatientRecord("p0", 40, "male", (), np.zeros(0, np.int8), 0)], ("d0",), 0, "x")
+    save_dataset(no_findings, tmp_path / "m0.jsonl")
+    assert load_dataset(tmp_path / "m0.jsonl") == no_findings
+
 
 def test_save_dataset_refuses_non_finite_values(tmp_path, toy):
     ds = generate_cohort(toy, 5, seed=0)
