@@ -140,52 +140,51 @@ def _disclose(hpi: np.ndarray, index: OntologyIndex, probs: DisclosureProbs, rng
 
 def _legal(status: np.ndarray, asked: np.ndarray, index: OntologyIndex) -> np.ndarray:
     """(N, K) mask: unasked, every target's parent confirmed, a target unknown."""
-    unknown = (status == UNKNOWN).astype(float)
-    unconfirmed = (status != CONFIRMED).astype(float)
+    unknown = (status == UNKNOWN).astype(np.float32)
+    unconfirmed = (status != CONFIRMED).astype(np.float32)
     return ~asked & (unknown @ index.targets > 0.0) & (unconfirmed @ index.gates == 0.0)
+
+
+def _evidence(hpi: np.ndarray, unmentioned_answer: str) -> np.ndarray:
+    """What each patient answers about each element: the full evidence
+    (not-mentioned answers Denied), or in "unknown" mode the record itself,
+    whose not-mentioned elements stay unanswered."""
+    return full_evidence(hpi) if unmentioned_answer == UNMENTIONED_DENIED else hpi
 
 
 def _answer(
     status: np.ndarray,
     actions: np.ndarray,
-    hpi: np.ndarray,
+    evidence: np.ndarray,
     index: OntologyIndex,
     noise: float,
     rngs,
-    unmentioned_answer: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ask ``actions[i]`` in row i; returns the new status and (N, 4) findings.
 
-    Unknown targets resolve to the truth (not-mentioned ones to Denied, or not
-    at all in "unknown" mode); each revealed slot then flips sign with
-    probability ``noise``, drawn in ascending element order. A first-level
-    slot revealed Denied drags its Unknown children to Denied, uncredited.
-    Findings columns are f1p, f1n, f2p, f2n.
+    Unknown targets that the ``_evidence`` row answers resolve to it; each
+    revealed slot then flips sign with probability ``noise``, drawn in
+    ascending element order. A first-level slot revealed Denied drags its
+    Unknown children to Denied, uncredited. Findings columns are f1p, f1n,
+    f2p, f2n.
     """
-    answered = (index.targets[:, actions].T > 0.0) & (status == UNKNOWN)
-    if unmentioned_answer == UNMENTIONED_UNKNOWN:
-        answered &= hpi != NOT_MENTIONED
-    revealed = full_evidence(hpi)
+    answered = (index.targets[:, actions].T > 0.0) & (status == UNKNOWN) & (evidence != UNKNOWN)
+    revealed = evidence
     if noise > 0.0:
+        flip = np.zeros_like(answered)
         for i, rng in enumerate(rngs):
             slots = np.flatnonzero(answered[i])
-            flip = slots[rng.random(len(slots)) < noise]
-            revealed[i, flip] = CONFIRMED + DENIED - revealed[i, flip]
+            flip[i, slots] = rng.random(len(slots)) < noise
+        revealed = np.where(flip, CONFIRMED + DENIED - evidence, evidence)
     new = np.where(answered, revealed, status)
     first = ~index.second
     dragged = index.second & (answered & first & (new == DENIED))[:, index.up] & (new == UNKNOWN)
     new[dragged] = DENIED
     positive = new == CONFIRMED
-    findings = np.stack(
-        [
-            (answered & first & positive).sum(axis=1),
-            (answered & first & ~positive).sum(axis=1),
-            (answered & index.second & positive).sum(axis=1),
-            (answered & index.second & ~positive).sum(axis=1),
-        ],
-        axis=1,
-    )
-    return new, findings
+    # Revealed slots counted by level, as in _legal: f1p, f2p, then f1n, f2n.
+    counts = np.hstack([(answered & positive).astype(np.float32) @ index.levels,
+                        (answered & ~positive).astype(np.float32) @ index.levels])
+    return new, counts[:, [0, 2, 1, 3]].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +196,8 @@ class Lockstep:
 
     ``status`` (N, M) and ``asked`` (N, K) hold every episode, finished or
     not; ``active`` lists the episodes still asking, in ascending order.
+    ``evidence`` (N, M) holds each patient's answers (``_evidence``), built
+    once here and gathered each round.
     """
 
     def __init__(
@@ -212,15 +213,15 @@ class Lockstep:
         _check_answering(noise, unmentioned_answer)
         if len(patients) != len(rngs):
             raise ConfigError("need one RNG per episode")
-        self.hpi = _check_patients(patients, ontology)
+        hpi = _check_patients(patients, ontology)
         if horizon < 0:
             raise ConfigError("horizon must be non-negative")
         self.index = ontology.index
         self.rngs = list(rngs)
         self.horizon = horizon
         self.noise = noise
-        self.unmentioned_answer = unmentioned_answer
-        self.status = _disclose(self.hpi, self.index, probs, self.rngs)
+        self.evidence = _evidence(hpi, unmentioned_answer)
+        self.status = _disclose(hpi, self.index, probs, self.rngs)
         self.asked = np.zeros((len(patients), ontology.n_questions), dtype=bool)
         self.t = 0
         self.active = np.arange(len(patients))
@@ -246,9 +247,9 @@ class Lockstep:
                  and ((0 <= actions) & (actions < mask.shape[1])).all())
         if not (legal and mask[np.arange(len(rows)), actions].all()):
             raise IllegalAction("each step needs one legal action per pending() episode")
+        rngs = [self.rngs[i] for i in rows] if self.noise > 0.0 else None
         self.status[rows], findings = _answer(
-            self.status[rows], actions, self.hpi[rows], self.index, self.noise,
-            [self.rngs[i] for i in rows], self.unmentioned_answer,
+            self.status[rows], actions, self.evidence[rows], self.index, self.noise, rngs,
         )
         self.asked[rows, actions] = True
         self.t += 1
@@ -316,10 +317,10 @@ def step(
     if not (in_range and legal_actions(state, ontology)[question_id]):
         raise IllegalAction(f"question {question_id} is not legal in this state")
 
-    rngs = [_as_rng(rng) if rng is not None else None]
     status, findings = _answer(
-        state.status[None], np.array([question_id]), patient.hpi[None], ontology.index, noise,
-        rngs, unmentioned_answer,
+        state.status[None], np.array([question_id]),
+        _evidence(patient.hpi[None], unmentioned_answer), ontology.index, noise,
+        [_as_rng(rng) if rng is not None else None],
     )
     next_state = EnvState(
         status[0], state.asked | {question_id}, state.t + 1, state.patient_id, state.horizon

@@ -110,9 +110,12 @@ def writing(path, binary: bool = False):
 
 def json_line(obj, what: str, indent: int | None = None) -> str:
     """``obj`` as JSON with sorted keys, compact separators (or ``indent``) and a
-    newline. A NaN or infinity raises NonFinite naming ``what``."""
+    newline; tuples encode as arrays. A NaN or infinity raises NonFinite naming
+    ``what``. Every payload is a tree the package builds itself, so the
+    encoder skips the walk that looks for cycles."""
     try:
         return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False,
+                          check_circular=False,
                           separators=None if indent else (",", ":")) + "\n"
     except ValueError:
         raise NonFinite(f"{what} holds non-finite values; nothing written") from None
@@ -164,7 +167,7 @@ def fields(obj, spec: dict, what: str) -> dict:
 
 
 # Each rule a settings field can declare: what it requires, and the test that
-# a finite value of the field's kind must pass.
+# a value of the field's kind (a finite number, or a tuple for "sizes") must pass.
 SETTING_RULES = {
     "count": ("an integer >= 1", lambda v: v >= 1),
     "non-negative": ("non-negative", lambda v: v >= 0),
@@ -172,6 +175,8 @@ SETTING_RULES = {
     "rate": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "discount": ("in (0, 1]", lambda v: 0 < v <= 1),
     "finite": ("finite", lambda v: True),
+    "sizes": ("a tuple of integers >= 1", lambda v: all(
+        isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1 for n in v)),
 }
 
 
@@ -183,12 +188,17 @@ def setting(default, rule: str):
 
 def check_settings(obj) -> None:
     """Raise DomainError naming the first field of the settings dataclass
-    ``obj`` that breaks its rule. Every rule asks for a finite number, an
-    integer where the default is one, so NaN and infinity break them all."""
+    ``obj`` that breaks its rule. "sizes" asks for a tuple; every other rule
+    asks for a finite number, an integer where the default is one, so NaN
+    and infinity break them all."""
     for f in dataclasses.fields(obj):
         if "rule" in f.metadata:
             value = getattr(obj, f.name)
-            kind = numbers.Integral if isinstance(f.default, int) else numbers.Real
             says, holds = SETTING_RULES[f.metadata["rule"]]
-            if not (isinstance(value, kind) and math.isfinite(value) and holds(value)):
+            if isinstance(f.default, tuple):
+                ok = isinstance(value, tuple) and holds(value)
+            else:
+                kind = numbers.Integral if isinstance(f.default, int) else numbers.Real
+                ok = isinstance(value, kind) and math.isfinite(value) and holds(value)
+            if not ok:
                 raise DomainError(f"{f.name} must be {says}, got {value!r}")

@@ -98,7 +98,17 @@ class EvalReport:
 
 # A question-selection policy decides for a batch of episodes at once:
 # ``select_batch(histories, statuses, masks, rngs)`` returns one question per
-# row. A trained policy also carries ``history_width`` and ``ontology_digest``.
+# row, and raises NoLegalAction for a row whose mask admits none
+# (``_legal_masks``). A trained policy also carries ``history_width`` and
+# ``ontology_digest``.
+
+def _legal_masks(masks) -> np.ndarray:
+    """``masks`` as bool, once every row is seen to admit a question."""
+    masks = np.asarray(masks, dtype=bool)
+    if not masks.any(axis=1).all():
+        raise NoLegalAction("a row has no legal action")
+    return masks
+
 
 class GreedyModelPolicy:
     """Trained policy run greedily: argmax over the legal entries of each row
@@ -107,8 +117,7 @@ class GreedyModelPolicy:
     Ties break toward the lowest question id among equal legal logits. This
     is the argmax of ``inquiry.masked_softmax`` except where two different
     logits round to the same float64 probability, as logits 0 and 1e-45 do.
-    A row with no legal question raises NoLegalAction, and masks of another
-    shape than the logits ShapeError.
+    Masks of another shape than the logits raise ShapeError.
     """
 
     def __init__(self, policy: InquiryPolicy):
@@ -122,16 +131,14 @@ class GreedyModelPolicy:
         masks = np.asarray(masks, dtype=bool)
         if logits.shape != masks.shape:
             raise ShapeError(f"logits {logits.shape} and mask {masks.shape} differ")
-        if not masks.any(axis=1).all():
-            raise NoLegalAction("a row has no legal action")
-        return np.where(masks, logits, -np.inf).argmax(axis=1)
+        return np.where(_legal_masks(masks), logits, -np.inf).argmax(axis=1)
 
 
 class RandomLegalPolicy:
     """Uniform choice over whatever is currently legal."""
 
     def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
-        masks = np.asarray(masks, dtype=bool)
+        masks = _legal_masks(masks)
         nth = np.array([rng.integers(n) for n, rng in zip(masks.sum(axis=1).tolist(), rngs)])
         # Position of the nth legal question (0-based) in each row.
         return (masks.cumsum(axis=1) <= nth[:, None]).sum(axis=1)
@@ -141,7 +148,7 @@ class FixedOrderPolicy:
     """Asks the lowest-id legal question every round."""
 
     def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
-        return np.asarray(masks).argmax(axis=1)
+        return _legal_masks(masks).argmax(axis=1)
 
 
 def baseline_policy(kind: str):
@@ -181,7 +188,8 @@ def consult_batch(
 
     Each round runs one blocked policy forward over the active episodes and
     the final ranking one blocked ranker forward over all of them, so a
-    patient's trace is the same bytes whatever the batch holds.
+    patient's trace is the same bytes whatever the batch holds. The ranker
+    reuses the policy's history rows when the two widths match.
     """
     check_models(policy, diag_model, ontology)
     width = getattr(policy, "history_width", None) or diag_model.history_width
@@ -189,21 +197,25 @@ def consult_batch(
         patients, ontology, disclosure, rngs, horizon, noise, unmentioned_answer
     )
     e_policy = encode_histories(patients, width)
+    e_diag = (e_policy if diag_model.history_width == width
+              else encode_histories(patients, diag_model.history_width))
     rounds = [[] for _ in patients]
+    m = ontology.n_elements
     while True:
         rows, mask = env.pending()
         if not len(rows):
             break
+        ids = rows.tolist()
         before = env.status[rows]
-        actions = policy.select_batch(e_policy[rows], before, mask, [rngs[i] for i in rows])
+        actions = policy.select_batch(e_policy[rows], before, mask, [rngs[i] for i in ids])
         env.step(actions)
         after = env.status[rows]
-        row_of, element = np.nonzero(after != before)
-        revealed = list(zip(element.tolist(), after[row_of, element].tolist()))
-        bounds = np.searchsorted(row_of, np.arange(len(rows) + 1)).tolist()
-        for j, (i, action) in enumerate(zip(rows.tolist(), np.asarray(actions).tolist())):
-            rounds[i].append((action, tuple(revealed[bounds[j] : bounds[j + 1]])))
-    e_diag = encode_histories(patients, diag_model.history_width)
+        # Changed slots row by row, elements ascending; row j's end at ends[j].
+        flat = np.flatnonzero(after != before)
+        revealed = tuple(zip((flat % m).tolist(), after.ravel()[flat].tolist()))
+        ends = np.searchsorted(flat, m * np.arange(1, len(ids) + 1)).tolist()
+        for i, action, start, end in zip(ids, np.asarray(actions).tolist(), [0, *ends], ends):
+            rounds[i].append((action, revealed[start:end]))
     rankings = (rank_from_probs(predict_batch(diag_model, e_diag, env.status)).tolist()
                 if patients else [])
     return [
@@ -481,9 +493,9 @@ def save_traces(traces, path: str | Path) -> None:
         json_line(
             {
                 "patient_id": t.patient_id,
-                "rounds": [[q, [[e, s] for e, s in revealed]] for q, revealed in t.rounds],
+                "rounds": t.rounds,
                 "final_observation": t.final_observation.tolist(),
-                "ranking": list(t.ranking),
+                "ranking": t.ranking,
                 "true_label": t.true_label,
                 "horizon": t.horizon,
             },

@@ -77,14 +77,18 @@ class OntologyIndex:
     ``second`` marks the elements that have a parent. ``targets[e, q]`` is 1
     when question ``q`` probes element ``e``; ``gates[p, q]`` is 1 when ``p``
     is the parent of a target of ``q``, so ``q`` is legal only while ``p`` is
-    confirmed. Both are float so that a product with a 0/1 status mask counts
-    exactly, one column per question.
+    confirmed. Both are float32 so that a product with a 0/1 status mask is
+    one sgemm that counts, one column per question. Such a count is at most
+    M, and float32 holds every integer up to 2**24 exactly, so the counts
+    are exact. ``levels[e]`` is the one-hot (first, second) of ``e``'s level,
+    for the same kind of count by level.
     """
 
     up: np.ndarray  # int64 (M,)
     second: np.ndarray  # bool (M,)
-    targets: np.ndarray  # float64 (M, K), 0/1
-    gates: np.ndarray  # float64 (M, K), 0/1
+    targets: np.ndarray  # float32 (M, K), 0/1
+    gates: np.ndarray  # float32 (M, K), 0/1
+    levels: np.ndarray  # float32 (M, 2), 0/1
 
 
 @dataclass(frozen=True)
@@ -128,14 +132,16 @@ class HpiOntology:
         for e in self.elements:
             if e.parent is not None:
                 up[e.id] = e.parent
-        targets = np.zeros((m, k))
-        gates = np.zeros((m, k))
+        targets = np.zeros((m, k), dtype=np.float32)
+        gates = np.zeros((m, k), dtype=np.float32)
         for q in self.questions:
             targets[list(q.targets), q.id] = 1.0
             for t in q.targets:
                 if up[t] != t:
                     gates[up[t], q.id] = 1.0
-        return OntologyIndex(up, up != np.arange(m), targets, gates)
+        second = up != np.arange(m)
+        levels = np.stack([~second, second], axis=1).astype(np.float32)
+        return OntologyIndex(up, second, targets, gates, levels)
 
     @cached_property
     def _children_map(self) -> dict[int, tuple[int, ...]]:

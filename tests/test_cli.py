@@ -609,6 +609,22 @@ def test_negative_seed_exits_1_and_writes_nothing(workspace, tmp_path, capsys, c
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["train-diag", "train-inquiry"])
+@pytest.mark.parametrize("hidden", ["-4", "8,0"])
+def test_bad_hidden_sizes_exit_1_before_any_input_is_read(workspace, tmp_path, capsys,
+                                                          command, hidden):
+    root, onto_dir, data, diag, policy = workspace
+    out = tmp_path / "out.json"
+    missing = ["--data", str(tmp_path / "missing.jsonl")]
+    if command == "train-inquiry":
+        missing += ["--diag", str(tmp_path / "missing.json")]
+    assert run([command, "--ontology", str(onto_dir), "--out", str(out), *missing,
+                f"--hidden={hidden}", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "hidden must be a tuple of integers >= 1" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_diag_on_record_missing_label_exits_1(workspace, tmp_path, capsys):
     root, onto_dir, data, diag, policy = workspace
     bad = tmp_path / "cohort.jsonl"

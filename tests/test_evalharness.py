@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inquest import nncore
 from inquest.consult_env import DisclosureProbs
@@ -414,6 +416,24 @@ def test_random_legal_reproducible():
     assert seq1 == seq2
 
 
+@pytest.mark.parametrize("kind", ["Greedy", RANDOM_LEGAL, FIXED_ORDER])
+def test_every_policy_refuses_a_row_without_a_legal_question(kind):
+    if kind == "Greedy":
+        policy = GreedyModelPolicy(new_inquiry_policy(2, 3, 4, "digest", hidden=(4,)))
+    else:
+        policy = baseline_policy(kind)
+    masks = np.array([[False, False, False, True], [False, False, False, False]])
+
+    def select(rows):
+        return policy.select_batch(np.zeros((len(rows), 2), dtype=np.float32),
+                                   np.zeros((len(rows), 3), dtype=np.int8), masks[rows],
+                                   [np.random.default_rng(i) for i in rows])
+
+    assert select([0]).tolist() == [3]
+    with pytest.raises(NoLegalAction):
+        select([0, 1])
+
+
 def test_unknown_baseline_kind():
     with pytest.raises(ConfigError):
         baseline_policy("Oracle")
@@ -606,6 +626,54 @@ def test_load_traces_refuses_lines_no_writer_makes(tmp_path, key, value, match):
     path.write_text(json.dumps({**row, key: value}) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=f"line 1 of .*{match}"):
         load_traces(path)
+
+
+def reference_save_traces(traces, path):
+    """One ``json.dumps`` per trace, every field converted to lists: the
+    bytes ``save_traces`` must write."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for t in traces:
+            fh.write(json.dumps({
+                "patient_id": t.patient_id,
+                "rounds": [[q, [[e, s] for e, s in revealed]] for q, revealed in t.rounds],
+                "final_observation": t.final_observation.tolist(),
+                "ranking": list(t.ranking),
+                "true_label": t.true_label,
+                "horizon": t.horizon,
+            }, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+@st.composite
+def random_traces(draw):
+    """Traces as ``consult_batch`` and ``load_traces`` build them (tuples
+    throughout), with ids that need escaping, empty rounds and -1 labels."""
+    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    traces = []
+    for _ in range(draw(st.integers(0, 4))):
+        horizon = draw(st.integers(0, 20))
+        pair = st.tuples(st.integers(0, m - 1), st.sampled_from([1, 2]))
+        rounds = draw(st.lists(
+            st.tuples(st.integers(0, 99), st.lists(pair, max_size=4).map(tuple)),
+            max_size=horizon))
+        traces.append(DialogueTrace(
+            patient_id=draw(st.one_of(st.sampled_from(['"', "é", 'p"é\\0', ""]), st.text())),
+            rounds=tuple(rounds),
+            final_observation=np.array(draw(st.lists(st.integers(0, 2), min_size=m,
+                                                     max_size=m)), dtype=np.int8),
+            ranking=tuple(draw(st.permutations(range(d)))),
+            true_label=draw(st.integers(-1, d - 1)),
+            horizon=horizon,
+        ))
+    return traces
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_traces())
+def test_save_traces_matches_per_trace_json_dumps(tmp_path_factory, traces):
+    tmp = tmp_path_factory.mktemp("traces")
+    save_traces(traces, tmp / "got.jsonl")
+    reference_save_traces(traces, tmp / "want.jsonl")
+    assert (tmp / "got.jsonl").read_bytes() == (tmp / "want.jsonl").read_bytes()
 
 
 def test_save_traces_refuses_non_finite_values(tmp_path, toy_setup):

@@ -1,8 +1,10 @@
-"""Run the desk pipeline of ``tests/test_acceptance.py`` once and print one
-JSON line: the seconds of each stage, the quality numbers it is graded on, and
-the sha256 of the trained ranker's and policy's parameter bytes. The stages
-include a save and a load of the cohort, in a temporary directory; the script
-fails unless the loaded cohort equals the sampled one.
+"""Run the desk pipeline of ``tests/test_acceptance.py`` three times in one
+process and print one JSON line: the median, min and max seconds of each
+stage, the quality numbers it is graded on, and the sha256 of the trained
+ranker's and policy's parameter bytes. The stages include a save and a load
+of the cohort, in a temporary directory; the script fails unless the loaded
+cohort equals the sampled one, and unless every run gives the same quality
+numbers and parameter bytes.
 
     python tools/desk.py --seed S
 
@@ -14,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -37,10 +40,12 @@ from inquest.patientgen import (  # noqa: E402
 from tests.test_acceptance import DESK_EVAL_N, DESK_HORIZON, DESK_PPO, DESK_SL  # noqa: E402
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, required=True)
-    seed = parser.parse_args().seed
+RUNS = 3
+
+
+def desk_run(seed: int) -> tuple[dict, dict]:
+    """One run of the desk: the seconds of each stage, and the quality
+    numbers with the parameter digests."""
     seconds = {}
 
     def timed(stage, fn, *args, **kwargs):
@@ -68,9 +73,7 @@ def main() -> None:
                                   ("trained_h20", GreedyModelPolicy(policy), 2 * DESK_HORIZON)):
         reports[name], _ = timed(f"eval_{name}", evaluate, chosen, diag, sub, onto,
                                  horizon=horizon, seed=1)
-    print(json.dumps({
-        "seed": seed,
-        "seconds": seconds,
+    return seconds, {
         "top1_trained": reports["trained_h10"].recall_at_k[1],
         "top1_random": reports["random_h10"].recall_at_k[1],
         "rediscovery_recall_trained": reports["trained_h10"].rediscovery.recall,
@@ -81,7 +84,24 @@ def main() -> None:
         "ranker_inputs": diag.net.layer_dims[0],
         "ranker_params_sha256": hashlib.sha256(diag.net.params.tobytes()).hexdigest(),
         "policy_params_sha256": hashlib.sha256(policy.net.params.tobytes()).hexdigest(),
-    }))
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    seed = parser.parse_args().seed
+    runs = [desk_run(seed) for _ in range(RUNS)]
+    quality = runs[0][1]
+    for i, (_, other) in enumerate(runs[1:], start=2):
+        differs = sorted(k for k in quality if other[k] != quality[k])
+        if differs:
+            raise SystemExit(f"run {i} differs from run 1 in {', '.join(differs)}")
+    seconds = {}
+    for stage in runs[0][0]:
+        times = [s[stage] for s, _ in runs]
+        seconds[stage] = {"median": statistics.median(times), "min": min(times), "max": max(times)}
+    print(json.dumps({"seed": seed, "runs": RUNS, "seconds": seconds, **quality}))
 
 
 if __name__ == "__main__":
