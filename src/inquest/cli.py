@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import consult_env, evalharness, inquiry, nncore
-from .consult_env import DisclosureProbs, UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN
+from . import consult_env
+from .consult_env import PatientSim, UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN
 from .diagnosis import (
     SlTrainConfig,
     load_diagnosis,
-    predict,
+    predict_batch,
     rank_from_probs,
     save_diagnosis,
     train_diagnosis,
@@ -51,7 +51,7 @@ from .patientgen import (
     DENIED,
     PatientRecord,
     benchmark_genmodel,
-    encode_history,
+    encode_histories,
     generate_cohort,
     generate_ontology,
     load_dataset,
@@ -125,8 +125,9 @@ _FLAG_TYPES = {int: int, float: float, tuple: _int_list}
 
 def _add_settings(parser, cls) -> None:
     """A flag for each field of the settings dataclass ``cls``, defaulting to
-    the field's default. ``seed`` (in ``common``) and boolean fields, such as
-    ``augment`` behind ``--no-augment``, are declared by hand."""
+    the field's default. ``seed`` (in ``common``), boolean fields, such as
+    ``augment`` behind ``--no-augment``, and string fields, such as
+    ``unmentioned_answer`` with its choices, are declared by hand."""
     for f in dataclasses.fields(cls):
         if f.name != "seed" and type(f.default) in _FLAG_TYPES:
             name = _FLAG_NAMES.get(f.name, f.name)
@@ -161,10 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     # The simulated dialogue's settings, shared by train-inquiry and eval.
     dialogue = argparse.ArgumentParser(add_help=False)
     dialogue.add_argument("--horizon", type=int, default=10)
-    dialogue.add_argument("--noise", type=float, default=0.0)
+    _add_settings(dialogue, PatientSim)
     dialogue.add_argument("--unmentioned-answer", default=UNMENTIONED_DENIED,
                           choices=(UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN))
-    _add_settings(dialogue, DisclosureProbs)
 
     p = sub.add_parser("gen-ontology", help="write a synthetic two-level element tree")
     common(p, seeded=False)
@@ -295,16 +295,14 @@ def cmd_train_diag(args) -> int:
 def cmd_train_inquiry(args) -> int:
     cfg = _settings(PpoConfig, args)
     reward = _settings(RewardParams, args)
-    disclosure = _settings(DisclosureProbs, args)
+    sim = _settings(PatientSim, args)
     onto, ds = _load_pair(args)
     diag = load_diagnosis(args.diag)
     log = None if args.quiet else print
     policy, value, history = train_inquiry(
-        ds, diag, onto, cfg, reward_params=reward, disclosure=disclosure,
-        horizon=args.horizon, noise=args.noise,
-        unmentioned_answer=args.unmentioned_answer, log=log,
+        ds, diag, onto, cfg, reward_params=reward, sim=sim, horizon=args.horizon, log=log,
     )
-    save_policy(policy, args.out, reward_params=reward, disclosure=disclosure)
+    save_policy(policy, args.out, reward_params=reward, sim=sim)
     if args.value_out:
         save_value(value, args.value_out)
     if args.log:
@@ -315,18 +313,16 @@ def cmd_train_inquiry(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    disclosure = _settings(DisclosureProbs, args)
+    sim = _settings(PatientSim, args)
     onto, ds = _load_pair(args)
     diag = load_diagnosis(args.diag)
     policy = _select_policy(args)
     report, traces = evaluate(
         policy, diag, ds, onto,
-        disclosure=disclosure,
+        sim=sim,
         horizon=args.horizon,
         seed=args.seed,
         ks=args.k,
-        noise=args.noise,
-        unmentioned_answer=args.unmentioned_answer,
         group_k=args.group_k,
     )
     fmt = args.format or ("csv" if str(args.out).endswith(".csv") else "json")
@@ -442,8 +438,8 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
         output_fn("session ended before demographics; using neutral defaults")
     record = PatientRecord("human", age, sex, (), status.copy(), -1)
     width = getattr(policy, "history_width", None) or diag_model.history_width
-    e_policy = encode_history(record, width)
-    e_diag = encode_history(record, diag_model.history_width)
+    e_policy = encode_histories([record], width)
+    e_diag = encode_histories([record], diag_model.history_width)
     rng = np.random.default_rng(0)  # baselines may sample; interaction stays seeded
 
     action, revealed = None, []  # the round being answered
@@ -453,7 +449,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
             if not mask.any():
                 output_fn("no further questions are possible")
                 break
-            action = int(policy.select_batch(e_policy[None], status[None], mask, [rng])[0])
+            action = int(policy.select_batch(e_policy, status[None], mask, [rng])[0])
             asked[0, action] = True
             for t in ontology.questions[action].targets:
                 if status[t] != consult_env.UNKNOWN:
@@ -477,7 +473,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
             rounds.append((action, tuple(revealed)))
         output_fn("input closed; ranking with what was gathered")
 
-    probs = predict(diag_model, e_diag, status)
+    probs = predict_batch(diag_model, e_diag, status[None])[0]
     ranking = rank_from_probs(probs)
     output_fn("top diseases:")
     for pos, d in enumerate(ranking[:10], start=1):

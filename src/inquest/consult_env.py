@@ -2,7 +2,10 @@
 
 The environment wraps one patient record per episode. It discloses part of
 the record up front, answers questions truthfully (optionally with response
-noise), and enforces which questions may be asked.
+noise), and enforces which questions may be asked. ``PatientSim`` holds how
+the simulated patient behaves: its four disclosure rates, its response noise
+and how it answers about elements its record does not mention. Every setting
+is checked when a ``PatientSim`` is built, so an engine never sees a bad one.
 
 Lockstep engine. ``Lockstep`` advances N episodes together, in the manner of
 a vector env (EnvPool; Gymnasium ``VectorEnv``). Episode state is an (N, M)
@@ -36,7 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DigestMismatch, DomainError, IllegalAction, check_settings, setting
+from .errors import (
+    ConfigError, DigestMismatch, IllegalAction, NoLegalAction, check_settings, setting,
+)
 from .ontology import CONFIRMED, DENIED, NOT_MENTIONED, HpiOntology, OntologyIndex, check_hierarchy
 from .patientgen import PatientRecord, full_evidence
 
@@ -47,21 +52,29 @@ UNMENTIONED_UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
-class DisclosureProbs:
-    """Chance that the patient volunteers a finding before being asked.
+class PatientSim:
+    """How the simulated patient behaves: what it volunteers, how it answers.
 
-    First-level positives/negatives disclose independently; a second-level
-    positive can disclose only when its parent did, while second-level
-    negatives are not gated.
+    ``p1p`` .. ``p2n`` are the chances that a finding is volunteered before
+    being asked. First-level positives/negatives disclose independently; a
+    second-level positive can disclose only when its parent did, while
+    second-level negatives are not gated. Each revealed answer flips sign
+    with probability ``noise``. ``unmentioned_answer`` says how an element
+    the record does not mention is answered: Denied ("denied") or left
+    Unknown ("unknown").
     """
 
     p1p: float = setting(0.5, "rate")
     p1n: float = setting(0.1, "rate")
     p2p: float = setting(0.3, "rate")
     p2n: float = setting(0.05, "rate")
+    noise: float = setting(0.0, "rate")
+    unmentioned_answer: str = UNMENTIONED_DENIED
 
     def __post_init__(self) -> None:
         check_settings(self)
+        if self.unmentioned_answer not in (UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN):
+            raise ConfigError(f"unknown unmentioned-answer mode {self.unmentioned_answer!r}")
 
 
 @dataclass(frozen=True)
@@ -110,18 +123,11 @@ def _check_patients(patients, ontology: HpiOntology) -> np.ndarray:
     return hpi
 
 
-def _check_answering(noise: float, unmentioned_answer: str) -> None:
-    if unmentioned_answer not in (UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN):
-        raise ConfigError(f"unknown unmentioned-answer mode {unmentioned_answer!r}")
-    if not 0.0 <= noise <= 1.0:
-        raise DomainError("noise must lie in [0, 1]")
-
-
 # ---------------------------------------------------------------------------
 # Batched rules: every function takes (N, M) status rows, one per episode
 # ---------------------------------------------------------------------------
 
-def _disclose(hpi: np.ndarray, index: OntologyIndex, probs: DisclosureProbs, rngs) -> np.ndarray:
+def _disclose(hpi: np.ndarray, index: OntologyIndex, sim: PatientSim, rngs) -> np.ndarray:
     """Initial status: each episode draws one uniform per element, by element id.
 
     Not-mentioned elements never disclose; a second-level positive needs its
@@ -130,11 +136,11 @@ def _disclose(hpi: np.ndarray, index: OntologyIndex, probs: DisclosureProbs, rng
     u = np.array([rng.random(hpi.shape[1]) for rng in rngs]).reshape(hpi.shape)
     first, second = ~index.second, index.second
     status = np.zeros(hpi.shape, dtype=np.int8)
-    status[first & (hpi == CONFIRMED) & (u < probs.p1p)] = CONFIRMED
-    status[first & (hpi == DENIED) & (u < probs.p1n)] = DENIED
+    status[first & (hpi == CONFIRMED) & (u < sim.p1p)] = CONFIRMED
+    status[first & (hpi == DENIED) & (u < sim.p1n)] = DENIED
     opened = status[:, index.up] != UNKNOWN
-    status[second & (hpi == CONFIRMED) & opened & (u < probs.p2p)] = CONFIRMED
-    status[second & (hpi == DENIED) & (u < probs.p2n)] = DENIED
+    status[second & (hpi == CONFIRMED) & opened & (u < sim.p2p)] = CONFIRMED
+    status[second & (hpi == DENIED) & (u < sim.p2n)] = DENIED
     return status
 
 
@@ -143,6 +149,15 @@ def _legal(status: np.ndarray, asked: np.ndarray, index: OntologyIndex) -> np.nd
     unknown = (status == UNKNOWN).astype(np.float32)
     unconfirmed = (status != CONFIRMED).astype(np.float32)
     return ~asked & (unknown @ index.targets > 0.0) & (unconfirmed @ index.gates == 0.0)
+
+
+def _require_legal(masks) -> np.ndarray:
+    """(N, K) ``masks`` as bool, once every row is seen to admit a question;
+    a row that admits none raises NoLegalAction."""
+    masks = np.asarray(masks, dtype=bool)
+    if not masks.any(axis=1).all():
+        raise NoLegalAction("a row has no legal action")
+    return masks
 
 
 def _evidence(hpi: np.ndarray, unmentioned_answer: str) -> np.ndarray:
@@ -200,17 +215,7 @@ class Lockstep:
     once here and gathered each round.
     """
 
-    def __init__(
-        self,
-        patients,
-        ontology: HpiOntology,
-        probs: DisclosureProbs,
-        rngs,
-        horizon: int,
-        noise: float = 0.0,
-        unmentioned_answer: str = UNMENTIONED_DENIED,
-    ):
-        _check_answering(noise, unmentioned_answer)
+    def __init__(self, patients, ontology: HpiOntology, sim: PatientSim, rngs, horizon: int):
         if len(patients) != len(rngs):
             raise ConfigError("need one RNG per episode")
         hpi = _check_patients(patients, ontology)
@@ -219,9 +224,9 @@ class Lockstep:
         self.index = ontology.index
         self.rngs = list(rngs)
         self.horizon = horizon
-        self.noise = noise
-        self.evidence = _evidence(hpi, unmentioned_answer)
-        self.status = _disclose(hpi, self.index, probs, self.rngs)
+        self.noise = sim.noise
+        self.evidence = _evidence(hpi, sim.unmentioned_answer)
+        self.status = _disclose(hpi, self.index, sim, self.rngs)
         self.asked = np.zeros((len(patients), ontology.n_questions), dtype=bool)
         self.t = 0
         self.active = np.arange(len(patients))
@@ -263,7 +268,7 @@ class Lockstep:
 def reset(
     patient: PatientRecord,
     ontology: HpiOntology,
-    probs: DisclosureProbs,
+    sim: PatientSim,
     rng: np.random.Generator | int,
     horizon: int = 10,
 ) -> EnvState:
@@ -273,7 +278,7 @@ def reset(
     outcome does not depend on iteration order. Not-mentioned elements never
     disclose.
     """
-    env = Lockstep([patient], ontology, probs, [_as_rng(rng)], horizon)
+    env = Lockstep([patient], ontology, sim, [_as_rng(rng)], horizon)
     return EnvState(env.status[0], frozenset(), 0, patient.id, horizon)
 
 
@@ -299,15 +304,16 @@ def step(
 ) -> tuple[EnvState, StepFindings]:
     """Ask one question; returns the next state and the per-level counts.
 
-    The question must be one that ``legal_actions`` allows, else IllegalAction.
+    The question must be one that ``legal_actions`` allows, else IllegalAction;
+    ``noise`` and ``unmentioned_answer`` are checked as ``PatientSim`` fields.
     Unknown targets resolve to the patient's truth (not-mentioned answers as
     Denied in the default mode, or stays Unknown in "unknown" mode); each
     revealed status then flips sign with probability ``noise``. A first-level
     target that resolves Denied drags its Unknown children to Denied without
     crediting them in the findings.
     """
-    _check_answering(noise, unmentioned_answer)
-    if noise > 0.0 and rng is None:
+    sim = PatientSim(noise=noise, unmentioned_answer=unmentioned_answer)
+    if sim.noise > 0.0 and rng is None:
         raise ConfigError("response noise needs an RNG")
     if state.t >= state.horizon:
         raise IllegalAction(f"episode horizon {state.horizon} reached")
@@ -319,7 +325,7 @@ def step(
 
     status, findings = _answer(
         state.status[None], np.array([question_id]),
-        _evidence(patient.hpi[None], unmentioned_answer), ontology.index, noise,
+        _evidence(patient.hpi[None], sim.unmentioned_answer), ontology.index, sim.noise,
         [_as_rng(rng) if rng is not None else None],
     )
     next_state = EnvState(

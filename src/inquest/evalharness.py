@@ -25,12 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import consult_env, nncore
-from .consult_env import DisclosureProbs, UNMENTIONED_DENIED
+from .consult_env import PatientSim, _require_legal
 from .diagnosis import DiagnosisModel, check_dataset, net_input, predict_batch, rank_from_probs
 from .errors import (
     ConfigError,
     EmptyInput,
-    NoLegalAction,
     PairingError,
     ParseError,
     ShapeError,
@@ -99,16 +98,8 @@ class EvalReport:
 # A question-selection policy decides for a batch of episodes at once:
 # ``select_batch(histories, statuses, masks, rngs)`` returns one question per
 # row, and raises NoLegalAction for a row whose mask admits none
-# (``_legal_masks``). A trained policy also carries ``history_width`` and
-# ``ontology_digest``.
-
-def _legal_masks(masks) -> np.ndarray:
-    """``masks`` as bool, once every row is seen to admit a question."""
-    masks = np.asarray(masks, dtype=bool)
-    if not masks.any(axis=1).all():
-        raise NoLegalAction("a row has no legal action")
-    return masks
-
+# (``consult_env._require_legal``). A trained policy also carries
+# ``history_width`` and ``ontology_digest``.
 
 class GreedyModelPolicy:
     """Trained policy run greedily: argmax over the legal entries of each row
@@ -131,14 +122,14 @@ class GreedyModelPolicy:
         masks = np.asarray(masks, dtype=bool)
         if logits.shape != masks.shape:
             raise ShapeError(f"logits {logits.shape} and mask {masks.shape} differ")
-        return np.where(_legal_masks(masks), logits, -np.inf).argmax(axis=1)
+        return np.where(_require_legal(masks), logits, -np.inf).argmax(axis=1)
 
 
 class RandomLegalPolicy:
     """Uniform choice over whatever is currently legal."""
 
     def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
-        masks = _legal_masks(masks)
+        masks = _require_legal(masks)
         nth = np.array([rng.integers(n) for n, rng in zip(masks.sum(axis=1).tolist(), rngs)])
         # Position of the nth legal question (0-based) in each row.
         return (masks.cumsum(axis=1) <= nth[:, None]).sum(axis=1)
@@ -148,7 +139,7 @@ class FixedOrderPolicy:
     """Asks the lowest-id legal question every round."""
 
     def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
-        return _legal_masks(masks).argmax(axis=1)
+        return _require_legal(masks).argmax(axis=1)
 
 
 def baseline_policy(kind: str):
@@ -177,11 +168,9 @@ def consult_batch(
     diag_model: DiagnosisModel,
     patients,
     ontology: HpiOntology,
-    disclosure: DisclosureProbs,
+    sim: PatientSim,
     horizon: int,
     rngs,
-    noise: float = 0.0,
-    unmentioned_answer: str = UNMENTIONED_DENIED,
 ) -> list[DialogueTrace]:
     """Full consultations of all ``patients`` in lockstep, patient i drawing
     from ``rngs[i]``; one trace per patient, in order.
@@ -193,9 +182,7 @@ def consult_batch(
     """
     check_models(policy, diag_model, ontology)
     width = getattr(policy, "history_width", None) or diag_model.history_width
-    env = consult_env.Lockstep(
-        patients, ontology, disclosure, rngs, horizon, noise, unmentioned_answer
-    )
+    env = consult_env.Lockstep(patients, ontology, sim, rngs, horizon)
     e_policy = encode_histories(patients, width)
     e_diag = (e_policy if diag_model.history_width == width
               else encode_histories(patients, diag_model.history_width))
@@ -236,18 +223,13 @@ def simulate_consultation(
     diag_model: DiagnosisModel,
     patient: PatientRecord,
     ontology: HpiOntology,
-    disclosure: DisclosureProbs,
+    sim: PatientSim,
     horizon: int,
     rng: np.random.Generator,
-    noise: float = 0.0,
-    unmentioned_answer: str = UNMENTIONED_DENIED,
 ) -> DialogueTrace:
     """One full consultation (the N=1 case of ``consult_batch``); stops early
     if no question remains legal."""
-    return consult_batch(
-        policy, diag_model, [patient], ontology, disclosure, horizon, [rng],
-        noise, unmentioned_answer,
-    )[0]
+    return consult_batch(policy, diag_model, [patient], ontology, sim, horizon, [rng])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +305,16 @@ def evaluate(
     diag_model: DiagnosisModel,
     dataset: PatientDataset,
     ontology: HpiOntology,
-    disclosure: DisclosureProbs = DisclosureProbs(),
+    sim: PatientSim = PatientSim(),
     horizon: int = 10,
     seed: int = 0,
     ks=(1, 3, 5),
-    noise: float = 0.0,
-    unmentioned_answer: str = UNMENTIONED_DENIED,
-    group_of: dict[int, str] | None = None,
     group_k: int = 1,
 ) -> tuple[EvalReport, list[DialogueTrace]]:
     """Consult every patient in the dataset once; patient i draws from stream
-    i of ``patientgen.streams((seed,), ...)``. A negative seed raises
-    ConfigError, and a dataset the ranker does not fit DigestMismatch."""
+    i of ``patientgen.streams((seed,), ...)``. The report's ``group_recall``
+    is recall@``group_k`` per true label. A negative seed raises ConfigError,
+    and a dataset the ranker does not fit DigestMismatch."""
     if len(dataset) == 0:
         raise EmptyInput("empty evaluation dataset")
     check_dataset(diag_model, dataset, "evaluation dataset")
@@ -342,33 +322,28 @@ def evaluate(
         if int(k) < 1:
             raise ConfigError(f"recall cut-offs must be >= 1, got {k}")
     rngs = streams((seed,), range(len(dataset)))
-    traces = consult_batch(
-        policy, diag_model, dataset.records, ontology, disclosure, horizon, rngs,
-        noise, unmentioned_answer,
-    )
+    traces = consult_batch(policy, diag_model, dataset.records, ontology, sim, horizon, rngs)
     recalls = recall_at_k(traces, ks)
     redisc = rediscovery_metrics(traces, dataset.records)
 
     groups: dict[str, list[DialogueTrace]] = {}
     for trace in traces:
-        name = group_of.get(trace.true_label, str(trace.true_label)) if group_of \
-            else str(trace.true_label)
-        groups.setdefault(name, []).append(trace)
+        groups.setdefault(str(trace.true_label), []).append(trace)
     group_recall = {
         name: recall_at_k(members, [group_k])[group_k]
         for name, members in sorted(groups.items())
     }
     digest = _config_digest(
         {
-            "disclosure": [disclosure.p1p, disclosure.p1n, disclosure.p2p, disclosure.p2n],
+            "disclosure": [sim.p1p, sim.p1n, sim.p2p, sim.p2n],
             "group_k": group_k,
             "horizon": horizon,
             "ks": [int(k) for k in ks],
             "n_patients": len(dataset),
-            "noise": noise,
+            "noise": sim.noise,
             "ontology_digest": ontology.content_digest,
             "seed": seed,
-            "unmentioned_answer": unmentioned_answer,
+            "unmentioned_answer": sim.unmentioned_answer,
         }
     )
     report = EvalReport(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import consult_env, nncore
-from .consult_env import DisclosureProbs, UNMENTIONED_DENIED
+from .consult_env import PatientSim, _require_legal
 from .diagnosis import (
     DiagnosisModel,
     ModelSpec,
@@ -27,7 +27,6 @@ from .diagnosis import (
 )
 from .errors import (
     EmptyDataset,
-    NoLegalAction,
     NonFinite,
     ShapeError,
     check_settings,
@@ -182,9 +181,7 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     mask = np.atleast_2d(np.asarray(mask, dtype=bool))
     if logits.shape != mask.shape:
         raise ShapeError(f"logits {logits.shape} and mask {mask.shape} differ")
-    if not mask.any(axis=1).all():
-        raise NoLegalAction("a row has no legal action")
-    return nncore.softmax(np.where(mask, logits, -np.inf))
+    return nncore.softmax(np.where(_require_legal(mask), logits, -np.inf))
 
 
 def _sample_actions(probs: np.ndarray, rngs) -> np.ndarray:
@@ -241,14 +238,12 @@ def collect_rollouts(
     diag_model: DiagnosisModel,
     dataset: PatientDataset,
     ontology: HpiOntology,
-    disclosure: DisclosureProbs,
+    sim: PatientSim,
     reward_params: RewardParams,
     n_episodes: int,
     horizon: int,
     seed: int,
     iteration: int = 0,
-    noise: float = 0.0,
-    unmentioned_answer: str = UNMENTIONED_DENIED,
 ) -> TrajectoryBatch:
     """Sample episodes with the current policy against the environment.
 
@@ -270,9 +265,7 @@ def collect_rollouts(
 
     rngs = streams((seed, iteration), range(n_episodes))
     patients = [dataset.records[int(rng.integers(len(dataset)))] for rng in rngs]
-    env = consult_env.Lockstep(
-        patients, ontology, disclosure, rngs, horizon, noise, unmentioned_answer
-    )
+    env = consult_env.Lockstep(patients, ontology, sim, rngs, horizon)
     e_pol = encode_histories(patients, policy.history_width)
     e_diag = (e_pol if diag_model.history_width == policy.history_width
               else encode_histories(patients, diag_model.history_width))
@@ -473,10 +466,8 @@ def train_inquiry(
     ontology: HpiOntology,
     cfg: PpoConfig,
     reward_params: RewardParams = RewardParams(),
-    disclosure: DisclosureProbs = DisclosureProbs(),
+    sim: PatientSim = PatientSim(),
     horizon: int = 10,
-    noise: float = 0.0,
-    unmentioned_answer: str = UNMENTIONED_DENIED,
     log=None,
 ) -> tuple[InquiryPolicy, ValueNet, list[IterStats]]:
     """Full PPO run from fresh nets, which read histories as wide as the
@@ -494,9 +485,8 @@ def train_inquiry(
     history: list[IterStats] = []
     for it in range(cfg.iterations):
         batch = collect_rollouts(
-            policy, value, diag_model, dataset, ontology, disclosure, reward_params,
+            policy, value, diag_model, dataset, ontology, sim, reward_params,
             cfg.episodes_per_iter, horizon, cfg.seed, iteration=it,
-            noise=noise, unmentioned_answer=unmentioned_answer,
         )
         row = ppo_update(policy, value, batch, cfg, adam_policy, adam_value, iteration=it)
         history.append(row)
@@ -529,9 +519,9 @@ def save_policy(
     policy: InquiryPolicy,
     path: str | Path,
     reward_params: RewardParams | None = None,
-    disclosure: DisclosureProbs | None = None,
+    sim: PatientSim | None = None,
 ) -> None:
-    extra = {"reward_params": reward_params, "disclosure_probs": disclosure}
+    extra = {"reward_params": reward_params, "patient_sim": sim}
     save_model(policy, path, POLICY,
                **{key: asdict(block) for key, block in extra.items() if block is not None})
 

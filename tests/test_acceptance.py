@@ -15,7 +15,7 @@ import inquest.nncore as nncore
 from inquest.cli import run
 from inquest.consult_env import (
     UNKNOWN,
-    DisclosureProbs,
+    PatientSim,
     StepFindings,
     legal_actions,
     reset,
@@ -157,7 +157,7 @@ def test_random_rollouts_never_violate_question_rules():
     onto = benchmark_ontology()
     gm = benchmark_genmodel(onto)
     cohort = generate_cohort(gm, 500, seed=40)
-    disclosure = DisclosureProbs()
+    disclosure = PatientSim()
     steps = 0
     episode = 0
     while steps < 10_000:
@@ -322,7 +322,7 @@ CLI_GOLDEN = {
     "cohort.jsonl": "cc4840ef115a8832b6fa1e9c382b881e48de5aed0bdb3d2d1b5eaf177e445992",
     "cohort.header.json": "064e4e8424d9521be0052ca80335b522e972384914f784d4f0ba520ec89f4b90",
     "diag.json": "595222d6dc9ed3e9ebcfe2f08d56695dd91b910680c261e00d800fb860e917f3",
-    "policy.json": "46fa670415ee9cdabff0113a8aa6fcac954f0eb8c8cc79be10a50e674fe81012",
+    "policy.json": "189b92c37b26beed32e5479a3637e19ce8f81ffb9ff26f35d81475996bb5f48d",
     "value.json": "c932830fabfb3fa3288b1ce31468f9a78781e093ede1e8d8871408c164b51f0d",
     "train.csv": "742cac0bfcdce037ef598c1ef70281589ab47f569680818ad18f0f372e1bae34",
     "report.json": "e784acb0a032c928cdd1606d62ada463672315cf0f3d9fc2165458f860ae5e7c",

@@ -15,7 +15,7 @@ from inquest.cli import (
     parse_config_file,
     run,
 )
-from inquest.consult_env import DisclosureProbs
+from inquest.consult_env import PatientSim
 from inquest.diagnosis import SlTrainConfig, new_diagnosis_model, predict, rank_from_probs
 from inquest.errors import ConfigError, DomainError, ParseError
 from inquest.evalharness import FIXED_ORDER, baseline_policy, load_report, load_traces
@@ -311,7 +311,7 @@ class _Stop(Exception):
 def _settings_given_to_the_stages(workspace, monkeypatch, diag_flags=(), inquiry_flags=(),
                                   eval_flags=()):
     """Run train-diag, train-inquiry and eval up to their stage calls; returns
-    the ranker config, PPO config, reward, and the two disclosure settings."""
+    the ranker config, PPO config, reward, and the two simulated-patient settings."""
     root, onto_dir, data, diag, policy = workspace
     got = {}
 
@@ -331,28 +331,29 @@ def _settings_given_to_the_stages(workspace, monkeypatch, diag_flags=(), inquiry
             run(argv)
     (_, sl_cfg), _ = got["train_diagnosis"]
     (_, _, _, ppo_cfg), inquiry_kw = got["train_inquiry"]
-    return (sl_cfg, ppo_cfg, inquiry_kw["reward_params"], inquiry_kw["disclosure"],
-            got["evaluate"][1]["disclosure"])
+    return (sl_cfg, ppo_cfg, inquiry_kw["reward_params"], inquiry_kw["sim"],
+            got["evaluate"][1]["sim"])
 
 
 def test_every_setting_defaults_to_its_dataclass(workspace, monkeypatch):
     """A settings field without a flag of its name fails here."""
-    sl_cfg, ppo_cfg, reward, disclosure, eval_disclosure = _settings_given_to_the_stages(
+    sl_cfg, ppo_cfg, reward, sim, eval_sim = _settings_given_to_the_stages(
         workspace, monkeypatch)
     assert sl_cfg == SlTrainConfig()
     assert ppo_cfg == PpoConfig()
     assert reward == RewardParams()
-    assert disclosure == eval_disclosure == DisclosureProbs()
+    assert sim == eval_sim == PatientSim()
 
 
 def test_non_default_flags_land_in_their_fields(workspace, monkeypatch):
-    sl_cfg, ppo_cfg, _, disclosure, eval_disclosure = _settings_given_to_the_stages(
+    patient = ["--p2n", "0.2", "--noise", "0.1", "--unmentioned-answer", "unknown"]
+    sl_cfg, ppo_cfg, _, sim, eval_sim = _settings_given_to_the_stages(
         workspace, monkeypatch, diag_flags=["--no-augment"],
-        inquiry_flags=["--episodes", "7", "--minibatch", "9", "--p2n", "0.2"],
-        eval_flags=["--p2n", "0.2"])
+        inquiry_flags=["--episodes", "7", "--minibatch", "9", *patient],
+        eval_flags=patient)
     assert sl_cfg == SlTrainConfig(augment=False)
     assert ppo_cfg == PpoConfig(episodes_per_iter=7, minibatch_size=9)
-    assert disclosure == eval_disclosure == DisclosureProbs(p2n=0.2)
+    assert sim == eval_sim == PatientSim(p2n=0.2, noise=0.1, unmentioned_answer="unknown")
 
 
 # For each rule, a value just outside its range (none for "finite"), and its edge,
@@ -363,7 +364,7 @@ _RULE_VALUES = {"count": (0, 1), "non-negative": (-1e-9, 0), "positive": (0, 1e-
 
 @pytest.mark.parametrize("cls, field", [
     pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
-    for cls in (SlTrainConfig, PpoConfig, RewardParams, DisclosureProbs)
+    for cls in (SlTrainConfig, PpoConfig, RewardParams, PatientSim)
     for f in dataclasses.fields(cls) if type(f.default) in (int, float)
 ])
 def test_every_numeric_setting_is_checked_by_its_rule(cls, field):
@@ -623,6 +624,29 @@ def test_bad_hidden_sizes_exit_1_before_any_input_is_read(workspace, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error:") and "hidden must be a tuple of integers >= 1" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["train-inquiry", "eval"])
+@pytest.mark.parametrize("flags, config, says", [
+    (["--noise", "1.5"], None, "noise must be in [0, 1], got 1.5"),
+    (["--noise", "nan"], None, "noise must be in [0, 1], got nan"),
+    ([], "unmentioned_answer = bogus", "unknown unmentioned-answer mode 'bogus'"),
+], ids=["noise-1.5", "noise-nan", "config-unmentioned-bogus"])
+def test_bad_patient_settings_exit_1_before_any_input_is_read(workspace, tmp_path, capsys,
+                                                              command, flags, config, says):
+    root, onto_dir, data, diag, policy = workspace
+    run_dir = tmp_path / "run"
+    argv = [command, "--ontology", str(onto_dir), "--out", str(run_dir / "out.json"),
+            "--data", str(run_dir / "missing.jsonl"), "--diag", str(run_dir / "missing.json"),
+            *flags]
+    argv += ["--quiet"] if command == "train-inquiry" else ["--baseline", "FixedOrder"]
+    if config is not None:
+        (tmp_path / "bad.cfg").write_text(config + "\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "bad.cfg")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err
+    assert not run_dir.exists()
 
 
 def test_train_diag_on_record_missing_label_exits_1(workspace, tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 from inquest.consult_env import (
     UNKNOWN,
     UNMENTIONED_UNKNOWN,
-    DisclosureProbs,
     EnvState,
+    PatientSim,
     StepFindings,
     legal_actions,
     reset,
@@ -29,8 +29,8 @@ from inquest.patientgen import (
     toy_ontology,
 )
 
-ALL = DisclosureProbs(1.0, 1.0, 1.0, 1.0)
-NONE = DisclosureProbs(0.0, 0.0, 0.0, 0.0)
+ALL = PatientSim(1.0, 1.0, 1.0, 1.0)
+NONE = PatientSim(0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ def test_reset_full_disclosure_reveals_mentioned_only(onto):
 
 def test_reset_is_deterministic(onto, toy):
     patient = generate_cohort(toy, 1, seed=4).records[0]
-    probs = DisclosureProbs()
+    probs = PatientSim()
     a = reset(patient, onto, probs, rng=np.random.default_rng(9))
     b = reset(patient, onto, probs, rng=np.random.default_rng(9))
     assert np.array_equal(a.status, b.status)
@@ -89,7 +89,7 @@ def test_reset_is_deterministic(onto, toy):
 
 def test_second_level_positive_gated_on_parent_disclosure(onto, toy):
     # p2p=1 with an undisclosed parent must never disclose the child.
-    probs = DisclosureProbs(p1p=0.5, p1n=0.0, p2p=1.0, p2n=0.0)
+    probs = PatientSim(p1p=0.5, p1n=0.0, p2p=1.0, p2n=0.0)
     patients = generate_cohort(toy, 1000, seed=21).records
     seen_blocked = 0
     for i, patient in enumerate(patients):
@@ -118,9 +118,9 @@ def test_reset_rejects_inconsistent_patient(onto):
 
 def test_probs_validate():
     with pytest.raises(DomainError):
-        DisclosureProbs(p1p=1.2)
+        PatientSim(p1p=1.2)
     with pytest.raises(DomainError):
-        DisclosureProbs(p2n=-0.1)
+        PatientSim(p2n=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def test_random_episodes_respect_invariants(onto, toy):
     total_steps = 0
     for i, patient in enumerate(patients):
         rng = np.random.default_rng([31, i])
-        state = reset(patient, onto, DisclosureProbs(), rng, horizon=10)
+        state = reset(patient, onto, PatientSim(), rng, horizon=10)
         known = set(np.flatnonzero(state.status != UNKNOWN))
         while state.t < state.horizon:
             mask = legal_actions(state, onto)

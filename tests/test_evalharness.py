@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inquest import nncore
-from inquest.consult_env import DisclosureProbs
+from inquest.consult_env import PatientSim
 from inquest.diagnosis import new_diagnosis_model
 from inquest.errors import (
     ConfigError,
@@ -51,7 +51,7 @@ from inquest.patientgen import (
     toy_ontology,
 )
 
-NO_DISCLOSURE = DisclosureProbs(0.0, 0.0, 0.0, 0.0)
+NO_DISCLOSURE = PatientSim(0.0, 0.0, 0.0, 0.0)
 
 
 def make_trace(ranking, label, final=None, pid="p0", horizon=10, rounds=()):
@@ -98,7 +98,7 @@ def test_zero_round_consultation_ranks_from_disclosure(toy_setup):
     onto, ds, diag = toy_setup
     trace = simulate_consultation(
         baseline_policy(RANDOM_LEGAL), diag, ds.records[0], onto,
-        DisclosureProbs(), 0, np.random.default_rng(0),
+        PatientSim(), 0, np.random.default_rng(0),
     )
     assert trace.rounds == ()
     assert trace.n_rounds == 0
@@ -111,7 +111,7 @@ def test_consultation_round_and_ranking_shapes(toy_setup):
     for i in range(10):
         trace = simulate_consultation(
             baseline_policy(RANDOM_LEGAL), diag, ds.records[i], onto,
-            DisclosureProbs(), 10, np.random.default_rng(i),
+            PatientSim(), 10, np.random.default_rng(i),
         )
         assert trace.n_rounds <= 10
         assert sorted(trace.ranking) == [0, 1, 2]
@@ -152,7 +152,7 @@ def test_consultation_reproducible(toy_setup):
     traces = [
         simulate_consultation(
             baseline_policy(RANDOM_LEGAL), diag, ds.records[3], onto,
-            DisclosureProbs(), 10, np.random.default_rng([4, 2]),
+            PatientSim(), 10, np.random.default_rng([4, 2]),
         )
         for _ in range(2)
     ]
@@ -167,13 +167,13 @@ def test_consultation_digest_mismatch(toy_setup):
     with pytest.raises(DigestMismatch):
         simulate_consultation(
             baseline_policy(RANDOM_LEGAL), bad, ds.records[0], onto,
-            DisclosureProbs(), 5, np.random.default_rng(0),
+            PatientSim(), 5, np.random.default_rng(0),
         )
     trained = new_inquiry_policy(8, 7, onto.n_questions, "0" * 64, hidden=(16, 16))
     with pytest.raises(DigestMismatch):
         simulate_consultation(
             GreedyModelPolicy(trained), diag, ds.records[0], onto,
-            DisclosureProbs(), 5, np.random.default_rng(0),
+            PatientSim(), 5, np.random.default_rng(0),
         )
 
 
@@ -182,7 +182,7 @@ def test_greedy_policy_runs_and_stays_legal(toy_setup):
     trained = new_inquiry_policy(8, 7, onto.n_questions, onto.content_digest, hidden=(16, 16))
     policy = GreedyModelPolicy(trained)
     trace = simulate_consultation(
-        policy, diag, ds.records[0], onto, DisclosureProbs(), 10,
+        policy, diag, ds.records[0], onto, PatientSim(), 10,
         np.random.default_rng(3),
     )
     questions = [q for q, _ in trace.rounds]
@@ -369,7 +369,7 @@ def test_noise_free_precision_is_exact_for_any_policy(toy_setup):
     for kind in (RANDOM_LEGAL, FIXED_ORDER):
         traces = [
             simulate_consultation(
-                baseline_policy(kind), diag, p, onto, DisclosureProbs(), 10,
+                baseline_policy(kind), diag, p, onto, PatientSim(), 10,
                 np.random.default_rng([7, i]),
             )
             for i, p in enumerate(ds.records)
@@ -470,15 +470,13 @@ def test_evaluate_refuses_a_dataset_of_other_diseases(toy_setup):
         evaluate(baseline_policy(RANDOM_LEGAL), diag, five, onto)
 
 
-def test_evaluate_group_map(toy_setup):
+def test_group_recall_is_recall_at_group_k_per_true_label(toy_setup):
     onto, ds, diag = toy_setup
-    grouping = {0: "common", 1: "common", 2: "rare"}
-    report, _ = evaluate(
-        baseline_policy(FIXED_ORDER), diag, ds, onto, horizon=5, seed=0,
-        group_of=grouping, group_k=3,
-    )
-    assert set(report.group_recall) <= {"common", "rare"}
-    assert all(0.0 <= v <= 1.0 for v in report.group_recall.values())
+    report, traces = evaluate(baseline_policy(FIXED_ORDER), diag, ds, onto, horizon=5, seed=0,
+                              group_k=2)
+    labels = sorted({t.true_label for t in traces})
+    assert report.group_recall == {
+        str(d): recall_at_k([t for t in traces if t.true_label == d], [2])[2] for d in labels}
 
 
 def test_report_json_round_trip(tmp_path, toy_setup):

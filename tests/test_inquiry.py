@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from inquest import consult_env, nncore
-from inquest.consult_env import DisclosureProbs, StepFindings
+from inquest.consult_env import PatientSim, StepFindings
 from inquest.diagnosis import new_diagnosis_model
 from inquest.errors import (
     ConfigError,
@@ -49,7 +49,7 @@ from inquest.patientgen import (
     toy_ontology,
 )
 
-NO_DISCLOSURE = DisclosureProbs(0.0, 0.0, 0.0, 0.0)
+NO_DISCLOSURE = PatientSim(0.0, 0.0, 0.0, 0.0)
 ZERO_FINDINGS = StepFindings(0, 0, 0, 0)
 
 
@@ -172,7 +172,7 @@ def test_policy_never_rates_illegal_actions(toy_setup):
     for ep in range(40):
         rec = ds.records[int(rng.integers(len(ds)))]
         e = encode_history(rec, 8)
-        state = consult_env.reset(rec, onto, DisclosureProbs(), rng, horizon=10)
+        state = consult_env.reset(rec, onto, PatientSim(), rng, horizon=10)
         while state.t < 10:
             mask = consult_env.legal_actions(state, onto)
             if not mask.any():
@@ -289,7 +289,7 @@ def test_same_seed_identical_batches(flat):
 def test_rollouts_match_straight_line_oracle(toy_setup):
     onto, ds, diag, policy, value = toy_setup
     params = RewardParams()
-    probs_cfg = DisclosureProbs()
+    probs_cfg = PatientSim()
     n_eps, horizon, seed = 12, 10, 21
     batch = collect_rollouts(
         policy, value, diag, ds, onto, probs_cfg, params, n_eps, horizon, seed
@@ -354,7 +354,7 @@ def test_rollout_digest_mismatch(flat):
 def test_episodes_end_once_each(toy_setup):
     onto, ds, diag, policy, value = toy_setup
     batch = collect_rollouts(
-        policy, value, diag, ds, onto, DisclosureProbs(), RewardParams(), 20, 10, 11
+        policy, value, diag, ds, onto, PatientSim(), RewardParams(), 20, 10, 11
     )
     assert batch.dones.sum() == batch.n_episodes
     bounds = np.flatnonzero(batch.dones)
@@ -626,14 +626,15 @@ def test_training_log_refuses_non_finite_values(tmp_path):
 def test_policy_checkpoint_round_trip(tmp_path, flat):
     onto, ds, diag, policy, value = flat
     path = tmp_path / "policy.json"
-    save_policy(policy, path, reward_params=RewardParams(), disclosure=DisclosureProbs())
+    save_policy(policy, path, reward_params=RewardParams(), sim=PatientSim(noise=0.25))
     loaded = load_policy(path)
     for a, b in zip(policy.net.weights, loaded.net.weights):
         assert np.array_equal(a, b)
     assert loaded.n_questions == policy.n_questions
     assert loaded.ontology_digest == onto.content_digest
     assert loaded.net.meta["reward_params"]["first_level_weight"] == 2.0
-    assert loaded.net.meta["disclosure_probs"]["p1p"] == 0.5
+    assert loaded.net.meta["patient_sim"] == {"p1p": 0.5, "p1n": 0.1, "p2p": 0.3, "p2n": 0.05,
+                                              "noise": 0.25, "unmentioned_answer": "denied"}
     x = np.zeros((1, 8 + 36))
     assert np.array_equal(nncore.forward(policy.net, x), nncore.forward(loaded.net, x))
 

@@ -10,9 +10,9 @@ from inquest.consult_env import (
     UNKNOWN,
     UNMENTIONED_DENIED,
     UNMENTIONED_UNKNOWN,
-    DisclosureProbs,
     EnvState,
     Lockstep,
+    PatientSim,
     StepFindings,
     legal_actions,
     step,
@@ -105,8 +105,8 @@ def test_batched_legality_and_step_match_straight_line_oracle(shape, seed, n, no
     draw = np.random.default_rng(seed)
     patients = [cohort.records[i] for i in draw.integers(len(cohort), size=n)]
     rngs = [np.random.default_rng([seed, i]) for i in range(n)]
-    env = Lockstep(patients, onto, DisclosureProbs(), rngs, horizon=50, noise=noise,
-                   unmentioned_answer=mode)
+    env = Lockstep(patients, onto, PatientSim(noise=noise, unmentioned_answer=mode), rngs,
+                   horizon=50)
     env.status[:] = draw.integers(0, 3, size=env.status.shape)
     env.asked[:] = draw.random(env.asked.shape) < 0.3
     status, asked = env.status.copy(), env.asked.copy()
@@ -134,7 +134,7 @@ def test_batched_legality_and_step_match_straight_line_oracle(shape, seed, n, no
 
 def test_lockstep_step_rejects_illegal_or_unrequested_actions():
     onto, cohort = SHAPES["toy"], COHORTS["toy"]
-    env = Lockstep(cohort.records[:2], onto, DisclosureProbs(0, 0, 0, 0),
+    env = Lockstep(cohort.records[:2], onto, PatientSim(0, 0, 0, 0),
                    [np.random.default_rng(i) for i in range(2)], horizon=5)
     with pytest.raises(IllegalAction):
         env.step([0, 0])  # pending() not called yet
@@ -147,7 +147,7 @@ def test_lockstep_step_rejects_illegal_or_unrequested_actions():
     # here, and K must not escape as an IndexError.
     record = next(r for r in cohort.records if r.id == "p000002")
     for action in (-1, onto.n_questions):
-        env = Lockstep([record], onto, DisclosureProbs(1, 0, 0, 0), [np.random.default_rng(0)],
+        env = Lockstep([record], onto, PatientSim(1, 0, 0, 0), [np.random.default_rng(0)],
                        horizon=5)
         _, mask = env.pending()
         assert mask[0, -1]
@@ -182,8 +182,8 @@ def test_single_episode_step_follows_the_lockstep_rule(shape, seed, noise, mode)
                 step(state, q, patient, onto, noise, rng, mode)
             continue
         after, findings = step(state, q, patient, onto, noise, rng, mode)
-        env = Lockstep([patient], onto, DisclosureProbs(), [np.random.default_rng([seed, q + 1])],
-                       horizon=10, noise=noise, unmentioned_answer=mode)
+        env = Lockstep([patient], onto, PatientSim(noise=noise, unmentioned_answer=mode),
+                       [np.random.default_rng([seed, q + 1])], horizon=10)
         env.status[:] = status
         env.asked[:] = asked
         _, pending_mask = env.pending()
@@ -199,9 +199,9 @@ def test_single_episode_step_follows_the_lockstep_rule(shape, seed, noise, mode)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("dims", [
-    (64 + 270, 128, 128, 100),  # desk policy
-    (64 + 270, 128, 128, 1),  # desk value net
-    (64 + 270, 256, 256, 20),  # desk ranker
+    (11 + 270, 128, 128, 100),  # desk policy
+    (11 + 270, 128, 128, 1),  # desk value net
+    (11 + 270, 256, 256, 20),  # desk ranker
 ])
 def test_blocked_forward_is_row_invariant(dims):
     head = nncore.HEAD_SCALAR if dims[-1] == 1 else nncore.HEAD_LOGITS
@@ -245,18 +245,19 @@ def desk_nets():
 def test_consultation_alone_matches_consultation_in_dataset(desk_nets, tmp_path, make_policy):
     onto, ds, diag, policy, _ = desk_nets
     chosen = make_policy(policy)
-    _, traces = evaluate(chosen, diag, ds, onto, horizon=12, seed=4, noise=0.1)
+    sim = PatientSim(noise=0.1)
+    _, traces = evaluate(chosen, diag, ds, onto, sim, horizon=12, seed=4)
 
     def blob(trace_list, name):
         save_traces(trace_list, tmp_path / name)
         return (tmp_path / name).read_bytes()
 
     one = PatientDataset(ds.records[:1], ds.disease_names, ds.m, ds.ontology_digest)
-    _, alone = evaluate(chosen, diag, one, onto, horizon=12, seed=4, noise=0.1)
+    _, alone = evaluate(chosen, diag, one, onto, sim, horizon=12, seed=4)
     assert blob(alone, "alone.jsonl") == blob(traces[:1], "first.jsonl")
     for i in (1, 37, 99):
-        trace = simulate_consultation(chosen, diag, ds.records[i], onto, DisclosureProbs(), 12,
-                                      np.random.default_rng([4, i]), noise=0.1)
+        trace = simulate_consultation(chosen, diag, ds.records[i], onto, sim, 12,
+                                      np.random.default_rng([4, i]))
         assert blob([trace], f"alone{i}.jsonl") == blob(traces[i : i + 1], f"in{i}.jsonl")
 
 
@@ -264,8 +265,8 @@ def test_one_episode_rollout_matches_episode_zero_of_a_batch(desk_nets):
     onto, ds, diag, policy, value = desk_nets
 
     def batch(n):
-        return collect_rollouts(policy, value, diag, ds, onto, DisclosureProbs(),
-                                RewardParams(), n, 10, seed=6, iteration=2, noise=0.1)
+        return collect_rollouts(policy, value, diag, ds, onto, PatientSim(noise=0.1),
+                                RewardParams(), n, 10, seed=6, iteration=2)
 
     one, many = batch(1), batch(64)
     assert many.n_episodes == 64
@@ -277,8 +278,8 @@ def test_one_episode_rollout_matches_episode_zero_of_a_batch(desk_nets):
 
 def test_empty_batches(desk_nets):
     onto, ds, diag, policy, value = desk_nets
-    assert consult_batch(GreedyModelPolicy(policy), diag, [], onto, DisclosureProbs(),
+    assert consult_batch(GreedyModelPolicy(policy), diag, [], onto, PatientSim(),
                          10, []) == []
     with pytest.raises(EmptyDataset):
-        collect_rollouts(policy, value, diag, ds, onto, DisclosureProbs(), RewardParams(), 0,
+        collect_rollouts(policy, value, diag, ds, onto, PatientSim(), RewardParams(), 0,
                          10, seed=0)
