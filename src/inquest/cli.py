@@ -23,7 +23,7 @@ from .diagnosis import (
     save_diagnosis,
     train_diagnosis,
 )
-from .errors import ConfigError, InquestError, ParseError, reading, writing
+from .errors import ConfigError, InquestError, ParseError, check_setting, reading, writing
 from .evalharness import (
     DialogueTrace,
     FIXED_ORDER,
@@ -133,6 +133,19 @@ def _add_settings(parser, cls) -> None:
             name = _FLAG_NAMES.get(f.name, f.name)
             parser.add_argument("--" + name.replace("_", "-"),
                                 type=_FLAG_TYPES[type(f.default)], default=f.default)
+
+
+# Flags that no settings dataclass holds, and the rule of errors.SETTING_RULES
+# that each keeps; ``run`` checks them before a subcommand reads any input.
+_FLAG_RULES = {"horizon": "non-negative", "k": "sizes", "group_k": "count"}
+
+
+def _check_flags(args) -> None:
+    """Raise DomainError naming the first of the subcommand's ``_FLAG_RULES``
+    flags that breaks its rule."""
+    for name, rule in _FLAG_RULES.items():
+        if hasattr(args, name):
+            check_setting(name, getattr(args, name), rule, integral=True)
 
 
 def _settings(cls, args, **given):
@@ -525,6 +538,7 @@ def run(argv) -> int:
                 if isinstance(action, argparse._SubParsersAction):
                     apply_config_defaults(action.choices[sub_name], values)
         args = parser.parse_args(argv)
+        _check_flags(args)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

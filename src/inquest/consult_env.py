@@ -35,7 +35,7 @@ Status codes match the dataset's ternary HPI coding: 0 unknown, 1 confirmed,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,7 +61,8 @@ class PatientSim:
     second-level negatives are not gated. Each revealed answer flips sign
     with probability ``noise``. ``unmentioned_answer`` says how an element
     the record does not mention is answered: Denied ("denied") or left
-    Unknown ("unknown").
+    Unknown ("unknown"). The rates are held as floats, so an int rate
+    builds the same settings and the same evaluation config digest.
     """
 
     p1p: float = setting(0.5, "rate")
@@ -73,6 +74,9 @@ class PatientSim:
 
     def __post_init__(self) -> None:
         check_settings(self)
+        for f in fields(self):
+            if "rule" in f.metadata:
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if self.unmentioned_answer not in (UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN):
             raise ConfigError(f"unknown unmentioned-answer mode {self.unmentioned_answer!r}")
 

@@ -186,19 +186,26 @@ def setting(default, rule: str):
     return dataclasses.field(default=default, metadata={"rule": rule})
 
 
+def check_setting(name: str, value, rule: str, integral: bool) -> None:
+    """Raise DomainError naming ``name`` unless ``value`` meets ``rule``, one
+    of ``SETTING_RULES``. "sizes" asks for a tuple; every other rule asks for
+    a finite number, an integer where ``integral``, so NaN and infinity break
+    them all."""
+    says, holds = SETTING_RULES[rule]
+    if rule == "sizes":
+        ok = isinstance(value, tuple) and holds(value)
+    else:
+        kind = numbers.Integral if integral else numbers.Real
+        ok = isinstance(value, kind) and math.isfinite(value) and holds(value)
+    if not ok:
+        raise DomainError(f"{name} must be {says}, got {value!r}")
+
+
 def check_settings(obj) -> None:
     """Raise DomainError naming the first field of the settings dataclass
-    ``obj`` that breaks its rule. "sizes" asks for a tuple; every other rule
-    asks for a finite number, an integer where the default is one, so NaN
-    and infinity break them all."""
+    ``obj`` that breaks its rule (``check_setting``); a field whose default is
+    an int must hold an integer."""
     for f in dataclasses.fields(obj):
         if "rule" in f.metadata:
-            value = getattr(obj, f.name)
-            says, holds = SETTING_RULES[f.metadata["rule"]]
-            if isinstance(f.default, tuple):
-                ok = isinstance(value, tuple) and holds(value)
-            else:
-                kind = numbers.Integral if isinstance(f.default, int) else numbers.Real
-                ok = isinstance(value, kind) and math.isfinite(value) and holds(value)
-            if not ok:
-                raise DomainError(f"{f.name} must be {says}, got {value!r}")
+            check_setting(f.name, getattr(obj, f.name), f.metadata["rule"],
+                          integral=isinstance(f.default, int))

@@ -15,6 +15,7 @@ import json
 import math
 import operator
 from collections.abc import Iterable
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -63,10 +64,10 @@ N_SIGNATURES = 3
 # uniforms take about 0.4 MB.
 SAMPLE_BLOCK = 256
 
-# Dataset lines that load_dataset parses and then checks together, by the
-# record rule save_dataset applies too. At the desk shape a block's parsed
-# rows and stacked int64 HPI matrix take about 0.1 MB; blocks of SAMPLE_BLOCK
-# lines raised peak RSS by about 0.25 MB and loaded no faster.
+# Dataset lines that load_dataset parses, decodes and then checks together,
+# by the record rule save_dataset applies too. At the desk shape a block's
+# parsed rows and decoded HPI peak at about 0.05 MB (tracemalloc); blocks of
+# SAMPLE_BLOCK lines raised peak RSS by about 0.25 MB and loaded no faster.
 LOAD_BLOCK = 64
 
 # Disjoint RNG stream tags; record streams use plain (seed, index), so tags
@@ -785,28 +786,28 @@ def _header_path(path: Path) -> Path:
 
 
 def _check_records(
-    records: list[PatientRecord], m: int, d: int
+    records: list[PatientRecord], m: int, d: int, hpi: np.ndarray | None = None
 ) -> np.ndarray | tuple[int, str, str]:
     """The record rule of dataset files, which ``save_dataset`` applies before
-    it writes and ``load_dataset`` after it reads: the records' hpi stacked as
-    an (N, M) int8 matrix, or ``(index, rule, message)`` for the first record
-    that breaks a rule and the first rule it breaks, the message naming it.
+    it writes and ``load_dataset`` after it decodes: the records' hpi stacked
+    as an (N, M) int8 matrix, or ``(index, rule, message)`` for the first
+    record that breaks a rule and the first rule it breaks, the message naming
+    it. ``hpi`` is the records' hpi already stacked, where the caller has it.
 
     The rules, in order: "id", a string; "integers", age, label and each flag
-    exact ints (a bool is not one) and the flags a tuple; "hpi", M entries,
-    each 0, 1 or 2 (a row of booleans alone is refused, one mixing booleans
-    and integers reads as integers, and an empty row, as JSON ``[]`` loads, is
-    of no kind); "label", in [0, d); "sex", one of SEXES.
+    exact ints (a bool is not one) and the flags a tuple; "hpi", an integer
+    numpy array of M entries, each 0, 1 or 2 (any other value, such as a
+    list, is malformed); "label", in [0, d); "sex", one of SEXES.
     A float NaN or infinity breaks "non-finite" in place of "integers" or
     "hpi". The hpi rule is checked once over the stacked matrix, and on a row
-    alone only when that check fails or the row opens with a boolean.
+    alone only when that check fails.
     """
-    try:
-        hpi = np.array([r.hpi for r in records])
-        stacked = (hpi.shape == (len(records), m) and (hpi.dtype.kind in "iu" or not hpi.size)
-                   and not ((hpi < 0) | (hpi > 2)).any())
-    except ValueError:
-        stacked = False
+    if hpi is None and all(type(r.hpi) is np.ndarray and r.hpi.dtype.kind in "iu"
+                           for r in records):
+        with suppress(ValueError):  # rows of differing shapes do not stack
+            hpi = np.array([r.hpi for r in records])
+    stacked = (hpi is not None and hpi.shape == (len(records), m)
+               and not ((hpi < 0) | (hpi > 2)).any())
     for i, r in enumerate(records):
         age, label, flags = r.age, r.label, r.prior_flags
         if type(r.id) is not str:
@@ -817,14 +818,13 @@ def _check_records(
             nan = any(isinstance(v, float) and not math.isfinite(v) for v in values)
             return (i, "non-finite" if nan else "integers",
                     f"record {r.id}: label, age and prior_flags must be integers")
-        if not stacked or m and type(r.hpi[0]) in (bool, np.bool_):
-            try:
-                h = np.asarray(r.hpi)
-            except ValueError:
+        if not stacked:
+            h = r.hpi
+            if type(h) is not np.ndarray:
                 return i, "hpi", f"record {r.id}: malformed hpi"
             if h.shape != (m,):
                 return i, "hpi", f"record {r.id}: hpi of shape {h.shape} is not of length M={m}"
-            if h.size and (h.dtype.kind not in "iu" or ((h < 0) | (h > 2)).any()):
+            if h.dtype.kind not in "iu" or ((h < 0) | (h > 2)).any():
                 nan = h.dtype.kind == "f" and not np.isfinite(h).all()
                 return (i, "non-finite" if nan else "hpi",
                         f"record {r.id}: hpi entries must be 0, 1 or 2")
@@ -833,22 +833,19 @@ def _check_records(
         if r.sex not in SEXES:
             return i, "sex", f"record {r.id}: unknown sex {r.sex!r}"
     # No record broke a rule, so ``hpi`` holds M integers a row, or is empty.
-    return hpi.reshape(len(records), m).astype(np.int8)
+    return hpi.reshape(len(records), m).astype(np.int8, copy=False)
 
 
 def _record_lines(records: list[PatientRecord], hpi: np.ndarray) -> list[str]:
     """The JSON lines of ``records``, whose stacked hpi is ``hpi``: the bytes
-    of ``json.dumps`` with sorted keys and no spaces, without a per-record
-    ``json.dumps``."""
-    # Row i of ``digits`` is record i's hpi as ASCII "d,d,...,d,".
-    width = 2 * hpi.shape[1]
-    digits = np.full((len(records), width), ord(","), dtype=np.uint8)
-    digits[:, 0::2] = hpi + ord("0")
-    hpi_text = digits.tobytes().decode("ascii")
+    of ``json.dumps`` with sorted keys and no spaces of each record, its hpi
+    written as one string of M digits, without a per-record ``json.dumps``."""
+    m = hpi.shape[1]
+    hpi_text = (hpi + ord("0")).tobytes().decode("ascii")
     flag_text = {fl: ",".join(map(str, fl)) for fl in {r.prior_flags for r in records}}
     sex_text = {s: encode_basestring_ascii(s) for s in SEXES}
     return [
-        f'{{"age":{r.age},"hpi":[{hpi_text[i * width : (i + 1) * width - 1]}],'
+        f'{{"age":{r.age},"hpi":"{hpi_text[i * m : (i + 1) * m]}",'
         f'"id":{encode_basestring_ascii(r.id)},"label":{r.label},'
         f'"prior_flags":[{flag_text[r.prior_flags]}],"sex":{sex_text[r.sex]}}}\n'
         for i, r in enumerate(records)
@@ -857,6 +854,8 @@ def _record_lines(records: list[PatientRecord], hpi: np.ndarray) -> list[str]:
 
 def save_dataset(dataset: PatientDataset, path: str | Path) -> None:
     """Write records as JSON-lines plus a ``*.header.json`` sidecar; lossless.
+    Each line is one record's JSON object with sorted keys and no spaces, its
+    ``"hpi"`` one string of M digits 0, 1 and 2 (``_record_lines``).
 
     The records are checked by the one record rule the loader applies too
     (``_check_records``). The first bad record raises ValidationError naming
@@ -886,9 +885,10 @@ def _load_block(
     block: list[tuple[int, str]], m: int, d: int, ontology: HpiOntology | None
 ) -> list[PatientRecord]:
     """The records of ``block``'s ``(lineno, line)`` pairs, each line parsed
-    once. The records before the first line that is not a JSON object or
-    lacks a field are checked by ``_check_records`` and, given an
-    ``ontology``, against its hierarchy; then that line raises ParseError."""
+    once and the hpi strings of all decoded together. The records before the
+    first line that is not a JSON object or lacks a field are checked by
+    ``_check_records`` and, given an ``ontology``, against its hierarchy;
+    then that line raises ParseError."""
     records: list[PatientRecord] = []
     for lineno, line in block:
         try:
@@ -902,12 +902,22 @@ def _load_block(
             row.get("id", f"line{lineno}"), row["age"], row["sex"],
             tuple(flags) if type(flags) is list else flags, row["hpi"], row["label"],
         ))
-    hpi = _check_records(records, m, d)
+    # Each hpi string becomes the int8 row of its characters' codes less
+    # ord("0"), all in one call. "replace" turns a character past ASCII into
+    # "?", so every string keeps its length and a stray character reads as an
+    # entry out of range. Any other hpi value stays, for the rule to refuse.
+    coded = [r for r in records if type(r.hpi) is str]
+    codes = np.frombuffer("".join([r.hpi for r in coded]).encode("ascii", "replace"),
+                          np.int8) - ord("0")
+    lengths = [len(r.hpi) for r in coded]
+    hpi = codes.reshape(len(coded), m) if lengths.count(m) == len(coded) else None
+    rows = np.split(codes, np.cumsum(lengths[:-1])) if hpi is None else hpi
+    for r, h in zip(coded, rows):
+        r.hpi = h
+    hpi = _check_records(records, m, d, hpi)
     if isinstance(hpi, tuple):
         i, rule, message = hpi
         raise (ValidationError if rule == "label" else ParseError)(f"line {block[i][0]}: {message}")
-    for r, h in zip(records, hpi):
-        r.hpi = h
     if ontology is not None and records:
         check_hierarchy(ontology, hpi, "record", [r.id for r in records])
     if len(records) < len(block):  # the loop stopped at ``row``, read from line ``lineno``
@@ -918,12 +928,14 @@ def _load_block(
 
 
 def load_dataset(path: str | Path, ontology: HpiOntology | None = None) -> PatientDataset:
-    """Read a dataset back. Each record is checked by the one record rule the
-    writer applies too (``_check_records``), and, given ``ontology``, against
-    its digest and hierarchy. A file that cannot be read raises IoError; the
+    """Read a dataset back. Each record's hpi string is decoded to M int8
+    entries, and the record is checked by the one record rule the writer
+    applies too (``_check_records``), and, given ``ontology``, against its
+    digest and hierarchy. A file that cannot be read raises IoError; the
     first bad record in file order raises ParseError, or ValidationError for a
     label out of range or a hierarchy broken, naming its line and the first
-    rule it breaks."""
+    rule it breaks. An hpi that is not a string, such as the list of integers
+    of the format before hpi strings, is a malformed hpi."""
     path = Path(path)
     with reading(f"dataset {path}"):
         raw = json.loads(_header_path(path).read_text(encoding="utf-8"))

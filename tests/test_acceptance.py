@@ -319,7 +319,7 @@ def test_cli_pipeline_is_byte_identical_across_runs(tmp_path):
 # behaviour shows up even when it is deterministic. An intended change
 # re-pins the moved digests and says why in CHANGES.md.
 CLI_GOLDEN = {
-    "cohort.jsonl": "cc4840ef115a8832b6fa1e9c382b881e48de5aed0bdb3d2d1b5eaf177e445992",
+    "cohort.jsonl": "9e30c67fbcd19c150228e5cda716ecfe99ebe5aaf920e2a13d1797adf8e48179",
     "cohort.header.json": "064e4e8424d9521be0052ca80335b522e972384914f784d4f0ba520ec89f4b90",
     "diag.json": "595222d6dc9ed3e9ebcfe2f08d56695dd91b910680c261e00d800fb860e917f3",
     "policy.json": "189b92c37b26beed32e5479a3637e19ce8f81ffb9ff26f35d81475996bb5f48d",

@@ -649,6 +649,50 @@ def test_bad_patient_settings_exit_1_before_any_input_is_read(workspace, tmp_pat
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, says", [
+    ("eval", "--horizon", "-1", "horizon must be non-negative, got -1"),
+    ("eval", "--k", "0", "k must be a tuple of integers >= 1, got (0,)"),
+    ("eval", "--k", "1,0,3", "k must be a tuple of integers >= 1, got (1, 0, 3)"),
+    ("eval", "--group-k", "0", "group_k must be an integer >= 1, got 0"),
+    ("train-inquiry", "--horizon", "-1", "horizon must be non-negative, got -1"),
+    ("consult", "--horizon", "-1", "horizon must be non-negative, got -1"),
+])
+def test_bad_dialogue_flags_exit_1_before_any_input_is_read(tmp_path, capsys,
+                                                            command, flag, value, says):
+    run_dir = tmp_path / "run"  # holds no ontology, dataset or checkpoint
+    rest = {
+        "eval": ["--data", str(run_dir / "c.jsonl"), "--out", str(run_dir / "r.json"),
+                 "--baseline", "FixedOrder"],
+        "train-inquiry": ["--data", str(run_dir / "c.jsonl"), "--out", str(run_dir / "p.json"),
+                          "--quiet"],
+        "consult": ["--baseline", "FixedOrder"],
+    }[command]
+    assert run([command, "--ontology", str(run_dir / "onto"), "--diag", str(run_dir / "d.json"),
+                *rest, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err
+    assert not run_dir.exists()
+
+
+def test_train_diag_on_a_list_hpi_exits_1(workspace, tmp_path, capsys):
+    """A dataset line of the format before hpi strings is refused, by its line."""
+    root, onto_dir, data, diag, policy = workspace
+    bad = tmp_path / "cohort.jsonl"
+    lines = data.read_text().splitlines()
+    first = json.loads(lines[0])
+    first["hpi"] = [int(c) for c in first["hpi"]]
+    lines[0] = json.dumps(first, sort_keys=True, separators=(",", ":"))
+    bad.write_text("\n".join(lines) + "\n")
+    (tmp_path / "cohort.header.json").write_text(
+        data.with_name("cohort.header.json").read_text())
+    out = tmp_path / "d.json"
+    assert run(["train-diag", "--ontology", str(onto_dir), "--data", str(bad),
+                "--out", str(out), "--epochs", "1", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 1: record p000000: malformed hpi" in err
+    assert not out.exists()
+
+
 def test_train_diag_on_record_missing_label_exits_1(workspace, tmp_path, capsys):
     root, onto_dir, data, diag, policy = workspace
     bad = tmp_path / "cohort.jsonl"

@@ -463,6 +463,13 @@ def test_evaluate_end_to_end(toy_setup):
     assert again.config_digest == report.config_digest
 
 
+def test_int_and_float_rates_give_one_config_digest(toy_setup):
+    onto, ds, diag = toy_setup
+    digests = [evaluate(baseline_policy(FIXED_ORDER), diag, ds, onto, sim=sim, horizon=2)[0]
+               .config_digest for sim in (PatientSim(p1p=1, noise=0), PatientSim(p1p=1.0))]
+    assert digests[0] == digests[1]
+
+
 def test_evaluate_refuses_a_dataset_of_other_diseases(toy_setup):
     onto, ds, diag = toy_setup
     five = generate_cohort(benchmark_genmodel(onto, n_diseases=5, n_flags=2), 60, seed=2)

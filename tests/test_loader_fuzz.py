@@ -44,10 +44,13 @@ JSON_VALUES = st.recursive(
 )
 
 # Cell and line contents close to the valid ones, so edits reach past the
-# first syntax check.
-NEAR_TEXT = st.sampled_from(["", "0", "1", "2", "-1", "7", "99", "1.5", "1e400", "nan", "x",
-                             "closed", "open", "0;1", "1;;2", "=", " = ", "#", "\x00", "é",
-                             "9" * 5000]) | st.text(max_size=8)
+# first syntax check; the last are hpi strings of the toy cohort's 7
+# elements, one short, one long or with a character other than 0, 1 or 2.
+NEAR_TEXT = (st.sampled_from(["", "0", "1", "2", "-1", "7", "99", "1.5", "1e400", "nan", "x",
+                              "closed", "open", "0;1", "1;;2", "=", " = ", "#", "\x00", "é",
+                              "9" * 5000])
+             | st.text(max_size=8)
+             | st.text(st.sampled_from("0120123x\u00e9"), min_size=6, max_size=8))
 
 
 def edit_json_value(data, obj):
@@ -181,6 +184,7 @@ def test_load_dataset_fuzz_raises_only_inquest_errors(valid, fuzz_dir, data):
     assert type(ds.m) is int and all(isinstance(name, str) for name in ds.disease_names)
     for r in ds.records:
         assert r.hpi.shape == (ds.m,) and 0 <= r.label < ds.n_diseases
+        assert r.hpi.dtype == np.int8 and ((r.hpi >= 0) & (r.hpi <= 2)).all()
 
 
 @FUZZ

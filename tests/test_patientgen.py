@@ -261,8 +261,8 @@ def test_genmodel_digest_cannot_go_stale(toy):
 # sha256 of the records file of two desk cohorts, pinned on the per-family
 # sampling loop (``reference_record``): a faster sampler keeps every byte.
 DESK_COHORT_GOLDEN = {
-    0: "055faf31d3489fa597aacb6494f62bc70d47110df16c8159d623d74db0aed365",
-    1: "976845e28bc302cc70f023e4e052920e705be771fadf2afbdb59f2b147c9f4d5",
+    0: "d925708e268b499f92c4723a9fceb938ab519e16570a96f475b394f26480a4af",
+    1: "880f6e2318c25215f407013b0bcb88803a0a4953aeb573d2e867240d0ae7e5fa",
 }
 
 
@@ -272,6 +272,33 @@ def test_desk_cohort_matches_golden_digest(tmp_path, seed):
     path = tmp_path / "cohort.jsonl"
     save_dataset(generate_cohort(gm, 500, seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_COHORT_GOLDEN[seed]
+
+
+# sha256 of the same two cohorts as ``load_dataset`` reads them back, in a
+# fixed encoding (``records_digest``): the records, pinned apart from the
+# file format so that a change of format alone cannot move them.
+DESK_COHORT_RECORDS_GOLDEN = {
+    0: "7d56ec7fbd890f9544fc28a558fa3219e17be63f8100eaddd5b8a2720de087f6",
+    1: "251369e0c0dd38f4cbbb8cbc5959dc8d64978815ee61ced267c6eac3e9cf7313",
+}
+
+
+def records_digest(records):
+    """sha256 of the ids, ages, sexes, flags and labels as one JSON list,
+    then of the stacked int8 hpi."""
+    fields = [[r.id, r.age, r.sex, list(r.prior_flags), r.label] for r in records]
+    digest = hashlib.sha256(json.dumps(fields, separators=(",", ":")).encode("utf-8"))
+    digest.update(np.stack([r.hpi for r in records]).astype(np.int8).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(DESK_COHORT_RECORDS_GOLDEN))
+def test_desk_cohort_loads_to_golden_records(tmp_path, seed):
+    gm = benchmark_genmodel(benchmark_ontology(), n_diseases=20, seed=0, n_flags=8)
+    path = tmp_path / "cohort.jsonl"
+    save_dataset(generate_cohort(gm, 500, seed), path)
+    loaded = load_dataset(path, ontology=benchmark_ontology()).records
+    assert records_digest(loaded) == DESK_COHORT_RECORDS_GOLDEN[seed]
 
 
 def reference_record(gm, index, rng):
@@ -616,11 +643,15 @@ def test_save_load_round_trip(tmp_path, toy):
     save_dataset(again, tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
-    # With M = 0, JSON ``[]`` loads as a float row, which holds no entries.
-    no_findings = PatientDataset(
-        [PatientRecord("p0", 40, "male", (), np.zeros(0, np.int8), 0)], ("d0",), 0, "x")
-    save_dataset(no_findings, tmp_path / "m0.jsonl")
-    assert load_dataset(tmp_path / "m0.jsonl") == no_findings
+
+@pytest.mark.parametrize("m, text", [(0, ""), (1, "2")])
+def test_save_load_round_trip_with_zero_or_one_element(tmp_path, m, text):
+    records = [PatientRecord(f"p{i}", 40, "male", (), np.full(m, 2 * i, np.int8), 0)
+               for i in range(2)]
+    ds = PatientDataset(records, ("d0",), m, "x")
+    save_dataset(ds, tmp_path / "small.jsonl")
+    assert f'"hpi":"{text}"' in (tmp_path / "small.jsonl").read_text().splitlines()[1]
+    assert load_dataset(tmp_path / "small.jsonl") == ds
 
 
 def test_save_dataset_refuses_non_finite_values(tmp_path, toy):
@@ -644,6 +675,8 @@ def test_save_dataset_refuses_non_finite_values(tmp_path, toy):
     pytest.param("hpi", np.array([1.0, 0, 0, 1, 0, 0, 0]), id="hpi-float"),
     pytest.param("hpi", np.array([True, False, False, True, False, False, False]),
                  id="hpi-bool"),
+    pytest.param("hpi", [1, 0, 0, 1, 0, 0, 0], id="hpi-list"),
+    pytest.param("hpi", "1001000", id="hpi-string"),
 ])
 def test_save_dataset_refuses_what_the_loader_rejects(tmp_path, toy, field, value):
     ds = generate_cohort(toy, 5, seed=0)
@@ -655,13 +688,21 @@ def test_save_dataset_refuses_what_the_loader_rejects(tmp_path, toy, field, valu
 
 
 # JSON values that replace one field of a valid record: wrong types, values
-# out of range, booleans, strings, None, and hpi lists short, long or of floats.
+# out of range, booleans, strings, None, lists (the hpi of the old format),
+# and hpi strings short, long or with a character other than 0, 1 or 2.
 _FIELD_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 2**70), st.text(max_size=3),
     st.sampled_from(SEXES), st.floats(allow_nan=False, allow_infinity=False),
     st.lists(st.integers(-1, 3) | st.booleans(), max_size=9),
     st.lists(st.sampled_from([0, 1, 2, 0.0, 1.0, 2.0]), min_size=6, max_size=8),
+    st.text(st.sampled_from("0120123/:x \u00e9\ud800"), min_size=6, max_size=8),
 )
+
+
+def hpi_entries(text):
+    """The in-memory hpi that an hpi string stands for: its characters as
+    entries, where any character other than 0, 1 or 2 is an entry out of range."""
+    return np.array(["012".index(c) if c in "012" else 3 for c in text], dtype=np.int64)
 
 
 @settings(max_examples=300, deadline=None)
@@ -673,11 +714,14 @@ def test_save_refuses_a_record_exactly_when_load_refuses_its_line(
     ds = generate_cohort(toy, 3, seed=0)
     r = ds.records[1]
     row = {"id": r.id, "age": r.age, "sex": r.sex, "prior_flags": list(r.prior_flags),
-           "hpi": r.hpi.tolist(), "label": r.label, field: value}
-    # A record holds its flags as a tuple, which a JSON list becomes on load.
-    flags = row["prior_flags"]
-    ds.records[1] = dataclasses.replace(
-        r, **{field: tuple(flags) if field == "prior_flags" and type(flags) is list else value})
+           "hpi": "".join(map(str, r.hpi)), "label": r.label, field: value}
+    # A record holds its flags as a tuple, which a JSON list becomes on load,
+    # and its hpi as the array an hpi string stands for.
+    if field == "prior_flags" and type(value) is list:
+        value = tuple(value)
+    elif field == "hpi" and type(value) is str:
+        value = hpi_entries(value)
+    ds.records[1] = dataclasses.replace(r, **{field: value})
     tmp = tmp_path_factory.mktemp("rule")
     try:
         save_dataset(ds, tmp / "saved.jsonl")
@@ -696,7 +740,7 @@ def reference_save(dataset, path):
     """The per-record ``json.dumps`` writer, kept as the byte-for-byte reference."""
     lines = [
         json.dumps({"id": r.id, "age": r.age, "sex": r.sex, "prior_flags": list(r.prior_flags),
-                    "hpi": [int(v) for v in r.hpi], "label": r.label},
+                    "hpi": "".join(str(int(v)) for v in r.hpi), "label": r.label},
                    sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
         for r in dataset.records
     ]
@@ -711,7 +755,7 @@ _IDS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600
 
 @st.composite
 def random_datasets(draw):
-    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    m, d = draw(st.integers(0, 12)), draw(st.integers(1, 4))
     records = [
         PatientRecord(
             draw(_IDS), draw(st.integers(-10**12, 10**12)), draw(st.sampled_from(SEXES)),
@@ -762,7 +806,7 @@ def _row(**overrides):
         "age": 40,
         "sex": "male",
         "prior_flags": [0, 1],
-        "hpi": [1, 0, 0, 1, 0, 0, 0],
+        "hpi": "1001000",
         "label": 0,
     }
     row.update(overrides)
@@ -772,15 +816,13 @@ def _row(**overrides):
 def test_load_rejects_bad_records(tmp_path):
     onto = toy_ontology()
     with pytest.raises(ParseError, match="length"):
-        load_dataset(_write_rows(tmp_path / "a", [_row(hpi=[1, 0, 0])]))
+        load_dataset(_write_rows(tmp_path / "a", [_row(hpi="100")]))
     with pytest.raises(ParseError, match="0, 1 or 2"):
-        load_dataset(_write_rows(tmp_path / "b", [_row(hpi=[3, 0, 0, 0, 0, 0, 0])]))
+        load_dataset(_write_rows(tmp_path / "b", [_row(hpi="3000000")]))
     with pytest.raises(ValidationError, match="label"):
         load_dataset(_write_rows(tmp_path / "c", [_row(label=7)]))
     with pytest.raises(ValidationError, match="non-confirmed parent"):
-        load_dataset(
-            _write_rows(tmp_path / "d", [_row(hpi=[2, 0, 0, 1, 0, 0, 0])]), ontology=onto
-        )
+        load_dataset(_write_rows(tmp_path / "d", [_row(hpi="2001000")]), ontology=onto)
     with pytest.raises(ParseError, match="malformed record"):
         p = _write_rows(tmp_path / "e", [])
         p.write_text("{not json\n")
@@ -808,9 +850,14 @@ def test_load_rejects_record_missing_a_field(tmp_path, field):
     ("age", "forty", "must be integers"), ("age", 40.9, "must be integers"),
     ("label", 0.9, "must be integers"), ("label", True, "must be integers"),
     ("prior_flags", [0.5, 1], "must be integers"), ("prior_flags", None, "must be integers"),
-    ("hpi", [1.7, 0, 0, 1, 0, 0, 0], "0, 1 or 2"), ("hpi", [True] * 7, "0, 1 or 2"),
-    ("hpi", list("1000100"), "0, 1 or 2"), ("hpi", "1000100", "length"),
-    ("hpi", [[1, 0], [0]], "malformed hpi"),
+    # A digit 3, a character that is no digit, one past ASCII, one character short.
+    ("hpi", "1000300", "0, 1 or 2"), ("hpi", "10x0100", "0, 1 or 2"),
+    ("hpi", "10\u00e90100", "0, 1 or 2"), ("hpi", "100010", "length"),
+    # A list, which was the format before hpi strings.
+    ("hpi", [1, 0, 0, 0, 1, 0, 0], "malformed hpi"),
+    # One character long, a number, null.
+    ("hpi", "10001000", "length"), ("hpi", 1000100, "malformed hpi"),
+    ("hpi", None, "malformed hpi"),
 ])
 def test_load_rejects_non_integer_fields(tmp_path, field, value, message):
     with pytest.raises(ParseError, match=message):
@@ -824,20 +871,24 @@ def _write_lines(tmp_path, lines):
 
 
 @pytest.mark.parametrize("edits, error, message", [
-    # A row of booleans is refused, though it stacks among integer rows as integers.
-    ({5: {"hpi": [True] * 7}}, ParseError, "record p5: hpi entries"),
-    ({5: {"label": 9}, 7: {"hpi": [1, 0, 0]}}, ValidationError, "record p5: label 9"),
+    # A list hpi, the format before hpi strings, among string rows.
+    ({5: {"hpi": [1, 0, 0, 1, 0, 0, 0]}}, ParseError, "record p5: malformed hpi"),
+    ({5: {"label": 9}, 7: {"hpi": "100"}}, ValidationError, "record p5: label 9"),
     # A bad label in the second block, before a line that is not JSON.
     ({LOAD_BLOCK + 1: {"label": 9}, LOAD_BLOCK + 2: "{not json"},
      ValidationError, f"record p{LOAD_BLOCK + 1}: label 9 out of range"),
     # The last record of a block has an unknown sex; the next block opens with a bad hpi.
-    ({LOAD_BLOCK - 1: {"sex": None}, LOAD_BLOCK: {"hpi": [3] * 7}},
+    ({LOAD_BLOCK - 1: {"sex": None}, LOAD_BLOCK: {"hpi": "3333333"}},
      ParseError, f"record p{LOAD_BLOCK - 1}: unknown sex"),
     ({2 * LOAD_BLOCK + 2: "[1, 2]"}, ParseError, f"line {2 * LOAD_BLOCK + 3}: malformed"),
-    # A float hpi entry in a block of integers, before a bad label.
-    ({5: {"hpi": [1, 0, 0, 1.0, 0, 0, 0]}, 7: {"label": 9}}, ParseError, "record p5: hpi entries"),
+    # A character that is no digit in a block of valid rows, before a bad label.
+    ({5: {"hpi": "1001.00"}, 7: {"label": 9}}, ParseError, "record p5: hpi entries"),
     # An unknown sex, then a line of the same block that lacks a field.
     ({5: {"sex": "other"}, 7: '{"id": "p7", "age": 40}'}, ParseError, "record p5: unknown sex"),
+    # A string one short after a record whose own error comes first.
+    ({4: {"age": 4.5}, 5: {"hpi": "100100"}}, ParseError, "record p4: label, age"),
+    # A string one long before a bad label.
+    ({4: {"hpi": "10010000"}, 5: {"label": 9}}, ParseError, r"record p4: hpi of shape \(8,\)"),
 ])
 def test_load_reports_the_first_bad_record_in_file_order(tmp_path, edits, error, message):
     lines = []
@@ -859,16 +910,6 @@ def test_load_reports_a_bad_record_read_before_an_undecodable_byte(tmp_path):
     path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
     with pytest.raises(ValidationError, match=f"record p{LOAD_BLOCK + 2}: label 9"):
         load_dataset(path)
-
-
-def test_load_reads_a_row_mixing_booleans_and_integers_as_integers(tmp_path):
-    """``np.array`` reads ``[true, 0, ...]`` as integers, so the record loads,
-    next to rows of plain integers in one block."""
-    rows = [_row(id=f"p{i}") for i in range(LOAD_BLOCK + 3)]
-    rows[4]["hpi"] = [True, 0, 0, 1, 0, 0, False]
-    got = load_dataset(_write_lines(tmp_path, [json.dumps(r) for r in rows])).records
-    assert [r.id for r in got] == [r["id"] for r in rows]
-    assert got[4].hpi.tolist() == [1, 0, 0, 1, 0, 0, 0] and got[4].hpi.dtype == np.int8
 
 
 def test_load_rejects_non_object_record(tmp_path):
