@@ -438,8 +438,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
     the first prompt.
     """
     check_models(policy, diag_model, ontology)
-    if horizon < 0:
-        raise ConfigError("horizon must be non-negative")
+    check_setting("horizon", horizon, "non-negative", integral=True)
     status = np.zeros(ontology.n_elements, dtype=np.int8)
     asked = np.zeros((1, ontology.n_questions), dtype=bool)
     rounds: list = []

@@ -40,7 +40,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (
-    ConfigError, DigestMismatch, IllegalAction, NoLegalAction, check_settings, setting,
+    ConfigError, DigestMismatch, IllegalAction, NoLegalAction, check_setting, check_settings,
+    setting,
 )
 from .ontology import CONFIRMED, DENIED, NOT_MENTIONED, HpiOntology, OntologyIndex, check_hierarchy
 from .patientgen import PatientRecord, full_evidence
@@ -223,8 +224,7 @@ class Lockstep:
         if len(patients) != len(rngs):
             raise ConfigError("need one RNG per episode")
         hpi = _check_patients(patients, ontology)
-        if horizon < 0:
-            raise ConfigError("horizon must be non-negative")
+        check_setting("horizon", horizon, "non-negative", integral=True)
         self.index = ontology.index
         self.rngs = list(rngs)
         self.horizon = horizon

@@ -121,7 +121,7 @@ def new_diagnosis_model(
     n_elements: int,
     disease_names: tuple[str, ...],
     ontology_digest: str,
-    hidden: tuple[int, ...] = (256, 256),
+    hidden: tuple[int, ...],
     seed: int = 0,
 ) -> DiagnosisModel:
     return new_model(DIAGNOSIS, hidden, seed, history_width=history_width, n_elements=n_elements,

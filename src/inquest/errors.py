@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the boundaries that raise
 them: ``reading`` and ``fields`` (a JSON object's typed fields) for loaders,
-``writing`` and ``json_line`` for writers, ``check_settings`` for settings."""
+``writing`` and ``json_line`` for writers, and ``check_setting``, the one
+range rule for a setting or a numeric argument."""
 import csv
 import dataclasses
 import json
@@ -46,8 +47,9 @@ class ShapeError(InquestError):
     """Array dimensions do not match the declared model geometry."""
 
 
-class DomainError(InquestError):
-    """A value falls outside its declared domain (e.g. ternary entry not in {0,1,2})."""
+class DomainError(ConfigError):
+    """A value falls outside its declared domain: a setting or numeric argument
+    that breaks its ``SETTING_RULES`` rule, or a ternary entry not in {0,1,2}."""
 
 
 class NonFinite(InquestError):
@@ -189,14 +191,15 @@ def setting(default, rule: str):
 def check_setting(name: str, value, rule: str, integral: bool) -> None:
     """Raise DomainError naming ``name`` unless ``value`` meets ``rule``, one
     of ``SETTING_RULES``. "sizes" asks for a tuple; every other rule asks for
-    a finite number, an integer where ``integral``, so NaN and infinity break
-    them all."""
+    a finite number that is not a boolean, an integer where ``integral``, so
+    NaN and infinity break them all."""
     says, holds = SETTING_RULES[rule]
     if rule == "sizes":
         ok = isinstance(value, tuple) and holds(value)
     else:
         kind = numbers.Integral if integral else numbers.Real
-        ok = isinstance(value, kind) and math.isfinite(value) and holds(value)
+        ok = (isinstance(value, kind) and not isinstance(value, bool)
+              and math.isfinite(value) and holds(value))
     if not ok:
         raise DomainError(f"{name} must be {says}, got {value!r}")
 

@@ -33,6 +33,7 @@ from .errors import (
     PairingError,
     ParseError,
     ShapeError,
+    check_setting,
     fields,
     json_line,
     reading,
@@ -238,6 +239,7 @@ def simulate_consultation(
 
 def recall_at_k(traces, ks) -> dict[int, float]:
     """Fraction of traces whose true label lands in the top K of the ranking."""
+    check_setting("ks", tuple(ks), "sizes", integral=True)
     traces = list(traces)
     if not traces:
         raise EmptyInput("no traces to score")
@@ -313,14 +315,13 @@ def evaluate(
 ) -> tuple[EvalReport, list[DialogueTrace]]:
     """Consult every patient in the dataset once; patient i draws from stream
     i of ``patientgen.streams((seed,), ...)``. The report's ``group_recall``
-    is recall@``group_k`` per true label. A negative seed raises ConfigError,
-    and a dataset the ranker does not fit DigestMismatch."""
+    is recall@``group_k`` per true label. A cut-off, horizon or seed out of
+    range raises ConfigError, and a dataset the ranker does not fit DigestMismatch."""
     if len(dataset) == 0:
         raise EmptyInput("empty evaluation dataset")
     check_dataset(diag_model, dataset, "evaluation dataset")
-    for k in (*ks, group_k):
-        if int(k) < 1:
-            raise ConfigError(f"recall cut-offs must be >= 1, got {k}")
+    check_setting("ks", tuple(ks), "sizes", integral=True)
+    check_setting("group_k", group_k, "count", integral=True)
     rngs = streams((seed,), range(len(dataset)))
     traces = consult_batch(policy, diag_model, dataset.records, ontology, sim, horizon, rngs)
     recalls = recall_at_k(traces, ks)
@@ -368,6 +369,9 @@ def bootstrap_mean_diff(
     Returns (mean difference, CI low, CI high). Inputs must be paired
     per-patient outcomes of equal length.
     """
+    check_setting("n_resamples", n_resamples, "count", integral=True)
+    check_setting("seed", seed, "non-negative", integral=True)
+    check_setting("alpha", alpha, "rate", integral=False)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:

@@ -153,7 +153,7 @@ def new_inquiry_policy(
     n_elements: int,
     n_questions: int,
     ontology_digest: str,
-    hidden: tuple[int, ...] = (128, 128),
+    hidden: tuple[int, ...],
     seed: int = 0,
 ) -> InquiryPolicy:
     return new_model(POLICY, hidden, seed, history_width=history_width, n_elements=n_elements,
@@ -164,7 +164,7 @@ def new_value_net(
     history_width: int,
     n_elements: int,
     ontology_digest: str,
-    hidden: tuple[int, ...] = (128, 128),
+    hidden: tuple[int, ...],
     seed: int = 0,
 ) -> ValueNet:
     return new_model(VALUE, hidden, seed, history_width=history_width, n_elements=n_elements,

@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, NonFinite, ParseError, ShapeError, fields, json_line, reading,
-                     writing)
+from .errors import (ConfigError, NonFinite, ParseError, ShapeError, check_setting, fields,
+                     json_line, reading, writing)
 
 RELU = "relu"
 HEAD_LOGITS = "logits"
@@ -158,8 +158,7 @@ def init_dense(
     problem = _spec_problem(dims, RELU, output_head)
     if problem:
         raise ConfigError(problem)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    check_setting("seed", seed, "non-negative", integral=True)
     rng = np.random.default_rng([seed, _TAG_INIT])
     net = DenseNet(dims, RELU, output_head, np.zeros(n_params(dims), dtype))
     for i, w in enumerate(net.weights):

@@ -31,9 +31,12 @@ from .errors import (
     NonFinite,
     ParseError,
     ValidationError,
+    check_setting,
+    check_settings,
     fields,
     json_line,
     reading,
+    setting,
     writing,
 )
 from .ontology import (
@@ -150,7 +153,8 @@ class GenerativeModel:
     ``parent[e]`` is the element's parent id, -1 for first-level elements.
 
     The model is frozen and holds read-only copies of the tables it is given,
-    so ``digest`` is computed once and cannot go stale.
+    so ``digest`` is computed once and cannot go stale. It is checked when
+    built: a mention rate or a table the sampler cannot use raises ConfigError.
     """
 
     ontology_digest: str
@@ -163,7 +167,7 @@ class GenerativeModel:
     age_std: np.ndarray  # float64 (D,)
     p_female: np.ndarray  # float64 (D,)
     flag_probs: np.ndarray  # float64 (D, F)
-    mention_prob: float = 0.3
+    mention_prob: float = setting(0.3, "rate")
 
     @property
     def n_diseases(self) -> int:
@@ -190,6 +194,52 @@ class GenerativeModel:
                 table = value.copy()
                 table.flags.writeable = False
                 object.__setattr__(self, f.name, table)
+        check_settings(self)
+        if self.parent.ndim != 1 or self.parent.dtype.kind not in "iu":
+            raise ConfigError("parent must be a 1-D integer array")
+        d, m = self.n_diseases, self.n_elements
+        if self.priors.shape != (d,):
+            raise ConfigError("priors shape does not match disease count")
+        if self.first_level_cpt.shape != (d, m) or self.second_level_cpt.shape != (d, m):
+            raise ConfigError("incidence tables must have shape (diseases, elements)")
+        if any(a.shape != (d,) for a in (self.age_mean, self.age_std, self.p_female)) or (
+            self.flag_probs.ndim != 2 or len(self.flag_probs) != d
+        ):
+            raise ConfigError("demographic tables must have one row per disease")
+        probabilities = {"priors": self.priors, "first_level_cpt": self.first_level_cpt,
+                         "second_level_cpt": self.second_level_cpt, "p_female": self.p_female,
+                         "flag_probs": self.flag_probs}
+        for name, arr in {**probabilities, "age_mean": self.age_mean,
+                          "age_std": self.age_std}.items():
+            # NaN fails every comparison, so the range checks below would pass it.
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"{name} contains NaN or infinite values")
+        for name, arr in probabilities.items():
+            if np.any(arr < 0.0) or np.any(arr > 1.0):
+                raise ConfigError(f"{name} contains probabilities outside [0, 1]")
+        if abs(float(self.priors.sum()) - 1.0) > 1e-9:
+            raise ConfigError("priors must sum to 1")
+        if np.any((self.parent < -1) | (self.parent >= m)):
+            raise ConfigError(f"parent entries must lie in [-1, {m})")
+        first = self.parent < 0
+        if not first.any():
+            raise ConfigError("model has no first-level elements")
+        second_ids = np.flatnonzero(~first)
+        nested = second_ids[~first[self.parent[second_ids]]]
+        if nested.size:
+            raise ConfigError(f"element {nested[0]} has a second-level parent")
+        if np.any(self.first_level_cpt[:, ~first] != 0.0):
+            raise ConfigError("first_level_cpt must be zero at second-level slots")
+        if np.any(self.second_level_cpt[:, first] != 0.0):
+            raise ConfigError("second_level_cpt must be zero at first-level slots")
+        parent_inc = self.first_level_cpt[:, self.parent[second_ids]]
+        orphaned = (parent_inc == 0.0) & (self.second_level_cpt[:, second_ids] != 0.0)
+        if np.any(orphaned):
+            d_bad, j_bad = np.argwhere(orphaned)[0]
+            raise ConfigError(
+                f"second_level_cpt[{d_bad}, {second_ids[j_bad]}] set although parent "
+                "incidence is zero"
+            )
 
     def digest(self) -> str:
         return self._digest
@@ -200,55 +250,6 @@ class GenerativeModel:
         blob = json.dumps(canon, sort_keys=True, separators=(",", ":"),
                           default=np.ndarray.tolist).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
-
-
-def validate_genmodel(gm: GenerativeModel) -> None:
-    """Raise ConfigError on any violated model invariant."""
-    if gm.parent.ndim != 1 or gm.parent.dtype.kind not in "iu":
-        raise ConfigError("parent must be a 1-D integer array")
-    d, m = gm.n_diseases, gm.n_elements
-    if gm.priors.shape != (d,):
-        raise ConfigError("priors shape does not match disease count")
-    if gm.first_level_cpt.shape != (d, m) or gm.second_level_cpt.shape != (d, m):
-        raise ConfigError("incidence tables must have shape (diseases, elements)")
-    if any(a.shape != (d,) for a in (gm.age_mean, gm.age_std, gm.p_female)) or (
-        gm.flag_probs.ndim != 2 or len(gm.flag_probs) != d
-    ):
-        raise ConfigError("demographic tables must have one row per disease")
-    probabilities = {"priors": gm.priors, "first_level_cpt": gm.first_level_cpt,
-                     "second_level_cpt": gm.second_level_cpt, "p_female": gm.p_female,
-                     "flag_probs": gm.flag_probs}
-    for name, arr in {**probabilities, "age_mean": gm.age_mean, "age_std": gm.age_std}.items():
-        # NaN fails every comparison, so the range checks below would pass it.
-        if not np.isfinite(arr).all():
-            raise ConfigError(f"{name} contains NaN or infinite values")
-    for name, arr in probabilities.items():
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ConfigError(f"{name} contains probabilities outside [0, 1]")
-    if abs(float(gm.priors.sum()) - 1.0) > 1e-9:
-        raise ConfigError("priors must sum to 1")
-    if not 0.0 <= gm.mention_prob <= 1.0:
-        raise ConfigError("mention_prob must lie in [0, 1]")
-    if np.any((gm.parent < -1) | (gm.parent >= m)):
-        raise ConfigError(f"parent entries must lie in [-1, {m})")
-    first = gm.parent < 0
-    if not first.any():
-        raise ConfigError("model has no first-level elements")
-    second_ids = np.flatnonzero(~first)
-    nested = second_ids[~first[gm.parent[second_ids]]]
-    if nested.size:
-        raise ConfigError(f"element {nested[0]} has a second-level parent")
-    if np.any(gm.first_level_cpt[:, ~first] != 0.0):
-        raise ConfigError("first_level_cpt must be zero at second-level slots")
-    if np.any(gm.second_level_cpt[:, first] != 0.0):
-        raise ConfigError("second_level_cpt must be zero at first-level slots")
-    parent_inc = gm.first_level_cpt[:, gm.parent[second_ids]]
-    orphaned = (parent_inc == 0.0) & (gm.second_level_cpt[:, second_ids] != 0.0)
-    if np.any(orphaned):
-        d_bad, j_bad = np.argwhere(orphaned)[0]
-        raise ConfigError(
-            f"second_level_cpt[{d_bad}, {second_ids[j_bad]}] set although parent incidence is zero"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +263,9 @@ def generate_ontology(m1: int, m2: int, n_open: int = 0, n_closed: int | None = 
     round-robin to parents. Closed questions cover every element (extras wrap
     around); open questions probe sibling groups of 2-4 children.
     """
-    if m1 < 1:
-        raise ConfigError("need at least one first-level element")
-    for name, count in (("m2", m2), ("n_open", n_open)):
-        if count < 0:
-            raise ConfigError(f"{name} must be non-negative, got {count}")
+    check_setting("m1", m1, "count", integral=True)
+    check_setting("m2", m2, "non-negative", integral=True)
+    check_setting("n_open", n_open, "non-negative", integral=True)
     m = m1 + m2
     if n_closed is None:
         n_closed = m
@@ -327,7 +326,7 @@ def toy_genmodel(ontology: HpiOntology | None = None) -> GenerativeModel:
     cpt2[:, 4] = (0.25, 0.80, 0.15)  # parent 1
     cpt2[:, 5] = (0.15, 0.25, 0.90)  # parent 2
     cpt2[:, 6] = (0.75, 0.25, 0.15)  # parent 0
-    gm = GenerativeModel(
+    return GenerativeModel(
         ontology_digest=onto.content_digest,
         disease_names=("disease_00", "disease_01", "disease_02"),
         parent=parent,
@@ -340,8 +339,6 @@ def toy_genmodel(ontology: HpiOntology | None = None) -> GenerativeModel:
         flag_probs=np.full((d, 2), 0.2),
         mention_prob=0.3,
     )
-    validate_genmodel(gm)
-    return gm
 
 
 def benchmark_ontology() -> HpiOntology:
@@ -369,10 +366,9 @@ def benchmark_genmodel(
     signatures over the same background. Fewer than one disease, a negative
     flag count or a negative seed raises ConfigError.
     """
-    if n_diseases < 1 or n_flags < 0:
-        raise ConfigError(f"need n_diseases >= 1 and n_flags >= 0, got {n_diseases}, {n_flags}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    check_setting("n_diseases", n_diseases, "count", integral=True)
+    check_setting("n_flags", n_flags, "non-negative", integral=True)
+    check_setting("seed", seed, "non-negative", integral=True)
     rng = np.random.default_rng([seed, _TAG_GENMODEL])
     m = ontology.n_elements
     first_ids = np.array(ontology.first_level_ids())
@@ -414,7 +410,7 @@ def benchmark_genmodel(
             cpt2[:, e] = np.where(signature[:, p], rng.uniform(0.5, 0.9, n_diseases),
                                   rng.uniform(0.05, 0.35, n_diseases))
 
-    gm = GenerativeModel(
+    return GenerativeModel(
         ontology_digest=ontology.content_digest,
         disease_names=tuple(f"disease_{d:02d}" for d in range(n_diseases)),
         parent=parent,
@@ -427,8 +423,6 @@ def benchmark_genmodel(
         flag_probs=rng.uniform(0.05, 0.3, (n_diseases, n_flags)),
         mention_prob=0.3,
     )
-    validate_genmodel(gm)
-    return gm
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +473,10 @@ def streams(key: Iterable[int], ids: Iterable[int]) -> list[np.random.Generator]
     Each id must be in [0, 2**32), so that it is one entropy word. A negative
     key entry or an id out of range raises ConfigError.
     """
+    for k in key:
+        check_setting("seed", k, "non-negative", integral=True)
     key = [operator.index(k) for k in key]
     ids = [operator.index(i) for i in ids]
-    if any(k < 0 for k in key):
-        raise ConfigError(f"RNG seeds must be non-negative, got {tuple(key)}")
     bad = [i for i in ids if not 0 <= i <= _MASK32]
     if bad:
         raise ConfigError(f"RNG stream ids must lie in [0, 2**32), got {bad[0]}")
@@ -585,9 +579,7 @@ def generate_cohort(gm: GenerativeModel, n: int, seed: int) -> PatientDataset:
     an absent one is denied if mentioned, else not mentioned, and its children
     share that status.
     """
-    if n < 1:
-        raise ConfigError("cohort size must be at least 1")
-    validate_genmodel(gm)
+    check_setting("cohort size", n, "count", integral=True)
     index = _SamplerIndex.of(gm)
     records = []
     for start in range(0, n, SAMPLE_BLOCK):
@@ -703,8 +695,7 @@ def split_dataset(
 ) -> tuple[PatientDataset, PatientDataset, PatientDataset]:
     """Disjoint shuffled train/val/test split; floor sizes, remainder to train.
     Bad ratios or a negative seed raise ConfigError."""
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    check_setting("seed", seed, "non-negative", integral=True)
     if len(ratios) != 3 or any(not r > 0 for r in ratios):  # NaN is not > 0
         raise ConfigError("ratios must be three positive numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:

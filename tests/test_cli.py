@@ -568,7 +568,9 @@ def test_gen_data_rejects_bad_counts(workspace, tmp_path, capsys, flag, value):
     assert run(["gen-data", "--ontology", str(onto_dir), "--out", str(out), "--n", "5",
                 flag, value]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "n_diseases >= 1 and n_flags >= 0" in err
+    says = {"--n-flags": "n_flags must be non-negative",
+            "--n-diseases": "n_diseases must be an integer >= 1"}[flag]
+    assert err.startswith("error:") and f"{says}, got {value}" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -121,6 +121,10 @@ def test_probs_validate():
         PatientSim(p1p=1.2)
     with pytest.raises(DomainError):
         PatientSim(p2n=-0.1)
+    with pytest.raises(DomainError, match="p1p"):
+        PatientSim(p1p=True)
+    with pytest.raises(DomainError, match="noise"):
+        PatientSim(noise=False)
 
 
 # ---------------------------------------------------------------------------

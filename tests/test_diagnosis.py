@@ -427,13 +427,13 @@ def test_checkpoint_meta_of_another_type_raises_parse_error(tmp_path, key, value
         load_diagnosis(path)
 
 
-@pytest.mark.parametrize("epochs", [0, -3])
+@pytest.mark.parametrize("epochs", [0, -3, True])
 def test_sl_config_rejects_epochs_below_one(epochs):
     with pytest.raises(DomainError, match="epochs"):
         SlTrainConfig(epochs=epochs)
 
 
-@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3, False])
 def test_sl_config_rejects_bad_learning_rate(lr):
     with pytest.raises(DomainError, match="lr"):
         SlTrainConfig(lr=lr)

@@ -13,6 +13,7 @@ from inquest.diagnosis import new_diagnosis_model
 from inquest.errors import (
     ConfigError,
     DigestMismatch,
+    DomainError,
     EmptyInput,
     IoError,
     NoLegalAction,
@@ -718,3 +719,13 @@ def test_bootstrap_input_guards():
         bootstrap_mean_diff(np.ones(3), np.ones(4))
     with pytest.raises(EmptyInput):
         bootstrap_mean_diff(np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize("argument, value, says", [
+    ("n_resamples", 0, "an integer >= 1"), ("n_resamples", 2.5, "an integer >= 1"),
+    ("seed", -1, "non-negative"), ("seed", True, "non-negative"),
+    ("alpha", 2.0, r"in \[0, 1\]"), ("alpha", float("nan"), r"in \[0, 1\]"),
+])
+def test_bootstrap_arguments_meet_their_rules(argument, value, says):
+    with pytest.raises(DomainError, match=f"^{argument} must be {says}, got "):
+        bootstrap_mean_diff(np.ones(5), np.zeros(5), **{argument: value})

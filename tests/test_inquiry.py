@@ -249,6 +249,8 @@ def test_reward_params_validation():
         RewardParams(negative_discount=1.5)
     with pytest.raises(DomainError):
         RewardParams(first_level_weight=float("nan"))
+    with pytest.raises(DomainError):
+        RewardParams(negative_discount=True)
     RewardParams()
 
 
@@ -698,6 +700,7 @@ def test_checkpoint_missing_meta_raises_parse_error(flat, tmp_path, key, kind):
     ("clip_eps", float("nan")), ("clip_eps", float("inf")), ("clip_eps", 0.0),
     ("iterations", 0), ("iterations", -3), ("seed", -1),
     ("episodes_per_iter", 0), ("episodes_per_iter", -3),
+    ("iterations", True), ("policy_lr", False), ("seed", False), ("gamma", True),
 ])
 def test_ppo_config_rejects_bad_numeric_settings(field, bad):
     with pytest.raises(DomainError, match=field):

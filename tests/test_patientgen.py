@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from inquest.errors import (
     ConfigError,
     DigestMismatch,
+    DomainError,
     EmptyDataset,
     InconsistentEvidence,
     NonFinite,
@@ -42,7 +43,6 @@ from inquest.patientgen import (
     streams,
     toy_genmodel,
     toy_ontology,
-    validate_genmodel,
 )
 
 
@@ -155,41 +155,39 @@ def test_element_frequencies_match_cpt(toy_cohort, toy):
 
 
 def test_cohort_validates_model(toy):
-    broken = GenerativeModel(
-        ontology_digest=toy.ontology_digest,
-        disease_names=toy.disease_names,
-        parent=toy.parent,
-        priors=np.array([0.9, 0.3, 0.2]),
-        first_level_cpt=toy.first_level_cpt,
-        second_level_cpt=toy.second_level_cpt,
-        age_mean=toy.age_mean,
-        age_std=toy.age_std,
-        p_female=toy.p_female,
-        flag_probs=toy.flag_probs,
-    )
     with pytest.raises(ConfigError, match="sum to 1"):
-        generate_cohort(broken, 5, seed=0)
-    with pytest.raises(ConfigError, match="at least 1"):
+        GenerativeModel(
+            ontology_digest=toy.ontology_digest,
+            disease_names=toy.disease_names,
+            parent=toy.parent,
+            priors=np.array([0.9, 0.3, 0.2]),
+            first_level_cpt=toy.first_level_cpt,
+            second_level_cpt=toy.second_level_cpt,
+            age_mean=toy.age_mean,
+            age_std=toy.age_std,
+            p_female=toy.p_female,
+            flag_probs=toy.flag_probs,
+        )
+    with pytest.raises(ConfigError, match="cohort size must be an integer >= 1"):
         generate_cohort(toy, 0, seed=0)
 
 
 def test_genmodel_rejects_child_without_parent_mass(toy):
     cpt1 = toy.first_level_cpt.copy()
     cpt1[1, 0] = 0.0  # disease 1 never shows element 0, but child 3 still can
-    gm = GenerativeModel(
-        ontology_digest=toy.ontology_digest,
-        disease_names=toy.disease_names,
-        parent=toy.parent,
-        priors=toy.priors,
-        first_level_cpt=cpt1,
-        second_level_cpt=toy.second_level_cpt,
-        age_mean=toy.age_mean,
-        age_std=toy.age_std,
-        p_female=toy.p_female,
-        flag_probs=toy.flag_probs,
-    )
     with pytest.raises(ConfigError, match="parent incidence is zero"):
-        validate_genmodel(gm)
+        GenerativeModel(
+            ontology_digest=toy.ontology_digest,
+            disease_names=toy.disease_names,
+            parent=toy.parent,
+            priors=toy.priors,
+            first_level_cpt=cpt1,
+            second_level_cpt=toy.second_level_cpt,
+            age_mean=toy.age_mean,
+            age_std=toy.age_std,
+            p_female=toy.p_female,
+            flag_probs=toy.flag_probs,
+        )
 
 
 def _with(gm, **tables):
@@ -219,20 +217,20 @@ def _with(gm, **tables):
      "element 6 has a second-level parent"),
 ])
 def test_genmodel_rejects_what_the_sampler_would_mis_sample(toy, edits, message):
-    gm = _with(toy, **edits)
     with pytest.raises(ConfigError, match=message):
-        validate_genmodel(gm)
-    with pytest.raises(ConfigError, match=message):
-        generate_cohort(gm, 5, seed=0)
+        _with(toy, **edits)
 
 
 def test_genmodel_rejects_malformed_tables(toy):
     with pytest.raises(ConfigError, match="1-D integer"):
-        validate_genmodel(dataclasses.replace(toy, parent=toy.parent.astype(float)))
+        dataclasses.replace(toy, parent=toy.parent.astype(float))
     with pytest.raises(ConfigError, match="one row per disease"):
-        validate_genmodel(dataclasses.replace(toy, age_mean=toy.age_mean[:2]))
+        dataclasses.replace(toy, age_mean=toy.age_mean[:2])
     with pytest.raises(ConfigError, match="one row per disease"):
-        validate_genmodel(dataclasses.replace(toy, flag_probs=toy.flag_probs[0]))
+        dataclasses.replace(toy, flag_probs=toy.flag_probs[0])
+    for mention in (1.5, float("nan"), True):
+        with pytest.raises(DomainError, match="mention_prob must be in"):
+            dataclasses.replace(toy, mention_prob=mention)
 
 
 def test_benchmark_model_valid_and_seeded():
@@ -353,7 +351,7 @@ def random_genmodels(draw):
     cpt2 = np.where(first | (cpt1[:, np.maximum(parent, 0)] == 0.0), 0.0, table((d, m)))
     weights = rng.random(d) * (rng.random(d) < 0.6)
     weights[rng.integers(d)] += 0.5
-    gm = GenerativeModel(
+    return GenerativeModel(
         ontology_digest=onto.content_digest,
         disease_names=tuple(f"d{i}" for i in range(d)),
         parent=parent,
@@ -366,8 +364,6 @@ def random_genmodels(draw):
         flag_probs=table((d, n_flags)),
         mention_prob=mention,
     )
-    validate_genmodel(gm)
-    return gm
 
 
 @settings(max_examples=150, deadline=None)
