@@ -17,10 +17,13 @@ from . import consult_env
 from .consult_env import PatientSim, UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN
 from .diagnosis import (
     SlTrainConfig,
+    consult_inputs,
     load_diagnosis,
     predict_batch,
+    predict_rows,
     rank_from_probs,
     save_diagnosis,
+    set_status,
     train_diagnosis,
 )
 from .errors import ConfigError, InquestError, ParseError, check_setting, reading, writing
@@ -33,6 +36,7 @@ from .evalharness import (
     check_models,
     emit_report,
     evaluate,
+    input_layout,
     load_report,
     save_traces,
 )
@@ -51,7 +55,6 @@ from .patientgen import (
     DENIED,
     PatientRecord,
     benchmark_genmodel,
-    encode_histories,
     generate_cohort,
     generate_ontology,
     load_dataset,
@@ -449,9 +452,10 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
     except _SessionEnd:
         output_fn("session ended before demographics; using neutral defaults")
     record = PatientRecord("human", age, sex, (), status.copy(), -1)
-    width = getattr(policy, "history_width", None) or diag_model.history_width
-    e_policy = encode_histories([record], width)
-    e_diag = encode_histories([record], diag_model.history_width)
+    # One kept input row (``evalharness.consult_batch``): each status write
+    # below rewrites that element's slots in ``x`` too.
+    width, dtype = input_layout(policy, diag_model)
+    x, e_diag = consult_inputs(diag_model, [record], status[None], width, dtype)
     rng = np.random.default_rng(0)  # baselines may sample; interaction stays seeded
 
     action, revealed = None, []  # the round being answered
@@ -461,7 +465,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
             if not mask.any():
                 output_fn("no further questions are possible")
                 break
-            action = int(policy.select_batch(e_policy, status[None], mask, [rng])[0])
+            action = int(policy.select_batch(x, mask, [rng])[0])
             asked[0, action] = True
             for t in ontology.questions[action].targets:
                 if status[t] != consult_env.UNKNOWN:
@@ -470,11 +474,13 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
                 yes = _ask(f"round {len(rounds) + 1}: {name}? (y/n) ",
                            _parse_yn, input_fn, output_fn)
                 status[t] = CONFIRMED if yes else DENIED
+                set_status(x, 0, t, status[t], width)
                 revealed.append((t, int(status[t])))
                 if not yes and ontology.elements[t].level == 1:
                     for child in ontology.children_of(t):
                         if status[child] == consult_env.UNKNOWN:
                             status[child] = DENIED
+                            set_status(x, 0, child, DENIED, width)
                             revealed.append((child, int(DENIED)))
             rounds.append((action, tuple(revealed)))
             revealed = []
@@ -485,8 +491,10 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
             rounds.append((action, tuple(revealed)))
         output_fn("input closed; ranking with what was gathered")
 
-    probs = predict_batch(diag_model, e_diag, status[None])[0]
-    ranking = rank_from_probs(probs)
+    probs = (predict_rows(diag_model, x) if e_diag is None
+             else predict_batch(diag_model, e_diag, status[None]))[0]
+    ranking = rank_from_probs(probs).tolist()
+    probs = probs.tolist()
     output_fn("top diseases:")
     for pos, d in enumerate(ranking[:10], start=1):
         output_fn(f"  {pos:2d}. {diag_model.disease_names[d]}  p={probs[d]:.4f}")
@@ -494,7 +502,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
         patient_id="human",
         rounds=tuple(rounds),
         final_observation=status,
-        ranking=tuple(int(d) for d in ranking),
+        ranking=tuple(ranking),
         true_label=-1,
         horizon=horizon,
     )

@@ -82,6 +82,17 @@ def net_input(history: np.ndarray, obs: np.ndarray, dtype) -> np.ndarray:
     return np.hstack([history, encode_hpi_ternary(obs)], dtype=dtype)
 
 
+def set_status(inputs: np.ndarray, rows, elements, statuses, history_width: int) -> None:
+    """Rewrite ``net_input`` rows in place: the one-hot slots of element
+    ``elements[j]`` in row ``rows[j]`` become those of ternary status
+    ``statuses[j]``. The slots are exact 0/1 values, so the rows stay the
+    bytes that ``net_input`` builds from the new observations."""
+    n, width = inputs.shape
+    # Splitting the last axis in two is always a view, so this writes ``inputs``.
+    slots = inputs[:, history_width:].reshape(n, (width - history_width) // 3, 3)
+    slots[rows, elements] = _ONE_HOT[statuses]
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """One model kind's contract, shared by its constructor, its checkpoint
@@ -133,9 +144,15 @@ def predict(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -> np.n
     return predict_batch(model, history, obs)[0]
 
 
+def predict_rows(model: DiagnosisModel, inputs: np.ndarray) -> np.ndarray:
+    """Disease distributions of ``net_input`` rows in the model's width and
+    dtype; a row's bytes do not depend on the other rows (``nncore.forward``)."""
+    return softmax(nncore.forward(model.net, inputs))
+
+
 def predict_batch(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Disease distributions, one row per pair; a row's bytes do not depend on
-    the other rows (``nncore.forward``)."""
+    """Disease distributions, one row per (history, observation) pair
+    (``predict_rows`` of their ``net_input`` rows)."""
     history = np.atleast_2d(np.asarray(history, dtype=float))
     obs = np.atleast_2d(obs)
     if history.shape[1] != model.history_width:
@@ -144,7 +161,19 @@ def predict_batch(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -
         raise ShapeError(f"observation length {obs.shape[1]} != {model.n_elements}")
     if history.shape[0] != obs.shape[0]:
         raise ShapeError("history and observation batch sizes differ")
-    return softmax(nncore.forward(model.net, net_input(history, obs, model.net.dtype)))
+    return predict_rows(model, net_input(history, obs, model.net.dtype))
+
+
+def consult_inputs(model: DiagnosisModel, records, status: np.ndarray, width: int, dtype):
+    """The input rows a consultation keeps for its policy, one per record:
+    ``net_input`` of the records' width-``width`` histories and of the (n, M)
+    ``status``, in ``dtype``. Also returns the ranker's history rows, or None
+    when ``model`` reads the kept rows as they are (same width and dtype)."""
+    history = encode_histories(records, width)
+    inputs = net_input(history, status, dtype)
+    if model.history_width == width and model.net.dtype == inputs.dtype:
+        return inputs, None
+    return inputs, encode_histories(records, model.history_width)
 
 
 def rank_from_probs(probs: np.ndarray) -> np.ndarray:

@@ -6,9 +6,13 @@ recall-at-K plus pooled rediscovery precision/recall/F1.
 
 ``evaluate`` consults every patient at once on the lockstep engine
 (``consult_env.Lockstep``) through ``consult_batch``; ``simulate_consultation``
-is its N=1 case. Policies have one interface, ``select_batch``, which decides
-for a batch, so each round costs one forward of the policy net over the active
-episodes, and the final ranking one forward of the ranker. Patient i draws
+is its N=1 case. ``consult_batch`` builds every patient's net input row
+([history, ternary one-hot], ``diagnosis.net_input``) once and, after each
+round, rewrites only the one-hot slots that the round revealed. Policies have
+one interface, ``select_batch``, which decides for a batch from those rows, so
+each round costs one forward of the policy net over the active episodes, and
+the final ranking one forward of the ranker, over the same rows when its
+history width and dtype are the policy's. Patient i draws
 from stream i of ``patientgen.streams((seed,), ...)``, and every net runs in
 fixed-size blocks (``nncore.forward``). A patient's trace is therefore the
 same bytes whether it is evaluated alone or inside any dataset. A trained
@@ -26,7 +30,15 @@ import numpy as np
 
 from . import consult_env, nncore
 from .consult_env import PatientSim, _require_legal
-from .diagnosis import DiagnosisModel, check_dataset, net_input, predict_batch, rank_from_probs
+from .diagnosis import (
+    DiagnosisModel,
+    check_dataset,
+    consult_inputs,
+    predict_batch,
+    predict_rows,
+    rank_from_probs,
+    set_status,
+)
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -46,7 +58,6 @@ from .patientgen import (
     CONFIRMED,
     PatientDataset,
     PatientRecord,
-    encode_histories,
     streams,
 )
 
@@ -97,14 +108,16 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 # A question-selection policy decides for a batch of episodes at once:
-# ``select_batch(histories, statuses, masks, rngs)`` returns one question per
-# row, and raises NoLegalAction for a row whose mask admits none
-# (``consult_env._require_legal``). A trained policy also carries
-# ``history_width`` and ``ontology_digest``.
+# ``select_batch(inputs, masks, rngs)`` returns one question per row, and
+# raises NoLegalAction for a row whose mask admits none
+# (``consult_env._require_legal``). ``inputs`` are the episodes' net input rows
+# (``diagnosis.net_input``), built in the policy's ``history_width`` and
+# ``dtype`` where it carries them and in the ranker's otherwise. A trained
+# policy carries both, and ``ontology_digest``; the baselines read no inputs.
 
 class GreedyModelPolicy:
     """Trained policy run greedily: argmax over the legal entries of each row
-    of the net's float32 logits.
+    of the net's float32 logits on the ``inputs`` rows.
 
     Ties break toward the lowest question id among equal legal logits. This
     is the argmax of ``inquiry.masked_softmax`` except where two different
@@ -116,10 +129,10 @@ class GreedyModelPolicy:
         self.inner = policy
         self.ontology_digest = policy.ontology_digest
         self.history_width = policy.history_width
+        self.dtype = policy.net.dtype
 
-    def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
-        x = net_input(histories, statuses, self.inner.net.dtype)
-        logits = nncore.forward(self.inner.net, x)
+    def select_batch(self, inputs, masks, rngs) -> np.ndarray:
+        logits = nncore.forward(self.inner.net, inputs)
         masks = np.asarray(masks, dtype=bool)
         if logits.shape != masks.shape:
             raise ShapeError(f"logits {logits.shape} and mask {masks.shape} differ")
@@ -129,7 +142,7 @@ class GreedyModelPolicy:
 class RandomLegalPolicy:
     """Uniform choice over whatever is currently legal."""
 
-    def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
+    def select_batch(self, inputs, masks, rngs) -> np.ndarray:
         masks = _require_legal(masks)
         nth = np.array([rng.integers(n) for n, rng in zip(masks.sum(axis=1).tolist(), rngs)])
         # Position of the nth legal question (0-based) in each row.
@@ -139,7 +152,7 @@ class RandomLegalPolicy:
 class FixedOrderPolicy:
     """Asks the lowest-id legal question every round."""
 
-    def select_batch(self, histories, statuses, masks, rngs) -> np.ndarray:
+    def select_batch(self, inputs, masks, rngs) -> np.ndarray:
         return _require_legal(masks).argmax(axis=1)
 
 
@@ -164,6 +177,13 @@ def check_models(policy, diag_model: DiagnosisModel, ontology: HpiOntology) -> N
     check_built_against(ontology, pairs)
 
 
+def input_layout(policy, diag_model: DiagnosisModel) -> tuple[int, np.dtype]:
+    """History width and dtype of the input rows that ``policy`` reads: the
+    ones it carries, else the ranker's."""
+    width = getattr(policy, "history_width", None) or diag_model.history_width
+    return width, getattr(policy, "dtype", diag_model.net.dtype)
+
+
 def consult_batch(
     policy,
     diag_model: DiagnosisModel,
@@ -176,17 +196,16 @@ def consult_batch(
     """Full consultations of all ``patients`` in lockstep, patient i drawing
     from ``rngs[i]``; one trace per patient, in order.
 
-    Each round runs one blocked policy forward over the active episodes and
-    the final ranking one blocked ranker forward over all of them, so a
-    patient's trace is the same bytes whatever the batch holds. The ranker
-    reuses the policy's history rows when the two widths match.
+    Each round runs one blocked policy forward over the active episodes' kept
+    input rows and the final ranking one blocked ranker forward over all of
+    them, so a patient's trace is the same bytes whatever the batch holds.
+    The ranker reads the kept rows when its history width and dtype are the
+    policy's, and rows of its own otherwise.
     """
     check_models(policy, diag_model, ontology)
-    width = getattr(policy, "history_width", None) or diag_model.history_width
+    width, dtype = input_layout(policy, diag_model)
     env = consult_env.Lockstep(patients, ontology, sim, rngs, horizon)
-    e_policy = encode_histories(patients, width)
-    e_diag = (e_policy if diag_model.history_width == width
-              else encode_histories(patients, diag_model.history_width))
+    x, e_diag = consult_inputs(diag_model, patients, env.status, width, dtype)
     rounds = [[] for _ in patients]
     m = ontology.n_elements
     while True:
@@ -195,17 +214,20 @@ def consult_batch(
             break
         ids = rows.tolist()
         before = env.status[rows]
-        actions = policy.select_batch(e_policy[rows], before, mask, [rngs[i] for i in ids])
+        actions = policy.select_batch(x[rows], mask, [rngs[i] for i in ids])
         env.step(actions)
         after = env.status[rows]
         # Changed slots row by row, elements ascending; row j's end at ends[j].
         flat = np.flatnonzero(after != before)
-        revealed = tuple(zip((flat % m).tolist(), after.ravel()[flat].tolist()))
+        statuses = after.ravel()[flat]
+        set_status(x, rows[flat // m], flat % m, statuses, width)
+        revealed = tuple(zip((flat % m).tolist(), statuses.tolist()))
         ends = np.searchsorted(flat, m * np.arange(1, len(ids) + 1)).tolist()
         for i, action, start, end in zip(ids, np.asarray(actions).tolist(), [0, *ends], ends):
             rounds[i].append((action, revealed[start:end]))
-    rankings = (rank_from_probs(predict_batch(diag_model, e_diag, env.status)).tolist()
-                if patients else [])
+    probs = (predict_rows(diag_model, x) if e_diag is None
+             else predict_batch(diag_model, e_diag, env.status))
+    rankings = rank_from_probs(probs).tolist()
     return [
         DialogueTrace(
             patient_id=patient.id,

@@ -19,11 +19,13 @@ from .consult_env import PatientSim, _require_legal
 from .diagnosis import (
     DiagnosisModel,
     ModelSpec,
+    consult_inputs,
     load_model,
-    net_input,
     new_model,
     predict_batch,
+    predict_rows,
     save_model,
+    set_status,
 )
 from .errors import (
     EmptyDataset,
@@ -34,7 +36,7 @@ from .errors import (
     writing,
 )
 from .ontology import HpiOntology, check_built_against
-from .patientgen import PatientDataset, encode_histories, streams
+from .patientgen import PatientDataset, streams
 
 _TAG_PPO = (1 << 40) + 4
 
@@ -252,7 +254,11 @@ def collect_rollouts(
     ``patientgen.streams((seed, iteration), ...)``. The episodes run in
     lockstep (``consult_env.Lockstep``) with one blocked forward per net per
     round, so an episode's transitions are the same bytes whatever
-    ``n_episodes`` is. The batch is episode-major, in ``ep`` order.
+    ``n_episodes`` is. Every episode's input row is built once and, after each
+    step, only the one-hot slots the step revealed are rewritten; the policy
+    and value nets read it before the step, and the ranker after it when its
+    history width and dtype are the policy's. The batch is episode-major, in
+    ``ep`` order.
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot roll out against an empty dataset")
@@ -266,20 +272,29 @@ def collect_rollouts(
     rngs = streams((seed, iteration), range(n_episodes))
     patients = [dataset.records[int(rng.integers(len(dataset)))] for rng in rngs]
     env = consult_env.Lockstep(patients, ontology, sim, rngs, horizon)
-    e_pol = encode_histories(patients, policy.history_width)
-    e_diag = (e_pol if diag_model.history_width == policy.history_width
-              else encode_histories(patients, diag_model.history_width))
-    belief = predict_batch(diag_model, e_diag, env.status) if n_episodes else None
+    width, m = policy.history_width, ontology.n_elements
+    inputs, e_diag = consult_inputs(diag_model, patients, env.status, width, policy.net.dtype)
+
+    def ranker(rows):
+        if e_diag is None:
+            return predict_rows(diag_model, inputs[rows])
+        return predict_batch(diag_model, e_diag[rows], env.status[rows])
+
+    belief = ranker(slice(None))
     rounds = []
     while True:
         rows, mask = env.pending()
         if not len(rows):
             break
-        x = net_input(e_pol[rows], env.status[rows], policy.net.dtype)
+        x = inputs[rows]
+        before = env.status[rows]
         probs = masked_softmax(nncore.forward(policy.net, x), mask)
         actions = _sample_actions(probs, [rngs[i] for i in rows])
         findings = env.step(actions)
-        new = predict_batch(diag_model, e_diag[rows], env.status[rows])
+        after = env.status[rows]
+        flat = np.flatnonzero(after != before)
+        set_status(inputs, rows[flat // m], flat % m, after.ravel()[flat], width)
+        new = ranker(rows)
         rewards = _rewards(reward_params, findings, belief[rows], new)
         belief[rows] = new
         logps = np.log(probs[np.arange(len(rows)), actions])

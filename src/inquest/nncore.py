@@ -152,8 +152,11 @@ def init_dense(
     With ``zero_output`` the last layer starts at zero so the net's initial
     outputs are constant (uniform class scores / zero value estimate). The
     draws are float64 whatever ``dtype`` is, so a float32 net starts at the
-    rounded float64 net. Bad layer dims or a negative seed raise ConfigError.
+    rounded float64 net. A layer size that is not an integer >= 1 (a
+    fractional size, NaN or a boolean among them), fewer than two layers, an
+    unknown head or a negative seed raise ConfigError.
     """
+    check_setting("layer_dims", tuple(layer_dims), "sizes", integral=True)
     dims = tuple(int(d) for d in layer_dims)
     problem = _spec_problem(dims, RELU, output_head)
     if problem:

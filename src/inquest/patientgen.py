@@ -269,6 +269,7 @@ def generate_ontology(m1: int, m2: int, n_open: int = 0, n_closed: int | None = 
     m = m1 + m2
     if n_closed is None:
         n_closed = m
+    check_setting("n_closed", n_closed, "count", integral=True)
     if n_closed < m:
         raise ConfigError("closed question count below element count leaves elements unreachable")
 

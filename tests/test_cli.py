@@ -15,12 +15,36 @@ from inquest.cli import (
     parse_config_file,
     run,
 )
+from inquest import consult_env, nncore
 from inquest.consult_env import PatientSim
-from inquest.diagnosis import SlTrainConfig, new_diagnosis_model, predict, rank_from_probs
+from inquest.diagnosis import (
+    DiagnosisModel,
+    SlTrainConfig,
+    net_input,
+    new_diagnosis_model,
+    predict,
+    predict_batch,
+    rank_from_probs,
+)
 from inquest.errors import ConfigError, DomainError, ParseError
-from inquest.evalharness import FIXED_ORDER, baseline_policy, load_report, load_traces
-from inquest.inquiry import PpoConfig, RewardParams
-from inquest.patientgen import encode_history, generate_ontology, load_dataset, toy_ontology
+from inquest.evalharness import (
+    FIXED_ORDER,
+    RANDOM_LEGAL,
+    GreedyModelPolicy,
+    baseline_policy,
+    load_report,
+    load_traces,
+)
+from inquest.inquiry import InquiryPolicy, PpoConfig, RewardParams
+from inquest.nncore import init_dense
+from inquest.patientgen import (
+    PatientRecord,
+    encode_histories,
+    encode_history,
+    generate_ontology,
+    load_dataset,
+    toy_ontology,
+)
 from inquest.ontology import load_ontology
 
 
@@ -471,7 +495,7 @@ class ScriptedQuestions:
     def __init__(self, questions):
         self.questions = list(questions)
 
-    def select_batch(self, histories, statuses, masks, rngs):
+    def select_batch(self, inputs, masks, rngs):
         return [self.questions.pop(0)]
 
 
@@ -499,11 +523,105 @@ def test_repl_replay_reproduces_ranking(repl_models):
         input_fn=scripted_input(["31", "f", "y", "y", "n", "n", "y"]),
         output_fn=lambda s: None,
     )
-    from inquest.patientgen import PatientRecord
-
     record = PatientRecord("human", 31, "female", (), trace.final_observation, -1)
     probs = predict(diag, encode_history(record, 8), trace.final_observation)
     assert tuple(rank_from_probs(probs)) == trace.ranking
+
+
+def _random_ranker(onto, dtype=np.float32):
+    """A ranker of random weights, whose ranking moves with every input slot."""
+    net = init_dense((8 + 3 * 7, 16, 3), seed=11, zero_output=False, dtype=dtype)
+    return DiagnosisModel(net, 8, 7, ("d0", "d1", "d2"), onto.content_digest)
+
+
+def _spy_ranker_inputs(monkeypatch, diag) -> list:
+    """The rows each forward of ``diag``'s net computes on, in the net's dtype."""
+    seen = []
+    forward = nncore.forward
+
+    def spy(net, x):
+        if net is diag.net:
+            seen.append(np.asarray(x, dtype=net.dtype))
+        return forward(net, x)
+
+    monkeypatch.setattr(nncore, "forward", spy)
+    return seen
+
+
+def _ranks_rebuilt_rows(diag, seen, trace, age, sex) -> bool:
+    """Whether the ranker read, once, the rows that ``net_input`` builds from
+    the final observation in its own width and dtype, and ranked as
+    ``predict_batch`` does."""
+    read = [x.tobytes() for x in seen]  # before predict_batch adds its own read
+    final = trace.final_observation[None]
+    history = encode_histories([PatientRecord("human", age, sex, (), final[0], -1)], 8)
+    probs = predict_batch(diag, history, final)
+    return (read == [net_input(history, final, diag.net.dtype).tobytes()]
+            and trace.ranking == tuple(rank_from_probs(probs)[0].tolist()))
+
+
+class SpyQuestions(ScriptedQuestions):
+    """Asks the given questions in order and keeps a copy of every input row
+    it reads."""
+
+    def __init__(self, questions):
+        super().__init__(questions)
+        self.seen = []
+
+    def select_batch(self, inputs, masks, rngs):
+        self.seen.append(np.array(inputs))
+        return super().select_batch(inputs, masks, rngs)
+
+
+def test_repl_keeps_the_input_row_that_net_input_rebuilds(monkeypatch, repl_models):
+    onto, _ = repl_models
+    diag = _random_ranker(onto)
+    statuses = []  # the status each round's legality mask was taken from
+    legal = consult_env._legal
+
+    def spy_legal(status, asked, index):
+        statuses.append(status.copy())
+        return legal(status, asked, index)
+
+    monkeypatch.setattr(consult_env, "_legal", spy_legal)
+    ranked = _spy_ranker_inputs(monkeypatch, diag)
+    spy = SpyQuestions([0, 1, 7])
+    # Question 0 confirms element 0; "no" to question 1 denies element 1 and
+    # drags its child 4; open question 7 confirms child 3, then input ends
+    # before child 6.
+    trace = consult_repl(spy, diag, onto, horizon=5,
+                         input_fn=scripted_input(["37", "m", "y", "n", "y"]),
+                         output_fn=lambda s: None)
+    assert trace.rounds == ((0, ((0, 1),)), (1, ((1, 2), (4, 2))), (7, ((3, 1),)))
+    assert len(spy.seen) == len(statuses) == 3
+    for inputs, status in zip(spy.seen, statuses):
+        record = PatientRecord("human", 37, "male", (), status[0], -1)
+        expected = net_input(encode_histories([record], 8), status, np.float32)
+        assert inputs.dtype == expected.dtype and inputs.tobytes() == expected.tobytes()
+    assert _ranks_rebuilt_rows(diag, ranked, trace, 37, "male")
+
+
+@pytest.mark.parametrize("kind", ["random", "float64 ranker", "float64 policy", "wider policy"])
+def test_repl_ranks_as_predict_batch_whatever_rows_the_policy_reads(monkeypatch, repl_models,
+                                                                   kind):
+    onto, _ = repl_models
+    diag = _random_ranker(onto, np.float64 if kind == "float64 ranker" else np.float32)
+    if kind == "random":
+        policy = baseline_policy(RANDOM_LEGAL)
+    else:
+        # A policy from a float64 checkpoint, or one of a wider history.
+        width = 10 if kind == "wider policy" else 8
+        dtype = np.float64 if kind == "float64 policy" else np.float32
+        net = init_dense((width + 3 * 7, 4, onto.n_questions), seed=1, zero_output=False,
+                         dtype=dtype)
+        policy = GreedyModelPolicy(
+            InquiryPolicy(net, width, 7, onto.n_questions, onto.content_digest))
+    ranked = _spy_ranker_inputs(monkeypatch, diag)
+    trace = consult_repl(policy, diag, onto, horizon=4,
+                         input_fn=scripted_input(["62", "f"] + ["y", "n", "y"] * 4),
+                         output_fn=lambda s: None)
+    assert trace.n_rounds == 4
+    assert _ranks_rebuilt_rows(diag, ranked, trace, 62, "female")
 
 
 def test_consult_command_with_stdin(workspace, tmp_path, monkeypatch, capsys):

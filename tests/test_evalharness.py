@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inquest import nncore
+from inquest import consult_env, nncore
 from inquest.consult_env import PatientSim
-from inquest.diagnosis import new_diagnosis_model
+from inquest.diagnosis import (
+    net_input,
+    new_diagnosis_model,
+    predict_batch,
+    rank_from_probs,
+)
 from inquest.errors import (
     ConfigError,
     DigestMismatch,
@@ -31,6 +36,7 @@ from inquest.evalharness import (
     RediscoveryMetrics,
     baseline_policy,
     bootstrap_mean_diff,
+    consult_batch,
     emit_report,
     evaluate,
     load_report,
@@ -45,9 +51,11 @@ from inquest.patientgen import (
     PatientDataset,
     PatientRecord,
     benchmark_genmodel,
+    encode_histories,
     full_evidence,
     generate_cohort,
     generate_ontology,
+    streams,
     toy_genmodel,
     toy_ontology,
 )
@@ -199,8 +207,7 @@ def _greedy_on_logits(monkeypatch, logits, masks):
     n, k = np.shape(logits)
     policy = new_inquiry_policy(2, 3, k, "digest", hidden=(4,))
     monkeypatch.setattr(nncore, "forward", lambda net, x: logits)
-    return GreedyModelPolicy(policy).select_batch(
-        np.zeros((n, 2), dtype=np.float32), np.zeros((n, 3), dtype=np.int8), masks, None)
+    return GreedyModelPolicy(policy).select_batch(np.zeros((n, 11), dtype=np.float32), masks, None)
 
 
 def test_greedy_picks_equal_masked_softmax_argmax(monkeypatch):
@@ -237,6 +244,51 @@ def test_greedy_refuses_rows_without_a_legal_question_and_misshapen_masks(monkey
         _greedy_on_logits(monkeypatch, logits, masks)
     with pytest.raises(ShapeError):
         _greedy_on_logits(monkeypatch, logits, np.ones((2, 3), dtype=bool))
+
+
+class SpyFixedOrder:
+    """Picks as FixedOrder does and keeps a copy of every ``inputs`` block it
+    reads; given a layout, it reads rows of that history width and dtype."""
+
+    def __init__(self, history_width=None, dtype=None):
+        if history_width is not None:
+            self.history_width, self.dtype = history_width, dtype
+        self.seen = []
+
+    def select_batch(self, inputs, masks, rngs):
+        self.seen.append(np.array(inputs))
+        return baseline_policy(FIXED_ORDER).select_batch(inputs, masks, rngs)
+
+
+@pytest.mark.parametrize("layout", [None, (10, np.float64)], ids=["rankers", "own"])
+def test_consult_batch_keeps_the_input_rows_that_net_input_rebuilds(monkeypatch, toy_setup,
+                                                                  layout):
+    onto, ds, _ = toy_setup
+    ranker = new_diagnosis_model(8, 7, ds.disease_names, onto.content_digest, hidden=(16,))
+    ranker.net.params[:] = np.random.default_rng(6).normal(size=ranker.net.params.size)
+    spy = SpyFixedOrder(*(layout or ()))
+    width, dtype = layout or (ranker.history_width, ranker.net.dtype)
+    rounds = []  # the engine's own (rows, status) at each round
+    pending = consult_env.Lockstep.pending
+
+    def spy_pending(self):
+        rows, mask = pending(self)
+        rounds.append((rows.copy(), self.status[rows].copy()))
+        return rows, mask
+
+    monkeypatch.setattr(consult_env.Lockstep, "pending", spy_pending)
+    sim = PatientSim(noise=0.3, unmentioned_answer="unknown")
+    traces = consult_batch(spy, ranker, ds.records, onto, sim, 8, streams((4,), range(len(ds))))
+    assert len(spy.seen) == len(rounds) - 1 > 1
+    for inputs, (rows, status) in zip(spy.seen, rounds):
+        expected = net_input(encode_histories([ds.records[i] for i in rows], width), status,
+                             dtype)
+        assert inputs.dtype == expected.dtype and inputs.tobytes() == expected.tobytes()
+    # Some rounds revealed nothing: their rows were left as they were.
+    assert any(not revealed for t in traces for _, revealed in t.rounds)
+    final = np.stack([t.final_observation for t in traces])
+    probs = predict_batch(ranker, encode_histories(ds.records, 8), final)
+    assert [t.ranking for t in traces] == [tuple(r) for r in rank_from_probs(probs).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +441,7 @@ def test_random_legal_single_action():
     mask = np.zeros(9, dtype=bool)
     mask[6] = True
     rng = np.random.default_rng(0)
-    assert all(policy.select_batch(None, None, mask[None], [rng])[0] == 6 for _ in range(10))
+    assert all(policy.select_batch(None, mask[None], [rng])[0] == 6 for _ in range(10))
 
 
 def test_fixed_order_always_legal():
@@ -399,7 +451,7 @@ def test_fixed_order_always_legal():
         mask = rng.random(30) < 0.3
         if not mask.any():
             mask[int(rng.integers(30))] = True
-        action = policy.select_batch(None, None, mask[None], [rng])[0]
+        action = policy.select_batch(None, mask[None], [rng])[0]
         assert mask[action]
         assert action == int(np.flatnonzero(mask)[0])
 
@@ -407,13 +459,13 @@ def test_fixed_order_always_legal():
 def test_random_legal_reproducible():
     policy = baseline_policy(RANDOM_LEGAL)
     mask = np.ones(14, dtype=bool)
-    seq1 = [policy.select_batch(None, None, mask[None], [np.random.default_rng(8)])[0]
+    seq1 = [policy.select_batch(None, mask[None], [np.random.default_rng(8)])[0]
             for _ in range(1)]
-    seq2 = [policy.select_batch(None, None, mask[None], [np.random.default_rng(8)])[0]
+    seq2 = [policy.select_batch(None, mask[None], [np.random.default_rng(8)])[0]
             for _ in range(1)]
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    seq1 += [policy.select_batch(None, None, mask[None], [rng1])[0] for _ in range(20)]
-    seq2 += [policy.select_batch(None, None, mask[None], [rng2])[0] for _ in range(20)]
+    seq1 += [policy.select_batch(None, mask[None], [rng1])[0] for _ in range(20)]
+    seq2 += [policy.select_batch(None, mask[None], [rng2])[0] for _ in range(20)]
     assert seq1 == seq2
 
 
@@ -426,8 +478,7 @@ def test_every_policy_refuses_a_row_without_a_legal_question(kind):
     masks = np.array([[False, False, False, True], [False, False, False, False]])
 
     def select(rows):
-        return policy.select_batch(np.zeros((len(rows), 2), dtype=np.float32),
-                                   np.zeros((len(rows), 3), dtype=np.int8), masks[rows],
+        return policy.select_batch(np.zeros((len(rows), 11), dtype=np.float32), masks[rows],
                                    [np.random.default_rng(i) for i in rows])
 
     assert select([0]).tolist() == [3]

@@ -64,7 +64,12 @@ SITES = {
     ("generate_cohort", "seed"): ("seed", -1, lambda t, v: generate_cohort(t[1], 3, v)),
     ("split_dataset", "seed"): ("seed", -1,
                                 lambda t, v: split_dataset(t[2], (0.5, 0.25, 0.25), v)),
+    ("generate_ontology", "n_closed"): ("n_closed", 0,
+                                        lambda t, v: generate_ontology(3, 4, n_closed=v)),
     ("init_dense", "seed"): ("seed", -1, lambda t, v: init_dense((3, 2), seed=v)),
+    ("init_dense", "layer_dims"): ("layer_dims", 0, lambda t, v: init_dense((3, v, 2))),
+    ("new_diagnosis_model", "hidden"): ("layer_dims", 0, lambda t, v: new_diagnosis_model(
+        2, 3, ("a", "b"), "d", hidden=(v,))),
     ("Lockstep", "horizon"): ("horizon", -1, lambda t, v: Lockstep(
         t[2].records, t[0], PatientSim(), streams((0,), range(len(t[2]))), v)),
     ("consult_repl", "horizon"): ("horizon", -1, _repl),
