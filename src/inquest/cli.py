@@ -16,14 +16,11 @@ import numpy as np
 from . import consult_env
 from .consult_env import PatientSim, UNMENTIONED_DENIED, UNMENTIONED_UNKNOWN
 from .diagnosis import (
+    ConsultRows,
     SlTrainConfig,
-    consult_inputs,
     load_diagnosis,
-    predict_batch,
-    predict_rows,
     rank_from_probs,
     save_diagnosis,
-    set_status,
     train_diagnosis,
 )
 from .errors import ConfigError, InquestError, ParseError, check_setting, reading, writing
@@ -452,10 +449,9 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
     except _SessionEnd:
         output_fn("session ended before demographics; using neutral defaults")
     record = PatientRecord("human", age, sex, (), status.copy(), -1)
-    # One kept input row (``evalharness.consult_batch``): each status write
-    # below rewrites that element's slots in ``x`` too.
-    width, dtype = input_layout(policy, diag_model)
-    x, e_diag = consult_inputs(diag_model, [record], status[None], width, dtype)
+    # One kept input row (``diagnosis.ConsultRows``): each status write below
+    # is revealed to it too.
+    kept = ConsultRows(diag_model, [record], status[None], *input_layout(policy, diag_model))
     rng = np.random.default_rng(0)  # baselines may sample; interaction stays seeded
 
     action, revealed = None, []  # the round being answered
@@ -465,7 +461,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
             if not mask.any():
                 output_fn("no further questions are possible")
                 break
-            action = int(policy.select_batch(x, mask, [rng])[0])
+            action = int(policy.select_batch(kept.inputs, mask, [rng])[0])
             asked[0, action] = True
             for t in ontology.questions[action].targets:
                 if status[t] != consult_env.UNKNOWN:
@@ -474,13 +470,13 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
                 yes = _ask(f"round {len(rounds) + 1}: {name}? (y/n) ",
                            _parse_yn, input_fn, output_fn)
                 status[t] = CONFIRMED if yes else DENIED
-                set_status(x, 0, t, status[t], width)
+                kept.reveal(0, t, status[t])
                 revealed.append((t, int(status[t])))
                 if not yes and ontology.elements[t].level == 1:
                     for child in ontology.children_of(t):
                         if status[child] == consult_env.UNKNOWN:
                             status[child] = DENIED
-                            set_status(x, 0, child, DENIED, width)
+                            kept.reveal(0, child, DENIED)
                             revealed.append((child, int(DENIED)))
             rounds.append((action, tuple(revealed)))
             revealed = []
@@ -491,8 +487,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
             rounds.append((action, tuple(revealed)))
         output_fn("input closed; ranking with what was gathered")
 
-    probs = (predict_rows(diag_model, x) if e_diag is None
-             else predict_batch(diag_model, e_diag, status[None]))[0]
+    probs = kept.rank(slice(None))[0]
     ranking = rank_from_probs(probs).tolist()
     probs = probs.tolist()
     output_fn("top diseases:")

@@ -12,9 +12,10 @@ a vector env (EnvPool; Gymnasium ``VectorEnv``). Episode state is an (N, M)
 int8 status array and an (N, K) asked mask. Disclosure, legality, answers and
 first-level denial propagation are array operations on ``HpiOntology.index``.
 Each round the caller takes the episodes that still have a legal question
-from ``pending``, picks one question for each, and passes them to ``step``.
-An episode leaves the active set when it reaches its horizon or has nothing
-legal left. All active episodes are at the same round. The single-episode
+from ``pending``, picks one question for each, and passes them to ``step``,
+which reports the status slots it changed. An episode leaves the active set
+when it reaches its horizon or has nothing legal left. All active episodes
+are at the same round. The single-episode
 API (``reset``, ``legal_actions`` and ``step`` on an immutable ``EnvState``)
 is the N=1 case of the same functions, so an episode can still be replayed or
 branched one state at a time. Legality has one implementation, ``_legal``:
@@ -179,14 +180,16 @@ def _answer(
     index: OntologyIndex,
     noise: float,
     rngs,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ask ``actions[i]`` in row i; returns the new status and (N, 4) findings.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ask ``actions[i]`` in row i; returns the new status, (N, 4) findings
+    and the (N, M) mask of the slots that changed.
 
     Unknown targets that the ``_evidence`` row answers resolve to it; each
     revealed slot then flips sign with probability ``noise``, drawn in
     ascending element order. A first-level slot revealed Denied drags its
     Unknown children to Denied, uncredited. Findings columns are f1p, f1n,
-    f2p, f2n.
+    f2p, f2n. Only unknown slots change, to 1 or 2, so the changed slots are
+    exactly the answered and the dragged ones.
     """
     answered = (index.targets[:, actions].T > 0.0) & (status == UNKNOWN) & (evidence != UNKNOWN)
     revealed = evidence
@@ -204,7 +207,7 @@ def _answer(
     # Revealed slots counted by level, as in _legal: f1p, f2p, then f1n, f2n.
     counts = np.hstack([(answered & positive).astype(np.float32) @ index.levels,
                         (answered & ~positive).astype(np.float32) @ index.levels])
-    return new, counts[:, [0, 2, 1, 3]].astype(np.int64)
+    return new, counts[:, [0, 2, 1, 3]].astype(np.int64), answered | dragged
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,9 @@ class Lockstep:
     ``status`` (N, M) and ``asked`` (N, K) hold every episode, finished or
     not; ``active`` lists the episodes still asking, in ascending order.
     ``evidence`` (N, M) holds each patient's answers (``_evidence``), built
-    once here and gathered each round.
+    once here and gathered each round. ``step`` reports the slots it changed,
+    so a caller that keeps rows built from ``status`` (``diagnosis.ConsultRows``)
+    rewrites those alone.
     """
 
     def __init__(self, patients, ontology: HpiOntology, sim: PatientSim, rngs, horizon: int):
@@ -247,8 +252,11 @@ class Lockstep:
         self.active, self._mask = rows[keep], mask[keep]
         return self.active, self._mask
 
-    def step(self, actions) -> np.ndarray:
-        """Ask ``actions[i]`` in episode ``active[i]``; returns (n, 4) findings."""
+    def step(self, actions) -> tuple[np.ndarray, np.ndarray]:
+        """Ask ``actions[i]`` in episode ``active[i]``; returns (n, 4) findings
+        and the slots that changed, as ascending flat indices into the (n, M)
+        ``status[active]``: slot ``f`` is element ``f % M`` of episode
+        ``active[f // M]``."""
         rows = self.active
         actions = np.asarray(actions, dtype=np.int64)
         mask, self._mask = self._mask, None
@@ -257,12 +265,12 @@ class Lockstep:
         if not (legal and mask[np.arange(len(rows)), actions].all()):
             raise IllegalAction("each step needs one legal action per pending() episode")
         rngs = [self.rngs[i] for i in rows] if self.noise > 0.0 else None
-        self.status[rows], findings = _answer(
+        self.status[rows], findings, changed = _answer(
             self.status[rows], actions, self.evidence[rows], self.index, self.noise, rngs,
         )
         self.asked[rows, actions] = True
         self.t += 1
-        return findings
+        return findings, np.flatnonzero(changed)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +335,7 @@ def step(
     if not (in_range and legal_actions(state, ontology)[question_id]):
         raise IllegalAction(f"question {question_id} is not legal in this state")
 
-    status, findings = _answer(
+    status, findings, _ = _answer(
         state.status[None], np.array([question_id]),
         _evidence(patient.hpi[None], sim.unmentioned_answer), ontology.index, sim.noise,
         [_as_rng(rng) if rng is not None else None],

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nncore
 from .errors import (DigestMismatch, DomainError, EmptyDataset, ParseError, ShapeError,
-                     check_settings, fields, setting)
+                     check_setting, check_settings, fields, setting)
 from .patientgen import PatientDataset, encode_histories, full_evidence, history_width
 from .nncore import DenseNet, forward_with_cache, softmax
 
@@ -80,17 +80,6 @@ def net_input(history: np.ndarray, obs: np.ndarray, dtype) -> np.ndarray:
     """The nets' (n, E + 3M) input rows in ``dtype``: each (n, E) history row,
     then the ``encode_hpi_ternary`` of its (n, M) observation row."""
     return np.hstack([history, encode_hpi_ternary(obs)], dtype=dtype)
-
-
-def set_status(inputs: np.ndarray, rows, elements, statuses, history_width: int) -> None:
-    """Rewrite ``net_input`` rows in place: the one-hot slots of element
-    ``elements[j]`` in row ``rows[j]`` become those of ternary status
-    ``statuses[j]``. The slots are exact 0/1 values, so the rows stay the
-    bytes that ``net_input`` builds from the new observations."""
-    n, width = inputs.shape
-    # Splitting the last axis in two is always a view, so this writes ``inputs``.
-    slots = inputs[:, history_width:].reshape(n, (width - history_width) // 3, 3)
-    slots[rows, elements] = _ONE_HOT[statuses]
 
 
 @dataclass(frozen=True)
@@ -164,16 +153,42 @@ def predict_batch(model: DiagnosisModel, history: np.ndarray, obs: np.ndarray) -
     return predict_rows(model, net_input(history, obs, model.net.dtype))
 
 
-def consult_inputs(model: DiagnosisModel, records, status: np.ndarray, width: int, dtype):
-    """The input rows a consultation keeps for its policy, one per record:
-    ``net_input`` of the records' width-``width`` histories and of the (n, M)
-    ``status``, in ``dtype``. Also returns the ranker's history rows, or None
-    when ``model`` reads the kept rows as they are (same width and dtype)."""
-    history = encode_histories(records, width)
-    inputs = net_input(history, status, dtype)
-    if model.history_width == width and model.net.dtype == inputs.dtype:
-        return inputs, None
-    return inputs, encode_histories(records, model.history_width)
+class ConsultRows:
+    """The net input rows a consultation keeps, one per record, built from
+    the (n, M) ``status`` and kept in step with it through ``reveal``.
+
+    ``inputs`` holds the rows the policy reads: ``net_input`` of the records'
+    width-``width`` histories and of ``status``, in ``dtype``. The ranker
+    ``model`` reads those same rows when its history width and dtype are
+    these, and otherwise rows of its own layout, kept beside them. ``reveal``
+    rewrites the one-hot slots of every kept row in place; the slots are
+    exact 0/1 values, so the rows stay the bytes that ``net_input`` builds
+    from the new observations. ``rank`` runs the ranker on the rows it reads.
+    """
+
+    def __init__(self, model: DiagnosisModel, records, status: np.ndarray, width: int, dtype):
+        self.model = model
+        self.inputs = net_input(encode_histories(records, width), status, dtype)
+        layouts = [(self.inputs, width)]
+        if (model.history_width, model.net.dtype) != (width, self.inputs.dtype):
+            own = net_input(encode_histories(records, model.history_width), status,
+                            model.net.dtype)
+            layouts.append((own, model.history_width))
+        self._ranked = layouts[-1][0]
+        # Splitting the last axis in two is always a view, so writing these
+        # writes the rows.
+        self._slots = [x[:, w:].reshape(*status.shape, 3) for x, w in layouts]
+
+    def reveal(self, rows, elements, statuses) -> None:
+        """Element ``elements[j]`` of row ``rows[j]`` now has ternary status
+        ``statuses[j]``."""
+        one_hot = _ONE_HOT[statuses]
+        for slots in self._slots:
+            slots[rows, elements] = one_hot
+
+    def rank(self, rows) -> np.ndarray:
+        """The ranker's disease distributions of ``rows`` (``predict_rows``)."""
+        return predict_rows(self.model, self._ranked[rows])
 
 
 def rank_from_probs(probs: np.ndarray) -> np.ndarray:
@@ -210,6 +225,7 @@ def train_epoch(
     augmentation draw come from an RNG keyed on that pair. A dataset without
     the model's findings and diseases, in order, raises DigestMismatch.
     """
+    check_setting("epoch", epoch, "non-negative", integral=True)
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     check_dataset(model, dataset, "dataset")

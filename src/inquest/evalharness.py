@@ -6,13 +6,13 @@ recall-at-K plus pooled rediscovery precision/recall/F1.
 
 ``evaluate`` consults every patient at once on the lockstep engine
 (``consult_env.Lockstep``) through ``consult_batch``; ``simulate_consultation``
-is its N=1 case. ``consult_batch`` builds every patient's net input row
-([history, ternary one-hot], ``diagnosis.net_input``) once and, after each
-round, rewrites only the one-hot slots that the round revealed. Policies have
-one interface, ``select_batch``, which decides for a batch from those rows, so
-each round costs one forward of the policy net over the active episodes, and
-the final ranking one forward of the ranker, over the same rows when its
-history width and dtype are the policy's. Patient i draws
+is its N=1 case. ``consult_batch`` keeps every patient's net input row
+([history, ternary one-hot]) in a ``diagnosis.ConsultRows``, built once;
+after each round it rewrites only the slots that ``Lockstep.step`` reports
+changed. Policies have one interface, ``select_batch``, which decides for a
+batch from those rows, so each round costs one forward of the policy net over
+the active episodes, and the final ranking one forward of the ranker over the
+rows it reads (``ConsultRows.rank``). Patient i draws
 from stream i of ``patientgen.streams((seed,), ...)``, and every net runs in
 fixed-size blocks (``nncore.forward``). A patient's trace is therefore the
 same bytes whether it is evaluated alone or inside any dataset. A trained
@@ -30,15 +30,7 @@ import numpy as np
 
 from . import consult_env, nncore
 from .consult_env import PatientSim, _require_legal
-from .diagnosis import (
-    DiagnosisModel,
-    check_dataset,
-    consult_inputs,
-    predict_batch,
-    predict_rows,
-    rank_from_probs,
-    set_status,
-)
+from .diagnosis import ConsultRows, DiagnosisModel, check_dataset, rank_from_probs
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -110,10 +102,11 @@ class EvalReport:
 # A question-selection policy decides for a batch of episodes at once:
 # ``select_batch(inputs, masks, rngs)`` returns one question per row, and
 # raises NoLegalAction for a row whose mask admits none
-# (``consult_env._require_legal``). ``inputs`` are the episodes' net input rows
-# (``diagnosis.net_input``), built in the policy's ``history_width`` and
-# ``dtype`` where it carries them and in the ranker's otherwise. A trained
-# policy carries both, and ``ontology_digest``; the baselines read no inputs.
+# (``consult_env._require_legal``). ``inputs`` are the episodes' kept input
+# rows (``diagnosis.ConsultRows.inputs``), in the layout ``input_layout``
+# gives: the policy's ``history_width`` and ``dtype`` where it carries them,
+# the ranker's otherwise. A trained policy carries both, and
+# ``ontology_digest``; the baselines read no inputs.
 
 class GreedyModelPolicy:
     """Trained policy run greedily: argmax over the legal entries of each row
@@ -197,15 +190,14 @@ def consult_batch(
     from ``rngs[i]``; one trace per patient, in order.
 
     Each round runs one blocked policy forward over the active episodes' kept
-    input rows and the final ranking one blocked ranker forward over all of
-    them, so a patient's trace is the same bytes whatever the batch holds.
-    The ranker reads the kept rows when its history width and dtype are the
-    policy's, and rows of its own otherwise.
+    input rows (``diagnosis.ConsultRows``), then rewrites the slots the step
+    changed; the final ranking is one blocked ranker forward over every
+    episode. A patient's trace is therefore the same bytes whatever the batch
+    holds.
     """
     check_models(policy, diag_model, ontology)
-    width, dtype = input_layout(policy, diag_model)
     env = consult_env.Lockstep(patients, ontology, sim, rngs, horizon)
-    x, e_diag = consult_inputs(diag_model, patients, env.status, width, dtype)
+    kept = ConsultRows(diag_model, patients, env.status, *input_layout(policy, diag_model))
     rounds = [[] for _ in patients]
     m = ontology.n_elements
     while True:
@@ -213,21 +205,17 @@ def consult_batch(
         if not len(rows):
             break
         ids = rows.tolist()
-        before = env.status[rows]
-        actions = policy.select_batch(x[rows], mask, [rngs[i] for i in ids])
-        env.step(actions)
-        after = env.status[rows]
+        actions = policy.select_batch(kept.inputs[rows], mask, [rngs[i] for i in ids])
+        _, changed = env.step(actions)
         # Changed slots row by row, elements ascending; row j's end at ends[j].
-        flat = np.flatnonzero(after != before)
-        statuses = after.ravel()[flat]
-        set_status(x, rows[flat // m], flat % m, statuses, width)
-        revealed = tuple(zip((flat % m).tolist(), statuses.tolist()))
-        ends = np.searchsorted(flat, m * np.arange(1, len(ids) + 1)).tolist()
+        episodes, elements = rows[changed // m], changed % m
+        statuses = env.status[episodes, elements]
+        kept.reveal(episodes, elements, statuses)
+        revealed = tuple(zip(elements.tolist(), statuses.tolist()))
+        ends = np.searchsorted(changed, m * np.arange(1, len(ids) + 1)).tolist()
         for i, action, start, end in zip(ids, np.asarray(actions).tolist(), [0, *ends], ends):
             rounds[i].append((action, revealed[start:end]))
-    probs = (predict_rows(diag_model, x) if e_diag is None
-             else predict_batch(diag_model, e_diag, env.status))
-    rankings = rank_from_probs(probs).tolist()
+    rankings = rank_from_probs(kept.rank(slice(None))).tolist()
     return [
         DialogueTrace(
             patient_id=patient.id,

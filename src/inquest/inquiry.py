@@ -16,25 +16,9 @@ import numpy as np
 
 from . import consult_env, nncore
 from .consult_env import PatientSim, _require_legal
-from .diagnosis import (
-    DiagnosisModel,
-    ModelSpec,
-    consult_inputs,
-    load_model,
-    new_model,
-    predict_batch,
-    predict_rows,
-    save_model,
-    set_status,
-)
-from .errors import (
-    EmptyDataset,
-    NonFinite,
-    ShapeError,
-    check_settings,
-    setting,
-    writing,
-)
+from .diagnosis import ConsultRows, DiagnosisModel, ModelSpec, load_model, new_model, save_model
+from .errors import (EmptyDataset, NonFinite, ShapeError, check_setting, check_settings, setting,
+                     writing)
 from .ontology import HpiOntology, check_built_against
 from .patientgen import PatientDataset, streams
 
@@ -254,12 +238,14 @@ def collect_rollouts(
     ``patientgen.streams((seed, iteration), ...)``. The episodes run in
     lockstep (``consult_env.Lockstep``) with one blocked forward per net per
     round, so an episode's transitions are the same bytes whatever
-    ``n_episodes`` is. Every episode's input row is built once and, after each
-    step, only the one-hot slots the step revealed are rewritten; the policy
-    and value nets read it before the step, and the ranker after it when its
-    history width and dtype are the policy's. The batch is episode-major, in
-    ``ep`` order.
+    ``n_episodes`` is. The episodes' input rows are kept in a
+    ``diagnosis.ConsultRows`` and, after each step, only the slots the step
+    changed are rewritten; the policy and value nets read them before the
+    step, and the ranker after it. The batch is episode-major, in ``ep``
+    order.
     """
+    check_setting("n_episodes", n_episodes, "non-negative", integral=True)
+    check_setting("iteration", iteration, "non-negative", integral=True)
     if len(dataset) == 0:
         raise EmptyDataset("cannot roll out against an empty dataset")
     check_built_against(ontology, (
@@ -272,29 +258,21 @@ def collect_rollouts(
     rngs = streams((seed, iteration), range(n_episodes))
     patients = [dataset.records[int(rng.integers(len(dataset)))] for rng in rngs]
     env = consult_env.Lockstep(patients, ontology, sim, rngs, horizon)
-    width, m = policy.history_width, ontology.n_elements
-    inputs, e_diag = consult_inputs(diag_model, patients, env.status, width, policy.net.dtype)
-
-    def ranker(rows):
-        if e_diag is None:
-            return predict_rows(diag_model, inputs[rows])
-        return predict_batch(diag_model, e_diag[rows], env.status[rows])
-
-    belief = ranker(slice(None))
+    kept = ConsultRows(diag_model, patients, env.status, policy.history_width, policy.net.dtype)
+    m = ontology.n_elements
+    belief = kept.rank(slice(None))
     rounds = []
     while True:
         rows, mask = env.pending()
         if not len(rows):
             break
-        x = inputs[rows]
-        before = env.status[rows]
+        x = kept.inputs[rows]
         probs = masked_softmax(nncore.forward(policy.net, x), mask)
         actions = _sample_actions(probs, [rngs[i] for i in rows])
-        findings = env.step(actions)
-        after = env.status[rows]
-        flat = np.flatnonzero(after != before)
-        set_status(inputs, rows[flat // m], flat % m, after.ravel()[flat], width)
-        new = ranker(rows)
+        findings, changed = env.step(actions)
+        episodes, elements = rows[changed // m], changed % m
+        kept.reveal(episodes, elements, env.status[episodes, elements])
+        new = kept.rank(rows)
         rewards = _rewards(reward_params, findings, belief[rows], new)
         belief[rows] = new
         logps = np.log(probs[np.arange(len(rows)), actions])
@@ -333,6 +311,8 @@ def gae_advantages(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-scan GAE within episodes, in float64; returns (advantages,
     value targets)."""
+    check_setting("gamma", gamma, "discount", integral=False)
+    check_setting("lam_gae", lam_gae, "rate", integral=False)
     n = len(batch)
     values = np.asarray(batch.values, dtype=float)
     adv = np.zeros(n)
@@ -430,6 +410,7 @@ def ppo_update(
     Advantages are normalized once per batch (guarding std >= 1e-8); legality
     masks recorded at collection are reused for every re-evaluation.
     """
+    check_setting("iteration", iteration, "non-negative", integral=True)
     if len(batch) == 0:
         raise ShapeError("empty trajectory batch")
     if adam_policy is None:

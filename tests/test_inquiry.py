@@ -9,7 +9,7 @@ import pytest
 
 from inquest import consult_env, nncore
 from inquest.consult_env import PatientSim, StepFindings
-from inquest.diagnosis import new_diagnosis_model
+from inquest.diagnosis import DiagnosisModel, new_diagnosis_model
 from inquest.errors import (
     ConfigError,
     DigestMismatch,
@@ -288,8 +288,25 @@ def test_same_seed_identical_batches(flat):
     assert not np.array_equal(a.actions, c.actions) or not np.array_equal(a.inputs, c.inputs)
 
 
-def test_rollouts_match_straight_line_oracle(toy_setup):
+def _random_ranker(onto, ds):
+    """A float64 ranker of random weights: every slot it reads moves its
+    belief, and the oracle's float64 forward matches it to rounding."""
+    net = nncore.init_dense((8 + 3 * 7, 16, len(ds.disease_names)), seed=6,
+                            zero_output=False, dtype=np.float64)
+    return DiagnosisModel(net, 8, 7, ds.disease_names, onto.content_digest)
+
+
+@pytest.mark.parametrize("layout", ["policy's", "float64 ranker", "narrower ranker"])
+def test_rollouts_match_straight_line_oracle(toy_setup, layout):
+    """The ranker reads the policy's rows, or, in another dtype or history
+    width, rows of its own."""
     onto, ds, diag, policy, value = toy_setup
+    if layout != "policy's":
+        diag = _random_ranker(onto, ds)
+    if layout == "narrower ranker":
+        policy = new_inquiry_policy(10, 7, onto.n_questions, onto.content_digest,
+                                    hidden=(16, 16))
+        value = new_value_net(10, 7, onto.content_digest, hidden=(16, 16), seed=1)
     params = RewardParams()
     probs_cfg = PatientSim()
     n_eps, horizon, seed = 12, 10, 21

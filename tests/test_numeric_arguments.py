@@ -8,9 +8,11 @@ import pytest
 
 from inquest.cli import consult_repl
 from inquest.consult_env import Lockstep, PatientSim
-from inquest.diagnosis import new_diagnosis_model
+from inquest.diagnosis import SlTrainConfig, new_diagnosis_model, train_epoch
 from inquest.errors import ConfigError, DomainError
 from inquest.evalharness import FIXED_ORDER, baseline_policy, evaluate, recall_at_k
+from inquest.inquiry import (PpoConfig, RewardParams, collect_rollouts, gae_advantages,
+                             new_inquiry_policy, new_value_net, ppo_update)
 from inquest.nncore import init_dense
 from inquest.patientgen import (
     benchmark_genmodel,
@@ -47,6 +49,23 @@ def _repl(toy, horizon):
         assert prompts == []
 
 
+def _nets(toy):
+    onto = toy[0]
+    return (new_inquiry_policy(8, 7, onto.n_questions, onto.content_digest, hidden=(4,)),
+            new_value_net(8, 7, onto.content_digest, hidden=(4,)))
+
+
+def _rollouts(toy, n_episodes=2, iteration=0):
+    onto, gm, ds, diag = toy
+    return collect_rollouts(*_nets(toy), diag, ds, onto, PatientSim(), RewardParams(),
+                            n_episodes, 5, 0, iteration=iteration)
+
+
+def _ppo_update(toy, iteration):
+    return ppo_update(*_nets(toy), _rollouts(toy), PpoConfig(update_epochs=1),
+                      iteration=iteration)
+
+
 # Each (function, argument): the name its error gives, a value that breaks its
 # rule, and a call of the function with the argument set to a value.
 SITES = {
@@ -78,6 +97,15 @@ SITES = {
     ("evaluate", "horizon"): ("horizon", -1, lambda t, v: _evaluate(t, horizon=v)),
     ("evaluate", "seed"): ("seed", -1, lambda t, v: _evaluate(t, seed=v)),
     ("recall_at_k", "ks"): ("ks", -1, lambda t, v: recall_at_k([], (1, v))),
+    ("collect_rollouts", "n_episodes"): ("n_episodes", -1,
+                                         lambda t, v: _rollouts(t, n_episodes=v)),
+    ("collect_rollouts", "iteration"): ("iteration", -1, lambda t, v: _rollouts(t, iteration=v)),
+    ("ppo_update", "iteration"): ("iteration", -1, _ppo_update),
+    ("train_epoch", "epoch"): ("epoch", -1, lambda t, v: train_epoch(
+        t[3], t[2], SlTrainConfig(), epoch=v)),
+    ("gae_advantages", "gamma"): ("gamma", 0, lambda t, v: gae_advantages(_rollouts(t), v, 0.95)),
+    ("gae_advantages", "lam_gae"): ("lam_gae", 2,
+                                    lambda t, v: gae_advantages(_rollouts(t), 0.99, v)),
 }
 
 
