@@ -452,7 +452,8 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
     # One kept input row (``diagnosis.ConsultRows``): each status write below
     # is revealed to it too.
     kept = ConsultRows(diag_model, [record], status[None], *input_layout(policy, diag_model))
-    rng = np.random.default_rng(0)  # baselines may sample; interaction stays seeded
+    # A policy that samples draws from one seeded stream, so a session replays.
+    rngs = [np.random.default_rng(0) if getattr(policy, "draws", True) else None]
 
     action, revealed = None, []  # the round being answered
     try:
@@ -461,7 +462,7 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
             if not mask.any():
                 output_fn("no further questions are possible")
                 break
-            action = int(policy.select_batch(kept.inputs, mask, [rng])[0])
+            action = int(policy.select_batch(kept.inputs, mask, rngs)[0])
             asked[0, action] = True
             for t in ontology.questions[action].targets:
                 if status[t] != consult_env.UNKNOWN:

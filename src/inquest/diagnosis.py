@@ -51,7 +51,7 @@ class SlTrainConfig:
     augment: bool = True
     hide_lo: float = setting(0.0, "rate")
     hide_hi: float = setting(0.8, "rate")
-    hidden: tuple[int, ...] = setting((256, 256), "sizes")
+    hidden: tuple[int, ...] = setting((128, 128), "sizes")
 
     def __post_init__(self) -> None:
         check_settings(self)

@@ -106,7 +106,9 @@ class EvalReport:
 # rows (``diagnosis.ConsultRows.inputs``), in the layout ``input_layout``
 # gives: the policy's ``history_width`` and ``dtype`` where it carries them,
 # the ranker's otherwise. A trained policy carries both, and
-# ``ontology_digest``; the baselines read no inputs.
+# ``ontology_digest``; the baselines read no inputs. A policy that never
+# draws from ``rngs`` says so with ``draws = False``, and ``cli.consult_repl``
+# then builds it no generator.
 
 class GreedyModelPolicy:
     """Trained policy run greedily: argmax over the legal entries of each row
@@ -117,6 +119,8 @@ class GreedyModelPolicy:
     logits round to the same float64 probability, as logits 0 and 1e-45 do.
     Masks of another shape than the logits raise ShapeError.
     """
+
+    draws = False
 
     def __init__(self, policy: InquiryPolicy):
         self.inner = policy
@@ -144,6 +148,8 @@ class RandomLegalPolicy:
 
 class FixedOrderPolicy:
     """Asks the lowest-id legal question every round."""
+
+    draws = False
 
     def select_batch(self, inputs, masks, rngs) -> np.ndarray:
         return _require_legal(masks).argmax(axis=1)

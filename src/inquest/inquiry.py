@@ -82,7 +82,7 @@ class PpoConfig:
     episodes_per_iter: int = setting(32, "count")
     clip_eps: float = setting(0.2, "positive")
     update_epochs: int = setting(4, "count")
-    minibatch_size: int = setting(64, "count")
+    minibatch_size: int = setting(128, "count")
     gamma: float = setting(0.99, "discount")
     lam_gae: float = setting(0.95, "rate")
     policy_lr: float = setting(1e-3, "non-negative")

@@ -34,6 +34,7 @@ from inquest.evalharness import (
     baseline_policy,
     load_report,
     load_traces,
+    save_traces,
 )
 from inquest.inquiry import InquiryPolicy, PpoConfig, RewardParams
 from inquest.nncore import init_dense
@@ -273,7 +274,7 @@ _DIALOGUE_SET = {"horizon": 7, "noise": 0.25, "unmentioned_answer": "unknown",
 _TRAIN_INQUIRY_REST = {
     "command": "train-inquiry", "config": None, "seed": 0, "ontology": "o",
     "data": "d", "diag": "g", "out": "x", "value_out": None, "log": None, "iterations": 30,
-    "episodes": 32, "minibatch": 64, "clip_eps": 0.2, "update_epochs": 4, "gamma": 0.99,
+    "episodes": 32, "minibatch": 128, "clip_eps": 0.2, "update_epochs": 4, "gamma": 0.99,
     "lam_gae": 0.95, "policy_lr": 0.001, "value_lr": 0.001, "entropy_coef": 0.01,
     "hidden": (128, 128), "time_penalty": 0.5, "first_level_weight": 2.0,
     "negative_discount": 0.5, "quiet": False,
@@ -301,7 +302,7 @@ def test_shared_dialogue_flags_parse_as_before(argv, want):
 _TRAIN_DIAG_DEFAULTS = {
     "command": "train-diag", "config": None, "seed": 0, "ontology": "o", "data": "d",
     "val_data": None, "out": "x", "epochs": 30, "batch_size": 64, "lr": 0.001,
-    "hidden": (256, 256), "no_augment": False, "hide_lo": 0.0, "hide_hi": 0.8, "quiet": False,
+    "hidden": (128, 128), "no_augment": False, "hide_lo": 0.0, "hide_hi": 0.8, "quiet": False,
 }
 
 
@@ -622,6 +623,39 @@ def test_repl_ranks_as_predict_batch_whatever_rows_the_policy_reads(monkeypatch,
                          output_fn=lambda s: None)
     assert trace.n_rounds == 4
     assert _ranks_rebuilt_rows(diag, ranked, trace, 62, "female")
+
+
+# The transcript of this RandomLegal session when every session built its
+# generator, whatever the policy.
+RANDOM_REPL_TRANSCRIPT = (
+    '{"final_observation":[1,2,1,1,2,1,2],"horizon":10,"patient_id":"human",'
+    '"ranking":[0,2,1],"rounds":[[2,[[2,1]]],[1,[[1,2],[4,2]]],[5,[[5,1]]],[0,[[0,1]]],'
+    '[3,[[3,1]]],[6,[[6,2]]]],"true_label":-1}\n')
+
+
+def test_repl_random_session_keeps_its_transcript(repl_models, tmp_path):
+    onto, _ = repl_models
+    trace = consult_repl(baseline_policy(RANDOM_LEGAL), _random_ranker(onto), onto, horizon=10,
+                         input_fn=scripted_input(["58", "m"] + ["y", "n", "y", "y"] * 4),
+                         output_fn=lambda s: None)
+    save_traces([trace], tmp_path / "session.jsonl")
+    assert (tmp_path / "session.jsonl").read_text() == RANDOM_REPL_TRANSCRIPT
+
+
+def test_repl_builds_no_generator_for_a_policy_that_never_draws(repl_models):
+    onto, diag = repl_models
+    handed = []
+
+    class NoDraws(ScriptedQuestions):
+        draws = False
+
+        def select_batch(self, inputs, masks, rngs):
+            handed.append(list(rngs))
+            return super().select_batch(inputs, masks, rngs)
+
+    consult_repl(NoDraws([0, 1]), diag, onto, horizon=2,
+                 input_fn=scripted_input(["40", "f", "n", "n"]), output_fn=lambda s: None)
+    assert handed == [[None], [None]]
 
 
 def test_consult_command_with_stdin(workspace, tmp_path, monkeypatch, capsys):

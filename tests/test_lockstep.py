@@ -202,7 +202,8 @@ def test_single_episode_step_follows_the_lockstep_rule(shape, seed, noise, mode)
 @pytest.mark.parametrize("dims", [
     (11 + 270, 128, 128, 100),  # desk policy
     (11 + 270, 128, 128, 1),  # desk value net
-    (11 + 270, 256, 256, 20),  # desk ranker
+    (11 + 270, 128, 128, 20),  # desk ranker
+    (11 + 270, 256, 256, 20),  # a wider ranker
 ])
 def test_blocked_forward_is_row_invariant(dims):
     head = nncore.HEAD_SCALAR if dims[-1] == 1 else nncore.HEAD_LOGITS

@@ -2,7 +2,11 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,7 +235,7 @@ def test_adam_rejects_nonfinite_gradient_before_writing_anything(bad):
 
 
 def test_adam_step_allocates_almost_nothing():
-    net = init_dense((281, 256, 256, 20), seed=0)  # the ranker's shape
+    net = init_dense((281, 256, 256, 20), seed=0)  # twice the desk ranker's width
     state = init_adam(net.params)
     state.grad[:] = np.random.default_rng(0).normal(size=state.grad.shape)
     adam_step(net.params, state.grad, state, lr=1e-3)
@@ -580,3 +584,47 @@ def test_save_net_refuses_non_finite_values(tmp_path):
     with pytest.raises(NonFinite):
         save_net(init_dense([3, 2], seed=0), path, {"scale": float("inf")})
     assert not path.exists()
+
+
+# Trains the desk ranker's shape for 300 Adam steps at batch 64, then prints
+# the thread count OpenBLAS reports (read as ``perfbench/run.py`` reads it)
+# and the sha256 of the parameter bytes. Its (64 x 281) . (281 x 128)
+# products are far above OpenBLAS's size threshold for splitting a gemm
+# over threads.
+_THREAD_RUN = """
+import hashlib, importlib.util, json, sys
+import numpy as np
+from inquest import nncore
+spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+net = nncore.init_dense((281, 128, 128, 20), seed=0, dtype=nncore.NET_DTYPE)
+state = nncore.init_adam(net.params)
+rng = np.random.default_rng(0)
+for _ in range(300):
+    logits, cache = nncore.forward_with_cache(net, rng.standard_normal((64, 281)))
+    _, grad = nncore.cross_entropy(logits, rng.integers(20, size=64))
+    nncore.backward(net, cache, grad, state.grad)
+    nncore.adam_step(net.params, state.grad, state, lr=1e-3)
+print(json.dumps({"threads": bench.blas_threads(),
+                  "sha256": hashlib.sha256(net.params.tobytes()).hexdigest()}))
+"""
+
+
+def test_training_gives_the_same_bytes_at_one_and_two_blas_threads():
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS runs one thread on one CPU")
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):  # one after the other, so the second has both cores
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", _THREAD_RUN, str(root / "perfbench" / "run.py")],
+                             env=env, capture_output=True, text=True, check=True, timeout=60)
+        runs.append(json.loads(out.stdout))
+    one, two = runs
+    if one["threads"] is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert (one["threads"], two["threads"]) == (1, 2)
+    assert one["sha256"] == two["sha256"]
