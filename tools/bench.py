@@ -4,13 +4,13 @@
 
 For every checkout the file holds:
 
-- ``desk``: ``tools/desk.py --seed S`` for each ``--desk-seeds`` seed, at
+- ``desk``: ``tools/desk.py --seed S`` for each seed in DESK_SEEDS, at
   one BLAS thread: each stage's median, min and max over desk.py's runs,
   the quality numbers and the parameter digests;
 - ``perfbench``: ``perfbench/run.py --trace 0`` for each workload and each
-  ``--bench-seeds`` seed: every run's end-to-end metrics, with the raw
-  seconds next to the probe-scaled ones and the probe itself, then each
-  metric's median and quartiles over the seeds;
+  seed in BENCH_SEEDS, SECONDS a run: every run's end-to-end metrics, with
+  the raw seconds next to the probe-scaled ones and the probe itself, then
+  each metric's median and quartiles over the seeds;
 - ``environment``: nproc, the BLAS and the thread count it ran at, as
   perfbench reads them; ``source_sha256`` names the measured sources.
 
@@ -33,6 +33,9 @@ WORKLOADS = ("cohort", "train", "consult", "interactive")
 PERFBENCH_METRICS = ("setup_s", "setup_raw_s", "wall_s", "wall_raw_s", "peak_rss_mb",
                      "probe_ms", "fail_rate")
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+DESK_SEEDS = (0, 1, 2)
+BENCH_SEEDS = range(1, 11)
+SECONDS = 20.0  # BENCHMARK.json's run_seconds
 
 
 def run_json(cwd: Path, argv: list[str], last: int) -> list[dict]:
@@ -55,19 +58,19 @@ def turns(checkouts: list, i: int) -> list:
     return checkouts if i % 2 == 0 else checkouts[::-1]
 
 
-def measure(checkouts: list[Path], desk_seeds, bench_seeds, seconds: float) -> list[dict]:
+def measure(checkouts: list[Path]) -> list[dict]:
     results = {c: {"desk": {"blas_threads": 1, "seeds": {}},
-                   "perfbench": {"seconds": seconds, "workloads": {}}} for c in checkouts}
-    for i, seed in enumerate(desk_seeds):
+                   "perfbench": {"seconds": SECONDS, "workloads": {}}} for c in checkouts}
+    for i, seed in enumerate(DESK_SEEDS):
         for c in turns(checkouts, i):
             (line,) = run_json(c, ["tools/desk.py", "--seed", str(seed)], 1)
             results[c]["desk"]["seeds"][str(seed)] = line
             print(f"desk seed {seed} {c}: {json.dumps(line['seconds'])}", flush=True)
     for workload in WORKLOADS:
-        for i, seed in enumerate(bench_seeds):
+        for i, seed in enumerate(BENCH_SEEDS):
             for c in turns(checkouts, i):
                 report, result = run_json(c, ["perfbench/run.py", "--workload", workload,
-                                              "--seed", str(seed), "--seconds", str(seconds),
+                                              "--seed", str(seed), "--seconds", str(SECONDS),
                                               "--trace", "0"], 2)
                 metrics = report["report"]["metrics"]
                 run = {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
@@ -102,15 +105,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", nargs=2, action="append", required=True,
                         metavar=("DIR", "OUT"), help="a checkout and the BENCH file to write")
-    parser.add_argument("--desk-seeds", type=int, nargs="*", default=[0, 1, 2])
-    parser.add_argument("--bench-seeds", type=int, nargs="*", default=list(range(1, 11)))
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args()
     checkouts = [Path(d).resolve() for d, _ in args.checkout]
-    results = measure(checkouts, args.desk_seeds, args.bench_seeds, args.seconds)
+    results = measure(checkouts)
     for (_, out), result in zip(args.checkout, results):
         Path(out).write_text(json.dumps(result, indent=1) + "\n")
-    if len(results) == 2 and args.bench_seeds:
+    if len(results) == 2:
         compare(*results)
 
 
