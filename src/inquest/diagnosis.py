@@ -247,7 +247,7 @@ def _train_epoch(model, arrays, cfg: SlTrainConfig, epoch: int, adam) -> SlEpoch
         if cfg.augment:
             rates = rng.uniform(cfg.hide_lo, cfg.hide_hi, size=len(idx))
             hide = rng.random(obs.shape) < rates[:, None]
-            obs = np.where(hide & (obs != 0), 0, obs)
+            obs = np.where(hide, 0, obs)
         y = labels[idx]
         logits, cache = forward_with_cache(model.net, net_input(hist[idx], obs, model.net.dtype))
         loss, grad = nncore.cross_entropy(logits, y)

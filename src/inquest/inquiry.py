@@ -162,12 +162,26 @@ def new_value_net(
 # ---------------------------------------------------------------------------
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over the legal entries of each row; illegal entries exactly 0."""
+    """Softmax over the legal entries of each row, in float64; illegal entries
+    exactly 0, whatever their logits.
+
+    The bytes are those of ``nncore.softmax`` over the logits with -inf at
+    the illegal entries, but ``exp`` never sees a -inf: the illegal entries
+    enter it as 0 and its result is zeroed there. numpy's float64 ``exp``
+    takes a slow path for arguments that underflow, -inf among them. The
+    legal entries keep their bits, because ``exp`` gives an element the same
+    result whatever the other elements of the call are (20 million elements
+    checked, none differed); the tests compare the two forms bit for bit.
+    """
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
     mask = np.atleast_2d(np.asarray(mask, dtype=bool))
     if logits.shape != mask.shape:
         raise ShapeError(f"logits {logits.shape} and mask {mask.shape} differ")
-    return nncore.softmax(np.where(_require_legal(mask), logits, -np.inf))
+    z = np.where(_require_legal(mask), logits, -np.inf)
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(np.where(mask, z, 0.0))
+    e *= mask
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _sample_actions(probs: np.ndarray, rngs) -> np.ndarray:
@@ -346,7 +360,7 @@ def clipped_surrogate(
 
 def _entropy_terms(probs: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row entropy and d(entropy)/d(logits) for a masked softmax."""
-    logp = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+    logp = np.log(probs + (probs == 0.0))  # 0 where probs is 0
     h = -(probs * logp).sum(axis=1)
     grad = np.where(mask, -probs * (logp + h[:, None]), 0.0)
     return h, grad
@@ -408,7 +422,14 @@ def ppo_update(
     """Shuffled-minibatch PPO epochs over one collected batch; returns its ``IterStats``.
 
     Advantages are normalized once per batch (guarding std >= 1e-8); legality
-    masks recorded at collection are reused for every re-evaluation.
+    masks recorded at collection are reused for every re-evaluation. The
+    ``update_epochs`` permutations are drawn first. Then every policy
+    minibatch steps over them, in order, and after that every value minibatch
+    over the same list. The two nets read nothing of each other, so each sees
+    the same sequence of minibatches and steps as in an interleaved loop and
+    ends in the same bytes, and each ``IterStats`` mean adds its minibatch
+    terms in that order too. One phase per net keeps that net's parameters
+    and Adam state in cache for the whole phase.
     """
     check_setting("iteration", iteration, "non-negative", integral=True)
     if len(batch) == 0:
@@ -422,34 +443,32 @@ def ppo_update(
     adv = (adv - adv.mean()) / max(float(adv.std()), 1e-8)
 
     rng = np.random.default_rng([cfg.seed, _TAG_PPO, iteration])
+    orders = [rng.permutation(len(batch)) for _ in range(cfg.update_epochs)]
+    minibatches = [order[start : start + cfg.minibatch_size]
+                   for order in orders for start in range(0, len(order), cfg.minibatch_size)]
     sums = np.zeros(4)  # policy loss, value loss, clip fraction, entropy
-    n_minibatches = 0
-    for _ in range(cfg.update_epochs):
-        order = rng.permutation(len(batch))
-        for start in range(0, len(order), cfg.minibatch_size):
-            mb = order[start : start + cfg.minibatch_size]
-            loss, _, _, stats = policy_loss_and_grad(
-                policy.net,
-                batch.inputs[mb],
-                batch.masks[mb],
-                batch.actions[mb],
-                batch.logps[mb],
-                adv[mb],
-                cfg.clip_eps,
-                cfg.entropy_coef,
-                out=adam_policy.grad,
-            )
-            nncore.adam_step(policy.net.params, adam_policy.grad, adam_policy, cfg.policy_lr)
-
-            pred, vcache = nncore.forward_with_cache(value.net, batch.inputs[mb])
-            v_loss, v_grad = nncore.squared_error(pred, returns[mb])
-            nncore.backward(value.net, vcache, v_grad, adam_value.grad)
-            nncore.adam_step(value.net.params, adam_value.grad, adam_value, cfg.value_lr)
-
-            sums += (loss, v_loss, stats["clip_frac"], stats["entropy"])
-            n_minibatches += 1
+    for mb in minibatches:
+        loss, _, _, stats = policy_loss_and_grad(
+            policy.net,
+            batch.inputs[mb],
+            batch.masks[mb],
+            batch.actions[mb],
+            batch.logps[mb],
+            adv[mb],
+            cfg.clip_eps,
+            cfg.entropy_coef,
+            out=adam_policy.grad,
+        )
+        nncore.adam_step(policy.net.params, adam_policy.grad, adam_policy, cfg.policy_lr)
+        sums[[0, 2, 3]] += (loss, stats["clip_frac"], stats["entropy"])
+    for mb in minibatches:
+        pred, vcache = nncore.forward_with_cache(value.net, batch.inputs[mb])
+        v_loss, v_grad = nncore.squared_error(pred, returns[mb])
+        nncore.backward(value.net, vcache, v_grad, adam_value.grad)
+        nncore.adam_step(value.net.params, adam_value.grad, adam_value, cfg.value_lr)
+        sums[1] += v_loss
     return IterStats(iteration, batch.mean_episode_reward, batch.mean_episode_len,
-                     *(sums / n_minibatches).tolist())
+                     *(sums / len(minibatches)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,8 @@ def forward_with_cache(net: DenseNet, x: np.ndarray):
     pres = []
     h = x
     for i in range(net.n_layers):
-        z = h @ net.weights[i] + net.biases[i]
+        z = h @ net.weights[i]
+        z += net.biases[i]
         pres.append(z)
         h = np.maximum(z, 0.0) if i < net.n_layers - 1 else z
         acts.append(h)

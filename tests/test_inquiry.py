@@ -4,6 +4,9 @@ The heavyweight checks run against independent re-implementations: a
 straight-line rollout loop with its own forward pass, a double-loop advantage
 sum, and central finite differences for the PPO policy gradient.
 """
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,8 @@ from inquest.errors import (
 )
 from inquest.inquiry import (
     IterStats,
+    _TAG_PPO,
+    _entropy_terms,
     PpoConfig,
     RewardParams,
     TrajectoryBatch,
@@ -159,6 +164,68 @@ def test_no_legal_action_raises(flat):
     x = np.concatenate([encode_history(ds.records[0], 8), manual_ternary(np.zeros(12))])
     with pytest.raises(NoLegalAction):
         masked_softmax(nncore.forward(policy.net, x[None, :]), np.zeros((1, 12), bool))
+
+
+def where_masked_softmax(logits, mask):
+    """The -inf form: ``exp`` sees -inf at every illegal entry."""
+    z = np.where(mask, np.asarray(logits, dtype=float), -np.inf)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def where_entropy_terms(probs, mask):
+    """The nested-``where`` form: ``log`` of 1 wherever probs is 0."""
+    logp = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+    h = -(probs * logp).sum(axis=1)
+    grad = np.where(mask, -probs * (logp + h[:, None]), 0.0)
+    return h, grad
+
+
+def _masked_math_cases():
+    """Cases of (name, logits, mask), each row with at least one legal entry."""
+    rng = np.random.default_rng(27)
+    cases = []
+    for dtype in (np.float64, np.float32):
+        for shape, scale in (((128, 100), 3.0), ((7, 9), 30.0), ((64, 20), 400.0)):
+            logits = (rng.normal(size=shape) * scale).astype(dtype)
+            mask = rng.random(shape) < 0.4
+            mask[np.arange(shape[0]), rng.integers(shape[1], size=shape[0])] = True
+            cases.append((f"random {shape} x{scale} {np.dtype(dtype).name}", logits, mask))
+        logits = rng.normal(size=(16, 12)).astype(dtype)
+        mask = np.zeros((16, 12), dtype=bool)
+        mask[np.arange(16), rng.integers(12, size=16)] = True
+        cases.append((f"one legal action {np.dtype(dtype).name}", logits, mask))
+    # A spread above 745 underflows legal probabilities to exactly 0; one
+    # near 700-745 leaves subnormal ones.
+    logits = rng.normal(size=(32, 30))
+    logits[:, ::3] -= rng.uniform(700.0, 800.0, size=(32, 10))
+    logits[:, 1] = 0.0
+    mask = rng.random((32, 30)) < 0.7
+    mask[:, :3] = True
+    cases.append(("legal probabilities that underflow", logits, mask))
+    # Illegal entries hold non-finite logits, which must not reach the result.
+    logits = rng.normal(size=(24, 15)).astype(np.float32)
+    mask = rng.random((24, 15)) < 0.5
+    mask[:, 0] = True
+    logits[~mask] = rng.choice(np.array([np.nan, np.inf, -np.inf], dtype=np.float32),
+                               size=int((~mask).sum()))
+    cases.append(("non-finite illegal logits", logits, mask))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, logits, mask", _masked_math_cases())
+def test_masked_policy_math_matches_the_where_forms_bit_for_bit(name, logits, mask):
+    probs = masked_softmax(logits, mask)
+    ref = where_masked_softmax(logits, mask)
+    assert probs.dtype == ref.dtype == np.float64
+    assert probs.tobytes() == ref.tobytes()
+    assert np.isfinite(probs).all() and (probs[~mask] == 0.0).all()
+    for got, want in zip(_entropy_terms(probs, mask), where_entropy_terms(ref, mask)):
+        assert got.tobytes() == want.tobytes()
+    if name == "legal probabilities that underflow":
+        assert (probs[mask] == 0.0).any()
+        assert ((probs > 0.0) & (probs < np.finfo(float).tiny)).any()
 
 
 def test_masked_softmax_shape_mismatch():
@@ -553,6 +620,74 @@ def test_ppo_update_fits_value_targets(flat):
     assert last.value_loss < first.value_loss
     assert np.isfinite([first.policy_loss, last.policy_loss, last.entropy]).all()
     assert 0.0 <= last.clip_frac <= 1.0
+
+
+def interleaved_ppo_update(policy, value, batch, cfg, adam_policy, adam_value, iteration):
+    """The update as one loop: each minibatch steps the policy and then the
+    value net before the next minibatch starts."""
+    adv, returns = gae_advantages(batch, cfg.gamma, cfg.lam_gae)
+    adv = (adv - adv.mean()) / max(float(adv.std()), 1e-8)
+    rng = np.random.default_rng([cfg.seed, _TAG_PPO, iteration])
+    sums = np.zeros(4)
+    n_minibatches = 0
+    for _ in range(cfg.update_epochs):
+        order = rng.permutation(len(batch))
+        for start in range(0, len(order), cfg.minibatch_size):
+            mb = order[start : start + cfg.minibatch_size]
+            loss, _, _, stats = policy_loss_and_grad(
+                policy.net, batch.inputs[mb], batch.masks[mb], batch.actions[mb],
+                batch.logps[mb], adv[mb], cfg.clip_eps, cfg.entropy_coef, out=adam_policy.grad,
+            )
+            nncore.adam_step(policy.net.params, adam_policy.grad, adam_policy, cfg.policy_lr)
+            pred, vcache = nncore.forward_with_cache(value.net, batch.inputs[mb])
+            v_loss, v_grad = nncore.squared_error(pred, returns[mb])
+            nncore.backward(value.net, vcache, v_grad, adam_value.grad)
+            nncore.adam_step(value.net.params, adam_value.grad, adam_value, cfg.value_lr)
+            sums += (loss, v_loss, stats["clip_frac"], stats["entropy"])
+            n_minibatches += 1
+    return IterStats(iteration, batch.mean_episode_reward, batch.mean_episode_len,
+                     *(sums / n_minibatches).tolist())
+
+
+def test_ppo_update_matches_the_interleaved_loop(toy_setup):
+    """Two iterations of rollouts and updates: the phase-split update leaves
+    both nets and both Adam states in the interleaved loop's bytes, with the
+    same stats."""
+    onto, ds, diag, policy, value = toy_setup
+    policy, value = copy.deepcopy(policy), copy.deepcopy(value)
+    cfg = PpoConfig(minibatch_size=24, update_epochs=3, seed=5)
+    oracle = copy.deepcopy((policy, value))
+    adams = [nncore.init_adam(policy.net.params), nncore.init_adam(value.net.params)]
+    oracle_adams = copy.deepcopy(adams)
+    steps = 0
+    for iteration in range(2):
+        batch = collect_rollouts(policy, value, diag, ds, onto, PatientSim(), RewardParams(),
+                                 10, 10, 4, iteration)
+        assert len(batch) % cfg.minibatch_size
+        steps += cfg.update_epochs * -(-len(batch) // cfg.minibatch_size)
+        got = ppo_update(policy, value, batch, cfg, *adams, iteration)
+        want = interleaved_ppo_update(*oracle, batch, cfg, *oracle_adams, iteration)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        for net, ref in zip((policy.net, value.net), (oracle[0].net, oracle[1].net)):
+            assert net.params.tobytes() == ref.params.tobytes()
+        for adam, ref in zip(adams, oracle_adams):
+            assert adam.t == ref.t == steps
+            assert adam.m.tobytes() == ref.m.tobytes()
+            assert adam.v.tobytes() == ref.v.tobytes()
+
+
+def test_ppo_update_raises_on_a_non_finite_value_gradient(toy_setup):
+    onto, ds, diag, policy, value = toy_setup
+    batch = collect_rollouts(policy, value, diag, ds, onto, PatientSim(), RewardParams(),
+                             4, 10, 4)
+    policy, value = copy.deepcopy(policy), copy.deepcopy(value)
+    value.net.biases[-1][0] = np.nan
+    before = value.net.params.tobytes()
+    adam_value = nncore.init_adam(value.net.params)
+    with pytest.raises(NonFinite):
+        ppo_update(policy, value, batch, PpoConfig(minibatch_size=8), None, adam_value)
+    assert value.net.params.tobytes() == before
+    assert adam_value.t == 0
 
 
 def test_ppo_update_rejects_empty_batch(flat):

@@ -11,11 +11,15 @@ numbers and parameter bytes.
 The cohort, the split, the ranker and the PPO run take seed S; every
 evaluation keeps seed 1, as in the acceptance fixture. The sizes are the
 fixture's own (``DESK_SL``, ``DESK_PPO``, ``DESK_HORIZON``, ``DESK_EVAL_N``).
+BLAS runs BLAS_THREADS threads, whatever the environment asks for: on a
+2-core Xeon the desk was faster at one thread than at two on each of seeds
+0, 1 and 2, with the same bytes.
 """
 import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -24,6 +28,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+BLAS_THREADS = 1
+# Must be set before numpy loads OpenBLAS, that is before inquest is imported.
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = str(BLAS_THREADS)
 
 from inquest.diagnosis import top1_accuracy, train_diagnosis  # noqa: E402
 from inquest.evalharness import GreedyModelPolicy, baseline_policy, evaluate  # noqa: E402
@@ -101,7 +109,8 @@ def main() -> None:
     for stage in runs[0][0]:
         times = [s[stage] for s, _ in runs]
         seconds[stage] = {"median": statistics.median(times), "min": min(times), "max": max(times)}
-    print(json.dumps({"seed": seed, "runs": RUNS, "seconds": seconds, **quality}))
+    print(json.dumps({"seed": seed, "runs": RUNS, "blas_threads": BLAS_THREADS,
+                      "seconds": seconds, **quality}))
 
 
 if __name__ == "__main__":
