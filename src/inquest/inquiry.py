@@ -2,13 +2,16 @@
 
 The policy and value nets read [history encoding, state encoding] and are
 updated with a clipped-surrogate PPO whose gradients are derived by hand (see
-``_policy_minibatch``). Everything is deterministic given seeds; rollout
+``policy_loss_and_grad``). Everything is deterministic given seeds; rollout
 episodes draw from per-episode RNG streams so results do not depend on
-scheduling.
+scheduling. ``ppo_update`` steps the value net on a second thread while the
+calling thread steps the policy; the two nets share no array, so no byte
+depends on how the threads interleave.
 """
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -161,6 +164,25 @@ def new_value_net(
 # Masked policy distribution
 # ---------------------------------------------------------------------------
 
+def _legal_words(mask: np.ndarray) -> np.ndarray:
+    """One int64 word per entry of a bool ``mask``: all ones where legal, 0
+    where not. ANDed with a float64 array's bits it keeps the legal entries
+    and puts +0.0 at the others, the bytes of ``np.where(mask, x, 0.0)``
+    without a branch per entry, which mispredicts on a random mask."""
+    words = mask.astype(np.int64)
+    np.negative(words, out=words)
+    return words
+
+
+def _zero_illegal(x: np.ndarray, words: np.ndarray) -> None:
+    """Put +0.0 at the illegal entries of the float64 array ``x``, in place."""
+    bits = x.view(np.int64)
+    bits &= words
+
+
+_NEG_INF_BITS = np.array(-np.inf).view(np.int64)
+
+
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax over the legal entries of each row, in float64; illegal entries
     exactly 0, whatever their logits.
@@ -172,16 +194,23 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     legal entries keep their bits, because ``exp`` gives an element the same
     result whatever the other elements of the call are (20 million elements
     checked, none differed); the tests compare the two forms bit for bit.
+    Entries are selected by integer AND and OR on the float bits
+    (``_legal_words``).
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
     mask = np.atleast_2d(np.asarray(mask, dtype=bool))
     if logits.shape != mask.shape:
         raise ShapeError(f"logits {logits.shape} and mask {mask.shape} differ")
-    z = np.where(_require_legal(mask), logits, -np.inf)
+    keep = _legal_words(_require_legal(mask))
+    bits = logits.view(np.int64) & keep
+    bits |= ~keep & _NEG_INF_BITS  # -inf at the illegal entries, for the row max
+    z = bits.view(float)
     z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(np.where(mask, z, 0.0))
-    e *= mask
-    return e / e.sum(axis=-1, keepdims=True)
+    _zero_illegal(z, keep)
+    e = np.exp(z)
+    _zero_illegal(e, keep)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _sample_actions(probs: np.ndarray, rngs) -> np.ndarray:
@@ -362,7 +391,11 @@ def _entropy_terms(probs: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.
     """Per-row entropy and d(entropy)/d(logits) for a masked softmax."""
     logp = np.log(probs + (probs == 0.0))  # 0 where probs is 0
     h = -(probs * logp).sum(axis=1)
-    grad = np.where(mask, -probs * (logp + h[:, None]), 0.0)
+    grad = logp  # -probs * (logp + h) in place, then +0.0 at the illegal entries
+    grad += h[:, None]
+    grad *= probs
+    np.negative(grad, out=grad)
+    _zero_illegal(grad, _legal_words(mask))
     return h, grad
 
 
@@ -386,18 +419,22 @@ def policy_loss_and_grad(
     gradients are views into ``out`` (see ``nncore.backward``).
     """
     n = len(actions)
+    rows = np.arange(n)
     logits, cache = nncore.forward_with_cache(net, inputs)
     probs = masked_softmax(logits, masks)
-    logp_new = np.log(probs[np.arange(n), actions])
+    logp_new = np.log(probs[rows, actions])
     ratio = np.exp(logp_new - logps_old)
     surr, active = clipped_surrogate(ratio, adv, clip_eps)
     h, dh = _entropy_terms(probs, masks)
 
-    coeff = np.where(active, adv * ratio, 0.0)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), actions] = 1.0
-    dsurr = coeff[:, None] * (onehot - probs)
-    grad_logits = -(dsurr + entropy_coef * dh) / n
+    # -(coeff * (onehot - probs) + entropy_coef * dh) / n, built in one buffer
+    # with the same roundings: 0 - p is -p, and -p + 1 is 1 - p.
+    grad_logits = np.subtract(0.0, probs)
+    grad_logits[rows, actions] += 1.0
+    grad_logits *= np.where(active, adv * ratio, 0.0)[:, None]
+    dh *= entropy_coef
+    grad_logits += dh
+    grad_logits /= -n
     gw, gb = nncore.backward(net, cache, grad_logits, out)
 
     loss = -float(surr.mean()) - entropy_coef * float(h.mean())
@@ -424,12 +461,18 @@ def ppo_update(
     Advantages are normalized once per batch (guarding std >= 1e-8); legality
     masks recorded at collection are reused for every re-evaluation. The
     ``update_epochs`` permutations are drawn first. Then every policy
-    minibatch steps over them, in order, and after that every value minibatch
-    over the same list. The two nets read nothing of each other, so each sees
-    the same sequence of minibatches and steps as in an interleaved loop and
-    ends in the same bytes, and each ``IterStats`` mean adds its minibatch
-    terms in that order too. One phase per net keeps that net's parameters
-    and Adam state in cache for the whole phase.
+    minibatch steps over them, in order, on the calling thread, while a
+    one-worker thread pool steps every value minibatch over the same list.
+    The two nets read nothing of each other and share no array (each has its
+    own parameters, Adam state and gradient buffer), so each sees the same
+    sequence of minibatches and steps as in an interleaved loop and ends in
+    the same bytes, and each ``IterStats`` mean adds its minibatch terms in
+    that order too. numpy releases the GIL inside BLAS and its ufunc loops,
+    so the value phase runs beside the policy phase on a second CPU.
+
+    The worker is joined before this returns or raises. A value-phase error
+    is raised as it was raised on the worker; a policy-phase error is raised
+    once the value phase has finished.
     """
     check_setting("iteration", iteration, "non-negative", integral=True)
     if len(batch) == 0:
@@ -446,27 +489,35 @@ def ppo_update(
     orders = [rng.permutation(len(batch)) for _ in range(cfg.update_epochs)]
     minibatches = [order[start : start + cfg.minibatch_size]
                    for order in orders for start in range(0, len(order), cfg.minibatch_size)]
+
+    def value_phase() -> float:
+        total = 0.0
+        for mb in minibatches:
+            pred, vcache = nncore.forward_with_cache(value.net, batch.inputs[mb])
+            v_loss, v_grad = nncore.squared_error(pred, returns[mb])
+            nncore.backward(value.net, vcache, v_grad, adam_value.grad)
+            nncore.adam_step(value.net.params, adam_value.grad, adam_value, cfg.value_lr)
+            total += v_loss
+        return total
+
     sums = np.zeros(4)  # policy loss, value loss, clip fraction, entropy
-    for mb in minibatches:
-        loss, _, _, stats = policy_loss_and_grad(
-            policy.net,
-            batch.inputs[mb],
-            batch.masks[mb],
-            batch.actions[mb],
-            batch.logps[mb],
-            adv[mb],
-            cfg.clip_eps,
-            cfg.entropy_coef,
-            out=adam_policy.grad,
-        )
-        nncore.adam_step(policy.net.params, adam_policy.grad, adam_policy, cfg.policy_lr)
-        sums[[0, 2, 3]] += (loss, stats["clip_frac"], stats["entropy"])
-    for mb in minibatches:
-        pred, vcache = nncore.forward_with_cache(value.net, batch.inputs[mb])
-        v_loss, v_grad = nncore.squared_error(pred, returns[mb])
-        nncore.backward(value.net, vcache, v_grad, adam_value.grad)
-        nncore.adam_step(value.net.params, adam_value.grad, adam_value, cfg.value_lr)
-        sums[1] += v_loss
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        value_loss = worker.submit(value_phase)
+        for mb in minibatches:
+            loss, _, _, stats = policy_loss_and_grad(
+                policy.net,
+                batch.inputs[mb],
+                batch.masks[mb],
+                batch.actions[mb],
+                batch.logps[mb],
+                adv[mb],
+                cfg.clip_eps,
+                cfg.entropy_coef,
+                out=adam_policy.grad,
+            )
+            nncore.adam_step(policy.net.params, adam_policy.grad, adam_policy, cfg.policy_lr)
+            sums[[0, 2, 3]] += (loss, stats["clip_frac"], stats["entropy"])
+        sums[1] = value_loss.result()
     return IterStats(iteration, batch.mean_episode_reward, batch.mean_episode_len,
                      *(sums / len(minibatches)).tolist())
 

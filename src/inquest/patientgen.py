@@ -18,6 +18,7 @@ from collections.abc import Iterable
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -791,8 +792,9 @@ def _check_records(
     numpy array of M entries, each 0, 1 or 2 (any other value, such as a
     list, is malformed); "label", in [0, d); "sex", one of SEXES.
     A float NaN or infinity breaks "non-finite" in place of "integers" or
-    "hpi". The hpi rule is checked once over the stacked matrix, and on a row
-    alone only when that check fails.
+    "hpi". The hpi rule is checked once over the stacked matrix, and the flag
+    types once over all the records' flags; each is checked on a record alone
+    only when that check fails.
     """
     if hpi is None and all(type(r.hpi) is np.ndarray and r.hpi.dtype.kind in "iu"
                            for r in records):
@@ -800,12 +802,16 @@ def _check_records(
             hpi = np.array([r.hpi for r in records])
     stacked = (hpi is not None and hpi.shape == (len(records), m)
                and not ((hpi < 0) | (hpi > 2)).any())
+    all_flags = list(map(operator.attrgetter("prior_flags"), records))
+    flags_ok = (set(map(type, all_flags)) <= {tuple}
+                and set(map(type, chain.from_iterable(all_flags))) <= {int})
     for i, r in enumerate(records):
         age, label, flags = r.age, r.label, r.prior_flags
         if type(r.id) is not str:
             return i, "id", f"record id {r.id!r} is not a string"
-        if not (type(age) is int and type(label) is int and type(flags) is tuple
-                and all(type(v) is int for v in flags)):
+        if not (type(age) is int and type(label) is int
+                and (flags_ok or (type(flags) is tuple
+                                  and all(type(v) is int for v in flags)))):
             values = (age, label, *flags) if type(flags) is tuple else (age, label)
             nan = any(isinstance(v, float) and not math.isfinite(v) for v in values)
             return (i, "non-finite" if nan else "integers",

@@ -6,6 +6,7 @@ sum, and central finite differences for the PPO policy gradient.
 """
 import copy
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -688,6 +689,37 @@ def test_ppo_update_raises_on_a_non_finite_value_gradient(toy_setup):
         ppo_update(policy, value, batch, PpoConfig(minibatch_size=8), None, adam_value)
     assert value.net.params.tobytes() == before
     assert adam_value.t == 0
+
+
+@pytest.mark.parametrize("nan_in", [None, "value", "policy"])
+def test_ppo_update_leaves_no_thread_behind(toy_setup, nan_in):
+    """The value phase runs on a worker thread that is joined before
+    ``ppo_update`` returns or raises. A non-finite gradient in either phase
+    raises NonFinite with that phase's net and Adam state untouched; when the
+    policy phase raises, the value phase has run to its end first."""
+    onto, ds, diag, policy, value = toy_setup
+    batch = collect_rollouts(policy, value, diag, ds, onto, PatientSim(), RewardParams(),
+                             4, 10, 4)
+    policy, value = copy.deepcopy(policy), copy.deepcopy(value)
+    cfg = PpoConfig(minibatch_size=8, update_epochs=2)
+    steps = cfg.update_epochs * -(-len(batch) // cfg.minibatch_size)
+    adams = {"policy": nncore.init_adam(policy.net.params),
+             "value": nncore.init_adam(value.net.params)}
+    nets = {"policy": policy.net, "value": value.net}
+    if nan_in is not None:
+        nets[nan_in].biases[-1][0] = np.nan
+    before = {name: net.params.tobytes() for name, net in nets.items()}
+    threads = threading.active_count()
+    if nan_in is None:
+        ppo_update(policy, value, batch, cfg, adams["policy"], adams["value"])
+    else:
+        with pytest.raises(NonFinite, match="^gradient contains non-finite values$"):
+            ppo_update(policy, value, batch, cfg, adams["policy"], adams["value"])
+    assert threading.active_count() == threads
+    for name, net in nets.items():
+        untouched = name == nan_in
+        assert (net.params.tobytes() == before[name]) == untouched
+        assert adams[name].t == (0 if untouched else steps)
 
 
 def test_ppo_update_rejects_empty_batch(flat):

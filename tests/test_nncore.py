@@ -586,15 +586,22 @@ def test_save_net_refuses_non_finite_values(tmp_path):
     assert not path.exists()
 
 
-# Trains the desk ranker's shape for 300 Adam steps at batch 64, then prints
-# the thread count OpenBLAS reports (read as ``perfbench/run.py`` reads it)
-# and the sha256 of the parameter bytes. Its (64 x 281) . (281 x 128)
-# products are far above OpenBLAS's size threshold for splitting a gemm
-# over threads.
+# Trains the desk ranker's shape for 300 Adam steps at batch 64, then three
+# PPO iterations of desk-shaped policy and value nets on a small desk-ontology
+# cohort, whose update runs the value phase on a second Python thread beside
+# the policy phase, so two threads call OpenBLAS at once. It prints the thread
+# count OpenBLAS reports (read as ``perfbench/run.py`` reads it) and the
+# sha256 of the three nets' parameter bytes. Their (64 x 281) . (281 x 128)
+# and (128 x 281) . (281 x 128) products are far above OpenBLAS's size
+# threshold for splitting a gemm over threads.
 _THREAD_RUN = """
 import hashlib, importlib.util, json, sys
 import numpy as np
 from inquest import nncore
+from inquest.diagnosis import new_diagnosis_model
+from inquest.inquiry import PpoConfig, train_inquiry
+from inquest.patientgen import (benchmark_genmodel, benchmark_ontology, generate_cohort,
+                                history_width)
 spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
 bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
@@ -606,8 +613,15 @@ for _ in range(300):
     _, grad = nncore.cross_entropy(logits, rng.integers(20, size=64))
     nncore.backward(net, cache, grad, state.grad)
     nncore.adam_step(net.params, state.grad, state, lr=1e-3)
-print(json.dumps({"threads": bench.blas_threads(),
-                  "sha256": hashlib.sha256(net.params.tobytes()).hexdigest()}))
+onto = benchmark_ontology()
+cohort = generate_cohort(benchmark_genmodel(onto), 200, seed=0)
+diag = new_diagnosis_model(history_width(cohort.records), onto.n_elements,
+                           cohort.disease_names, onto.content_digest, hidden=(16, 16))
+policy, value, _ = train_inquiry(cohort, diag, onto, PpoConfig(iterations=3, episodes_per_iter=64))
+digest = hashlib.sha256()
+for params in (net.params, policy.net.params, value.net.params):
+    digest.update(params.tobytes())
+print(json.dumps({"threads": bench.blas_threads(), "sha256": digest.hexdigest()}))
 """
 
 
