@@ -48,11 +48,22 @@ _TAG_INIT = (1 << 40) + 2
 # the gemv path; wider heads switch kernels at larger row counts), but it did
 # not depend on the other rows of a fixed-size product. So inference that must
 # give the same bytes for any batch size runs in zero-padded blocks of exactly
-# this many rows. Measured for sgemm at the desk shapes with one BLAS thread:
-# 4 rows made a lone row's forward faster but tied 8 on the batched
-# evaluation; 1 and 2 rows were 1.6-2.7x slower on batches, 16 and 32 rows
-# slower on a lone row.
-BLOCK_ROWS = 8
+# this many rows. On scipy-openblas 0.3.31 (Haswell kernels), 4-row blocks give
+# every row the same bytes as 8-row blocks: checked on the desk policy, ranker
+# and value nets and a 256-wide ranker, float32 and float64, for 1-640 rows
+# (``tests/test_lockstep.py`` pins them). Microseconds per float32 ``forward``
+# at one BLAS thread, 2-core Xeon, best of 7, by block size:
+#
+#   net, rows         1      2      4      8     16
+#   policy, 1      14.5   14.7   16.6   20.3   27.7
+#   policy, 64      207    110     82     78     76
+#   policy, 640    2011    990    718    692    667
+#   ranker, 1      12.8   15.1   17.3   21.8   31.0
+#   ranker, 640    1713   1429    854    800    831
+#
+# A consultation asks one question at a time, so the lone row weighs most;
+# 4 rows cost batches 4-7% against 8, where 1 and 2 rows cost 1.3-2.9x.
+BLOCK_ROWS = 4
 
 # Adam's (beta1, beta2, eps), as in Kingma and Ba (2015).
 ADAM_BETAS_EPS = (0.9, 0.999, 1e-8)
@@ -191,11 +202,12 @@ def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     h = np.zeros((blocks * BLOCK_ROWS, x.shape[1]), net.dtype)
     h[:n] = x
     h = h.reshape(blocks, BLOCK_ROWS, -1)
-    for i in range(net.n_layers):
+    last = net.n_layers - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         # A stacked matmul issues one product per block of BLOCK_ROWS rows.
-        h = h @ net.weights[i]
-        h += net.biases[i]
-        if i < net.n_layers - 1:
+        h = h @ w
+        h += b
+        if i < last:
             np.maximum(h, 0.0, out=h)
     out = h.reshape(blocks * BLOCK_ROWS, -1)[:n]
     return out[:, 0] if net.output_head == HEAD_SCALAR else out
@@ -234,7 +246,7 @@ def backward(net: DenseNet, cache, grad_out: np.ndarray, out: np.ndarray | None 
     grads_w, grads_b = param_views(net.layer_dims, buf, net.dtype)
     for i in range(net.n_layers - 1, -1, -1):
         np.matmul(acts[i].T, g, out=grads_w[i])
-        np.sum(g, axis=0, out=grads_b[i])
+        np.add.reduce(g, axis=0, out=grads_b[i])
         if i:
             g = g @ net.weights[i].T
             g *= pres[i - 1] > 0.0
@@ -342,7 +354,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
 def squared_error(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Half the mean squared difference and its gradient with respect to ``pred``."""
     d = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
-    return float(0.5 * np.mean(d * d)), d / d.size
+    return 0.5 * (float((d * d).sum()) / d.size), d / d.size
 
 
 # ---------------------------------------------------------------------------

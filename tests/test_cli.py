@@ -444,6 +444,23 @@ def test_repl_all_no_answers(repl_models):
     assert any("top diseases" in line for line in outputs)
 
 
+def test_repl_ends_once_no_question_is_legal(repl_models):
+    onto, diag = repl_models
+    outputs = []
+    # Three denials close every family long before the horizon.
+    trace = consult_repl(
+        baseline_policy(FIXED_ORDER), diag, onto, horizon=30,
+        input_fn=scripted_input(["44", "f"] + ["n"] * 30),
+        output_fn=outputs.append,
+    )
+    assert trace.rounds == ((0, ((0, 2), (3, 2), (6, 2))), (1, ((1, 2), (4, 2))),
+                            (2, ((2, 2), (5, 2))))
+    assert trace.horizon == 30
+    assert outputs.count("no further questions are possible") == 1
+    ranked = outputs[outputs.index("no further questions are possible") + 1:]
+    assert ranked[0] == "top diseases:" and len(ranked) == 4
+
+
 def test_repl_yes_unlocks_second_level(repl_models):
     onto, diag = repl_models
     outputs = []

@@ -1,5 +1,7 @@
 """Lockstep engine: batched rules against straight-line oracles, and
 byte-identical results whatever the batch size."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,31 @@ def test_blocked_forward_is_row_invariant(dims):
         for n in range(1, 131):
             assert nncore.forward(net, x[:n]).tobytes() == alone[:n].tobytes(), n
         assert nncore.forward(net, x[::-1]).tobytes() == alone[::-1].tobytes()
+
+
+# sha256 over ``forward``'s outputs for n = 1, 3, 4, 5, 8, 9, 64 and 100 rows,
+# taken with 8-row blocks (scipy-openblas 0.3.31, Haswell kernels, 1 BLAS
+# thread). Row invariance holds within one block size; these pin the bytes
+# across a change of ``BLOCK_ROWS``.
+FORWARD_GOLDEN = {
+    ((281, 128, 128, 100), "float32"): "830c1c3c1626c79a25473781fc268e1c0c51e650455a2bde61e2080d8adb3cc9",
+    ((281, 128, 128, 100), "float64"): "797bf096ea19dad08edc8560502417e3a41502c33a11d28f48e023ac4b7ff1c1",
+    ((281, 128, 128, 1), "float32"): "da0db091eb70a45d995fe970d076aecf73573d42b7d5aaba78ff19c217529739",
+    ((281, 128, 128, 1), "float64"): "b1524591da25ef4eb831f1b0ca5c162014db771ac93dddee829116adabaa7f2d",
+    ((281, 128, 128, 20), "float32"): "64effb4d3ba06d7fa30c010900af70d29d8a6465b6a4a36f9a597d0429152a93",
+    ((281, 128, 128, 20), "float64"): "e878cbeb71d8cba30baf3cbd59ea2bf3d0c5265e48c232627927a903da42edf1",
+}
+
+
+@pytest.mark.parametrize("dims, dtype", list(FORWARD_GOLDEN))
+def test_blocked_forward_keeps_its_pinned_bytes(dims, dtype):
+    head = nncore.HEAD_SCALAR if dims[-1] == 1 else nncore.HEAD_LOGITS
+    x = np.random.default_rng(6).standard_normal((100, dims[0]))
+    net = nncore.init_dense(dims, head, seed=7, zero_output=False, dtype=np.dtype(dtype))
+    digest = hashlib.sha256()
+    for n in (1, 3, 4, 5, 8, 9, 64, 100):
+        digest.update(nncore.forward(net, x[:n]).tobytes())
+    assert digest.hexdigest() == FORWARD_GOLDEN[dims, dtype]
 
 
 # ---------------------------------------------------------------------------
