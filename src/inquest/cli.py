@@ -23,8 +23,7 @@ from .diagnosis import (
     save_diagnosis,
     train_diagnosis,
 )
-from .errors import (ConfigError, InquestError, NoLegalAction, ParseError, check_setting, reading,
-                     writing)
+from .errors import ConfigError, InquestError, ParseError, check_setting, reading, writing
 from .evalharness import (
     DialogueTrace,
     FIXED_ORDER,
@@ -433,9 +432,8 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
 
     Open questions prompt once per unknown target element. A first-level
     "no" closes off that element's detail questions, mirroring the simulated
-    environment. After the rounds (or EOF, or the policy's NoLegalAction once
-    no question is legal) the top-10 ranked diseases are printed with
-    probabilities. Models built against another ontology
+    environment. After the rounds (or EOF) the top-10 ranked diseases are
+    printed with probabilities. Models built against another ontology
     (``evalharness.check_models``) and a negative horizon are refused before
     the first prompt.
     """
@@ -461,11 +459,10 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
     try:
         for _ in range(horizon):
             mask = consult_env._legal(status[None], asked, ontology.index)
-            try:  # every policy refuses a mask with no legal question
-                action = int(policy.select_batch(kept.inputs, mask, rngs)[0])
-            except NoLegalAction:
+            if not mask.any():
                 output_fn("no further questions are possible")
                 break
+            action = int(policy.select_batch(kept.inputs, mask, rngs)[0])
             asked[0, action] = True
             for t in ontology.questions[action].targets:
                 if status[t] != consult_env.UNKNOWN:

@@ -753,12 +753,8 @@ def encode_histories(records: list[PatientRecord], width: int) -> np.ndarray:
     out[:, 0] = [min(max((r.age - AGE_MIN) / (AGE_MAX - AGE_MIN), 0.0), 1.0) for r in records]
     for j, sex in enumerate(SEXES):
         out[:, 1 + j] = [r.sex == sex for r in records]
-    flags = [r.prior_flags for r in records]
-    if len(set(map(len, flags))) == 1:  # one slice for equal flag counts
-        out[:, _FLAGS_AT : needed] = flags
-    else:
-        for row, fl in zip(out, flags):
-            row[_FLAGS_AT : _FLAGS_AT + len(fl)] = fl
+    for row, r in zip(out, records):
+        row[_FLAGS_AT : _FLAGS_AT + len(r.prior_flags)] = r.prior_flags
     return out
 
 

@@ -14,12 +14,6 @@ For every checkout the file holds:
 - ``environment``: nproc, the BLAS and the thread count it ran at, as
   perfbench reads them; ``source_sha256`` names the measured sources.
 
-Next to each perfbench run goes ``two_thread_speedup``: two loops of PROBE_PRODUCTS
-768x768 float32 products at one BLAS thread, timed one after the other and
-then on two Python threads. It reads near 2 when the host grants this process a
-second CPU and near 1 when it does not, which moves any stage that overlaps two
-threads, such as the PPO update's value phase.
-
 The checkouts take turns run by run, and the side that goes first alternates
 from one seed to the next, so a slow spell of a shared machine falls on both
 sides. With two checkouts it also prints, per workload and metric, in how
@@ -31,22 +25,14 @@ import os
 import statistics
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
-
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-os.environ.update(ONE_THREAD)  # before numpy loads OpenBLAS, for the probe
-
-import numpy as np  # noqa: E402
 
 WORKLOADS = ("cohort", "train", "consult", "interactive")
 # End-to-end metrics of a perfbench report, with the raw seconds and the probe
 # the scaled ones come from.
 PERFBENCH_METRICS = ("setup_s", "setup_raw_s", "wall_s", "wall_raw_s", "peak_rss_mb",
                      "probe_ms", "fail_rate")
-RUN_FIELDS = (*PERFBENCH_METRICS, "two_thread_speedup")
-PROBE_PRODUCTS = 60
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 DESK_SEEDS = (0, 1, 2)
 BENCH_SEEDS = range(1, 11)
 SECONDS = 20.0  # BENCHMARK.json's run_seconds
@@ -60,28 +46,6 @@ def run_json(cwd: Path, argv: list[str], last: int) -> list[dict]:
     if out.returncode:
         raise SystemExit(f"{' '.join(argv)} in {cwd} failed:\n{out.stderr}")
     return [json.loads(line) for line in out.stdout.splitlines()[-last:]]
-
-
-def two_thread_speedup() -> float:
-    """Seconds of two product loops run one after the other, over their
-    seconds on two Python threads at once."""
-    a = np.random.default_rng(0).standard_normal((768, 768)).astype(np.float32)
-
-    def loop():
-        for _ in range(PROBE_PRODUCTS):
-            a @ a
-
-    start = time.perf_counter()
-    loop()
-    loop()
-    serial = time.perf_counter() - start
-    workers = [threading.Thread(target=loop) for _ in range(2)]
-    start = time.perf_counter()
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    return serial / (time.perf_counter() - start)
 
 
 def spread(values: list[float]) -> dict:
@@ -110,19 +74,18 @@ def measure(checkouts: list[Path]) -> list[dict]:
                                               "--trace", "0"], 2)
                 metrics = report["report"]["metrics"]
                 run = {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
-                       **{m: metrics[m]["value"] for m in PERFBENCH_METRICS},
-                       "two_thread_speedup": two_thread_speedup()}
+                       **{m: metrics[m]["value"] for m in PERFBENCH_METRICS}}
                 env = report["report"]["environment"]
                 results[c]["environment"] = {k: env[k] for k in (
                     "nproc", "affinity_cpus", "python", "numpy", "blas", "blas_threads")}
                 results[c]["source_sha256"] = env["source_sha256"]
                 results[c]["perfbench"]["workloads"].setdefault(workload, {"runs": []})[
                     "runs"].append(run)
-                print(f"{workload} seed {seed} {c}: wall_s {run['wall_s']:.4f}, two-thread "
-                      f"speedup {run['two_thread_speedup']:.2f}", flush=True)
+                print(f"{workload} seed {seed} {c}: wall_s {run['wall_s']:.4f}", flush=True)
     for c in checkouts:
         for entry in results[c]["perfbench"]["workloads"].values():
-            entry["summary"] = {m: spread([r[m] for r in entry["runs"]]) for m in RUN_FIELDS}
+            entry["summary"] = {m: spread([r[m] for r in entry["runs"]])
+                                for m in PERFBENCH_METRICS}
     return [results[c] for c in checkouts]
 
 
@@ -131,7 +94,7 @@ def compare(first: dict, second: dict) -> None:
     ``second`` read lower than ``first``."""
     for workload, entry in first["perfbench"]["workloads"].items():
         other = second["perfbench"]["workloads"][workload]
-        for m in RUN_FIELDS:
+        for m in PERFBENCH_METRICS:
             pairs = list(zip((r[m] for r in entry["runs"]), (r[m] for r in other["runs"])))
             lower = sum(b < a for a, b in pairs)
             print(f"{workload}/{m}: {entry['summary'][m]['median']:.4g} -> "
