@@ -91,7 +91,7 @@ class PpoConfig:
     policy_lr: float = setting(1e-3, "non-negative")
     value_lr: float = setting(1e-3, "non-negative")
     entropy_coef: float = setting(0.01, "non-negative")
-    hidden: tuple[int, ...] = setting((128, 128), "sizes")
+    hidden: tuple[int, ...] = setting((64, 64), "sizes")
     seed: int = setting(0, "non-negative")
 
     def __post_init__(self) -> None:

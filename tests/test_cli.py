@@ -276,7 +276,7 @@ _TRAIN_INQUIRY_REST = {
     "data": "d", "diag": "g", "out": "x", "value_out": None, "log": None, "iterations": 30,
     "episodes": 32, "minibatch": 128, "clip_eps": 0.2, "update_epochs": 4, "gamma": 0.99,
     "lam_gae": 0.95, "policy_lr": 0.001, "value_lr": 0.001, "entropy_coef": 0.01,
-    "hidden": (128, 128), "time_penalty": 0.5, "first_level_weight": 2.0,
+    "hidden": (64, 64), "time_penalty": 0.5, "first_level_weight": 2.0,
     "negative_discount": 0.5, "quiet": False,
 }
 _EVAL_REST = {

@@ -202,8 +202,10 @@ def test_single_episode_step_follows_the_lockstep_rule(shape, seed, noise, mode)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("dims", [
-    (11 + 270, 128, 128, 100),  # desk policy
-    (11 + 270, 128, 128, 1),  # desk value net
+    (11 + 270, 64, 64, 100),  # desk policy
+    (11 + 270, 64, 64, 1),  # desk value net
+    (11 + 270, 128, 128, 100),  # a wider policy net
+    (11 + 270, 128, 128, 1),  # a wider value net
     (11 + 270, 128, 128, 20),  # desk ranker
     (11 + 270, 256, 256, 20),  # a wider ranker
 ])
@@ -219,11 +221,16 @@ def test_blocked_forward_is_row_invariant(dims):
         assert nncore.forward(net, x[::-1]).tobytes() == alone[::-1].tobytes()
 
 
-# sha256 over ``forward``'s outputs for n = 1, 3, 4, 5, 8, 9, 64 and 100 rows,
-# taken with 8-row blocks (scipy-openblas 0.3.31, Haswell kernels, 1 BLAS
-# thread). Row invariance holds within one block size; these pin the bytes
-# across a change of ``BLOCK_ROWS``.
+# sha256 over ``forward``'s outputs for n = 1, 3, 4, 5, 8, 9, 64 and 100 rows
+# (scipy-openblas 0.3.31, Haswell kernels, 1 BLAS thread): the desk policy and
+# value nets (64-wide) taken with 4-row blocks, the wider policy and value nets
+# and the desk ranker (128-wide) with 8-row blocks. Row invariance holds within
+# one block size; these pin the bytes across a change of ``BLOCK_ROWS``.
 FORWARD_GOLDEN = {
+    ((281, 64, 64, 100), "float32"): "d5e7bb732bf3fd8882ad4d8c88e48841e364417cd96890f30b0933085bd4003a",
+    ((281, 64, 64, 100), "float64"): "16f13dcfe0116853a2b1ce9c86462266deb6adac096e1b954a0262f385a57508",
+    ((281, 64, 64, 1), "float32"): "46bc58893584a9d315598fe2b84fce4c7f91df131d409fd629fc6dccb30e7469",
+    ((281, 64, 64, 1), "float64"): "acfb9428cfbe4f53da5bd37b7e1aba7ae9a20766f42da59fc05c69ad86f5fdce",
     ((281, 128, 128, 100), "float32"): "830c1c3c1626c79a25473781fc268e1c0c51e650455a2bde61e2080d8adb3cc9",
     ((281, 128, 128, 100), "float64"): "797bf096ea19dad08edc8560502417e3a41502c33a11d28f48e023ac4b7ff1c1",
     ((281, 128, 128, 1), "float32"): "da0db091eb70a45d995fe970d076aecf73573d42b7d5aaba78ff19c217529739",

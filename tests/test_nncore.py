@@ -591,9 +591,10 @@ def test_save_net_refuses_non_finite_values(tmp_path):
 # cohort, whose update runs the value phase on a second Python thread beside
 # the policy phase, so two threads call OpenBLAS at once. It prints the thread
 # count OpenBLAS reports (read as ``perfbench/run.py`` reads it) and the
-# sha256 of the three nets' parameter bytes. Their (64 x 281) . (281 x 128)
-# and (128 x 281) . (281 x 128) products are far above OpenBLAS's size
-# threshold for splitting a gemm over threads.
+# sha256 of the three nets' parameter bytes. The ranker's (64 x 281) .
+# (281 x 128) products and the default (64, 64) PPO nets' (128 x 281) .
+# (281 x 64) minibatch products are far above OpenBLAS's size threshold for
+# splitting a gemm over threads.
 _THREAD_RUN = """
 import hashlib, importlib.util, json, sys
 import numpy as np
