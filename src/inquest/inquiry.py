@@ -4,14 +4,12 @@ The policy and value nets read [history encoding, state encoding] and are
 updated with a clipped-surrogate PPO whose gradients are derived by hand (see
 ``policy_loss_and_grad``). Everything is deterministic given seeds; rollout
 episodes draw from per-episode RNG streams so results do not depend on
-scheduling. ``ppo_update`` steps the value net on a second thread while the
-calling thread steps the policy; the two nets share no array, so no byte
-depends on how the threads interleave.
+scheduling. ``ppo_update`` is one loop on the calling thread: each minibatch
+steps the policy and then the value net.
 """
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -462,20 +460,13 @@ def ppo_update(
     """Shuffled-minibatch PPO epochs over one collected batch; returns its ``IterStats``.
 
     Advantages are normalized once per batch (guarding std >= 1e-8); legality
-    masks recorded at collection are reused for every re-evaluation. The
-    ``update_epochs`` permutations are drawn first. Then every policy
-    minibatch steps over them, in order, on the calling thread, while a
-    one-worker thread pool steps every value minibatch over the same list.
-    The two nets read nothing of each other and share no array (each has its
-    own parameters, Adam state and gradient buffer), so each sees the same
-    sequence of minibatches and steps as in an interleaved loop and ends in
-    the same bytes, and each ``IterStats`` mean adds its minibatch terms in
-    that order too. numpy releases the GIL inside BLAS and its ufunc loops,
-    so the value phase runs beside the policy phase on a second CPU.
-
-    The worker is joined before this returns or raises. A value-phase error
-    is raised as it was raised on the worker; a policy-phase error is raised
-    once the value phase has finished.
+    masks recorded at collection are reused for every re-evaluation. Each of
+    the ``update_epochs`` epochs draws its permutation, in turn, from one
+    generator seeded by ``[cfg.seed, _TAG_PPO, iteration]``. Each minibatch
+    of that permutation steps the policy and then the value net, and the
+    ``IterStats`` fields are the minibatch means. A non-finite gradient
+    raises NonFinite at the first minibatch that has one, before that net's
+    Adam step.
     """
     check_setting("iteration", iteration, "non-negative", integral=True)
     if len(batch) == 0:
@@ -489,24 +480,12 @@ def ppo_update(
     adv = (adv - adv.mean()) / max(float(adv.std()), 1e-8)
 
     rng = np.random.default_rng([cfg.seed, _TAG_PPO, iteration])
-    orders = [rng.permutation(len(batch)) for _ in range(cfg.update_epochs)]
-    minibatches = [order[start : start + cfg.minibatch_size]
-                   for order in orders for start in range(0, len(order), cfg.minibatch_size)]
-
-    def value_phase() -> float:
-        total = 0.0
-        for mb in minibatches:
-            pred, vcache = nncore.forward_with_cache(value.net, batch.inputs[mb])
-            v_loss, v_grad = nncore.squared_error(pred, returns[mb])
-            nncore.backward(value.net, vcache, v_grad, adam_value.grad)
-            nncore.adam_step(value.net.params, adam_value.grad, adam_value, cfg.value_lr)
-            total += v_loss
-        return total
-
     sums = np.zeros(4)  # policy loss, value loss, clip fraction, entropy
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        value_loss = worker.submit(value_phase)
-        for mb in minibatches:
+    n_minibatches = 0
+    for _ in range(cfg.update_epochs):
+        order = rng.permutation(len(batch))
+        for start in range(0, len(order), cfg.minibatch_size):
+            mb = order[start : start + cfg.minibatch_size]
             loss, _, _, stats = policy_loss_and_grad(
                 policy.net,
                 batch.inputs[mb],
@@ -519,10 +498,14 @@ def ppo_update(
                 out=adam_policy.grad,
             )
             nncore.adam_step(policy.net.params, adam_policy.grad, adam_policy, cfg.policy_lr)
-            sums[[0, 2, 3]] += (loss, stats["clip_frac"], stats["entropy"])
-        sums[1] = value_loss.result()
+            pred, vcache = nncore.forward_with_cache(value.net, batch.inputs[mb])
+            v_loss, v_grad = nncore.squared_error(pred, returns[mb])
+            nncore.backward(value.net, vcache, v_grad, adam_value.grad)
+            nncore.adam_step(value.net.params, adam_value.grad, adam_value, cfg.value_lr)
+            sums += (loss, v_loss, stats["clip_frac"], stats["entropy"])
+            n_minibatches += 1
     return IterStats(iteration, batch.mean_episode_reward, batch.mean_episode_len,
-                     *(sums / len(minibatches)).tolist())
+                     *(sums / n_minibatches).tolist())
 
 
 # ---------------------------------------------------------------------------

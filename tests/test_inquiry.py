@@ -6,7 +6,6 @@ sum, and central finite differences for the PPO policy gradient.
 """
 import copy
 import dataclasses
-import threading
 
 import numpy as np
 import pytest
@@ -692,11 +691,11 @@ def test_ppo_update_raises_on_a_non_finite_value_gradient(toy_setup):
 
 
 @pytest.mark.parametrize("nan_in", [None, "value", "policy"])
-def test_ppo_update_leaves_no_thread_behind(toy_setup, nan_in):
-    """The value phase runs on a worker thread that is joined before
-    ``ppo_update`` returns or raises. A non-finite gradient in either phase
-    raises NonFinite with that phase's net and Adam state untouched; when the
-    policy phase raises, the value phase has run to its end first."""
+def test_ppo_update_stops_at_the_first_non_finite_gradient(toy_setup, nan_in):
+    """With finite gradients both nets take every minibatch step. A
+    non-finite gradient in either net raises NonFinite at the first
+    minibatch, with that net and its Adam state untouched; only the policy,
+    which steps first, has taken a step before the value net raises."""
     onto, ds, diag, policy, value = toy_setup
     batch = collect_rollouts(policy, value, diag, ds, onto, PatientSim(), RewardParams(),
                              4, 10, 4)
@@ -709,17 +708,16 @@ def test_ppo_update_leaves_no_thread_behind(toy_setup, nan_in):
     if nan_in is not None:
         nets[nan_in].biases[-1][0] = np.nan
     before = {name: net.params.tobytes() for name, net in nets.items()}
-    threads = threading.active_count()
     if nan_in is None:
         ppo_update(policy, value, batch, cfg, adams["policy"], adams["value"])
+        want = {"policy": steps, "value": steps}
     else:
         with pytest.raises(NonFinite, match="^gradient contains non-finite values$"):
             ppo_update(policy, value, batch, cfg, adams["policy"], adams["value"])
-    assert threading.active_count() == threads
+        want = {"policy": int(nan_in == "value"), "value": 0}
     for name, net in nets.items():
-        untouched = name == nan_in
-        assert (net.params.tobytes() == before[name]) == untouched
-        assert adams[name].t == (0 if untouched else steps)
+        assert adams[name].t == want[name]
+        assert (net.params.tobytes() == before[name]) == (want[name] == 0)
 
 
 def test_ppo_update_rejects_empty_batch(flat):

@@ -588,10 +588,10 @@ def test_save_net_refuses_non_finite_values(tmp_path):
 
 # Trains the desk ranker's shape for 300 Adam steps at batch 64, then three
 # PPO iterations of desk-shaped policy and value nets on a small desk-ontology
-# cohort, whose update runs the value phase on a second Python thread beside
-# the policy phase, so two threads call OpenBLAS at once. It prints the thread
-# count OpenBLAS reports (read as ``perfbench/run.py`` reads it) and the
-# sha256 of the three nets' parameter bytes. The ranker's (64 x 281) .
+# cohort, so that both training loops' products run at whatever BLAS thread
+# count the environment sets; the test runs it at one and at two. It prints
+# the thread count OpenBLAS reports (read as ``perfbench/run.py`` reads it)
+# and the sha256 of the three nets' parameter bytes. The ranker's (64 x 281) .
 # (281 x 128) products and the default (64, 64) PPO nets' (128 x 281) .
 # (281 x 64) minibatch products are far above OpenBLAS's size threshold for
 # splitting a gemm over threads.

@@ -13,9 +13,7 @@ evaluation keeps seed 1, as in the acceptance fixture. The sizes are the
 fixture's own (``DESK_SL``, ``DESK_PPO``, ``DESK_HORIZON``, ``DESK_EVAL_N``).
 BLAS runs BLAS_THREADS threads, whatever the environment asks for: on a
 2-core Xeon the desk was faster at one thread than at two on each of seeds
-0, 1 and 2, with the same bytes. The line also gives ``cpus``, the number of
-CPUs the process may run on: the PPO update runs its value phase on a second
-Python thread, which gains only with a second CPU.
+0, 1 and 2, with the same bytes.
 """
 import argparse
 import dataclasses
@@ -112,7 +110,7 @@ def main() -> None:
         times = [s[stage] for s, _ in runs]
         seconds[stage] = {"median": statistics.median(times), "min": min(times), "max": max(times)}
     print(json.dumps({"seed": seed, "runs": RUNS, "blas_threads": BLAS_THREADS,
-                      "cpus": len(os.sched_getaffinity(0)), "seconds": seconds, **quality}))
+                      "seconds": seconds, **quality}))
 
 
 if __name__ == "__main__":
