@@ -7,6 +7,7 @@ Every subcommand is deterministic given its flags and seeds. A flat
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -33,7 +34,6 @@ from .evalharness import (
     check_models,
     emit_report,
     evaluate,
-    input_layout,
     load_report,
     save_traces,
 )
@@ -352,31 +352,24 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     reports = [load_report(path) for path in args.inputs]
-    digests = {r.config_digest for r in reports}
-    if len(digests) > 1:
-        raise ConfigError(
-            "reports come from different evaluation configs: " + ", ".join(sorted(digests))
-        )
-    lines = ["metric," + ",".join(Path(p).stem for p in args.inputs)]
-    keys = sorted({k for r in reports for k in r.recall_at_k})
-    for k in keys:
-        lines.append(
-            f"recall_at_{k}," + ",".join(f"{r.recall_at_k.get(k, float('nan')):.6f}"
-                                         for r in reports)
-        )
+    for what, values in (("evaluation configs", {r.config_digest for r in reports}),
+                         ("recall cut-offs", {tuple(sorted(r.recall_at_k)) for r in reports})):
+        if len(values) > 1:
+            raise ConfigError(f"reports come from different {what}: "
+                              + ", ".join(map(str, sorted(values))))
+    rows = [["metric", *(Path(p).stem for p in args.inputs)]]
+    for k in sorted(reports[0].recall_at_k):
+        rows.append([f"recall_at_{k}", *(f"{r.recall_at_k[k]:.6f}" for r in reports)])
     for name in ("precision", "recall", "f1"):
-        lines.append(
-            f"rediscovery_{name},"
-            + ",".join(f"{getattr(r.rediscovery, name):.6f}" for r in reports)
-        )
-    lines.append("n_patients," + ",".join(str(r.n_patients) for r in reports))
-    text = "\n".join(lines) + "\n"
+        rows.append([f"rediscovery_{name}",
+                     *(f"{getattr(r.rediscovery, name):.6f}" for r in reports)])
+    rows.append(["n_patients", *(str(r.n_patients) for r in reports)])
     if args.out:
         with writing(args.out) as fh:
-            fh.write(text)
+            csv.writer(fh, lineterminator="\n").writerows(rows)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     return 0
 
 
@@ -433,9 +426,9 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
     Open questions prompt once per unknown target element. A first-level
     "no" closes off that element's detail questions, mirroring the simulated
     environment. After the rounds (or EOF) the top-10 ranked diseases are
-    printed with probabilities. Models built against another ontology
-    (``evalharness.check_models``) and a negative horizon are refused before
-    the first prompt.
+    printed with probabilities. Models that ``evalharness.check_models``
+    refuses (another ontology, a policy of another history width than the
+    ranker's) and a negative horizon are refused before the first prompt.
     """
     check_models(policy, diag_model, ontology)
     check_setting("horizon", horizon, "non-negative", integral=True)
@@ -449,9 +442,9 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
     except _SessionEnd:
         output_fn("session ended before demographics; using neutral defaults")
     record = PatientRecord("human", age, sex, (), status.copy(), -1)
-    # One kept input row (``diagnosis.ConsultRows``): each status write below
-    # is revealed to it too.
-    kept = ConsultRows(diag_model, [record], status[None], *input_layout(policy, diag_model))
+    # One kept input row in the ranker's layout (``diagnosis.ConsultRows``),
+    # which the policy and the ranker read; each status write below reaches it.
+    kept = ConsultRows(diag_model, [record], status[None])
     # A policy that samples draws from one seeded stream, so a session replays.
     rngs = [np.random.default_rng(0) if getattr(policy, "draws", True) else None]
 

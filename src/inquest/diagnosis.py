@@ -157,38 +157,30 @@ class ConsultRows:
     """The net input rows a consultation keeps, one per record, built from
     the (n, M) ``status`` and kept in step with it through ``reveal``.
 
-    ``inputs`` holds the rows the policy reads: ``net_input`` of the records'
-    width-``width`` histories and of ``status``, in ``dtype``. The ranker
-    ``model`` reads those same rows when its history width and dtype are
-    these, and otherwise rows of its own layout, kept beside them. ``reveal``
-    rewrites the one-hot slots of every kept row in place; the slots are
-    exact 0/1 values, so the rows stay the bytes that ``net_input`` builds
-    from the new observations. ``rank`` runs the ranker on the rows it reads.
+    ``inputs`` holds ``net_input`` of the records' histories and of
+    ``status`` in the ranker ``model``'s layout: its history width and dtype.
+    The policy, the value net and the ranker all read these rows. ``reveal``
+    rewrites their one-hot slots in place; the slots are exact 0/1 values, so
+    the rows stay the bytes that ``net_input`` builds from the new
+    observations. ``rank`` runs the ranker on them.
     """
 
-    def __init__(self, model: DiagnosisModel, records, status: np.ndarray, width: int, dtype):
+    def __init__(self, model: DiagnosisModel, records, status: np.ndarray):
         self.model = model
-        self.inputs = net_input(encode_histories(records, width), status, dtype)
-        layouts = [(self.inputs, width)]
-        if (model.history_width, model.net.dtype) != (width, self.inputs.dtype):
-            own = net_input(encode_histories(records, model.history_width), status,
-                            model.net.dtype)
-            layouts.append((own, model.history_width))
-        self._ranked = layouts[-1][0]
-        # Splitting the last axis in two is always a view, so writing these
+        self.inputs = net_input(encode_histories(records, model.history_width), status,
+                                model.net.dtype)
+        # Splitting the last axis in two is always a view, so writing it
         # writes the rows.
-        self._slots = [x[:, w:].reshape(*status.shape, 3) for x, w in layouts]
+        self._slots = self.inputs[:, model.history_width:].reshape(*status.shape, 3)
 
     def reveal(self, rows, elements, statuses) -> None:
         """Element ``elements[j]`` of row ``rows[j]`` now has ternary status
         ``statuses[j]``."""
-        one_hot = _ONE_HOT[statuses]
-        for slots in self._slots:
-            slots[rows, elements] = one_hot
+        self._slots[rows, elements] = _ONE_HOT[statuses]
 
     def rank(self, rows) -> np.ndarray:
         """The ranker's disease distributions of ``rows`` (``predict_rows``)."""
-        return predict_rows(self.model, self._ranked[rows])
+        return predict_rows(self.model, self.inputs[rows])
 
 
 def rank_from_probs(probs: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from .consult_env import PatientSim, _require_legal
 from .diagnosis import ConsultRows, DiagnosisModel, check_dataset, rank_from_probs
 from .errors import (
     ConfigError,
+    DigestMismatch,
     EmptyInput,
     PairingError,
     ParseError,
@@ -103,12 +104,12 @@ class EvalReport:
 # ``select_batch(inputs, masks, rngs)`` returns one question per row, and
 # raises NoLegalAction for a row whose mask admits none
 # (``consult_env._require_legal``). ``inputs`` are the episodes' kept input
-# rows (``diagnosis.ConsultRows.inputs``), in the layout ``input_layout``
-# gives: the policy's ``history_width`` and ``dtype`` where it carries them,
-# the ranker's otherwise. A trained policy carries both, and
-# ``ontology_digest``; the baselines read no inputs. A policy that never
-# draws from ``rngs`` says so with ``draws = False``, and ``cli.consult_repl``
-# then builds it no generator.
+# rows (``diagnosis.ConsultRows.inputs``), in the ranker's layout: its
+# history width and dtype. A trained policy carries its ``history_width``,
+# which ``check_models`` holds to the ranker's, and ``ontology_digest``; its
+# net casts the rows to its own dtype. The baselines read no inputs. A policy
+# that never draws from ``rngs`` says so with ``draws = False``, and
+# ``cli.consult_repl`` then builds it no generator.
 
 class GreedyModelPolicy:
     """Trained policy run greedily: argmax over the legal entries of each row
@@ -126,7 +127,6 @@ class GreedyModelPolicy:
         self.inner = policy
         self.ontology_digest = policy.ontology_digest
         self.history_width = policy.history_width
-        self.dtype = policy.net.dtype
 
     def select_batch(self, inputs, masks, rngs) -> np.ndarray:
         logits = nncore.forward(self.inner.net, inputs)
@@ -169,18 +169,15 @@ def baseline_policy(kind: str):
 
 def check_models(policy, diag_model: DiagnosisModel, ontology: HpiOntology) -> None:
     """Raise DigestMismatch unless the ranker, and the policy if it is a
-    trained one, were built against ``ontology``."""
+    trained one, were built against ``ontology``, and unless a trained
+    policy reads histories as wide as the ranker's."""
     pairs = [("diagnosis model", diag_model.ontology_digest)]
     if getattr(policy, "ontology_digest", None) is not None:
         pairs.append(("policy", policy.ontology_digest))
     check_built_against(ontology, pairs)
-
-
-def input_layout(policy, diag_model: DiagnosisModel) -> tuple[int, np.dtype]:
-    """History width and dtype of the input rows that ``policy`` reads: the
-    ones it carries, else the ranker's."""
-    width = getattr(policy, "history_width", None) or diag_model.history_width
-    return width, getattr(policy, "dtype", diag_model.net.dtype)
+    if getattr(policy, "history_width", None) not in (None, diag_model.history_width):
+        raise DigestMismatch(f"policy history width {policy.history_width} != diagnosis model "
+                             f"history width {diag_model.history_width}")
 
 
 def consult_batch(
@@ -203,7 +200,7 @@ def consult_batch(
     """
     check_models(policy, diag_model, ontology)
     env = consult_env.Lockstep(patients, ontology, sim, rngs, horizon)
-    kept = ConsultRows(diag_model, patients, env.status, *input_layout(policy, diag_model))
+    kept = ConsultRows(diag_model, patients, env.status)
     rounds = [[] for _ in patients]
     m = ontology.n_elements
     while True:

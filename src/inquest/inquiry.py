@@ -28,7 +28,7 @@ _TAG_PPO = (1 << 40) + 4
 
 @dataclass
 class InquiryPolicy:
-    """Question-selection net: logits over the K catalog questions."""
+    """Question-selection net: logits over the K questions, from rows in the ranker's layout."""
 
     net: nncore.DenseNet
     history_width: int
@@ -39,7 +39,7 @@ class InquiryPolicy:
 
 @dataclass
 class ValueNet:
-    """State-value estimator sharing the policy's input layout."""
+    """State-value estimator reading the policy's rows, in the ranker's layout."""
 
     net: nncore.DenseNet
     history_width: int
@@ -100,7 +100,7 @@ class PpoConfig:
 class TrajectoryBatch:
     """Flat transition arrays; episodes are contiguous, one done flag each."""
 
-    inputs: np.ndarray  # (n, E + 3M), in the policy net's dtype
+    inputs: np.ndarray  # (n, E + 3M), in the ranker's dtype
     actions: np.ndarray  # (n,) int
     logps: np.ndarray  # (n,) log-probability at collection time
     rewards: np.ndarray  # (n,)
@@ -279,11 +279,10 @@ def collect_rollouts(
     ``patientgen.streams((seed, iteration), ...)``. The episodes run in
     lockstep (``consult_env.Lockstep``) with one blocked forward per net per
     round, so an episode's transitions are the same bytes whatever
-    ``n_episodes`` is. The episodes' input rows are kept in a
-    ``diagnosis.ConsultRows`` and, after each step, only the slots the step
-    changed are rewritten; the policy and value nets read them before the
-    step, and the ranker after it. The batch is episode-major, in ``ep``
-    order.
+    ``n_episodes`` is. The episodes' input rows are kept in the ranker's
+    layout in a ``diagnosis.ConsultRows``; after each step only the slots the
+    step changed are rewritten. The policy and value nets read them before
+    the step, and the ranker after it. The batch is episode-major, in ``ep`` order.
     """
     check_setting("n_episodes", n_episodes, "non-negative", integral=True)
     check_setting("iteration", iteration, "non-negative", integral=True)
@@ -299,7 +298,7 @@ def collect_rollouts(
     rngs = streams((seed, iteration), range(n_episodes))
     patients = [dataset.records[int(rng.integers(len(dataset)))] for rng in rngs]
     env = consult_env.Lockstep(patients, ontology, sim, rngs, horizon)
-    kept = ConsultRows(diag_model, patients, env.status, policy.history_width, policy.net.dtype)
+    kept = ConsultRows(diag_model, patients, env.status)
     m = ontology.n_elements
     belief = kept.rank(slice(None))
     rounds = []

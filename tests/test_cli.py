@@ -1,4 +1,5 @@
 """End-to-end tests for the command-line surface and the consultation REPL."""
+import csv
 import dataclasses
 import hashlib
 import io
@@ -26,7 +27,7 @@ from inquest.diagnosis import (
     predict_batch,
     rank_from_probs,
 )
-from inquest.errors import ConfigError, DomainError, ParseError
+from inquest.errors import ConfigError, DigestMismatch, DomainError, ParseError
 from inquest.evalharness import (
     FIXED_ORDER,
     RANDOM_LEGAL,
@@ -203,6 +204,40 @@ def test_report_refuses_mismatched_configs(workspace, tmp_path):
     assert run(["eval", *common, "--baseline", "FixedOrder", "--out", str(b),
                 "--horizon", "6"]) == 0
     assert run(["report", "--inputs", str(a), str(b)]) == 1
+
+
+def test_report_refuses_reports_with_other_cut_offs(workspace, tmp_path, capsys):
+    """Two reports that claim one config digest but hold other recall
+    cut-offs; merging them used to write ``nan``."""
+    root, onto_dir, data, diag, policy = workspace
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["eval", "--ontology", str(onto_dir), "--data", str(data), "--diag", str(diag),
+                "--baseline", "FixedOrder", "--horizon", "4", "--out", str(a),
+                "--k", "1,2"]) == 0
+    payload = json.loads(a.read_text(encoding="utf-8"))
+    payload["recall_at_k"]["3"] = payload["recall_at_k"].pop("2")
+    b.write_text(json.dumps(payload), encoding="utf-8")
+    assert load_report(a).config_digest == load_report(b).config_digest
+    capsys.readouterr()
+    merged = tmp_path / "m.csv"
+    assert run(["report", "--inputs", str(a), str(b), "--out", str(merged)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "different recall cut-offs" in err
+    assert not merged.exists()
+
+
+def test_report_quotes_input_names_that_hold_commas(workspace, tmp_path, capsys):
+    root, onto_dir, data, diag, policy = workspace
+    a, b = tmp_path / "a.json", tmp_path / "x,y.json"
+    assert run(["eval", "--ontology", str(onto_dir), "--data", str(data), "--diag", str(diag),
+                "--baseline", "FixedOrder", "--horizon", "4", "--out", str(a)]) == 0
+    b.write_bytes(a.read_bytes())
+    capsys.readouterr()
+    assert run(["report", "--inputs", str(a), str(b)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["metric", "a", "x,y"]
+    assert {len(row) for row in rows} == {3}
+    assert rows[1][0] == "recall_at_1" and rows[1][1] == rows[1][2]
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +657,8 @@ def test_repl_keeps_the_input_row_that_net_input_rebuilds(monkeypatch, repl_mode
 @pytest.mark.parametrize("kind", ["random", "float64 ranker", "float64 policy", "wider policy"])
 def test_repl_ranks_as_predict_batch_whatever_rows_the_policy_reads(monkeypatch, repl_models,
                                                                    kind):
+    """Every policy reads the ranker's rows; one of a wider history than the
+    ranker's is refused before the first prompt."""
     onto, _ = repl_models
     diag = _random_ranker(onto, np.float64 if kind == "float64 ranker" else np.float32)
     if kind == "random":
@@ -634,6 +671,13 @@ def test_repl_ranks_as_predict_batch_whatever_rows_the_policy_reads(monkeypatch,
                          dtype=dtype)
         policy = GreedyModelPolicy(
             InquiryPolicy(net, width, 7, onto.n_questions, onto.content_digest))
+    if kind == "wider policy":
+        prompts = []
+        with pytest.raises(DigestMismatch, match="history width 10 != .* 8"):
+            consult_repl(policy, diag, onto, horizon=4, input_fn=prompts.append,
+                         output_fn=lambda s: None)
+        assert prompts == []
+        return
     ranked = _spy_ranker_inputs(monkeypatch, diag)
     trace = consult_repl(policy, diag, onto, horizon=4,
                          input_fn=scripted_input(["62", "f"] + ["y", "n", "y"] * 4),
@@ -722,6 +766,31 @@ def test_consult_refuses_models_of_another_ontology(workspace, tmp_path, monkeyp
         monkeypatch.setattr("sys.stdin", io.StringIO("44\nf\n" + "n\n" * 20))
         assert run(["consult", "--ontology", str(ontology), *models, "--horizon", "3"]) == 1
         assert f"{what} was built against a different ontology" in capsys.readouterr().err
+
+
+def test_eval_and_consult_refuse_a_policy_wider_than_the_ranker(workspace, tmp_path,
+                                                                 monkeypatch, capsys):
+    """The workspace policy reads two-flag histories (width 5); a ranker
+    trained on a flagless cohort reads width 3."""
+    root, onto_dir, data, diag, policy = workspace
+    narrow_data, narrow_diag = tmp_path / "c.jsonl", tmp_path / "d.json"
+    assert run(["gen-data", "--ontology", str(onto_dir), "--out", str(narrow_data),
+                "--n", "40", "--n-diseases", "3", "--n-flags", "0"]) == 0
+    assert run(["train-diag", "--ontology", str(onto_dir), "--data", str(narrow_data),
+                "--out", str(narrow_diag), "--epochs", "1", "--hidden", "16,16",
+                "--quiet"]) == 0
+    capsys.readouterr()
+    models = ["--ontology", str(onto_dir), "--diag", str(narrow_diag), "--policy", str(policy)]
+    out = tmp_path / "r.json"
+    assert run(["eval", *models, "--data", str(narrow_data), "--out", str(out),
+                "--horizon", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "history width 5 != diagnosis model history width 3" in err
+    assert not out.exists()
+    monkeypatch.setattr("sys.stdin", io.StringIO("44\nf\n" + "n\n" * 20))
+    assert run(["consult", *models, "--horizon", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "history width 5" in captured.err and "patient age" not in captured.out
 
 
 # ---------------------------------------------------------------------------

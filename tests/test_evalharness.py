@@ -248,11 +248,9 @@ def test_greedy_refuses_rows_without_a_legal_question_and_misshapen_masks(monkey
 
 class SpyFixedOrder:
     """Picks as FixedOrder does and keeps a copy of every ``inputs`` block it
-    reads; given a layout, it reads rows of that history width and dtype."""
+    reads."""
 
-    def __init__(self, history_width=None, dtype=None):
-        if history_width is not None:
-            self.history_width, self.dtype = history_width, dtype
+    def __init__(self):
         self.seen = []
 
     def select_batch(self, inputs, masks, rngs):
@@ -260,14 +258,12 @@ class SpyFixedOrder:
         return baseline_policy(FIXED_ORDER).select_batch(inputs, masks, rngs)
 
 
-@pytest.mark.parametrize("layout", [None, (10, np.float64)], ids=["rankers", "own"])
-def test_consult_batch_keeps_the_input_rows_that_net_input_rebuilds(monkeypatch, toy_setup,
-                                                                  layout):
+def test_consult_batch_keeps_the_input_rows_that_net_input_rebuilds(monkeypatch, toy_setup):
+    """The policy reads the rows in the ranker's layout."""
     onto, ds, _ = toy_setup
     ranker = new_diagnosis_model(8, 7, ds.disease_names, onto.content_digest, hidden=(16,))
     ranker.net.params[:] = np.random.default_rng(6).normal(size=ranker.net.params.size)
-    spy = SpyFixedOrder(*(layout or ()))
-    width, dtype = layout or (ranker.history_width, ranker.net.dtype)
+    spy = SpyFixedOrder()
     rounds = []  # the engine's own (rows, status) at each round
     pending = consult_env.Lockstep.pending
 
@@ -281,8 +277,8 @@ def test_consult_batch_keeps_the_input_rows_that_net_input_rebuilds(monkeypatch,
     traces = consult_batch(spy, ranker, ds.records, onto, sim, 8, streams((4,), range(len(ds))))
     assert len(spy.seen) == len(rounds) - 1 > 1
     for inputs, (rows, status) in zip(spy.seen, rounds):
-        expected = net_input(encode_histories([ds.records[i] for i in rows], width), status,
-                             dtype)
+        expected = net_input(encode_histories([ds.records[i] for i in rows], 8), status,
+                             ranker.net.dtype)
         assert inputs.dtype == expected.dtype and inputs.tobytes() == expected.tobytes()
     # Some rounds revealed nothing: their rows were left as they were.
     assert any(not revealed for t in traces for _, revealed in t.rounds)
@@ -291,8 +287,17 @@ def test_consult_batch_keeps_the_input_rows_that_net_input_rebuilds(monkeypatch,
     assert [t.ranking for t in traces] == [tuple(r) for r in rank_from_probs(probs).tolist()]
 
 
-# ---------------------------------------------------------------------------
-# recall_at_k
+@pytest.mark.parametrize("width", [6, 10])
+def test_consult_batch_refuses_a_policy_of_another_history_width(monkeypatch, toy_setup, width):
+    onto, ds, diag = toy_setup
+    policy = GreedyModelPolicy(
+        new_inquiry_policy(width, 7, onto.n_questions, onto.content_digest, hidden=(16,)))
+    played = []
+    monkeypatch.setattr(consult_env.Lockstep, "pending", lambda self: played.append(1))
+    with pytest.raises(DigestMismatch, match=f"history width {width} != .* 8"):
+        consult_batch(policy, diag, ds.records, onto, PatientSim(), 5,
+                      streams((0,), range(len(ds))))
+    assert not played
 # ---------------------------------------------------------------------------
 
 def test_recall_single_trace_rank_three():

@@ -365,8 +365,9 @@ def _random_ranker(onto, ds):
 
 @pytest.mark.parametrize("layout", ["policy's", "float64 ranker", "narrower ranker"])
 def test_rollouts_match_straight_line_oracle(toy_setup, layout):
-    """The ranker reads the policy's rows, or, in another dtype or history
-    width, rows of its own."""
+    """The policy, the value net and the ranker read the same rows, in the
+    ranker's layout; a policy over a narrower ranker fails in the first
+    round."""
     onto, ds, diag, policy, value = toy_setup
     if layout != "policy's":
         diag = _random_ranker(onto, ds)
@@ -377,6 +378,11 @@ def test_rollouts_match_straight_line_oracle(toy_setup, layout):
     params = RewardParams()
     probs_cfg = PatientSim()
     n_eps, horizon, seed = 12, 10, 21
+    if layout == "narrower ranker":
+        with pytest.raises(ShapeError):
+            collect_rollouts(policy, value, diag, ds, onto, probs_cfg, params, n_eps, horizon,
+                             seed)
+        return
     batch = collect_rollouts(
         policy, value, diag, ds, onto, probs_cfg, params, n_eps, horizon, seed
     )
