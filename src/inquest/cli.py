@@ -357,7 +357,8 @@ def cmd_report(args) -> int:
         if len(values) > 1:
             raise ConfigError(f"reports come from different {what}: "
                               + ", ".join(map(str, sorted(values))))
-    rows = [["metric", *(Path(p).stem for p in args.inputs)]]
+    names = [Path(p).stem for p in args.inputs]  # the paths as given if two stems match
+    rows = [["metric", *(names if len(set(names)) == len(names) else args.inputs)]]
     for k in sorted(reports[0].recall_at_k):
         rows.append([f"recall_at_{k}", *(f"{r.recall_at_k[k]:.6f}" for r in reports)])
     for name in ("precision", "recall", "f1"):
@@ -442,8 +443,8 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
     except _SessionEnd:
         output_fn("session ended before demographics; using neutral defaults")
     record = PatientRecord("human", age, sex, (), status.copy(), -1)
-    # One kept input row in the ranker's layout (``diagnosis.ConsultRows``),
-    # which the policy and the ranker read; each status write below reaches it.
+    # One kept input row in the ranker's layout (``diagnosis.ConsultRows``), built
+    # on a view of ``status``: each answer written below is then revealed from it.
     kept = ConsultRows(diag_model, [record], status[None])
     # A policy that samples draws from one seeded stream, so a session replays.
     rngs = [np.random.default_rng(0) if getattr(policy, "draws", True) else None]
@@ -464,13 +465,13 @@ def consult_repl(policy, diag_model, ontology, horizon: int = 10,
                 yes = _ask(f"round {len(rounds) + 1}: {name}? (y/n) ",
                            _parse_yn, input_fn, output_fn)
                 status[t] = CONFIRMED if yes else DENIED
-                kept.reveal(0, t, status[t])
+                kept.reveal(0, t)
                 revealed.append((t, int(status[t])))
                 if not yes and ontology.elements[t].level == 1:
                     for child in ontology.children_of(t):
                         if status[child] == consult_env.UNKNOWN:
                             status[child] = DENIED
-                            kept.reveal(0, child, DENIED)
+                            kept.reveal(0, child)
                             revealed.append((child, int(DENIED)))
             rounds.append((action, tuple(revealed)))
             revealed = []

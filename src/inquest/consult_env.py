@@ -13,13 +13,14 @@ int8 status array and an (N, K) asked mask. Disclosure, legality, answers and
 first-level denial propagation are array operations on ``HpiOntology.index``.
 Each round the caller takes the episodes that still have a legal question
 from ``pending``, picks one question for each, and passes them to ``step``,
-which reports the status slots it changed. An episode leaves the active set
+which writes ``status`` in place and returns the findings and the changed
+(episode, element) pairs, sorted by episode. An episode leaves the active set
 when it reaches its horizon or has nothing legal left. All active episodes
-are at the same round. The single-episode
-API (``reset``, ``legal_actions`` and ``step`` on an immutable ``EnvState``)
-is the N=1 case of the same functions, so an episode can still be replayed or
-branched one state at a time. Legality has one implementation, ``_legal``:
-``step`` accepts exactly the questions ``legal_actions`` allows.
+are at the same round. The single-episode API (``reset``, ``legal_actions``
+and ``step`` on an immutable ``EnvState``) is the N=1 case of the same
+functions, so an episode can still be replayed or branched one state at a
+time. Legality has one implementation, ``_legal``: ``step`` accepts exactly
+the questions ``legal_actions`` allows.
 
 Determinism contract. Every episode owns its RNG and draws from it in a fixed
 order: one ``random(M)`` for disclosure at reset (rollouts draw the patient
@@ -220,9 +221,9 @@ class Lockstep:
     ``status`` (N, M) and ``asked`` (N, K) hold every episode, finished or
     not; ``active`` lists the episodes still asking, in ascending order.
     ``evidence`` (N, M) holds each patient's answers (``_evidence``), built
-    once here and gathered each round. ``step`` reports the slots it changed,
-    so a caller that keeps rows built from ``status`` (``diagnosis.ConsultRows``)
-    rewrites those alone.
+    once here and gathered each round. ``step`` writes ``status`` in place and
+    returns the (episode, element) pairs it changed, so rows kept on
+    ``status`` (``diagnosis.ConsultRows``) re-encode those alone.
     """
 
     def __init__(self, patients, ontology: HpiOntology, sim: PatientSim, rngs, horizon: int):
@@ -252,11 +253,11 @@ class Lockstep:
         self.active, self._mask = rows[keep], mask[keep]
         return self.active, self._mask
 
-    def step(self, actions) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ask ``actions[i]`` in episode ``active[i]``; returns (n, 4) findings
-        and the slots that changed, as ascending flat indices into the (n, M)
-        ``status[active]``: slot ``f`` is element ``f % M`` of episode
-        ``active[f // M]``."""
+        and the slots that changed as ``(episodes, elements)``: slot j is
+        element ``elements[j]`` of episode ``episodes[j]``, sorted by episode
+        and by element within one."""
         rows = self.active
         actions = np.asarray(actions, dtype=np.int64)
         mask, self._mask = self._mask, None
@@ -270,7 +271,8 @@ class Lockstep:
         )
         self.asked[rows, actions] = True
         self.t += 1
-        return findings, np.flatnonzero(changed)
+        slots, m = np.flatnonzero(changed), changed.shape[1]  # 3-7x a 2-D nonzero at 2000 x 90
+        return findings, rows[slots // m], slots % m
 
 
 # ---------------------------------------------------------------------------

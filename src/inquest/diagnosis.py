@@ -159,24 +159,25 @@ class ConsultRows:
 
     ``inputs`` holds ``net_input`` of the records' histories and of
     ``status`` in the ranker ``model``'s layout: its history width and dtype.
-    The policy, the value net and the ranker all read these rows. ``reveal``
-    rewrites their one-hot slots in place; the slots are exact 0/1 values, so
-    the rows stay the bytes that ``net_input`` builds from the new
+    The policy, the value net and the ranker all read these rows. ``status``
+    is kept, not copied: its owner writes it in place, and ``reveal``
+    re-encodes the one-hot slots it names from it. They are exact 0/1 values,
+    so the rows stay the bytes that ``net_input`` builds from the new
     observations. ``rank`` runs the ranker on them.
     """
 
     def __init__(self, model: DiagnosisModel, records, status: np.ndarray):
         self.model = model
+        self.status = status
         self.inputs = net_input(encode_histories(records, model.history_width), status,
                                 model.net.dtype)
         # Splitting the last axis in two is always a view, so writing it
         # writes the rows.
         self._slots = self.inputs[:, model.history_width:].reshape(*status.shape, 3)
 
-    def reveal(self, rows, elements, statuses) -> None:
-        """Element ``elements[j]`` of row ``rows[j]`` now has ternary status
-        ``statuses[j]``."""
-        self._slots[rows, elements] = _ONE_HOT[statuses]
+    def reveal(self, rows, elements) -> None:
+        """Re-encode element ``elements[j]`` of row ``rows[j]`` from ``status``."""
+        self._slots[rows, elements] = _ONE_HOT[self.status[rows, elements]]
 
     def rank(self, rows) -> np.ndarray:
         """The ranker's disease distributions of ``rows`` (``predict_rows``)."""

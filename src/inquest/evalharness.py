@@ -7,17 +7,17 @@ recall-at-K plus pooled rediscovery precision/recall/F1.
 ``evaluate`` consults every patient at once on the lockstep engine
 (``consult_env.Lockstep``) through ``consult_batch``; ``simulate_consultation``
 is its N=1 case. ``consult_batch`` keeps every patient's net input row
-([history, ternary one-hot]) in a ``diagnosis.ConsultRows``, built once;
-after each round it rewrites only the slots that ``Lockstep.step`` reports
-changed. Policies have one interface, ``select_batch``, which decides for a
-batch from those rows, so each round costs one forward of the policy net over
-the active episodes, and the final ranking one forward of the ranker over the
-rows it reads (``ConsultRows.rank``). Patient i draws
-from stream i of ``patientgen.streams((seed,), ...)``, and every net runs in
-fixed-size blocks (``nncore.forward``). A patient's trace is therefore the
-same bytes whether it is evaluated alone or inside any dataset. A trained
-policy run greedily asks the legal question with the largest float32 logit,
-the lowest id among equal ones.
+([history, ternary one-hot]) in a ``diagnosis.ConsultRows``, built once on the
+engine's status; each round it reveals only the (episode, element) pairs that
+``Lockstep.step`` returns. Policies have one interface, ``select_batch``, which
+decides for a batch from those rows, so each round costs one forward of the
+policy net over the active episodes, and the final ranking one forward of the
+ranker over the rows it reads (``ConsultRows.rank``). Patient i draws from
+stream i of ``patientgen.streams((seed,), ...)``, and every net runs in
+fixed-size blocks (``nncore.forward``). A patient's trace is therefore the same
+bytes whether it is evaluated alone or inside any dataset. A trained policy run
+greedily asks the legal question with the largest float32 logit, the lowest id
+among equal ones.
 """
 from __future__ import annotations
 
@@ -193,29 +193,25 @@ def consult_batch(
     from ``rngs[i]``; one trace per patient, in order.
 
     Each round runs one blocked policy forward over the active episodes' kept
-    input rows (``diagnosis.ConsultRows``), then rewrites the slots the step
-    changed; the final ranking is one blocked ranker forward over every
-    episode. A patient's trace is therefore the same bytes whatever the batch
-    holds.
+    input rows (``diagnosis.ConsultRows``), then reveals the (episode,
+    element) pairs the step returns; the final ranking is one blocked ranker
+    forward over every episode. A patient's trace is therefore the same bytes
+    whatever the batch holds.
     """
     check_models(policy, diag_model, ontology)
     env = consult_env.Lockstep(patients, ontology, sim, rngs, horizon)
     kept = ConsultRows(diag_model, patients, env.status)
     rounds = [[] for _ in patients]
-    m = ontology.n_elements
     while True:
         rows, mask = env.pending()
         if not len(rows):
             break
         ids = rows.tolist()
         actions = policy.select_batch(kept.inputs[rows], mask, [rngs[i] for i in ids])
-        _, changed = env.step(actions)
-        # Changed slots row by row, elements ascending; row j's end at ends[j].
-        episodes, elements = rows[changed // m], changed % m
-        statuses = env.status[episodes, elements]
-        kept.reveal(episodes, elements, statuses)
-        revealed = tuple(zip(elements.tolist(), statuses.tolist()))
-        ends = np.searchsorted(changed, m * np.arange(1, len(ids) + 1)).tolist()
+        _, episodes, elements = env.step(actions)
+        kept.reveal(episodes, elements)
+        revealed = tuple(zip(elements.tolist(), env.status[episodes, elements].tolist()))
+        ends = np.searchsorted(episodes, rows, side="right").tolist()
         for i, action, start, end in zip(ids, np.asarray(actions).tolist(), [0, *ends], ends):
             rounds[i].append((action, revealed[start:end]))
     rankings = rank_from_probs(kept.rank(slice(None))).tolist()

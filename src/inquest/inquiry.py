@@ -280,9 +280,10 @@ def collect_rollouts(
     lockstep (``consult_env.Lockstep``) with one blocked forward per net per
     round, so an episode's transitions are the same bytes whatever
     ``n_episodes`` is. The episodes' input rows are kept in the ranker's
-    layout in a ``diagnosis.ConsultRows``; after each step only the slots the
-    step changed are rewritten. The policy and value nets read them before
-    the step, and the ranker after it. The batch is episode-major, in ``ep`` order.
+    layout in a ``diagnosis.ConsultRows`` built on the engine's status; after
+    each step only the (episode, element) pairs it returns are revealed. The
+    policy and value nets read them before the step, and the ranker after it.
+    The batch is episode-major, in ``ep`` order.
     """
     check_setting("n_episodes", n_episodes, "non-negative", integral=True)
     check_setting("iteration", iteration, "non-negative", integral=True)
@@ -299,7 +300,6 @@ def collect_rollouts(
     patients = [dataset.records[int(rng.integers(len(dataset)))] for rng in rngs]
     env = consult_env.Lockstep(patients, ontology, sim, rngs, horizon)
     kept = ConsultRows(diag_model, patients, env.status)
-    m = ontology.n_elements
     belief = kept.rank(slice(None))
     rounds = []
     while True:
@@ -309,9 +309,8 @@ def collect_rollouts(
         x = kept.inputs[rows]
         probs = masked_softmax(nncore.forward(policy.net, x), mask)
         actions = _sample_actions(probs, [rngs[i] for i in rows])
-        findings, changed = env.step(actions)
-        episodes, elements = rows[changed // m], changed % m
-        kept.reveal(episodes, elements, env.status[episodes, elements])
+        findings, episodes, elements = env.step(actions)
+        kept.reveal(episodes, elements)
         new = kept.rank(rows)
         rewards = _rewards(reward_params, findings, belief[rows], new)
         belief[rows] = new

@@ -240,6 +240,21 @@ def test_report_quotes_input_names_that_hold_commas(workspace, tmp_path, capsys)
     assert rows[1][0] == "recall_at_1" and rows[1][1] == rows[1][2]
 
 
+def test_report_names_columns_by_path_when_stems_match(workspace, tmp_path, capsys):
+    root, onto_dir, data, diag, policy = workspace
+    a, b = tmp_path / "a" / "r.json", tmp_path / "b" / "r.json"
+    assert run(["eval", "--ontology", str(onto_dir), "--data", str(data), "--diag", str(diag),
+                "--baseline", "FixedOrder", "--horizon", "4", "--out", str(a)]) == 0
+    b.parent.mkdir()
+    b.write_bytes(a.read_bytes())
+    capsys.readouterr()
+    assert run(["report", "--inputs", str(a), str(b)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["metric", str(a), str(b)]
+    assert {len(row) for row in rows} == {3}
+    assert rows[1][0] == "recall_at_1" and rows[1][1] == rows[1][2]
+
+
 # ---------------------------------------------------------------------------
 # Config files
 # ---------------------------------------------------------------------------

@@ -123,8 +123,10 @@ def test_batched_legality_and_step_match_straight_line_oracle(shape, seed, n, no
     oracle_rngs = [np.random.default_rng([seed, i]) for i in range(n)]
     for g in oracle_rngs:  # past the disclosure draw, as the engine's streams are
         g.random(onto.n_elements)
-    findings, changed = env.step(actions)
-    assert changed.tolist() == np.flatnonzero(env.status[rows] != status[rows]).tolist()
+    findings, episodes, elements = env.step(actions)
+    # The changed slots, in np.nonzero's order: by episode, elements ascending.
+    assert [episodes.tolist(), elements.tolist()] == [
+        a.tolist() for a in np.nonzero(env.status != status)]
     for j, i in enumerate(rows):
         want_status, want_counts = oracle_step(onto, status[i], actions[j], patients[i].hpi,
                                                noise, oracle_rngs[i], mode)
@@ -191,7 +193,7 @@ def test_single_episode_step_follows_the_lockstep_rule(shape, seed, noise, mode)
         env.asked[:] = asked
         _, pending_mask = env.pending()
         assert np.array_equal(pending_mask[0], mask)
-        want, _ = env.step([q])
+        want = env.step([q])[0]
         assert np.array_equal(after.status, env.status[0])
         assert findings == StepFindings(*want[0].tolist())
         assert after.asked == state.asked | {q} and after.t == 1

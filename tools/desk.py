@@ -1,10 +1,11 @@
 """Run the desk pipeline of ``tests/test_acceptance.py`` three times in one
 process and print one JSON line: the median, min and max seconds of each
-stage, the quality numbers it is graded on, and the sha256 of the trained
-ranker's and policy's parameter bytes. The stages include a save and a load
-of the cohort, in a temporary directory; the script fails unless the loaded
-cohort equals the sampled one, and unless every run gives the same quality
-numbers and parameter bytes.
+stage, the quality numbers it is graded on, the trained and RandomLegal
+top-1 at half the horizon (h5, which no gate reads), and the sha256 of the
+trained ranker's and policy's parameter bytes. The stages include a save and
+a load of the cohort, in a temporary directory; the script fails unless the
+loaded cohort equals the sampled one, and unless every run gives the same
+quality numbers and parameter bytes.
 
     python tools/desk.py --seed S
 
@@ -78,7 +79,9 @@ def desk_run(seed: int) -> tuple[dict, dict]:
     reports = {}
     for name, chosen, horizon in (("trained_h10", GreedyModelPolicy(policy), DESK_HORIZON),
                                   ("random_h10", baseline_policy("RandomLegal"), DESK_HORIZON),
-                                  ("trained_h20", GreedyModelPolicy(policy), 2 * DESK_HORIZON)):
+                                  ("trained_h20", GreedyModelPolicy(policy), 2 * DESK_HORIZON),
+                                  ("trained_h5", GreedyModelPolicy(policy), DESK_HORIZON // 2),
+                                  ("random_h5", baseline_policy("RandomLegal"), DESK_HORIZON // 2)):
         reports[name], _ = timed(f"eval_{name}", evaluate, chosen, diag, sub, onto,
                                  horizon=horizon, seed=1)
     return seconds, {
@@ -87,6 +90,8 @@ def desk_run(seed: int) -> tuple[dict, dict]:
         "rediscovery_recall_trained": reports["trained_h10"].rediscovery.recall,
         "rediscovery_recall_random": reports["random_h10"].rediscovery.recall,
         "top1_trained_h20": reports["trained_h20"].recall_at_k[1],
+        "top1_trained_h5": reports["trained_h5"].recall_at_k[1],
+        "top1_random_h5": reports["random_h5"].recall_at_k[1],
         "ranker_top1_full_hpi": top1_accuracy(diag, sub),
         "history_width": diag.history_width,
         "ranker_inputs": diag.net.layer_dims[0],
