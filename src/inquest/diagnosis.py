@@ -45,7 +45,23 @@ class DiagnosisModel:
 @dataclass(frozen=True)
 class SlTrainConfig:
     epochs: int = setting(30, "count")
-    batch_size: int = setting(64, "count")
+    # Records per Adam step. Each step pays for Adam over every parameter
+    # (55k on the desk ranker) and the per-pass Python on top of its rows'
+    # work, so the step count bounds the ranker stage. The desk ranker (12,000
+    # records, 60 epochs), seeds 0-2 at one BLAS thread on a 2-core Xeon; the
+    # gate reads each quality mean against the 64-row run's lowest seed:
+    #
+    #   batch, lr    Adam steps   ranker s, S = 0   gate
+    #   64, 1e-3         11,280       10.04        (sets the floors)
+    #   128, 1e-3         5,640          -         rediscovery 0.0009 short
+    #   256, 1e-3         2,820        5.42        passes
+    #   256, 2e-3         2,820          -         trained h10 0.0008 short
+    #
+    # Seconds are medians of one alternating set (BENCH_9.json). At 256,
+    # perfbench's ``train`` pass fell from 0.2192 to 0.2011 s (median of 10
+    # alternating pairs), and ``train_diagnosis`` on its 1,800 records from 62
+    # to 40 ms (median of 25 calls, 3 alternating rounds).
+    batch_size: int = setting(256, "count")
     lr: float = setting(1e-3, "non-negative")  # 0 trains nothing: the parameters stay frozen
     seed: int = setting(0, "non-negative")
     augment: bool = True
@@ -212,7 +228,8 @@ def train_epoch(
     epoch: int = 0,
     adam: nncore.AdamState | None = None,
 ) -> SlEpochMetrics:
-    """One shuffled minibatch pass; returns mean loss and top-1 accuracy.
+    """One shuffled minibatch pass, ceil(n / cfg.batch_size) Adam steps with
+    the remainder in the last; returns mean loss and top-1 accuracy.
 
     Reproducible from (cfg.seed, epoch) alone: the shuffle and every
     augmentation draw come from an RNG keyed on that pair. A dataset without
@@ -279,16 +296,19 @@ def train_diagnosis(
         if log is not None:
             line = f"epoch {epoch}: loss {metrics.mean_loss:.4f} acc {metrics.accuracy:.4f}"
             if val_arrays is not None:
-                line += f" val_loss {_loss(model, val_arrays):.4f}"
+                loss, accuracy = _loss(model, val_arrays)
+                line += f" val_acc {accuracy:.4f} val_loss {loss:.4f}"
             log(line)
     return model, history
 
 
-def _loss(model: DiagnosisModel, arrays) -> float:
-    """Mean cross-entropy on the arrays of ``_dataset_arrays``, no augmentation."""
+def _loss(model: DiagnosisModel, arrays) -> tuple[float, float]:
+    """Mean cross-entropy and top-1 accuracy on the arrays of
+    ``_dataset_arrays``, no augmentation, from one forward pass."""
     hist, hpi, labels = arrays
     logits = nncore.forward(model.net, net_input(hist, hpi, model.net.dtype))
-    return nncore.cross_entropy(logits, labels)[0]
+    accuracy = float((logits.argmax(axis=1) == labels).mean())
+    return nncore.cross_entropy(logits, labels)[0], accuracy
 
 
 def check_dataset(model: DiagnosisModel, dataset: PatientDataset, what: str) -> None:

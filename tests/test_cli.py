@@ -351,7 +351,7 @@ def test_shared_dialogue_flags_parse_as_before(argv, want):
 
 _TRAIN_DIAG_DEFAULTS = {
     "command": "train-diag", "config": None, "seed": 0, "ontology": "o", "data": "d",
-    "val_data": None, "out": "x", "epochs": 30, "batch_size": 64, "lr": 0.001,
+    "val_data": None, "out": "x", "epochs": 30, "batch_size": 256, "lr": 0.001,
     "hidden": (128, 128), "no_augment": False, "hide_lo": 0.0, "hide_hi": 0.8, "quiet": False,
 }
 

@@ -73,7 +73,7 @@ def five_diseases():
 
 def full_view_loss(model, dataset):
     """Mean cross-entropy on full records, the ``val_loss`` of the training log."""
-    return diagnosis._loss(model, diagnosis._dataset_arrays(dataset, model.history_width))
+    return diagnosis._loss(model, diagnosis._dataset_arrays(dataset, model.history_width))[0]
 
 
 def fresh_model(toy, seed=0):
@@ -221,6 +221,39 @@ def test_logged_run_builds_validation_arrays_once(toy, splits, monkeypatch):
     assert built == [len(small), len(val)]  # once for training, once for validation
     assert len(lines) == 3
     assert lines[-1].endswith(f" val_loss {full_view_loss(model, val):.4f}")
+
+
+def test_logged_val_acc_is_the_top1_accuracy_on_the_validation_set(toy, splits):
+    train, val, _ = splits
+    small = PatientDataset(train.records[:300], train.disease_names, train.m,
+                           train.ontology_digest, train.genmodel_digest)
+    lines = []
+    model, _ = train_diagnosis(small, SlTrainConfig(epochs=2, hidden=(16, 16)), val=val,
+                               log=lines.append)
+    words = lines[-1].split()
+    assert words[-4::2] == ["val_acc", "val_loss"]
+    assert words[-3] == f"{top1_accuracy(model, val):.4f}"
+
+
+@pytest.mark.parametrize("n, batch_size, steps", [
+    (300, None, 2),  # the default batch: one full minibatch and a 44-record tail
+    (256, None, 1),
+    (300, 64, 5),
+    (1, None, 1),
+])
+def test_each_epoch_takes_one_adam_step_per_started_minibatch(toy, splits, n, batch_size,
+                                                              steps):
+    train, _, _ = splits
+    records = PatientDataset(train.records[:n], train.disease_names, train.m,
+                             train.ontology_digest, train.genmodel_digest)
+    sizes = {} if batch_size is None else {"batch_size": batch_size}
+    cfg = SlTrainConfig(hidden=(16, 16), **sizes)
+    assert steps == -(-n // cfg.batch_size)
+    model = fresh_model(toy)
+    adam = nncore.init_adam(model.net.params)
+    for epoch in range(2):
+        train_epoch(model, records, cfg, epoch=epoch, adam=adam)
+        assert adam.t == steps * (epoch + 1)
 
 
 @pytest.mark.parametrize("logged", [False, True])

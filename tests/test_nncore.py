@@ -586,13 +586,14 @@ def test_save_net_refuses_non_finite_values(tmp_path):
     assert not path.exists()
 
 
-# Trains the desk ranker's shape for 300 Adam steps at batch 64, then three
-# PPO iterations of desk-shaped policy and value nets on a small desk-ontology
-# cohort, so that both training loops' products run at whatever BLAS thread
-# count the environment sets; the test runs it at one and at two. It prints
-# the thread count OpenBLAS reports (read as ``perfbench/run.py`` reads it)
-# and the sha256 of the three nets' parameter bytes. The ranker's (64 x 281) .
-# (281 x 128) products and the default (64, 64) PPO nets' (128 x 281) .
+# Trains the desk ranker's shape for 300 Adam steps at batch 64 and 300 at
+# batch 256, then three PPO iterations of desk-shaped policy and value nets on
+# a small desk-ontology cohort, so that both training loops' products run at
+# whatever BLAS thread count the environment sets; the test runs it at one and
+# at two. It prints the thread count OpenBLAS reports (read as
+# ``perfbench/run.py`` reads it) and the sha256 of the four nets' parameter
+# bytes. The ranker's (64 x 281) . (281 x 128) and (256 x 281) . (281 x 128)
+# products and the default (64, 64) PPO nets' (128 x 281) .
 # (281 x 64) minibatch products are far above OpenBLAS's size threshold for
 # splitting a gemm over threads.
 _THREAD_RUN = """
@@ -606,21 +607,25 @@ from inquest.patientgen import (benchmark_genmodel, benchmark_ontology, generate
 spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
 bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
-net = nncore.init_dense((281, 128, 128, 20), seed=0, dtype=nncore.NET_DTYPE)
-state = nncore.init_adam(net.params)
-rng = np.random.default_rng(0)
-for _ in range(300):
-    logits, cache = nncore.forward_with_cache(net, rng.standard_normal((64, 281)))
-    _, grad = nncore.cross_entropy(logits, rng.integers(20, size=64))
-    nncore.backward(net, cache, grad, state.grad)
-    nncore.adam_step(net.params, state.grad, state, lr=1e-3)
+def ranker_shaped(rows):
+    net = nncore.init_dense((281, 128, 128, 20), seed=0, dtype=nncore.NET_DTYPE)
+    state = nncore.init_adam(net.params)
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        logits, cache = nncore.forward_with_cache(net, rng.standard_normal((rows, 281)))
+        _, grad = nncore.cross_entropy(logits, rng.integers(20, size=rows))
+        nncore.backward(net, cache, grad, state.grad)
+        nncore.adam_step(net.params, state.grad, state, lr=1e-3)
+    return net
+# 256 is the ranker's minibatch, SlTrainConfig.batch_size.
+nets = [ranker_shaped(64), ranker_shaped(256)]
 onto = benchmark_ontology()
 cohort = generate_cohort(benchmark_genmodel(onto), 200, seed=0)
 diag = new_diagnosis_model(history_width(cohort.records), onto.n_elements,
                            cohort.disease_names, onto.content_digest, hidden=(16, 16))
 policy, value, _ = train_inquiry(cohort, diag, onto, PpoConfig(iterations=3, episodes_per_iter=64))
 digest = hashlib.sha256()
-for params in (net.params, policy.net.params, value.net.params):
+for params in (*(net.params for net in nets), policy.net.params, value.net.params):
     digest.update(params.tobytes())
 print(json.dumps({"threads": bench.blas_threads(), "sha256": digest.hexdigest()}))
 """
